@@ -55,7 +55,6 @@ from .diagnostics import (
     AnalyticField,
     FieldProbe,
     RadialProfile,
-    ball_sup,
     compute_profile,
     default_radii,
     estimate_mu,
@@ -71,7 +70,6 @@ from .diagnostics import (
 from .freeboundary import (
     BlowupFit,
     FreeBoundaryPoint,
-    NoBlowupError,
     almgren_rescale,
     analyze_point,
     blowup_fit,
@@ -107,11 +105,11 @@ __all__ = [
     "SolveResult", "SolverError", "el_crosscheck", "harmonic_extension",
     "minimize", "weak_residual",
     "brute_minimize", "reference_integral",
-    "AnalyticField", "FieldProbe", "RadialProfile", "ball_sup", "compute_profile",
+    "AnalyticField", "FieldProbe", "RadialProfile", "compute_profile",
     "default_radii", "estimate_mu", "growth_fit", "mean_value_violation",
     "minimal_almgren_constant", "minimal_monneau_constant", "poincare_check",
     "rellich_residual", "sphere_sup", "trace_check",
-    "BlowupFit", "FreeBoundaryPoint", "NoBlowupError", "almgren_rescale",
+    "BlowupFit", "FreeBoundaryPoint", "almgren_rescale",
     "analyze_point", "blowup_fit", "classify_point", "continuity_probe",
     "extract_gamma", "homogeneous_rescale", "nondegeneracy_check",
     "singular_dimension", "thin_gradient",

@@ -39,7 +39,9 @@ def _load_config(path: str) -> RunConfig:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    cfg.stages = _STAGE_MAP[args.command]
+    # the command's stages, narrowed by the config's `stages` key; solve always runs
+    cfg.stages = tuple(s for s in _STAGE_MAP[args.command]
+                       if s == "solve" or s in cfg.stages)
     out = run(cfg)
     print(f"wrote {out}")
     return 0

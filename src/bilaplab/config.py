@@ -245,6 +245,7 @@ def run(config: RunConfig) -> Path:
     summary["solve"] = {
         "energy": result.energy,
         "iterations": result.iterations,
+        "cg_iterations": result.cg_iterations,
         "grad_sup": result.grad_sup,
         "node_count": grid.node_count,
         "h": spec.h,

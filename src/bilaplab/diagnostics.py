@@ -432,14 +432,6 @@ def growth_fit(w, center, radii, m: int = 512, grid=None,
     return float(slope)
 
 
-def ball_sup(w: ScalarField, R: float) -> float:
-    """Nodal sup of |w| over the ball of radius R (local boundedness report)."""
-    g = w.grid
-    rad = np.linalg.norm(g.nodes, axis=1)
-    sel = rad <= R + _TOL
-    return float(np.abs(w.values[sel]).max()) if sel.any() else 0.0
-
-
 # ---------------------------------------------------------------------------
 # mean-value (subharmonicity) check
 

@@ -21,11 +21,6 @@ from .problem import ProblemSpec, ScalarField
 _TOL = 1e-9
 
 
-class NoBlowupError(ValueError):
-    """Raised only by callers that insist on a genuine blow-up; blowup_fit
-    itself reports the condition as a flag."""
-
-
 @dataclass
 class FreeBoundaryPoint:
     """A point of the free boundary on the thin face (n=1: a single x).

@@ -15,9 +15,8 @@ points (i*h, j*h) with j >= 0 inside the closed ball, classified as
 Classification is integer-exact: a lattice point (i, j) is inside iff
 i.i + j^2 <= M^2 with M = 1/h, and the h-band tests compare against (M-1)^2.
 
-Even extension across y = 0 is realized by index reflection (`mirror_points`,
-`reflect`, and `interp(..., extended=True)`); mirrored values are never
-stored twice.
+Even extension across y = 0 is realized by index reflection (`mirror_points`
+and `interp(..., extended=True)`); mirrored values are never stored twice.
 """
 
 from __future__ import annotations
@@ -128,16 +127,6 @@ class HalfBallGrid:
             self.face_ids = self.face_ids[np.argsort(self.nodes[self.face_ids, 0], kind="stable")]
 
     # -- even reflection ---------------------------------------------------
-
-    def reflect(self, ids: np.ndarray) -> np.ndarray:
-        """Index realization of the even extension across y = 0.
-
-        The mirror of a stored node (x, y) is the lattice point (x, -y),
-        whose value under even symmetry is stored at (x, y) itself, so the
-        map is the identity on stored indices. It is exposed (and tested)
-        as an involution because consumers treat it as the reflection map.
-        """
-        return np.asarray(ids)
 
     @staticmethod
     def mirror_points(points: np.ndarray) -> np.ndarray:

@@ -92,5 +92,5 @@ def brute_minimize(spec: ProblemSpec, initial: ScalarField | None = None,
     u = ScalarField(grid, w, role="u")
     v = discrete_laplacian(u, boundary=spec.g)
     return SolveResult(u=u, v=v, energy=energy_array(grid, w, spec),
-                       grad_sup=gsup, iterations=it,
+                       grad_sup=gsup, iterations=it, cg_iterations=0,
                        wall_time=time.perf_counter() - t0, spec=spec)

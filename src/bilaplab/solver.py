@@ -1,12 +1,16 @@
 """Minimization of the discrete energy and Euler-Lagrange diagnostics.
 
-The energy is smooth and convex for p > 2, piecewise quadratic for p = 2;
-in both cases a damped semismooth Newton method converges fast: the
-generalized Hessian is the sparse SPD matrix 2 L^T diag(omega) L plus a
-nonnegative face diagonal, and an Armijo backtracking line search keeps the
-iteration globally descending. For 1 < p < 2 the reaction derivative is
-unbounded at the sign change, so a projected gradient method with a
-Barzilai-Borwein step is used instead.
+For p >= 2 the energy is convex and piecewise smooth, and a damped
+semismooth Newton method with Armijo backtracking converges fast. Its
+generalized Hessian is 2 Kff plus a nonnegative face diagonal, where
+Kff = L_ff^T diag(omega) L_ff and L_ff is the reflected Dirichlet Laplacian
+(the Ciarlet-Raviart splitting into two Poisson operators). CG solves each
+Newton system preconditioned with (2 Kff)^-1, a transposed and a plain
+solve with one LU of L_ff, so its step count stays small at every h. The
+LU is factored by `harmonic_extension` for the initial iterate and released
+when `minimize` returns. For 1 < p < 2 the reaction derivative is unbounded
+at the sign change, so a projected gradient method with a Barzilai-Borwein
+step is used instead.
 """
 
 from __future__ import annotations
@@ -64,25 +68,40 @@ class SolveResult:
     energy: float
     grad_sup: float
     iterations: int
+    cg_iterations: int  # inner CG steps summed over the Newton steps; 0 otherwise
     wall_time: float
     spec: ProblemSpec
+
+
+def _laplace_factor(grid):
+    """Sparse LU of the reflected Dirichlet Laplacian L_ff, cached on the grid."""
+    lu = getattr(grid, "_lu", None)
+    if lu is None:
+        lu = grid._lu = spla.splu(operators(grid).L[:, grid.free_ids].tocsc())
+    return lu
+
+
+def _split_preconditioner(grid) -> spla.LinearOperator:
+    """(2 Kff)^-1 = 1/2 L_ff^-1 diag(omega)^-1 L_ff^-T, applied with the LU of L_ff."""
+    lu, scale = _laplace_factor(grid), 0.5 / operators(grid).omega
+    return spla.LinearOperator(
+        (scale.size, scale.size),
+        matvec=lambda x: lu.solve(scale * lu.solve(np.ravel(x), trans="T")))
 
 
 def harmonic_extension(spec: ProblemSpec) -> ScalarField:
     """Solve the lattice Laplace equation with the problem's Dirichlet data.
 
     Used as the default initial iterate: it already matches the boundary
-    values and satisfies the face reflection condition.
+    values and satisfies the face reflection condition. The LU of L_ff it
+    factors stays on the grid for the Newton preconditioner.
     """
     grid = spec.grid()
     ops = operators(grid)
-    free = grid.free_ids
-    A = ops.L[:, free].tocsc()
     rhs = -(ops.L[:, grid.pinned_ids] @ dirichlet_values(spec))
-    wf = spla.spsolve(A, rhs)
     w = np.zeros(grid.node_count)
     w[grid.pinned_ids] = dirichlet_values(spec)
-    w[free] = wf
+    w[grid.free_ids] = _laplace_factor(grid).solve(rhs)
     return ScalarField(grid, w, role="u")
 
 
@@ -103,70 +122,62 @@ def _grad_tolerance(spec: ProblemSpec, J: float) -> float:
     return 1e-8 * (1.0 + abs(J))
 
 
-def _newton(spec: ProblemSpec, w: np.ndarray, linear_solver: str):
+def _armijo(spec: ProblemSpec, w: np.ndarray, J: float, d: np.ndarray, t: float,
+            slope: float) -> np.ndarray:
+    """Halve the step t along the free-node direction d until Armijo holds."""
+    grid = spec.grid()
+    for _ in range(MAX_BACKTRACKS):
+        w_try = w.copy()
+        w_try[grid.free_ids] += t * d
+        if energy_array(grid, w_try, spec) <= J + ARMIJO_SLOPE * t * slope:
+            return w_try
+        t *= 0.5
+    raise LineSearchError("line search exhausted 50 halvings", ScalarField(grid, w))
+
+
+def _newton(spec: ProblemSpec, w: np.ndarray):
     grid = spec.grid()
     ops = operators(grid)
     free = grid.free_ids
     Kff = getattr(grid, "_Kff", None)
     if Kff is None:
-        Kff = ops.K[free][:, free].tocsr()
-        grid._Kff = Kff
+        Kff = grid._Kff = ops.K[free][:, free].tocsr()
     thin_pos = np.searchsorted(free, grid.thin_ids)
     E = free.size
+    M = _split_preconditioner(grid)
+    cg_steps = 0
 
-    for it in range(1, spec.max_iter + 1):
+    def count(_):
+        nonlocal cg_steps
+        cg_steps += 1
+
+    for it in range(spec.max_iter + 1):
         J = energy_array(grid, w, spec)
         g = gradient_array(grid, w, spec)
         gf = g[free]
         gsup = float(np.abs(gf).max()) if E else 0.0
         if gsup <= _grad_tolerance(spec, J):
-            return w, J, gsup, it - 1
+            return w, J, gsup, it, cg_steps
+        if it == spec.max_iter:
+            raise ConvergenceError(
+                f"no convergence in {spec.max_iter} Newton steps (sup grad {gsup:.3e})",
+                ScalarField(grid, w))
 
         gg = np.abs(thin_reaction_derivative(w[grid.thin_ids], spec))
         dpen = np.zeros(E)
         dpen[thin_pos] = 2.0 * ops.face_w_by_node[grid.thin_ids] * gg
         H = (2.0 * Kff + sp.diags(dpen)).tocsr()
-
-        if linear_solver == "direct":
-            try:
-                d = spla.splu(H.tocsc()).solve(-gf)
-            except RuntimeError as exc:
-                raise LinearSolveError(f"direct factorization failed: {exc}",
-                                       ScalarField(grid, w)) from exc
-        elif linear_solver == "pcg":
-            diag = H.diagonal()
-            M = spla.LinearOperator((E, E), matvec=lambda x: x / diag)
-            d, info = spla.cg(H, -gf, rtol=1e-10, atol=0.0, maxiter=10 * E, M=M)
-            if info != 0:
-                raise LinearSolveError(f"conjugate gradient stalled (info={info})",
-                                       ScalarField(grid, w))
-        else:
-            raise ValueError(f"unknown linear solver {linear_solver!r}")
+        d, info = spla.cg(H, -gf, rtol=1e-10, atol=0.0, maxiter=10 * E, M=M,
+                          callback=count)
+        if info != 0:
+            raise LinearSolveError(f"conjugate gradient stalled (info={info})",
+                                   ScalarField(grid, w))
 
         slope = float(gf @ d)
         if slope >= 0.0:
             raise LineSearchError("Newton direction is not a descent direction",
                                   ScalarField(grid, w))
-        t = 1.0
-        for _ in range(MAX_BACKTRACKS):
-            w_try = w.copy()
-            w_try[free] += t * d
-            if energy_array(grid, w_try, spec) <= J + ARMIJO_SLOPE * t * slope:
-                break
-            t *= 0.5
-        else:
-            raise LineSearchError("line search exhausted 50 halvings",
-                                  ScalarField(grid, w))
-        w = w_try
-
-    J = energy_array(grid, w, spec)
-    g = gradient_array(grid, w, spec)
-    gsup = float(np.abs(g[free]).max())
-    if gsup <= _grad_tolerance(spec, J):
-        return w, J, gsup, spec.max_iter
-    raise ConvergenceError(
-        f"no convergence in {spec.max_iter} Newton steps (sup grad {gsup:.3e})",
-        ScalarField(grid, w))
+        w = _armijo(spec, w, J, d, 1.0, slope)
 
 
 def _descent(spec: ProblemSpec, w: np.ndarray):
@@ -177,12 +188,16 @@ def _descent(spec: ProblemSpec, w: np.ndarray):
     step = None
     w_prev = None
     g_prev = None
-    for it in range(1, limit + 1):
+    for it in range(limit + 1):
         J = energy_array(grid, w, spec)
         g = gradient_array(grid, w, spec)
         gsup = float(np.abs(g[free]).max())
         if gsup <= _grad_tolerance(spec, J):
-            return w, J, gsup, it - 1
+            return w, J, gsup, it
+        if it == limit:
+            raise ConvergenceError(
+                f"no convergence in {limit} descent steps (sup grad {gsup:.3e})",
+                ScalarField(grid, w))
         if step is None:
             step = 1.0 / max(float(np.abs(g).max()) / spec.h, 1.0)
         else:
@@ -193,51 +208,34 @@ def _descent(spec: ProblemSpec, w: np.ndarray):
             step = min(max(step, 1e-12), 1e6)
         w_prev = w[free].copy()
         g_prev = g[free].copy()
-        t = step
-        slope = -float(g[free] @ g[free])
-        for _ in range(MAX_BACKTRACKS):
-            w_try = w.copy()
-            w_try[free] -= t * g[free]
-            if energy_array(grid, w_try, spec) <= J + ARMIJO_SLOPE * t * slope:
-                break
-            t *= 0.5
-        else:
-            raise LineSearchError("line search exhausted 50 halvings",
-                                  ScalarField(grid, w))
-        w = w_try
-    J = energy_array(grid, w, spec)
-    g = gradient_array(grid, w, spec)
-    gsup = float(np.abs(g[free]).max())
-    raise ConvergenceError(
-        f"no convergence in {limit} descent steps (sup grad {gsup:.3e})",
-        ScalarField(grid, w))
+        w = _armijo(spec, w, J, -g[free], step, -float(g[free] @ g[free]))
 
 
-def minimize(spec: ProblemSpec, initial: ScalarField | None = None,
-             linear_solver: str = "pcg") -> SolveResult:
+def minimize(spec: ProblemSpec, initial: ScalarField | None = None) -> SolveResult:
     """Minimize the discrete energy subject to the Dirichlet datum.
 
     Returns a SolveResult whose `u` satisfies sup|grad J| <= tolerance on
-    the free nodes and whose `v` is the lattice Laplacian of u with
-    unequal-arm boundary rows. `linear_solver` is "pcg" (Jacobi-
-    preconditioned conjugate gradients) or "direct" (sparse LU).
+    the free nodes and whose `v` is `discrete_laplacian(u)`: the reflected
+    star stencil at free nodes and 0 in the pinned band (v = 0 on the
+    sphere). Each Newton step is one CG solve preconditioned by the split
+    Laplacian factor; `cg_iterations` sums their steps. The factor stays on
+    the grid only while this call runs, failed solves included.
     """
-    if spec.grid().M < 2:
+    grid = spec.grid()
+    if grid.M < 2:
         raise ValueError("solving requires h <= 1/2")
     t0 = time.perf_counter()
-    w = _initial_vector(spec, initial)
-    if spec.p >= 2.0:
-        w, J, gsup, iters = _newton(spec, w, linear_solver)
-    else:
-        w, J, gsup, iters = _descent(spec, w)
-    u = ScalarField(spec.grid(), w, role="u")
-    # v carries the core-stencil Laplacian at free nodes and 0 in the pinned
-    # band: the natural condition v = 0 on the sphere is the consistent rim
-    # representation. Unequal-arm values at pinned nodes (via
-    # discrete_laplacian(u, boundary=g)) difference the radially projected
-    # Dirichlet band and carry O(1/h) noise, so they never enter v here.
-    v = discrete_laplacian(u)
-    return SolveResult(u=u, v=v, energy=J, grad_sup=gsup, iterations=iters,
+    try:
+        w = _initial_vector(spec, initial)
+        if spec.p >= 2.0:
+            w, J, gsup, iters, cg_iters = _newton(spec, w)
+        else:
+            (w, J, gsup, iters), cg_iters = _descent(spec, w), 0
+    finally:
+        grid._lu = None
+    u = ScalarField(grid, w, role="u")
+    return SolveResult(u=u, v=discrete_laplacian(u), energy=J, grad_sup=gsup,
+                       iterations=iters, cg_iterations=cg_iters,
                        wall_time=time.perf_counter() - t0, spec=spec)
 
 

@@ -112,6 +112,25 @@ def test_cli_stage_selection(tmp_path, monkeypatch):
     assert "gamma.csv" in all_names
 
 
+def test_config_stages_narrow_the_command(tmp_path, monkeypatch):
+    monkeypatch.setenv("BILAPLAB_OUTPUT_ROOT", str(tmp_path))
+    narrowed = tmp_path / "narrowed.cfg"
+    narrowed.write_text("h = 0.125\ng = harmonic:deg=1\nstages = solve\n")
+    assert main(["diagnose", str(narrowed)]) == 0
+    run_dir, = (tmp_path / "runs").iterdir()
+    assert not any(n.startswith("profile_") for n in os.listdir(run_dir))
+    assert "stages = solve\n" in (run_dir / "config.txt").read_text()
+    solve = json.loads((run_dir / "summary.json").read_text())["solve"]
+    assert 0 < solve["cg_iterations"] <= 10 * solve["iterations"]
+
+    # without the key the command's own stages run, under the same digest as before
+    plain = tmp_path / "plain.cfg"
+    plain.write_text("h = 0.125\ng = harmonic:deg=1\n")
+    assert main(["diagnose", str(plain)]) == 0
+    expected = parse_config("h = 0.125\ng = harmonic:deg=1\nstages = solve,profile\n").digest
+    assert "profile_+0.0000.csv" in os.listdir(tmp_path / "runs" / expected)
+
+
 def test_cli_missing_config_file(capsys):
     assert main(["solve", "/nonexistent/case.cfg"]) == 2
     assert "not found" in capsys.readouterr().err

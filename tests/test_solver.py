@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from bilaplab import ProblemSpec, minimize, harmonic_extension
 from bilaplab.oracle import brute_minimize
-from bilaplab.problem import energy
-from bilaplab.solver import SolveResult, el_crosscheck, weak_residual
+from bilaplab.problem import energy, energy_array, operators
+from bilaplab.solver import (ConvergenceError, SolveResult, _split_preconditioner, el_crosscheck,
+                             weak_residual)
+
+ASYM = dict(p=2.0, lambda_plus=2.0, lambda_minus=0.5, g="harmonic:coeffs=1;0.2")
 
 
 def _spec(h, p=2.0, lam_plus=1.0, lam_minus=1.0, g="harmonic:deg=1", **kw):
@@ -93,3 +97,55 @@ def test_descent_path_for_subquadratic_exponent():
 def test_coarse_grid_rejected():
     with pytest.raises(ValueError, match="requires h"):
         minimize(_spec(1.0))
+
+
+def test_cg_steps_per_newton_step_do_not_grow_as_h_shrinks():
+    # the Hessian is 2 Kff plus a face diagonal, and the preconditioner
+    # inverts 2 Kff exactly, so the CG count is bounded independently of h
+    per_step = []
+    for h in (1.0 / 32, 1.0 / 64, 1.0 / 128):
+        result = minimize(ProblemSpec(n=1, h=h, **ASYM))
+        assert result.iterations >= 1
+        per_step.append(result.cg_iterations / result.iterations)
+    assert max(per_step) <= 10
+    assert per_step[2] <= per_step[1] <= per_step[0]
+
+
+def test_split_preconditioner_inverts_twice_kff():
+    grid = ProblemSpec(n=1, h=1.0 / 16, **ASYM).grid()
+    free = grid.free_ids
+    Kff = operators(grid).K[free][:, free].tocsc()
+    x = np.random.default_rng(4).standard_normal(free.size)
+    got = _split_preconditioner(grid).matvec(x)
+    want = spla.spsolve(2.0 * Kff, x)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_minimize_releases_the_laplace_factor():
+    spec = ProblemSpec(n=1, h=0.125, **ASYM)
+    minimize(spec)
+    assert spec.grid()._lu is None
+    failing = _spec(0.125, p=3.0, max_iter=1)  # needs two Newton steps
+    with pytest.raises(ConvergenceError):
+        minimize(failing)
+    assert failing.grid()._lu is None
+
+
+@pytest.mark.parametrize("h", [1.0 / 8, 1.0 / 16])
+def test_two_dimensional_face_solve_is_a_minimizer(h):
+    spec = ProblemSpec(n=2, h=h, **ASYM)
+    result = minimize(spec)
+    assert result.grad_sup <= 1e-8 * (1.0 + abs(result.energy))
+    assert 1 <= result.iterations and result.cg_iterations <= 10 * result.iterations
+    # smooth directions, cut off inside the ball of the pinned nodes
+    grid = spec.grid()
+    z = grid.nodes
+    r0 = np.linalg.norm(z[grid.pinned_ids], axis=1).min()
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        a = rng.standard_normal(4)
+        phi = (a[0] + z @ a[1:]) * np.maximum(r0 ** 2 - (z * z).sum(axis=1), 0.0) ** 2
+        assert np.all(phi[grid.pinned_ids] == 0.0)
+        phi /= np.abs(phi).max()
+        for sign in (1.0, -1.0):
+            assert energy_array(grid, result.u.values + sign * 1e-6 * phi, spec) >= result.energy
