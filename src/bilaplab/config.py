@@ -34,6 +34,7 @@ from .diagnostics import (
     estimate_mu,
     minimal_almgren_constant,
     minimal_monneau_constant,
+    monneau_curve,
 )
 from .freeboundary import analyze_point, extract_gamma
 from .problem import ProblemSpec
@@ -273,9 +274,13 @@ def run(config: RunConfig) -> Path:
 
     if "profile" in config.stages:
         summary["profiles"] = {}
+        # an analyzed free-boundary point carries its profile on the default radii
+        known = {} if config.radii else {pt.x: pt.profile for pt in points}
         for c in centers:
-            radii = np.asarray(config.radii) if config.radii else default_radii(grid, [c])
-            prof = compute_profile(result.u, result.v, [c], radii, spec, m=config.m)
+            prof = known.get(c)
+            if prof is None:
+                radii = np.asarray(config.radii) if config.radii else default_radii(grid, [c])
+                prof = compute_profile(result.u, result.v, [c], radii, spec, m=config.m)
             almgren_c = minimal_almgren_constant(prof.radii, prof.N)
             entry = {
                 "center": c,
@@ -291,7 +296,7 @@ def run(config: RunConfig) -> Path:
             rows = zip(prof.radii, prof.H, prof.D, prof.D0, prof.B, prof.N,
                        prof.N0, prof.phi,
                        prof.W if prof.W is not None else [None] * prof.radii.size,
-                       prof.M if prof.M is not None else [None] * prof.radii.size)
+                       [None] * prof.radii.size)  # M needs a blow-up fit: see the points
             _write_csv(out / f"profile_{_center_tag(c)}.csv", digest,
                        ["r", "H", "D", "D0", "B", "N", "N0", "phi", "W", "M"], rows)
 
@@ -301,11 +306,9 @@ def run(config: RunConfig) -> Path:
         for pt in points:
             mon_c = None
             if pt.mu_int is not None and pt.mu_int >= 1 and pt.p_mu is not None:
-                radii = default_radii(grid, [pt.x])
-                prof = compute_profile(result.u, result.v, [pt.x], radii, spec,
-                                       mu=float(pt.mu_int), p_mu=pt.p_mu, q_mu=pt.q_mu,
-                                       m=config.m)
-                mon_c = minimal_monneau_constant(prof.radii, prof.M)
+                M = monneau_curve(result.u, result.v, pt.profile, spec, float(pt.mu_int),
+                                  pt.p_mu, pt.q_mu)
+                mon_c = minimal_monneau_constant(pt.profile.radii, M)
             gamma_rows.append([pt.x, pt.side, pt.classification, pt.mu_hat,
                                pt.mu_int, pt.dimension, pt.fit_residual])
             summary["points"].append({

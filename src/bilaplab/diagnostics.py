@@ -26,10 +26,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import HalfBallGrid, sphere_quadrature
+from .grid import _TOL, HalfBallGrid, _as_thin_center, ball_center, half_sphere, sphere_quadrature
 from .problem import ProblemSpec, ScalarField, discrete_laplacian, thin_reaction
-
-_TOL = 1e-9
 
 DEGENERATE_FACTOR = 1e-14  # H below this times sup(u^2+v^2) is flagged
 FACE_GAUSS_POINTS = 64  # Gauss-Legendre points per half-chord in face_mean_value_term
@@ -125,6 +123,10 @@ class FieldProbe:
         self._gradient_boxes = boxes
         return boxes
 
+    def boxes(self, gradients: bool) -> list[np.ndarray]:
+        """A grid probe's ghost-filled value box, then its gradient boxes if asked."""
+        return [self._field.ghost_box()] + (self._grid_gradient_boxes() if gradients else [])
+
     def gradient(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
         if self._analytic is not None and self._analytic.gradient is not None:
@@ -176,13 +178,36 @@ def _as_probe(w, grid, spec: ProblemSpec | None = None) -> FieldProbe:
     return FieldProbe(w, grid=grid)
 
 
-def _thin_center(n: int, center) -> np.ndarray:
-    c = np.atleast_1d(np.asarray(center, dtype=np.float64))
-    if c.size == n:
-        c = np.concatenate([c, [0.0]])
-    if c.size != n + 1:
-        raise ValueError(f"center must have {n} or {n + 1} coordinates")
-    return c
+class _PairSampler:
+    """Reads the pair (u, v), and their gradients if asked, at a point set.
+
+    Two grid fields on one grid are read through one stacked `interp_box`
+    call per point set; any other pair goes through its probes one field at
+    a time. Both ways give the same values.
+    """
+
+    def __init__(self, pu: FieldProbe, pv: FieldProbe, gradients: bool = True):
+        self.pu, self.pv = pu, pv
+        self.stack = None
+        if pu.kind == pv.kind == "grid" and pv.grid is pu.grid:
+            bu, bv = pu.boxes(gradients), pv.boxes(gradients)
+            self.pair = np.stack([bu[0], bv[0]])
+            self.stack = np.stack(bu + bv) if gradients else self.pair
+
+    def values(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if self.stack is None:
+            return self.pu.values(pts), self.pv.values(pts)
+        u, v = self.pu.grid.interp_box(self.pair, pts, extended=True)
+        return u, v
+
+    def with_gradients(self, pts: np.ndarray):
+        """(u, v, grad u, grad v) at pts; the sampler must hold gradients."""
+        pu, pv = self.pu, self.pv
+        if self.stack is None:
+            return pu.values(pts), pv.values(pts), pu.gradient(pts), pv.gradient(pts)
+        vals = pu.grid.interp_box(self.stack, pts, extended=True)
+        d = pu.grid.n + 2
+        return vals[0], vals[d], vals[1:d].T, vals[d + 1:].T
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +220,8 @@ class RadialProfile:
 
     Arrays are indexed like `radii` (ascending). Rows where H is below
     DEGENERATE_FACTOR times the squared sup of the pair are flagged in
-    `degenerate` and carry NaN in the H-normalized columns (N0, N, W, M).
+    `degenerate` and carry NaN in the H-normalized columns (N0, N, W).
+    `m` is the quadrature sample count the profile was computed with.
     """
 
     center: np.ndarray
@@ -207,9 +233,9 @@ class RadialProfile:
     N0: np.ndarray
     N: np.ndarray
     phi: np.ndarray
+    m: int = 512
     mu: float | None = None
     W: np.ndarray | None = None
-    M: np.ndarray | None = None
     degenerate: np.ndarray = dc_field(default=None)
 
     @property
@@ -222,7 +248,7 @@ def default_radii(grid: HalfBallGrid, center, shrink: float = 0.9) -> np.ndarray
 
     r_max is `shrink` times the distance from the center to the sphere.
     """
-    c = _thin_center(grid.n, center)
+    c = _as_thin_center(grid.n, center)
     r_max = shrink * (1.0 - float(np.linalg.norm(c)))
     r_min = 4.0 * grid.h
     if r_max < r_min - _TOL:
@@ -236,18 +262,16 @@ def default_radii(grid: HalfBallGrid, center, shrink: float = 0.9) -> np.ndarray
 
 
 def compute_profile(u, v, center, radii, spec: ProblemSpec, mu: float | None = None,
-                    p_mu=None, q_mu=None, m: int = 512, grid: HalfBallGrid | None = None,
-                    ) -> RadialProfile:
-    """Fill every radial functional by quadrature. See module docstring.
+                    m: int = 512, grid: HalfBallGrid | None = None) -> RadialProfile:
+    """Fill every radial functional but M_mu by quadrature. See module docstring.
 
-    u and v may be ScalarFields or callables; p_mu/q_mu (needed for M) are
-    callables on points RELATIVE to the center, typically
-    HomogeneousHarmonicPoly instances.
+    u and v may be ScalarFields or callables; W is filled when mu is given.
+    M_mu needs a blow-up fit and comes from `monneau_curve` on the profile.
     """
     pu = _as_probe(u, grid, spec)
     pv = _as_probe(v, grid, spec)
     g = pu.grid
-    c = _thin_center(g.n, center)
+    c = _as_thin_center(g.n, center)
     radii = np.sort(np.asarray(radii, dtype=np.float64))
     if radii.size == 0:
         raise ValueError("no radii supplied")
@@ -258,23 +282,17 @@ def compute_profile(u, v, center, radii, spec: ProblemSpec, mu: float | None = N
     Dv = np.zeros(K)
     Bv = np.zeros(K)
     sup2 = 0.0
+    sampler = _PairSampler(pu, pv)
     for k, r in enumerate(radii):
         quad = sphere_quadrature(g, c, float(r), m=m)
-        us = pu.values(quad.surface_points)
-        vs = pv.values(quad.surface_points)
+        us, vs, gu, gv = sampler.with_gradients(quad.surface_points)
         sup2 = max(sup2, float((us ** 2 + vs ** 2).max()))
         H[k] = quad.surface_weights @ (us ** 2 + vs ** 2)
-        gu = pu.gradient(quad.surface_points)
-        gv = pv.gradient(quad.surface_points)
         Bv[k] = quad.surface_weights @ ((gu ** 2).sum(axis=1) + (gv ** 2).sum(axis=1))
-        gus = pu.gradient(quad.solid_points)
-        gvs = pv.gradient(quad.solid_points)
+        ub, vb, gus, gvs = sampler.with_gradients(quad.solid_points)
         D0[k] = quad.solid_weights @ ((gus ** 2).sum(axis=1) + (gvs ** 2).sum(axis=1))
-        ub = pu.values(quad.solid_points)
-        vb = pv.values(quad.solid_points)
         cross = quad.solid_weights @ (ub * vb)
-        ut = pu.values(quad.thin_points)
-        vt = pv.values(quad.thin_points)
+        ut, vt = sampler.values(quad.thin_points)
         thin = quad.thin_weights @ (thin_reaction(ut, spec) * vt)
         Dv[k] = D0[k] + cross + thin
 
@@ -284,22 +302,36 @@ def compute_profile(u, v, center, radii, spec: ProblemSpec, mu: float | None = N
     N = radii * Dv / safeH
     phi = H / radii ** g.n
 
-    W = M = None
+    W = None
     if mu is not None:
         W = (safeH / radii ** (g.n + 2 * mu)) * (N0 - mu)
-        if p_mu is not None and q_mu is not None:
-            M = np.zeros(K)
-            for k, r in enumerate(radii):
-                quad = sphere_quadrature(g, c, float(r), m=m)
-                rel = quad.surface_points - c
-                du = pu.values(quad.surface_points) - np.asarray(p_mu(rel))
-                dv = pv.values(quad.surface_points) - np.asarray(q_mu(rel))
-                M[k] = (quad.surface_weights @ (du ** 2 + dv ** 2)) / r ** (g.n + 2 * mu)
-            M = np.where(degenerate, np.nan, M)
 
     return RadialProfile(center=c, radii=radii, H=H, D0=D0, D=Dv, B=Bv,
-                         N0=N0, N=N, phi=phi, mu=mu, W=W, M=M,
+                         N0=N0, N=N, phi=phi, m=m, mu=mu, W=W,
                          degenerate=degenerate)
+
+
+def monneau_curve(u, v, profile: RadialProfile, spec: ProblemSpec, mu: float, p_mu, q_mu,
+                  grid: HalfBallGrid | None = None) -> np.ndarray:
+    """M_mu of the pair on a profile's radii, center and sample count.
+
+    p_mu and q_mu are callables on points RELATIVE to the center, typically
+    HomogeneousHarmonicPoly instances. Only half-sphere values are read;
+    rows the profile flags degenerate are NaN.
+    """
+    pu = _as_probe(u, grid, spec)
+    pv = _as_probe(v, grid, spec)
+    g = pu.grid
+    sampler = _PairSampler(pu, pv, gradients=False)
+    M = np.zeros(profile.radii.size)
+    for k, r in enumerate(profile.radii):
+        quad = sphere_quadrature(g, profile.center, float(r), m=profile.m)
+        us, vs = sampler.values(quad.surface_points)
+        rel = quad.surface_points - quad.center
+        du = us - np.asarray(p_mu(rel))
+        dv = vs - np.asarray(q_mu(rel))
+        M[k] = (quad.surface_weights @ (du ** 2 + dv ** 2)) / r ** (g.n + 2 * mu)
+    return np.where(profile.degenerate, np.nan, M)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +355,7 @@ def rellich_residual(w, center, r: float, m: int = 512,
     """
     p = _as_probe(w, grid, spec)
     g = p.grid
-    c = _thin_center(g.n, center)
+    c = _as_thin_center(g.n, center)
     quad = sphere_quadrature(g, c, float(r), m=m)
 
     gs = p.gradient(quad.surface_points)
@@ -411,8 +443,9 @@ def sphere_sup(w, center, r: float, m: int = 512, grid=None,
                spec: ProblemSpec | None = None) -> float:
     """sup |w| over the upper half-sphere of radius r, by dense sampling."""
     p = _as_probe(w, grid, spec)
-    quad = sphere_quadrature(p.grid, _thin_center(p.grid.n, center), float(r), m=m)
-    return float(np.abs(p.values(quad.surface_points)).max())
+    c = ball_center(p.grid, center, float(r), m)
+    direc, _ = half_sphere(p.grid.n, m)
+    return float(np.abs(p.values(c + float(r) * direc)).max())
 
 
 def growth_fit(w, center, radii, m: int = 512, grid=None,

@@ -13,12 +13,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .diagnostics import FieldProbe, RadialProfile, _as_probe, _thin_center
-from .grid import HalfBallGrid, build_grid, sphere_quadrature
+from .diagnostics import RadialProfile, _as_probe
+from .grid import _TOL, HalfBallGrid, _as_thin_center, build_grid, half_sphere
 from .harmonics import HomogeneousHarmonicPoly, harmonic_basis
 from .problem import ProblemSpec, ScalarField
-
-_TOL = 1e-9
 
 
 @dataclass
@@ -27,7 +25,8 @@ class FreeBoundaryPoint:
 
     Filled progressively: extract_gamma sets location and side labels;
     classify_point sets classification, thin gradients, and metadata;
-    the blow-up pipeline fills mu_hat, mu_int, fits, residual, dimension.
+    the blow-up pipeline fills the radial profile it extrapolates, mu_hat,
+    mu_int, fits, residual, dimension.
     """
 
     x: float
@@ -44,6 +43,7 @@ class FreeBoundaryPoint:
     q_mu: HomogeneousHarmonicPoly | None = None
     fit_residual: float | None = None
     dimension: int | None = None
+    profile: RadialProfile | None = None
     metadata: dict = dc_field(default_factory=dict)
 
     @property
@@ -177,7 +177,7 @@ def homogeneous_rescale(w, center, r: float, mu: float,
     """w(center + r z) / r^mu sampled on a unit-half-ball evaluation lattice."""
     p = _as_probe(w, grid, spec)
     g = p.grid
-    c = _thin_center(g.n, center)
+    c = _as_thin_center(g.n, center)
     if r < 4.0 * g.h - _TOL:
         raise ValueError(f"rescaling radius r={r} under-resolved: need r >= 4h")
     if float(np.linalg.norm(c)) + r > 1.0 + _TOL:
@@ -199,7 +199,7 @@ def almgren_rescale(u, v, center, r: float, profile: RadialProfile,
     pu = _as_probe(u, grid, spec)
     pv = _as_probe(v, grid, spec)
     g = pu.grid
-    c = _thin_center(g.n, center)
+    c = _as_thin_center(g.n, center)
     hit = np.isclose(profile.radii, r, rtol=1e-9, atol=1e-12)
     if not hit.any():
         raise ValueError(f"radius {r} not present in the profile")
@@ -240,28 +240,6 @@ class BlowupFit:
     no_blowup: bool
 
 
-def _surface_samples(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit upper half-sphere sample directions and surface weights."""
-    if n == 1:
-        theta = (np.arange(m) + 0.5) * (np.pi / m)
-        direc = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        w = np.full(m, np.pi / m)
-        return direc, w
-    mt = max(8, m // 4)
-    t, wt = np.polynomial.legendre.leggauss(mt)
-    t = 0.5 * (t + 1.0)
-    wt = 0.5 * wt
-    phi = (np.arange(m) + 0.5) * (2.0 * np.pi / m)
-    sinp = np.sqrt(1.0 - t ** 2)
-    direc = np.stack([
-        (sinp[:, None] * np.cos(phi)[None, :]).ravel(),
-        (sinp[:, None] * np.sin(phi)[None, :]).ravel(),
-        np.broadcast_to(t[:, None], (mt, m)).ravel(),
-    ], axis=-1)
-    w = (np.broadcast_to(wt[:, None], (mt, m)) * (2.0 * np.pi / m)).ravel()
-    return direc, w
-
-
 def blowup_fit(u, v, center, radii, mu: int, m: int = 512,
                grid: HalfBallGrid | None = None, spec: ProblemSpec | None = None,
                ) -> BlowupFit:
@@ -279,10 +257,10 @@ def blowup_fit(u, v, center, radii, mu: int, m: int = 512,
     pu = _as_probe(u, grid, spec)
     pv = _as_probe(v, grid, spec)
     g = pu.grid
-    c = _thin_center(g.n, center)
+    c = _as_thin_center(g.n, center)
     radii = np.sort(np.asarray(radii, dtype=np.float64))
     basis = harmonic_basis(g.n, mu)
-    direc, w = _surface_samples(g.n, m)
+    direc, w = half_sphere(g.n, m)
     A = np.stack([b(direc) for b in basis], axis=1)
     sw = np.sqrt(w)
     Aw = A * sw[:, None]
@@ -321,9 +299,9 @@ def nondegeneracy_check(u, v, center, radii, mu: float, m: int = 512,
     pu = _as_probe(u, grid, spec)
     pv = _as_probe(v, grid, spec)
     g = pu.grid
-    c = _thin_center(g.n, center)
+    c = _as_thin_center(g.n, center)
     radii = np.sort(np.asarray(radii, dtype=np.float64))
-    direc, _ = _surface_samples(g.n, m)
+    direc, _ = half_sphere(g.n, m)
     best = np.inf
     for r in radii:
         pts = c[None, :] + r * direc
@@ -376,7 +354,7 @@ def continuity_probe(points: list[FreeBoundaryPoint], m: int = 512) -> float:
         raise ValueError(f"points carry different fitted degrees: {sorted(degs)}")
     pts = sorted(pts, key=lambda p: p.x)
     n = pts[0].p_mu.n
-    direc, w = _surface_samples(n, m)
+    direc, w = half_sphere(n, m)
 
     def dist(a, b) -> float:
         return float(np.sqrt(w @ (a(direc) - b(direc)) ** 2))
@@ -407,7 +385,7 @@ def analyze_point(point: FreeBoundaryPoint, u, v, spec: ProblemSpec,
     g = pu.grid
     classify_point(point, pu, pv, spec)
     radii = default_radii(g, [point.x])
-    prof = compute_profile(pu, pv, [point.x], radii, spec, m=m)
+    prof = point.profile = compute_profile(pu, pv, [point.x], radii, spec, m=m)
     try:
         point.mu_hat, point.mu_int = estimate_mu(prof)
     except ValueError as exc:

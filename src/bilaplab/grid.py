@@ -30,6 +30,9 @@ INTERIOR, OUTER, THIN, CORNER = 0, 1, 2, 3
 CLASS_NAMES = {INTERIOR: "INTERIOR", OUTER: "OUTER", THIN: "THIN", CORNER: "CORNER"}
 
 _TOL = 1e-9
+# points per pass of the gather in `interp_box`, so that the (F, chunk)
+# temporaries of a pass stay cache-sized
+_INTERP_CHUNK = 4096
 
 
 class OutOfDomainError(ValueError):
@@ -177,6 +180,12 @@ class HalfBallGrid:
         `box` must be ghost-filled (see `fill_extension`) if any query point
         lies in a boundary-cut cell. With `extended=True` the even extension
         is evaluated: points are mirrored to y >= 0 first.
+
+        `box` may also be a stack of boxes, shape (F, *box_shape); the result
+        is then (F, N). Cell indices and corner weights are computed once per
+        point set and every field is read through one flat index, with the
+        corner order and weight products of the single-box call, so each
+        field gets exactly the values of its own call.
         """
         pts = np.asarray(points, dtype=np.float64)
         scalar_in = pts.ndim == 1
@@ -189,30 +198,38 @@ class HalfBallGrid:
         if (pts[:, -1] < -_TOL).any() or (rad > 1.0 + _TOL).any():
             raise OutOfDomainError("evaluation point outside the closed upper half-ball")
 
+        stacked = box.ndim == self.n + 2
+        flat = box.reshape(box.shape[0] if stacked else 1, -1)
         dim = self.n + 1
         f = np.empty_like(pts)
         f[:, : self.n] = pts[:, : self.n] / self.h + self.M
         f[:, -1] = np.maximum(pts[:, -1], 0.0) / self.h
-        base = np.empty(pts.shape, dtype=np.int64)
-        frac = np.empty_like(pts)
+        strides = [int(np.prod(self.box_shape[ax + 1:])) for ax in range(dim)]
+        cell = np.zeros(pts.shape[0], dtype=np.int64)  # flat index of the base corner
+        frac = np.empty((dim, pts.shape[0]))
         for ax in range(dim):
             hi = self.box_shape[ax] - 2
             b = np.clip(np.floor(f[:, ax]).astype(np.int64), 0, max(hi, 0))
-            base[:, ax] = b
-            frac[:, ax] = f[:, ax] - b
+            cell += strides[ax] * b
+            frac[ax] = f[:, ax] - b
 
-        out = np.zeros(pts.shape[0])
-        for corner in range(1 << dim):
-            w = np.ones(pts.shape[0])
-            ix = []
-            for ax in range(dim):
-                bit = (corner >> ax) & 1
-                w = w * (frac[:, ax] if bit else (1.0 - frac[:, ax]))
-                ix.append(base[:, ax] + bit)
-            out += w * box[tuple(ix)]
+        out = np.zeros((flat.shape[0], pts.shape[0]))
+        for lo in range(0, pts.shape[0], _INTERP_CHUNK):
+            s = slice(lo, lo + _INTERP_CHUNK)
+            factors = [(1.0 - frac[ax, s], frac[ax, s]) for ax in range(dim)]
+            for corner in range(1 << dim):
+                bits = [(corner >> ax) & 1 for ax in range(dim)]
+                w = factors[0][bits[0]]
+                for ax in range(1, dim):
+                    w = w * factors[ax][bits[ax]]
+                vals = np.take(flat, cell[s] + np.dot(bits, strides), axis=1)
+                vals *= w
+                out[:, s] += vals
         if np.isnan(out).any():
             raise OutOfDomainError("evaluation point outside grid coverage")
-        return out[0] if scalar_in else out
+        if scalar_in:
+            out = out[:, 0]
+        return out if stacked else out[0]
 
 
 def build_grid(n: int, h: float) -> HalfBallGrid:
@@ -244,16 +261,31 @@ class SphereQuadrature:
     thin_weights: np.ndarray
 
 
-def sphere_quadrature(grid: HalfBallGrid, center, r: float, m: int = 256) -> SphereQuadrature:
-    """Quadrature over the half-sphere, half-ball, and thin ball of radius r.
+def half_sphere(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Directions and surface weights on the unit upper half-sphere.
 
-    Surface samples are equi-angular (midpoint in each angle; Gauss in the
-    polar cosine for n=2); solid samples use a Gauss radial rule against the
-    polar volume factor so weight totals are exact; thin samples are Gauss
-    points on the thin ball.
-
-    Preconditions: B_r(center)+ inside B_1+, r >= 4h, m >= 64.
+    n = 1: m equi-angular midpoints. n = 2: max(8, m // 4) Gauss nodes in the
+    polar cosine times m equi-angular azimuths. The weights sum to the
+    half-sphere measure (pi for n = 1, 2 pi for n = 2).
     """
+    if n == 1:
+        theta = (np.arange(m) + 0.5) * (np.pi / m)
+        return np.stack([np.cos(theta), np.sin(theta)], axis=-1), np.full(m, np.pi / m)
+    mt = max(8, m // 4)
+    t, wt = _gauss_on(0.0, 1.0, mt)  # t = cos(polar angle from +y)
+    phi = (np.arange(m) + 0.5) * (2.0 * np.pi / m)
+    sinp = np.sqrt(1.0 - t ** 2)
+    direc = np.stack([
+        (sinp[:, None] * np.cos(phi)[None, :]).ravel(),
+        (sinp[:, None] * np.sin(phi)[None, :]).ravel(),
+        np.broadcast_to(t[:, None], (mt, m)).ravel(),
+    ], axis=-1)
+    return direc, (wt[:, None] * (2.0 * np.pi / m) * np.ones(m)).ravel()
+
+
+def ball_center(grid: HalfBallGrid, center, r: float, m: int) -> np.ndarray:
+    """Normalized center of a sampled ball B_r(center); ValueError unless
+    r >= 4h, m >= 64 and the ball lies in the unit ball."""
     c = _as_thin_center(grid.n, center)
     if r < 4.0 * grid.h - _TOL:
         raise ValueError(f"radius r={r} under-resolved: need r >= 4h = {4 * grid.h}")
@@ -261,49 +293,41 @@ def sphere_quadrature(grid: HalfBallGrid, center, r: float, m: int = 256) -> Sph
         raise ValueError(f"sample count m={m} too small: need m >= 64")
     if np.sqrt((c ** 2).sum()) + r > 1.0 + _TOL:
         raise ValueError("ball B_r(center) not contained in the unit ball")
+    return c
 
-    if grid.n == 1:
-        theta = (np.arange(m) + 0.5) * (np.pi / m)
-        direc = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        surf_pts = c + r * direc
-        surf_w = np.full(m, np.pi * r / m)
 
-        mr = max(4, m // 8)
-        rho, wr = _gauss_on(0.0, r, mr)
-        solid_pts = (c + rho[:, None, None] * direc[None, :, :]).reshape(-1, 2)
-        solid_w = ((wr * rho)[:, None] * (np.pi / m) * np.ones(m)).reshape(-1)
+def sphere_quadrature(grid: HalfBallGrid, center, r: float, m: int = 256) -> SphereQuadrature:
+    """Quadrature over the half-sphere, half-ball, and thin ball of radius r.
 
-        xt, wt = _gauss_on(c[0] - r, c[0] + r, m)
+    Surface samples are the `half_sphere` directions scaled by r; solid
+    samples use a Gauss radial rule against the polar volume factor along
+    the same directions, so weight totals are exact; thin samples are Gauss
+    points on the thin ball.
+
+    Preconditions (see `ball_center`): B_r(center)+ inside B_1+, r >= 4h, m >= 64.
+    """
+    c = ball_center(grid, center, r, m)
+    n = grid.n
+    direc, wdir = half_sphere(n, m)
+    surf_pts = c + r * direc
+    surf_w = np.full(m, np.pi * r / m) if n == 1 else (r ** 2) * wdir
+
+    mr = max(4, m // 8)
+    rho, wr = _gauss_on(0.0, r, mr)
+    solid_pts = (c + rho[:, None, None] * direc[None, :, :]).reshape(-1, n + 1)
+    solid_w = ((wr * rho ** n)[:, None] * wdir[None, :]).reshape(-1)
+
+    if n == 1:
+        xt, thin_w = _gauss_on(c[0] - r, c[0] + r, m)
         thin_pts = np.stack([xt, np.zeros(m)], axis=-1)
-        thin_w = wt
     else:
-        mphi = m
-        mt = max(8, m // 4)
-        t, wt_t = _gauss_on(0.0, 1.0, mt)  # t = cos(polar angle from +y)
-        phi = (np.arange(mphi) + 0.5) * (2.0 * np.pi / mphi)
-        sinp = np.sqrt(1.0 - t ** 2)
-        dx1 = sinp[:, None] * np.cos(phi)[None, :]
-        dx2 = sinp[:, None] * np.sin(phi)[None, :]
-        dy = np.broadcast_to(t[:, None], dx1.shape)
-        direc = np.stack([dx1, dx2, dy], axis=-1).reshape(-1, 3)
-        wdir = (wt_t[:, None] * (2.0 * np.pi / mphi) * np.ones(mphi)).reshape(-1)
-
-        surf_pts = c + r * direc
-        surf_w = (r ** 2) * wdir
-
-        mr = max(4, m // 8)
-        rho, wr = _gauss_on(0.0, r, mr)
-        solid_pts = (c + rho[:, None, None] * direc[None, :, :]).reshape(-1, 3)
-        solid_w = ((wr * rho ** 2)[:, None] * wdir[None, :]).reshape(-1)
-
         ang = (np.arange(m) + 0.5) * (2.0 * np.pi / m)
-        rho2, wr2 = _gauss_on(0.0, r, mr)
-        tx1 = c[0] + rho2[:, None] * np.cos(ang)[None, :]
-        tx2 = c[1] + rho2[:, None] * np.sin(ang)[None, :]
+        tx1 = c[0] + rho[:, None] * np.cos(ang)[None, :]
+        tx2 = c[1] + rho[:, None] * np.sin(ang)[None, :]
         thin_pts = np.stack(
             [tx1.reshape(-1), tx2.reshape(-1), np.zeros(mr * m)], axis=-1
         )
-        thin_w = ((wr2 * rho2)[:, None] * (2.0 * np.pi / m) * np.ones(m)).reshape(-1)
+        thin_w = ((wr * rho)[:, None] * (2.0 * np.pi / m) * np.ones(m)).reshape(-1)
 
     return SphereQuadrature(
         center=c,

@@ -37,6 +37,8 @@ from .problem import (
 
 ARMIJO_SLOPE = 1e-4
 MAX_BACKTRACKS = 50
+# solid points per pass when tabulating weak-residual trial Laplacians
+_TRIAL_CHUNK = 8192
 
 
 class SolverError(RuntimeError):
@@ -338,33 +340,43 @@ def _poly_trials(n: int, trials: int, seed: int):
     return [list(zip(monos, rng.standard_normal(len(monos)))) for _ in range(trials)]
 
 
-def _trial_field(coeffs, n):
-    """phi(z) = (1 - |z|^2)^2 * P(x, y^2): flat on the sphere, even in y."""
+def _power_tables(pts: np.ndarray, n: int):
+    """Monomial tables at pts: x_ax^a and (y^2)^b for a, b <= 3, and 1 - |z|^2."""
+    x = pts[:, :n]
+    y2 = pts[:, -1] ** 2
+    xs = [[x[:, ax] ** a for a in range(4)] for ax in range(n)]
+    return xs, [y2 ** b for b in range(4)], 1.0 - (pts ** 2).sum(axis=1)
 
-    def phi(pts):
-        pts = np.atleast_2d(pts)
-        x = pts[:, :n]
-        y2 = pts[:, -1] ** 2
-        P = np.zeros(pts.shape[0])
+
+def _trial_values(trials, tables) -> np.ndarray:
+    """phi(z) = (1 - |z|^2)^2 * P(x, y^2) per trial, (T, N): flat on the sphere, even in y."""
+    xs, ys, cut = tables
+    out = np.empty((len(trials), cut.size))
+    for t, coeffs in enumerate(trials):
+        P = np.zeros(cut.size)
         for expo, c in coeffs:
-            term = np.full(pts.shape[0], c)
-            for ax in range(n):
-                term = term * x[:, ax] ** expo[ax]
-            term = term * y2 ** expo[-1]
+            term = c * xs[0][expo[0]]
+            for ax in range(1, len(xs)):
+                term *= xs[ax][expo[ax]]
+            term *= ys[expo[-1]]
             P += term
-        cut = 1.0 - (pts ** 2).sum(axis=1)
-        return cut * cut * P
-
-    return phi
+        out[t] = cut * cut * P
+    return out
 
 
-def _fd_laplacian(f, pts, delta=1e-4):
-    dim = pts.shape[1]
-    out = -2.0 * dim * f(pts)
+def _trial_laplacians(trials, pts: np.ndarray, n: int, delta: float = 1e-4) -> np.ndarray:
+    """Five-point (seven-point for n = 2) Laplacian of every trial field at pts.
+
+    The power tables of each shifted point set are built once and shared by
+    all trials, the +- sets one axis at a time.
+    """
+    dim = n + 1
+    out = -2.0 * dim * _trial_values(trials, _power_tables(pts, n))
     for ax in range(dim):
         e = np.zeros(dim)
         e[ax] = delta
-        out += f(pts + e) + f(pts - e)
+        out += (_trial_values(trials, _power_tables(pts + e, n))
+                + _trial_values(trials, _power_tables(pts - e, n)))
     return out / delta ** 2
 
 
@@ -383,14 +395,20 @@ def weak_residual(result: SolveResult, spec: ProblemSpec, trials: int = 12,
     v_solid = result.v(quad.solid_points)
     u_thin = result.u(quad.thin_points)
     Fu = thin_reaction(u_thin, spec)
+    polys = _poly_trials(grid.n, trials, seed)
+    pts = quad.solid_points
+    # the Laplacians are pointwise, so chunking the points only bounds memory
+    laps = np.empty((len(polys), pts.shape[0]))
+    for lo in range(0, pts.shape[0], _TRIAL_CHUNK):
+        laps[:, lo:lo + _TRIAL_CHUNK] = _trial_laplacians(polys, pts[lo:lo + _TRIAL_CHUNK],
+                                                          grid.n)
+    phis = _trial_values(polys, _power_tables(quad.thin_points, grid.n))
     worst = 0.0
-    for coeffs in _poly_trials(grid.n, trials, seed):
-        phi = _trial_field(coeffs, grid.n)
-        lap = _fd_laplacian(phi, quad.solid_points)
+    for lap, phi in zip(laps, phis):
         lhs = float(quad.solid_weights @ (v_solid * lap))
-        rhs = float(quad.thin_weights @ (Fu * phi(quad.thin_points)))
+        rhs = float(quad.thin_weights @ (Fu * phi))
         norm = float(np.sqrt(quad.solid_weights @ lap ** 2
-                             + quad.thin_weights @ phi(quad.thin_points) ** 2))
+                             + quad.thin_weights @ phi ** 2))
         if norm == 0.0:
             continue
         worst = max(worst, abs(lhs - rhs) / norm)

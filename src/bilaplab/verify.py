@@ -1,9 +1,11 @@
 """Acceptance suite: twelve numbered checks over solver, diagnostics, and extension.
 
 Each check returns a CheckResult with a human-readable target and the measured
-value; `run_suite` prints one line per check and exits nonzero when any check
-fails. Level "quick" runs reduced resolutions (a couple of minutes); "full"
-includes the h = 1/64 refinement studies and the fine-grid oracle comparisons.
+value; `run_suite` prints one line per check, ending in its wall time, and
+exits nonzero when any check fails. The time is inclusive: a memoized corpus
+solve is charged to the first check that asks for it. Level "quick" runs
+reduced resolutions (a couple of minutes); "full" includes the h = 1/64
+refinement studies and the fine-grid oracle comparisons.
 
 Corpus solves are memoized per process so the suite and the test harness share
 them. The three corpus configurations exercise p = 2 against p = 3 and
@@ -13,6 +15,7 @@ symmetric against asymmetric phase weights.
 from __future__ import annotations
 
 import sys
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,13 +24,13 @@ import numpy as np
 from .diagnostics import (
     AnalyticField,
     compute_profile,
-    default_radii,
     estimate_mu,
     growth_fit,
     face_mean_value_term,
     mean_value_defects,
     minimal_almgren_constant,
     minimal_monneau_constant,
+    monneau_curve,
     poincare_check,
     rellich_residual,
     trace_check,
@@ -82,9 +85,8 @@ def corpus_points(tag: str, h_inv: int):
     rows = []
     for pt in pts:
         analyze_point(pt, res.u, res.v, spec)
-        radii = default_radii(spec.grid(), [pt.x])
-        prof = compute_profile(res.u, res.v, [pt.x], radii, spec)
-        octave = radii[radii <= 2.0 * radii[0] + 1e-12]
+        prof = pt.profile
+        octave = prof.radii[prof.radii <= 2.0 * prof.radii[0] + 1e-12]
         rows.append({
             "point": pt,
             "profile": prof,
@@ -416,10 +418,10 @@ def check_monneau_nondegeneracy(level: str = "quick") -> CheckResult:
         for tag, h_inv, row in seeded:
             pt, spec = row["point"], corpus_spec(tag, h_inv)
             res = corpus_solve(tag, h_inv)
-            radii = default_radii(spec.grid(), [pt.x])
-            prof = compute_profile(res.u, res.v, [pt.x], radii, spec,
-                                   mu=float(pt.mu_int), p_mu=pt.p_mu, q_mu=pt.q_mu)
-            c = minimal_monneau_constant(prof.radii, prof.M)
+            radii = row["profile"].radii
+            M = monneau_curve(res.u, res.v, row["profile"], spec, float(pt.mu_int),
+                              pt.p_mu, pt.q_mu)
+            c = minimal_monneau_constant(radii, M)
             nd = nondegeneracy_check(res.u, res.v, [pt.x], radii, pt.mu_int, spec=spec)
             good = np.isfinite(c) and c <= 50.0 and nd > 0.0
             ok &= good
@@ -430,9 +432,9 @@ def check_monneau_nondegeneracy(level: str = "quick") -> CheckResult:
         f = _synthetic_pair()
         radii = np.geomspace(0.05, 0.5, 13)  # one decade of radii
         fit = blowup_fit(f, f, [0.0], radii, mu=2, grid=grid, spec=spec)
-        prof = compute_profile(f, f, [0.0], radii, spec, mu=2.0,
-                               p_mu=fit.p_mu, q_mu=fit.q_mu, grid=grid)
-        c = minimal_monneau_constant(prof.radii, prof.M)
+        prof = compute_profile(f, f, [0.0], radii, spec, grid=grid)
+        M = monneau_curve(f, f, prof, spec, 2.0, fit.p_mu, fit.q_mu, grid=grid)
+        c = minimal_monneau_constant(prof.radii, M)
         cvals = np.array([nondegeneracy_check(f, f, [0.0], [r], 2, grid=grid, spec=spec)
                           for r in radii])
         slope = float(np.polyfit(np.log(radii), np.log(fit.residuals), 1)[0])
@@ -592,20 +594,22 @@ def run_suite(level: str = "quick", stream=None) -> int:
     if level not in ("quick", "full"):
         raise ValueError(f"unknown level {level!r}, expected 'quick' or 'full'")
     stream = stream or sys.stdout
-    results = []
+    results, seconds = [], []
     for fn in ALL_CHECKS:
+        start = time.perf_counter()
         try:
             results.append(fn(level))
         except Exception as exc:
             name = fn.__name__.removeprefix("check_").replace("_", " ")
             results.append(CheckResult(name, "-", f"error: {exc}", False))
+        seconds.append(time.perf_counter() - start)
     name_w = max(len(r.name) for r in results)
     target_w = max(len(r.target) for r in results)
     print(f"acceptance suite, level={level}", file=stream)
-    for i, r in enumerate(results, start=1):
+    for i, (r, sec) in enumerate(zip(results, seconds), start=1):
         status = "pass" if r.passed else "FAIL"
         print(f"{i:2d}. {r.name:<{name_w}s}  {r.target:<{target_w}s}  "
-              f"{r.measured}  [{status}]", file=stream)
+              f"{r.measured}  [{status}]  {sec:.2f} s", file=stream)
     failed = [r.name for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed"
           + (f"; failing: {', '.join(failed)}" if failed else ""), file=stream)

@@ -3,17 +3,22 @@
 import io
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bilaplab.config
 import bilaplab.diagnostics
 import bilaplab.problem
 import bilaplab.solver
 import bilaplab.verify as verify
 from bilaplab.cli import main
 from bilaplab.config import ConfigError, output_root, parse_config, run
+from bilaplab.diagnostics import FieldProbe, default_radii, minimal_monneau_constant
+from bilaplab.freeboundary import analyze_point, extract_gamma
+from bilaplab.grid import sphere_quadrature
 
 BASE = "h = 0.0625\ng = harmonic:deg=1\n"
 
@@ -79,6 +84,46 @@ def test_run_is_byte_deterministic(tmp_path):
     out_b = run(parse_config(BASE + f"output = {tmp_path / 'b'}\n"))
     for name in sorted(os.listdir(out_a)):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_each_free_boundary_point_is_profiled_once(tmp_path, monkeypatch):
+    """`blowup` and the default stages profile each point once; the Monneau
+    constant equals one computed field by field on the point's radii."""
+    real = bilaplab.diagnostics.compute_profile
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bilaplab.diagnostics, "compute_profile", counted)
+    monkeypatch.setattr(bilaplab.config, "compute_profile", counted)
+    cfgfile = tmp_path / "case.cfg"
+    cfgfile.write_text(BASE + f"output = {tmp_path / 'blowup'}\n")
+    assert main(["blowup", str(cfgfile)]) == 0
+    points = json.loads((tmp_path / "blowup" / "summary.json").read_text())["points"]
+    assert len(calls) == len(points) >= 1
+    calls.clear()
+    run(parse_config(BASE + f"output = {tmp_path / 'all'}\n"))
+    assert len(calls) == len(points)
+
+    cfg = parse_config(BASE)
+    spec = cfg.spec
+    result = bilaplab.solver.minimize(spec)
+    for pt, row in zip(extract_gamma(result.u, spec), points):
+        analyze_point(pt, result.u, result.v, spec)
+        assert pt.mu_int is not None and pt.mu_int >= 1
+        radii = default_radii(spec.grid(), [pt.x])
+        mu, c = float(pt.mu_int), np.array([pt.x, 0.0])
+        M = []
+        for r in radii:
+            quad = sphere_quadrature(spec.grid(), c, float(r), m=cfg.m)
+            rel = quad.surface_points - c
+            du = FieldProbe(result.u).values(quad.surface_points) - pt.p_mu(rel)
+            dv = FieldProbe(result.v).values(quad.surface_points) - pt.q_mu(rel)
+            M.append((quad.surface_weights @ (du ** 2 + dv ** 2)) / r ** (spec.n + 2 * mu))
+        M = np.where(pt.profile.degenerate, np.nan, M)
+        assert row["monneau_constant"] == minimal_monneau_constant(radii, M)
 
 
 def test_output_root_env_var(tmp_path, monkeypatch):
@@ -169,6 +214,16 @@ def test_cli_verify_exit_codes(monkeypatch):
     assert main(["verify", "--level", "quick"]) == 0
     monkeypatch.setattr(verify, "ALL_CHECKS", [_passing_stub, _failing_stub])
     assert main(["verify", "--level", "quick"]) == 1
+
+
+def test_verify_prints_each_checks_wall_time(monkeypatch):
+    monkeypatch.setattr(verify, "ALL_CHECKS", [_passing_stub, _failing_stub])
+    buf = io.StringIO()
+    assert verify.run_suite("quick", stream=buf) == 1
+    lines = buf.getvalue().splitlines()
+    assert re.search(r"  \[pass\]  \d+\.\d\d s$", lines[1])
+    assert re.search(r"  \[FAIL\]  \d+\.\d\d s$", lines[2])
+    assert lines[-1] == "1/2 checks passed; failing: stub fail"
 
 
 def _clear_corpus_caches():

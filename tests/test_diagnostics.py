@@ -16,11 +16,14 @@ from bilaplab.diagnostics import (
     mean_value_violation,
     minimal_almgren_constant,
     minimal_monneau_constant,
+    monneau_curve,
     poincare_check,
     rellich_residual,
     sphere_sup,
     trace_check,
 )
+from bilaplab.grid import sphere_quadrature
+from bilaplab.problem import thin_reaction
 
 FINE = build_grid(1, 1.0 / 256.0)
 SPEC = ProblemSpec(n=1, p=2.0, lambda_plus=1.0, lambda_minus=1.0,
@@ -78,6 +81,62 @@ def test_sphere_sup_radial_field():
     assert sphere_sup(w, 0.0, 0.3, grid=FINE) == pytest.approx(0.09, abs=1e-14)
 
 
+def test_sphere_sup_samples_the_quadrature_surface():
+    w = lambda p: p[:, 0] ** 2 - p[:, 1] ** 2 + 0.1 * p[:, 0]
+    quad = sphere_quadrature(FINE, np.array([0.1, 0.0]), 0.3, m=512)
+    assert sphere_sup(w, 0.1, 0.3, grid=FINE) == np.abs(w(quad.surface_points)).max()
+    with pytest.raises(ValueError, match="under-resolved"):
+        sphere_sup(w, 0.1, 1e-3, grid=FINE)
+
+
+def _per_field_profile(pu, pv, c, radii, spec, mu, p_mu, q_mu, m):
+    """H, B, D0, D and M with one probe call per field and point set."""
+    n = pu.grid.n
+    rows = []
+    for r in radii:
+        quad = sphere_quadrature(pu.grid, c, float(r), m=m)
+        us, vs = pu.values(quad.surface_points), pv.values(quad.surface_points)
+        gu, gv = pu.gradient(quad.surface_points), pv.gradient(quad.surface_points)
+        gus, gvs = pu.gradient(quad.solid_points), pv.gradient(quad.solid_points)
+        ub, vb = pu.values(quad.solid_points), pv.values(quad.solid_points)
+        ut, vt = pu.values(quad.thin_points), pv.values(quad.thin_points)
+        D0 = quad.solid_weights @ ((gus ** 2).sum(axis=1) + (gvs ** 2).sum(axis=1))
+        rel = quad.surface_points - c
+        rows.append((
+            quad.surface_weights @ (us ** 2 + vs ** 2),
+            quad.surface_weights @ ((gu ** 2).sum(axis=1) + (gv ** 2).sum(axis=1)),
+            D0,
+            D0 + quad.solid_weights @ (ub * vb)
+            + quad.thin_weights @ (thin_reaction(ut, spec) * vt),
+            (quad.surface_weights @ ((us - p_mu(rel)) ** 2 + (vs - q_mu(rel)) ** 2))
+            / r ** (n + 2 * mu),
+        ))
+    return [np.array(col) for col in zip(*rows)]
+
+
+@pytest.mark.parametrize("n,h,m", [(1, 1.0 / 16, 512), (2, 1.0 / 8, 64)])
+def test_grid_field_profile_equals_the_per_field_path(n, h, m):
+    """The stacked reads of two grid fields change no bit of the profile
+    or of the Monneau curve taken on its radii."""
+    g = build_grid(n, h)
+    spec = ProblemSpec(n=n, p=3.0, lambda_plus=2.0, lambda_minus=0.5, g="zero", h=h)
+    z = g.nodes
+    u = ScalarField(g, z[:, 0] ** 3 - 3.0 * z[:, 0] * z[:, -1] ** 2 + 0.2 * z[:, -1])
+    v = ScalarField(g, np.cos(2.0 * z[:, 0]) * np.exp(z[:, -1]) - 0.3)
+    c = np.array([0.1] * n + [0.0])
+    radii = default_radii(g, c)
+    p_mu = lambda rel: rel[:, 0] ** 2 - rel[:, -1] ** 2
+    q_mu = lambda rel: 0.5 * rel[:, 0] * rel[:, -1]
+    prof = compute_profile(u, v, c, radii, spec, m=m)
+    assert prof.m == m
+    H, B, D0, D, M = _per_field_profile(FieldProbe(u), FieldProbe(v), c, prof.radii,
+                                        spec, 2.0, p_mu, q_mu, m)
+    assert (prof.H == H).all() and (prof.B == B).all()
+    assert (prof.D0 == D0).all() and (prof.D == D).all()
+    curve = monneau_curve(u, v, prof, spec, 2.0, p_mu, q_mu)
+    assert np.array_equal(curve, np.where(prof.degenerate, np.nan, M), equal_nan=True)
+
+
 def test_default_radii_ladder():
     g = build_grid(1, 1.0 / 16.0)
     radii = default_radii(g, 0.0)
@@ -88,6 +147,8 @@ def test_default_radii_ladder():
     assert np.allclose(ratios, 2.0 ** 0.25, atol=1e-12)
     with pytest.raises(ValueError, match="no admissible radii"):
         default_radii(g, 0.98)
+    with pytest.raises(ValueError, match="thin face"):
+        default_radii(g, [0.0, 0.1])
 
 
 def test_mean_value_violation_signs():

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from bilaplab.grid import (
+    _INTERP_CHUNK,
     CORNER,
     INTERIOR,
     OUTER,
     THIN,
     OutOfDomainError,
     build_grid,
+    half_sphere,
     interp,
     sphere_quadrature,
 )
@@ -111,6 +113,75 @@ def test_out_of_domain_query_rejected():
     f = ScalarField(g, np.zeros(g.node_count))
     with pytest.raises(OutOfDomainError):
         interp(f, [[1.2, 0.0]])
+
+
+def _reference_interp(g, box, pts):
+    """Multilinear interpolation indexing the box per axis, one field per call."""
+    dim = g.n + 1
+    f = np.empty_like(pts)
+    f[:, :g.n] = pts[:, :g.n] / g.h + g.M
+    f[:, -1] = np.maximum(pts[:, -1], 0.0) / g.h
+    base = np.empty(pts.shape, dtype=np.int64)
+    frac = np.empty_like(pts)
+    for ax in range(dim):
+        b = np.clip(np.floor(f[:, ax]).astype(np.int64), 0, g.box_shape[ax] - 2)
+        base[:, ax] = b
+        frac[:, ax] = f[:, ax] - b
+    out = np.zeros(pts.shape[0])
+    for corner in range(1 << dim):
+        w = np.ones(pts.shape[0])
+        ix = []
+        for ax in range(dim):
+            bit = (corner >> ax) & 1
+            w = w * (frac[:, ax] if bit else (1.0 - frac[:, ax]))
+            ix.append(base[:, ax] + bit)
+        out += w * box[tuple(ix)]
+    return out
+
+
+def _ball_points(n, count, rng, rmax=0.95):
+    z = rng.standard_normal((count, n + 1))
+    z[:, -1] = np.abs(z[:, -1])
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return z * (rmax * rng.uniform(0.0, 1.0, count) ** (1.0 / (n + 1)))[:, None]
+
+
+@pytest.mark.parametrize("n,h", [(1, 1 / 16), (2, 1 / 8)])
+def test_stacked_interp_equals_per_field_calls(n, h):
+    """A stack of boxes reads every field exactly as its own call does: on
+    the face, at mirrored points, and across a chunk of the gather."""
+    g = build_grid(n, h)
+    rng = np.random.default_rng(n)
+    boxes = [ScalarField(g, rng.standard_normal(g.node_count)).ghost_box() for _ in range(3)]
+    stack = np.stack(boxes)
+    face = _ball_points(n, 40, rng)
+    face[:, -1] = 0.0
+    mirrored = _ball_points(n, 40, rng)
+    mirrored[::2, -1] *= -1.0
+    many = _ball_points(n, _INTERP_CHUNK + 37, rng)
+    for pts, extended in ((face, False), (mirrored, True), (many, False)):
+        got = g.interp_box(stack, pts, extended=extended)
+        assert got.shape == (3, pts.shape[0])
+        up = g.mirror_points(pts)
+        for k, box in enumerate(boxes):
+            single = g.interp_box(box, pts, extended=extended)
+            assert (got[k] == single).all()
+            assert (single == _reference_interp(g, box, up)).all()
+    one = g.interp_box(stack, face[0])
+    assert one.shape == (3,)
+    assert (one == g.interp_box(stack, face[:1])[:, 0]).all()
+    with pytest.raises(OutOfDomainError):
+        g.interp_box(stack, mirrored)
+    with pytest.raises(OutOfDomainError):
+        g.interp_box(stack, np.full((1, n + 1), 0.9))
+
+
+def test_half_sphere_weights_sum_to_the_measure():
+    for n, measure in ((1, np.pi), (2, 2 * np.pi)):
+        direc, w = half_sphere(n, 64)
+        assert np.allclose(np.linalg.norm(direc, axis=1), 1.0, atol=1e-15)
+        assert (direc[:, -1] > 0).all()
+        assert w.sum() == pytest.approx(measure, rel=1e-12)
 
 
 def test_quadrature_measures_match_closed_forms():

@@ -6,9 +6,10 @@ import scipy.sparse.linalg as spla
 
 from bilaplab import ProblemSpec, minimize, harmonic_extension
 from bilaplab.oracle import brute_minimize
-from bilaplab.problem import energy, energy_array, operators
-from bilaplab.solver import (ConvergenceError, SolveResult, _split_preconditioner, el_crosscheck,
-                             weak_residual)
+from bilaplab.grid import sphere_quadrature
+from bilaplab.problem import energy, energy_array, operators, thin_reaction
+from bilaplab.solver import (_TRIAL_CHUNK, ConvergenceError, SolveResult, _poly_trials,
+                             _split_preconditioner, el_crosscheck, weak_residual)
 
 ASYM = dict(p=2.0, lambda_plus=2.0, lambda_minus=0.5, g="harmonic:coeffs=1;0.2")
 
@@ -83,6 +84,60 @@ def test_stationarity_residuals_shrink_under_refinement():
     assert el2.neumann_sup < 0.6 * el1.neumann_sup
     assert el2.natural_sup < el1.natural_sup
     assert wr2 < 0.5 * wr1
+
+
+def _reference_weak_residual(result, spec, trials=12, seed=0, m=512):
+    """The weak residual with each trial field evaluated on its own, monomial
+    by monomial, at every shifted copy of the solid points."""
+    n = spec.n
+
+    def trial(coeffs):
+        def phi(pts):
+            x = pts[:, :n]
+            y2 = pts[:, -1] ** 2
+            P = np.zeros(pts.shape[0])
+            for expo, c in coeffs:
+                term = np.full(pts.shape[0], c)
+                for ax in range(n):
+                    term = term * x[:, ax] ** expo[ax]
+                term = term * y2 ** expo[-1]
+                P += term
+            cut = 1.0 - (pts ** 2).sum(axis=1)
+            return cut * cut * P
+        return phi
+
+    def fd_laplacian(f, pts, delta=1e-4):
+        dim = pts.shape[1]
+        out = -2.0 * dim * f(pts)
+        for ax in range(dim):
+            e = np.zeros(dim)
+            e[ax] = delta
+            out += f(pts + e) + f(pts - e)
+        return out / delta ** 2
+
+    quad = sphere_quadrature(spec.grid(), np.zeros(n), 1.0, m=m)
+    v_solid = result.v(quad.solid_points)
+    Fu = thin_reaction(result.u(quad.thin_points), spec)
+    worst = 0.0
+    for coeffs in _poly_trials(n, trials, seed):
+        phi = trial(coeffs)
+        lap = fd_laplacian(phi, quad.solid_points)
+        lhs = float(quad.solid_weights @ (v_solid * lap))
+        rhs = float(quad.thin_weights @ (Fu * phi(quad.thin_points)))
+        norm = float(np.sqrt(quad.solid_weights @ lap ** 2
+                             + quad.thin_weights @ phi(quad.thin_points) ** 2))
+        worst = max(worst, abs(lhs - rhs) / norm)
+    return worst
+
+
+@pytest.mark.parametrize("n,h,m", [(1, 1.0 / 16, 512), (2, 1.0 / 8, 96)])
+def test_weak_residual_matches_the_per_trial_evaluation_exactly(n, h, m):
+    # shared monomial tables and point chunks change no bit of the value
+    spec = ProblemSpec(n=n, h=h, **ASYM)
+    result = minimize(spec)
+    assert sphere_quadrature(spec.grid(), np.zeros(n), 1.0, m=m).solid_points.shape[0] > _TRIAL_CHUNK
+    assert weak_residual(result, spec, seed=7, m=m) == \
+        _reference_weak_residual(result, spec, seed=7, m=m)
 
 
 def test_descent_path_for_subquadratic_exponent():
