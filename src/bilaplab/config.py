@@ -247,6 +247,8 @@ def run(config: RunConfig) -> Path:
         "energy": result.energy,
         "iterations": result.iterations,
         "cg_iterations": result.cg_iterations,
+        "backtracks": sum(step.backtracks for step in result.trace),
+        "phase_flips": sum(step.phase_flips for step in result.trace),
         "grad_sup": result.grad_sup,
         "node_count": grid.node_count,
         "h": spec.h,

@@ -240,24 +240,24 @@ def thin_reaction(t, spec: ProblemSpec):
     return spec.lambda_minus * neg ** e - spec.lambda_plus * pos ** e
 
 
-def thin_reaction_derivative(t, spec: ProblemSpec):
+def thin_reaction_derivative(t, spec: ProblemSpec, clamp: float | None = None):
     """G(t) = F'(t) = -(p-1)(lambda_minus (t^-)^(p-2) + lambda_plus (t^+)^(p-2)).
 
-    Defined for p >= 2 only; for 1 < p < 2 the derivative blows up at the
-    sign change and the Newton model is invalid, so we refuse. At p = 2 the
-    kink at t = 0 is resolved by G(0) = 0 (the minimal-norm element of the
-    generalized derivative interval).
+    At p = 2 the kink at t = 0 is resolved by G(0) = 0 (the minimal-norm
+    element of the generalized derivative interval). For 1 < p < 2, G blows
+    up at the sign change and is refused unless clamped: with clamp delta,
+    |t| becomes max(|t|, delta) and t = 0 takes the larger weight. That is
+    the Newton model's curvature, not F'. For p >= 2 the clamp is ignored.
     """
-    if spec.p < 2:
-        raise ValueError("thin_reaction_derivative requires p >= 2")
     t = np.asarray(t, dtype=np.float64)
-    e = spec.p - 2.0
-    if spec.p == 2.0:
-        out = np.where(t > 0, -spec.lambda_plus, 0.0) + np.where(t < 0, -spec.lambda_minus, 0.0)
-        return out
-    pos = np.maximum(t, 0.0)
-    neg = np.maximum(-t, 0.0)
-    return -(spec.p - 1.0) * (spec.lambda_minus * neg ** e + spec.lambda_plus * pos ** e)
+    if spec.p < 2:
+        if clamp is None:
+            raise ValueError("thin_reaction_derivative requires p >= 2 or a clamp")
+        mag, at_zero = np.maximum(np.abs(t), clamp), max(spec.lambda_plus, spec.lambda_minus)
+    else:
+        mag, at_zero = np.abs(t), 0.0
+    lam = np.where(t > 0, spec.lambda_plus, np.where(t < 0, spec.lambda_minus, at_zero))
+    return -(spec.p - 1.0) * (lam * mag ** (spec.p - 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +321,7 @@ def operators(grid: HalfBallGrid) -> SimpleNamespace:
     K = K.tocsr()
 
     ops = SimpleNamespace(L=L, omega=omega, face_w=face_w,
-                          face_w_by_node=face_w_by_node, K=K,
-                          K_diag=K.diagonal())
+                          face_w_by_node=face_w_by_node, K=K)
     grid._ops = ops
     return ops
 
@@ -466,13 +465,31 @@ def energy_gradient(w: ScalarField, spec: ProblemSpec) -> ScalarField:
     return ScalarField(w.grid, gradient_array(w.grid, w.values, spec), role="residual")
 
 
+def face_hessian_diagonal(grid: HalfBallGrid, w: np.ndarray, spec: ProblemSpec,
+                          grad_sup: float | None = None) -> np.ndarray:
+    """2 face_w |G(w)| at the thin nodes: the face part of the generalized Hessian.
+
+    For p >= 2, G is thin_reaction_derivative. For 1 < p < 2 it is clamped
+    at delta = max(1e-3 sup|grad J(w)|, 1e-14); `grad_sup` passes that sup
+    when the caller has it, else it is computed here.
+    """
+    thin = grid.thin_ids
+    clamp = None
+    if spec.p < 2.0:
+        if grad_sup is None:
+            grad_sup = float(np.abs(gradient_array(grid, w, spec)).max())
+        clamp = max(1e-3 * grad_sup, 1e-14)
+    gg = thin_reaction_derivative(w[thin], spec, clamp=clamp)
+    return 2.0 * operators(grid).face_w_by_node[thin] * np.abs(gg)
+
+
 def energy_hessian_apply(w: ScalarField, direction: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """Action of the (generalized) Hessian at w on a free-node direction.
 
     The direction is a full-length vector; pinned entries are ignored and
     the output is zero there. Positive semidefinite: the quadratic part is
-    2 L^T diag(omega) L and the penalty contributes +2 face_w |G| on the
-    face diagonal (G <= 0 for p >= 2).
+    2 L^T diag(omega) L and the penalty contributes face_hessian_diagonal
+    (clamped for p < 2) on the face diagonal.
     """
     grid = w.grid
     ops = operators(grid)
@@ -480,8 +497,7 @@ def energy_hessian_apply(w: ScalarField, direction: np.ndarray, spec: ProblemSpe
     d[grid.pinned_ids] = 0.0
     out = 2.0 * (ops.K @ d)
     thin = grid.thin_ids
-    gg = thin_reaction_derivative(w.values[thin], spec)
-    out[thin] += 2.0 * ops.face_w_by_node[thin] * np.abs(gg) * d[thin]
+    out[thin] += face_hessian_diagonal(grid, w.values, spec) * d[thin]
     out[grid.pinned_ids] = 0.0
     return out
 

@@ -1,22 +1,27 @@
 """Minimization of the discrete energy and Euler-Lagrange diagnostics.
 
-For p >= 2 the energy is convex and piecewise smooth, and a damped
-semismooth Newton method with Armijo backtracking converges fast. Its
-generalized Hessian is 2 Kff plus a nonnegative face diagonal, where
+`minimize` runs one damped semismooth Newton method with Armijo
+backtracking for every p > 1. Its generalized Hessian is 2 Kff plus the
+nonnegative face diagonal of `problem.face_hessian_diagonal`, where
 Kff = L_ff^T diag(omega) L_ff and L_ff is the reflected Dirichlet Laplacian
-(the Ciarlet-Raviart splitting into two Poisson operators). CG solves each
-Newton system preconditioned with (2 Kff)^-1, a transposed and a plain
-solve with one LU of L_ff, so its step count stays small at every h. The
-LU is factored by `harmonic_extension` for the initial iterate and released
-when `minimize` returns. For 1 < p < 2 the reaction derivative is unbounded
-at the sign change, so a projected gradient method with a Barzilai-Borwein
-step is used instead.
+(the Ciarlet-Raviart splitting into two Poisson operators). For 1 < p < 2
+the reaction derivative is unbounded at the sign change, so that diagonal
+uses max(|u|, delta)^(p-2) with delta = 1e-3 sup|grad J|; the energy, the
+gradient, the Armijo test and the stopping rule stay those of the true
+problem. CG solves each Newton system preconditioned with (2 Kff)^-1, a
+transposed and a plain solve with one LU of L_ff, so its step count stays
+small at every h and every p. The LU is factored by `harmonic_extension`
+for the initial iterate and released when `minimize` returns.
+
+Near a p < 2 minimizer a Newton step can predict a decrease below the
+rounding of J, where Armijo compares noise; the unit step is then taken
+when that prediction and the change of J are both within 1e-13 (1 + |J|).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,24 +34,39 @@ from .problem import (
     dirichlet_values,
     discrete_laplacian,
     energy_array,
+    face_hessian_diagonal,
     gradient_array,
     operators,
     thin_reaction,
-    thin_reaction_derivative,
 )
 
 ARMIJO_SLOPE = 1e-4
 MAX_BACKTRACKS = 50
+ROUNDING_FLOOR = 1e-13  # relative size of changes of J taken as rounding
 # solid points per pass when tabulating weak-residual trial Laplacians
 _TRIAL_CHUNK = 8192
 
 
-class SolverError(RuntimeError):
-    """Base for solver failures; carries the last iterate for inspection."""
+@dataclass(frozen=True)
+class NewtonStep:
+    """One Newton step: the iterate it starts from and what the step did."""
 
-    def __init__(self, message: str, iterate: ScalarField | None = None):
+    energy: float     # J at the start of the step
+    grad_sup: float   # sup|grad J| over the free nodes there
+    step: float       # accepted step length, 1 halved `backtracks` times
+    backtracks: int
+    cg_steps: int     # inner CG steps of the Newton system
+    phase_flips: int  # free face nodes whose sign of u the step changed
+
+
+class SolverError(RuntimeError):
+    """Base for solver failures; carries the last iterate and the Newton steps taken."""
+
+    def __init__(self, message: str, iterate: ScalarField | None = None,
+                 trace: list[NewtonStep] | None = None):
         super().__init__(message)
         self.iterate = iterate
+        self.trace = trace or []
 
 
 class LineSearchError(SolverError):
@@ -73,6 +93,7 @@ class SolveResult:
     cg_iterations: int  # inner CG steps summed over the Newton steps; 0 otherwise
     wall_time: float
     spec: ProblemSpec
+    trace: list[NewtonStep] = field(default_factory=list)  # one record per Newton step
 
 
 def _laplace_factor(grid):
@@ -118,99 +139,65 @@ def _initial_vector(spec: ProblemSpec, initial: ScalarField | None) -> np.ndarra
     return w
 
 
-def _grad_tolerance(spec: ProblemSpec, J: float) -> float:
-    if spec.tol_grad is not None:
-        return spec.tol_grad
-    return 1e-8 * (1.0 + abs(J))
-
-
-def _armijo(spec: ProblemSpec, w: np.ndarray, J: float, d: np.ndarray, t: float,
-            slope: float) -> np.ndarray:
-    """Halve the step t along the free-node direction d until Armijo holds."""
-    grid = spec.grid()
-    for _ in range(MAX_BACKTRACKS):
-        w_try = w.copy()
-        w_try[grid.free_ids] += t * d
-        if energy_array(grid, w_try, spec) <= J + ARMIJO_SLOPE * t * slope:
-            return w_try
-        t *= 0.5
-    raise LineSearchError("line search exhausted 50 halvings", ScalarField(grid, w))
-
-
 def _newton(spec: ProblemSpec, w: np.ndarray):
     grid = spec.grid()
-    ops = operators(grid)
-    free = grid.free_ids
+    free, thin = grid.free_ids, grid.thin_ids
     Kff = getattr(grid, "_Kff", None)
     if Kff is None:
-        Kff = grid._Kff = ops.K[free][:, free].tocsr()
-    thin_pos = np.searchsorted(free, grid.thin_ids)
+        Kff = grid._Kff = operators(grid).K[free][:, free].tocsr()
+    thin_pos = np.searchsorted(free, thin)
     E = free.size
     M = _split_preconditioner(grid)
+    trace: list[NewtonStep] = []
     cg_steps = 0
 
     def count(_):
         nonlocal cg_steps
         cg_steps += 1
 
+    def failure(kind, message):
+        return kind(message, ScalarField(grid, w), trace)
+
     for it in range(spec.max_iter + 1):
         J = energy_array(grid, w, spec)
         g = gradient_array(grid, w, spec)
         gf = g[free]
         gsup = float(np.abs(gf).max()) if E else 0.0
-        if gsup <= _grad_tolerance(spec, J):
-            return w, J, gsup, it, cg_steps
+        if gsup <= (spec.tol_grad if spec.tol_grad is not None else 1e-8 * (1.0 + abs(J))):
+            return w, J, gsup, trace
         if it == spec.max_iter:
-            raise ConvergenceError(
-                f"no convergence in {spec.max_iter} Newton steps (sup grad {gsup:.3e})",
-                ScalarField(grid, w))
+            raise failure(ConvergenceError, f"no convergence in {spec.max_iter} Newton "
+                          f"steps (sup grad {gsup:.3e})")
 
-        gg = np.abs(thin_reaction_derivative(w[grid.thin_ids], spec))
         dpen = np.zeros(E)
-        dpen[thin_pos] = 2.0 * ops.face_w_by_node[grid.thin_ids] * gg
+        dpen[thin_pos] = face_hessian_diagonal(grid, w, spec, gsup)
         H = (2.0 * Kff + sp.diags(dpen)).tocsr()
+        cg_steps = 0
         d, info = spla.cg(H, -gf, rtol=1e-10, atol=0.0, maxiter=10 * E, M=M,
                           callback=count)
         if info != 0:
-            raise LinearSolveError(f"conjugate gradient stalled (info={info})",
-                                   ScalarField(grid, w))
+            raise failure(LinearSolveError, f"conjugate gradient stalled (info={info})")
 
         slope = float(gf @ d)
         if slope >= 0.0:
-            raise LineSearchError("Newton direction is not a descent direction",
-                                  ScalarField(grid, w))
-        w = _armijo(spec, w, J, d, 1.0, slope)
-
-
-def _descent(spec: ProblemSpec, w: np.ndarray):
-    """Projected gradient with BB steps and Armijo safeguard, for 1 < p < 2."""
-    grid = spec.grid()
-    free = grid.free_ids
-    limit = 200 * spec.max_iter
-    step = None
-    w_prev = None
-    g_prev = None
-    for it in range(limit + 1):
-        J = energy_array(grid, w, spec)
-        g = gradient_array(grid, w, spec)
-        gsup = float(np.abs(g[free]).max())
-        if gsup <= _grad_tolerance(spec, J):
-            return w, J, gsup, it
-        if it == limit:
-            raise ConvergenceError(
-                f"no convergence in {limit} descent steps (sup grad {gsup:.3e})",
-                ScalarField(grid, w))
-        if step is None:
-            step = 1.0 / max(float(np.abs(g).max()) / spec.h, 1.0)
+            raise failure(LineSearchError, "Newton direction is not a descent direction")
+        # Armijo halving from the unit step; the first trial also passes when
+        # both the predicted decrease and the change of J are rounding
+        floor = ROUNDING_FLOOR * (1.0 + abs(J))
+        t = 1.0
+        for backtracks in range(MAX_BACKTRACKS):
+            w_try = w.copy()
+            w_try[free] += t * d
+            E_try = energy_array(grid, w_try, spec)
+            if E_try <= J + ARMIJO_SLOPE * t * slope or (
+                    backtracks == 0 and -slope <= floor and E_try - J <= floor):
+                break
+            t *= 0.5
         else:
-            dw = w[free] - w_prev
-            dg = g[free] - g_prev
-            denom = float(dg @ dg)
-            step = float(dw @ dg) / denom if denom > 0 else step
-            step = min(max(step, 1e-12), 1e6)
-        w_prev = w[free].copy()
-        g_prev = g[free].copy()
-        w = _armijo(spec, w, J, -g[free], step, -float(g[free] @ g[free]))
+            raise failure(LineSearchError, f"line search exhausted {MAX_BACKTRACKS} halvings")
+        flips = int(np.count_nonzero(np.sign(w_try[thin]) != np.sign(w[thin])))
+        trace.append(NewtonStep(J, gsup, t, backtracks, cg_steps, flips))
+        w = w_try
 
 
 def minimize(spec: ProblemSpec, initial: ScalarField | None = None) -> SolveResult:
@@ -220,25 +207,22 @@ def minimize(spec: ProblemSpec, initial: ScalarField | None = None) -> SolveResu
     the free nodes and whose `v` is `discrete_laplacian(u)`: the reflected
     star stencil at free nodes and 0 in the pinned band (v = 0 on the
     sphere). Each Newton step is one CG solve preconditioned by the split
-    Laplacian factor; `cg_iterations` sums their steps. The factor stays on
-    the grid only while this call runs, failed solves included.
+    Laplacian factor; `trace` records every step and `cg_iterations` sums
+    their CG steps. The factor stays on the grid only while this call runs,
+    failed solves included.
     """
     grid = spec.grid()
     if grid.M < 2:
         raise ValueError("solving requires h <= 1/2")
     t0 = time.perf_counter()
     try:
-        w = _initial_vector(spec, initial)
-        if spec.p >= 2.0:
-            w, J, gsup, iters, cg_iters = _newton(spec, w)
-        else:
-            (w, J, gsup, iters), cg_iters = _descent(spec, w), 0
+        w, J, gsup, trace = _newton(spec, _initial_vector(spec, initial))
     finally:
         grid._lu = None
     u = ScalarField(grid, w, role="u")
     return SolveResult(u=u, v=discrete_laplacian(u), energy=J, grad_sup=gsup,
-                       iterations=iters, cg_iterations=cg_iters,
-                       wall_time=time.perf_counter() - t0, spec=spec)
+                       iterations=len(trace), cg_iterations=sum(s.cg_steps for s in trace),
+                       wall_time=time.perf_counter() - t0, spec=spec, trace=trace)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@ from bilaplab.problem import (
     energy,
     energy_gradient,
     energy_hessian_apply,
+    face_hessian_diagonal,
+    gradient_array,
+    operators,
     thin_reaction,
     thin_reaction_derivative,
 )
@@ -111,6 +114,46 @@ def test_thin_reaction_derivative_rejects_p_below_two():
     spec = _spec(p=1.5)
     with pytest.raises(ValueError, match="p >= 2"):
         thin_reaction_derivative(0.3, spec)
+
+
+def test_clamped_derivative_for_subquadratic_exponent():
+    spec = _spec(p=1.5, lambda_plus=2.0, lambda_minus=0.5)
+    t = np.array([-0.25, -1e-6, 0.0, 1e-6, 0.25])
+    got = thin_reaction_derivative(t, spec, clamp=1e-2)
+    # max(|t|, 1e-2)^(-1/2) is 2 at |t| = 0.25 and 10 inside the clamp;
+    # t = 0 takes the larger weight
+    want = -0.5 * np.array([0.5 * 2.0, 0.5 * 10.0, 2.0 * 10.0, 2.0 * 10.0, 2.0 * 2.0])
+    assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+    # from p = 2 on, the clamp changes nothing
+    quad = _spec(p=3.0, lambda_plus=2.0, lambda_minus=0.5)
+    assert np.array_equal(thin_reaction_derivative(t, quad, clamp=1e-2),
+                          thin_reaction_derivative(t, quad))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_face_hessian_diagonal_is_the_face_part_of_the_hessian(p):
+    spec = _spec(p=p, lambda_plus=2.0, lambda_minus=0.5, g="harmonic:deg=1")
+    grid = spec.grid()
+    rng = np.random.default_rng(5)
+    vals = np.zeros(grid.node_count)
+    vals[grid.free_ids] = rng.normal(scale=0.3, size=len(grid.free_ids))
+    w = ScalarField(grid, vals)
+    thin = grid.thin_ids
+    diag = face_hessian_diagonal(grid, vals, spec)
+    gsup = float(np.abs(gradient_array(grid, vals, spec)).max())
+    clamp = max(1e-3 * gsup, 1e-14) if p < 2 else None
+    want = 2.0 * operators(grid).face_w_by_node[thin] * np.abs(
+        thin_reaction_derivative(vals[thin], spec, clamp=clamp))
+    assert np.array_equal(diag, want)
+    assert np.array_equal(face_hessian_diagonal(grid, vals, spec, gsup), want)
+    # the Hessian action on one face node picks out its diagonal entry
+    e = np.zeros(grid.node_count)
+    e[thin[3]] = 1.0
+    assert energy_hessian_apply(w, e, spec)[thin[3]] == pytest.approx(
+        2.0 * operators(grid).K[thin[3], thin[3]] + diag[3], rel=1e-12)
+    d = np.zeros(grid.node_count)
+    d[thin] = 1.0
+    assert d @ energy_hessian_apply(w, d, spec) >= 0.0
 
 
 # ---------------------------------------------------------------------------

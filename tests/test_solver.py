@@ -1,15 +1,22 @@
 """Solver behavior: exact special cases, symmetry, oracle agreement, refinement."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from bilaplab import ProblemSpec, minimize, harmonic_extension
+import bilaplab
+from bilaplab import ProblemSpec, minimize, harmonic_extension, solver
 from bilaplab.oracle import brute_minimize
 from bilaplab.grid import sphere_quadrature
-from bilaplab.problem import energy, energy_array, operators, thin_reaction
-from bilaplab.solver import (_TRIAL_CHUNK, ConvergenceError, SolveResult, _poly_trials,
-                             _split_preconditioner, el_crosscheck, weak_residual)
+from bilaplab.problem import (ScalarField, energy, energy_array, energy_gradient, operators,
+                              thin_reaction)
+from bilaplab.solver import (_TRIAL_CHUNK, ConvergenceError, LinearSolveError, SolveResult,
+                             _poly_trials, _split_preconditioner, el_crosscheck, weak_residual)
 
 ASYM = dict(p=2.0, lambda_plus=2.0, lambda_minus=0.5, g="harmonic:coeffs=1;0.2")
 
@@ -140,13 +147,106 @@ def test_weak_residual_matches_the_per_trial_evaluation_exactly(n, h, m):
         _reference_weak_residual(result, spec, seed=7, m=m)
 
 
-def test_descent_path_for_subquadratic_exponent():
-    # p in (1, 2) has no smooth second derivative at the phase interface,
-    # so the solver falls back to first-order descent; a loose tolerance
-    # keeps the step count modest.
-    result = minimize(_spec(0.125, p=1.5, tol_grad=1e-6))
-    assert result.grad_sup <= 1e-6
-    assert result.iterations > 1
+def _assert_local_minimum(spec, result, seed=11, step=1e-6):
+    """J(u +- step phi) >= J(u) along three seeded smooth directions phi that
+    vanish inside the ball of the pinned nodes."""
+    grid = spec.grid()
+    z = grid.nodes
+    r0 = np.linalg.norm(z[grid.pinned_ids], axis=1).min()
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        a = rng.standard_normal(z.shape[1] + 1)
+        phi = (a[0] + z @ a[1:]) * np.maximum(r0 ** 2 - (z * z).sum(axis=1), 0.0) ** 2
+        assert np.all(phi[grid.pinned_ids] == 0.0)
+        phi /= np.abs(phi).max()
+        for sign in (1.0, -1.0):
+            assert energy_array(grid, result.u.values + sign * step * phi, spec) >= result.energy
+
+
+SUBQUADRATIC = [(p, lp, lm) for p in (1.25, 1.5, 1.75) for lp, lm in ((1.0, 1.0), (2.0, 0.5))]
+
+
+@pytest.mark.parametrize("p,lam_plus,lam_minus", SUBQUADRATIC)
+def test_subquadratic_exponent_newton_solve_is_a_minimizer(p, lam_plus, lam_minus):
+    # the clamped face curvature keeps Newton short for 1 < p < 2
+    spec = _spec(1.0 / 64, p=p, lam_plus=lam_plus, lam_minus=lam_minus,
+                 g=ASYM["g"])
+    result = minimize(spec)
+    assert result.grad_sup <= 1e-8 * (1.0 + abs(result.energy))
+    assert 1 <= result.iterations <= 6
+    assert result.cg_iterations <= 10 * result.iterations
+    _assert_local_minimum(spec, result)
+
+
+@pytest.mark.parametrize("p,lam_plus,lam_minus", [(1.5, 1.0, 1.0), (1.75, 2.0, 0.5)])
+def test_subquadratic_solve_does_not_stall_at_the_rounding_floor(p, lam_plus, lam_minus):
+    # At h = 1/128 the last Newton step predicts a decrease below the
+    # rounding of J. Without the line search's rounding floor these two
+    # stalled at sup grad ~1e-7, backtracking ~30 times a step. Whether
+    # they stall depends on the rounding of J, and so on the BLAS thread
+    # count: the solve runs in a child process with one thread.
+    code = ("from bilaplab import ProblemSpec, minimize\n"
+            f"r = minimize(ProblemSpec(n=1, h=1 / 128, p={p}, lambda_plus={lam_plus}, "
+            f"lambda_minus={lam_minus}, g={ASYM['g']!r}, max_iter=30))\n"
+            "print(r.iterations, r.grad_sup <= 1e-8 * (1.0 + abs(r.energy)))\n")
+    src = str(Path(bilaplab.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=300)
+    assert child.returncode == 0, child.stderr[-400:]
+    iterations, converged = child.stdout.split()
+    assert converged == "True" and int(iterations) <= 6
+
+
+def test_subquadratic_energy_matches_the_descent_value():
+    # the value the earlier gradient-descent solver reached for this problem
+    spec = _spec(1.0 / 16, p=1.5, lam_plus=2.0, lam_minus=0.5, g=ASYM["g"])
+    assert abs(minimize(spec).energy - 1.4885050785900) <= 1e-11
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_trace_records_every_newton_step(p):
+    spec = _spec(1.0 / 32, p=p, lam_plus=2.0, lam_minus=0.5, g=ASYM["g"])
+    start = harmonic_extension(spec).values
+    result = minimize(spec)
+    trace = result.trace
+    assert len(trace) == result.iterations >= 1
+    assert sum(s.cg_steps for s in trace) == result.cg_iterations
+    assert trace[0].energy == energy_array(spec.grid(), start, spec)
+    assert trace[0].grad_sup == np.abs(energy_gradient(ScalarField(spec.grid(), start),
+                                                       spec).values).max()
+    energies = [s.energy for s in trace] + [result.energy]
+    assert all(b <= a for a, b in zip(energies, energies[1:]))
+    for s in trace:
+        assert s.step == 0.5 ** s.backtracks and s.cg_steps >= 1
+    # a node may flip back and forth, so the flips bound the net sign changes
+    thin = spec.grid().thin_ids
+    net = np.count_nonzero(np.sign(start[thin]) != np.sign(result.u.values[thin]))
+    assert sum(s.phase_flips for s in trace) >= net >= 1
+
+
+def test_solver_errors_carry_the_trace(monkeypatch):
+    spec = _spec(1.0 / 16, p=1.5, max_iter=1)
+    with pytest.raises(ConvergenceError) as caught:
+        minimize(spec)
+    assert len(caught.value.trace) == 1 and caught.value.iterate is not None
+
+    real_cg = solver.spla.cg
+    calls = []
+
+    def stall_second(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            return np.zeros_like(args[1]), 7
+        return real_cg(*args, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "cg", stall_second)
+    with pytest.raises(LinearSolveError, match="info=7") as caught:
+        minimize(_spec(0.125, p=3.0))  # needs two Newton steps
+    assert len(caught.value.trace) == 1
+    assert caught.value.trace[0].cg_steps >= 1
 
 
 def test_coarse_grid_rejected():
@@ -192,15 +292,4 @@ def test_two_dimensional_face_solve_is_a_minimizer(h):
     result = minimize(spec)
     assert result.grad_sup <= 1e-8 * (1.0 + abs(result.energy))
     assert 1 <= result.iterations and result.cg_iterations <= 10 * result.iterations
-    # smooth directions, cut off inside the ball of the pinned nodes
-    grid = spec.grid()
-    z = grid.nodes
-    r0 = np.linalg.norm(z[grid.pinned_ids], axis=1).min()
-    rng = np.random.default_rng(11)
-    for _ in range(3):
-        a = rng.standard_normal(4)
-        phi = (a[0] + z @ a[1:]) * np.maximum(r0 ** 2 - (z * z).sum(axis=1), 0.0) ** 2
-        assert np.all(phi[grid.pinned_ids] == 0.0)
-        phi /= np.abs(phi).max()
-        for sign in (1.0, -1.0):
-            assert energy_array(grid, result.u.values + sign * 1e-6 * phi, spec) >= result.energy
+    _assert_local_minimum(spec, result)
