@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 INTERIOR, OUTER, THIN, CORNER = 0, 1, 2, 3
-CLASS_NAMES = {INTERIOR: "INTERIOR", OUTER: "OUTER", THIN: "THIN", CORNER: "CORNER"}
 
 _TOL = 1e-9
 # points per pass of the gather in `interp_box`, so that the (F, chunk)

@@ -24,7 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import CORNER, OUTER, THIN, HalfBallGrid, build_grid
+from .grid import THIN, HalfBallGrid, build_grid
 from .harmonics import HomogeneousHarmonicPoly, basis_size
 
 
@@ -219,10 +219,6 @@ class ScalarField:
         return self.grid.interp_box(self.ghost_box(), points, extended=extended)
 
 
-def zero_field(grid: HalfBallGrid, role: str = "u") -> ScalarField:
-    return ScalarField(grid, np.zeros(grid.node_count), role)
-
-
 # ---------------------------------------------------------------------------
 # reaction terms on the thin face
 
@@ -326,101 +322,17 @@ def operators(grid: HalfBallGrid) -> SimpleNamespace:
     return ops
 
 
-def _sw_boundary_rows(grid: HalfBallGrid):
-    """Unequal-arm Laplacian rows at pinned nodes, using boundary crossings.
-
-    For each pinned node and each axis, the stencil arm toward the circle is
-    shortened to the exact crossing point, where the Dirichlet datum supplies
-    the value. Nodes lying on the circle itself (arm length 0) are skipped
-    and reported in the mask. Returns (A, C, cross_points, defined_mask):
-    values at pinned nodes come out as A @ w + C @ g(cross_points), valid
-    where defined_mask is True.
-    """
-    cached = getattr(grid, "_sw", None)
-    if cached is not None:
-        return cached
-    dim = grid.n + 1
-    h, M = grid.h, grid.M
-    pinned = grid.pinned_ids
-    rowsA, colsA, valsA = [], [], []
-    rowsC, colsC, valsC = [], [], []
-    cross_pts = []
-    defined = np.zeros(grid.node_count, dtype=bool)
-    for nid in pinned:
-        idx = grid.lattice[nid]
-        z = grid.nodes[nid]
-        r2 = float(z @ z)
-        entries = []  # (kind, key, coef) with kind in {node, cross, center}
-        ok = True
-        for ax in range(dim):
-            arm = {}
-            for d in (1, -1):
-                nb = idx.copy()
-                nb[ax] += d
-                if ax == dim - 1 and nb[ax] < 0:
-                    nb[ax] = 1  # even reflection below the face
-                cen = nb.astype(np.int64).copy()
-                cen[:-1] -= M  # box indices are offset by M in the thin axes
-                in_box = np.all(nb >= 0) and np.all(nb < np.array(grid.box_shape))
-                inside = in_box and int(cen @ cen) <= M * M
-                if inside:
-                    arm[d] = ("node", int(grid.box_ids[tuple(nb)]), h)
-                else:
-                    rest2 = r2 - z[ax] ** 2
-                    target = math.sqrt(max(1.0 - rest2, 0.0))
-                    s = (target - z[ax]) if d > 0 else (z[ax] + target)
-                    if s <= 1e-12:
-                        ok = False
-                        break
-                    zc = z.copy()
-                    zc[ax] = target if d > 0 else -target
-                    arm[d] = ("cross", len(cross_pts), s)
-                    cross_pts.append(zc)
-            if not ok:
-                break
-            a = arm[1][2]
-            b = arm[-1][2]
-            entries.append((arm[1][0], arm[1][1], 2.0 / (a * (a + b))))
-            entries.append((arm[-1][0], arm[-1][1], 2.0 / (b * (a + b))))
-            entries.append(("center", nid, -2.0 / (a * b)))
-        if not ok:
-            continue
-        defined[nid] = True
-        for kind, key, coef in entries:
-            if kind == "cross":
-                rowsC.append(nid)
-                colsC.append(key)
-                valsC.append(coef)
-            else:
-                rowsA.append(nid)
-                colsA.append(key)
-                valsA.append(coef)
-    N = grid.node_count
-    A = sp.coo_matrix((valsA, (rowsA, colsA)), shape=(N, N)).tocsr()
-    C = sp.coo_matrix((valsC, (rowsC, colsC)), shape=(N, max(len(cross_pts), 1))).tocsr()
-    pts = np.array(cross_pts) if cross_pts else np.zeros((0, dim))
-    grid._sw = (A, C, pts, defined)
-    return grid._sw
-
-
-def discrete_laplacian(w: ScalarField, boundary=None) -> ScalarField:
+def discrete_laplacian(w: ScalarField) -> ScalarField:
     """Lattice Laplacian of a field, as a field with role "v".
 
-    At free nodes this is the reflected star stencil. At pinned nodes the
-    value is 0 unless `boundary` (a callable on points) is given, in which
-    case unequal-arm stencils reaching to the exact circle crossings are
-    used; nodes sitting on the circle itself stay 0.
+    The reflected star stencil of `operators(grid).L` at free nodes and 0 in
+    the pinned band, where the Dirichlet datum sits and the continuum v
+    vanishes on the sphere. This is the one definition of v = Lap u: the
+    Newton minimizer and the brute-force oracle both return it.
     """
     grid = w.grid
-    ops = operators(grid)
     out = np.zeros(grid.node_count)
-    out[grid.free_ids] = ops.L @ w.values
-    if boundary is not None:
-        A, C, pts, defined = _sw_boundary_rows(grid)
-        gvals = np.asarray(boundary(pts), dtype=np.float64) if pts.size else np.zeros(0)
-        vals = A @ w.values + C @ gvals
-        sel = defined
-        out[sel] = vals[sel]
+    out[grid.free_ids] = operators(grid).L @ w.values
     return ScalarField(grid, out, role="v")
 
 

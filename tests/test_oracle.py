@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from bilaplab import ProblemSpec
+from bilaplab import ProblemSpec, verify
 from bilaplab.oracle import brute_minimize, reference_integral
+from bilaplab.problem import discrete_laplacian
 
 
 def test_reference_integral_polynomial():
@@ -50,3 +51,21 @@ def test_brute_minimizer_converges_on_coarse_grid():
     result = brute_minimize(_spec(0.125), tol=1e-8)
     assert result.grad_sup <= 1e-8
     assert np.isfinite(result.energy)
+
+
+def test_brute_minimizer_leaves_no_laplace_factor_on_the_grid():
+    spec = _spec(0.125)  # the sym-p2 corpus config
+    brute_minimize(spec)
+    assert getattr(spec.grid(), "_lu", None) is None
+
+
+def test_brute_minimizer_returns_the_one_lattice_laplacian():
+    result = brute_minimize(_spec(0.125))
+    assert np.array_equal(result.v.values, discrete_laplacian(result.u).values)
+
+
+def test_brute_minimizer_converges_on_stiffest_corpus_config():
+    """asym-p2 at h = 1/16 took about 2.1M unaccelerated steps."""
+    result = brute_minimize(verify.corpus_spec("asym-p2", 16))
+    assert result.grad_sup <= 1e-10
+    assert result.iterations <= 20_000
