@@ -21,7 +21,6 @@ extension). Analytic checks want callables; solver output wants fields.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np

@@ -43,7 +43,7 @@ from .problem import (
 ARMIJO_SLOPE = 1e-4
 MAX_BACKTRACKS = 50
 ROUNDING_FLOOR = 1e-13  # relative size of changes of J taken as rounding
-# solid points per pass when tabulating weak-residual trial Laplacians
+# solid points per chunk of the weak-residual pass
 _TRIAL_CHUNK = 8192
 
 
@@ -128,17 +128,6 @@ def harmonic_extension(spec: ProblemSpec) -> ScalarField:
     return ScalarField(grid, w, role="u")
 
 
-def _initial_vector(spec: ProblemSpec, initial: ScalarField | None) -> np.ndarray:
-    grid = spec.grid()
-    if initial is None:
-        return harmonic_extension(spec).values.copy()
-    if initial.grid is not grid and initial.grid.node_count != grid.node_count:
-        raise ValueError("initial iterate lives on an incompatible grid")
-    w = initial.values.copy()
-    w[grid.pinned_ids] = dirichlet_values(spec)  # project onto the datum
-    return w
-
-
 def _newton(spec: ProblemSpec, w: np.ndarray):
     grid = spec.grid()
     free, thin = grid.free_ids, grid.thin_ids
@@ -200,23 +189,23 @@ def _newton(spec: ProblemSpec, w: np.ndarray):
         w = w_try
 
 
-def minimize(spec: ProblemSpec, initial: ScalarField | None = None) -> SolveResult:
+def minimize(spec: ProblemSpec) -> SolveResult:
     """Minimize the discrete energy subject to the Dirichlet datum.
 
-    Returns a SolveResult whose `u` satisfies sup|grad J| <= tolerance on
-    the free nodes and whose `v` is `discrete_laplacian(u)`: the reflected
-    star stencil at free nodes and 0 in the pinned band (v = 0 on the
-    sphere). Each Newton step is one CG solve preconditioned by the split
-    Laplacian factor; `trace` records every step and `cg_iterations` sums
-    their CG steps. The factor stays on the grid only while this call runs,
-    failed solves included.
+    Newton starts from `harmonic_extension(spec)`. Returns a SolveResult
+    whose `u` satisfies sup|grad J| <= tolerance on the free nodes and whose
+    `v` is `discrete_laplacian(u)`: the reflected star stencil at free nodes
+    and 0 in the pinned band (v = 0 on the sphere). Each Newton step is one
+    CG solve preconditioned by the split Laplacian factor; `trace` records
+    every step and `cg_iterations` sums their CG steps. The factor stays on
+    the grid only while this call runs, failed solves included.
     """
     grid = spec.grid()
     if grid.M < 2:
         raise ValueError("solving requires h <= 1/2")
     t0 = time.perf_counter()
     try:
-        w, J, gsup, trace = _newton(spec, _initial_vector(spec, initial))
+        w, J, gsup, trace = _newton(spec, harmonic_extension(spec).values)
     finally:
         grid._lu = None
     u = ScalarField(grid, w, role="u")
@@ -312,8 +301,8 @@ def el_crosscheck(result: SolveResult, spec: ProblemSpec,
 
 
 def _poly_trials(n: int, trials: int, seed: int):
-    """Random polynomial coefficient tables for the weak-form test fields."""
-    rng = np.random.default_rng(seed)
+    """Monomials x^a (y^2)^b of total degree <= 3, as exponent tuples (a..., b),
+    and a (trials, K) table of random coefficients, one row per test field."""
     monos = []
     for total in range(4):
         if n == 1:
@@ -321,7 +310,7 @@ def _poly_trials(n: int, trials: int, seed: int):
         else:
             monos += [(a, b, total - a - b)
                       for a in range(total + 1) for b in range(total + 1 - a)]
-    return [list(zip(monos, rng.standard_normal(len(monos)))) for _ in range(trials)]
+    return monos, np.random.default_rng(seed).standard_normal((trials, len(monos)))
 
 
 def _power_tables(pts: np.ndarray, n: int):
@@ -332,36 +321,45 @@ def _power_tables(pts: np.ndarray, n: int):
     return xs, [y2 ** b for b in range(4)], 1.0 - (pts ** 2).sum(axis=1)
 
 
-def _trial_values(trials, tables) -> np.ndarray:
-    """phi(z) = (1 - |z|^2)^2 * P(x, y^2) per trial, (T, N): flat on the sphere, even in y."""
-    xs, ys, cut = tables
-    out = np.empty((len(trials), cut.size))
-    for t, coeffs in enumerate(trials):
-        P = np.zeros(cut.size)
-        for expo, c in coeffs:
-            term = c * xs[0][expo[0]]
-            for ax in range(1, len(xs)):
-                term *= xs[ax][expo[ax]]
-            term *= ys[expo[-1]]
-            P += term
-        out[t] = cut * cut * P
-    return out
+def _monomial(expo, xs, ys) -> np.ndarray:
+    """x^a (y^2)^b from the power tables, for expo = (a..., b)."""
+    term = ys[expo[-1]]
+    for ax, table in enumerate(xs):
+        term = term * table[expo[ax]]
+    return term
 
 
-def _trial_laplacians(trials, pts: np.ndarray, n: int, delta: float = 1e-4) -> np.ndarray:
-    """Five-point (seven-point for n = 2) Laplacian of every trial field at pts.
+def _basis_values(monos, pts: np.ndarray, n: int) -> np.ndarray:
+    """c^2 m, c = 1 - |z|^2, for every monomial m at pts, (K, N): flat on the
+    sphere, even in y."""
+    xs, ys, cut = _power_tables(pts, n)
+    return np.array([_monomial(expo, xs, ys) for expo in monos]) * (cut * cut)
 
-    The power tables of each shifted point set are built once and shared by
-    all trials, the +- sets one axis at a time.
+
+def _basis_laplacians(monos, pts: np.ndarray, n: int) -> np.ndarray:
+    """Exact Laplacian of c^2 m for every monomial m at pts, (K, N).
+
+    For m = x^a y^(2b) of degree d = |a| + 2b, Euler's identity z . grad m = d m
+    gives  Lap(c^2 m) = c^2 Lap(m) + (8 |z|^2 - (8 d + 4 (n + 1)) c) m.
     """
-    dim = n + 1
-    out = -2.0 * dim * _trial_values(trials, _power_tables(pts, n))
-    for ax in range(dim):
-        e = np.zeros(dim)
-        e[ax] = delta
-        out += (_trial_values(trials, _power_tables(pts + e, n))
-                + _trial_values(trials, _power_tables(pts - e, n)))
-    return out / delta ** 2
+    xs, ys, cut = _power_tables(pts, n)
+    r2 = 1.0 - cut
+    c2 = cut * cut
+    out = np.empty((len(monos), cut.size))
+    for k, expo in enumerate(monos):
+        lap = np.zeros(cut.size)
+        for ax in range(n):
+            a = expo[ax]
+            if a >= 2:
+                lower = list(expo)
+                lower[ax] -= 2
+                lap += a * (a - 1) * _monomial(lower, xs, ys)
+        b = expo[-1]
+        if b >= 1:
+            lap += 2 * b * (2 * b - 1) * _monomial(expo[:-1] + (b - 1,), xs, ys)
+        d = sum(expo[:-1]) + 2 * b
+        out[k] = c2 * lap + (8.0 * r2 - (8 * d + 4 * (n + 1)) * cut) * _monomial(expo, xs, ys)
+    return out
 
 
 def weak_residual(result: SolveResult, spec: ProblemSpec, trials: int = 12,
@@ -373,27 +371,27 @@ def weak_residual(result: SolveResult, spec: ProblemSpec, trials: int = 12,
     sides are evaluated with quadrature independent of the solver's own
     discrete algebra (v and u enter through interpolation), so the defect
     measures consistency, not the solver's optimality; it decays like O(h).
+
+    The test fields are phi = (1 - |z|^2)^2 P(x, y^2) with random cubic P,
+    and their Laplacians are taken in closed form (`_basis_laplacians`), with
+    no finite differences. The solid integrals are reduced in one pass over
+    chunks of `_TRIAL_CHUNK` points, reading v on each chunk only, so no
+    array of trials by solid points and no v over all solid points is held.
     """
     grid = spec.grid()
     quad = sphere_quadrature(grid, np.zeros(grid.n), 1.0, m=m)
-    v_solid = result.v(quad.solid_points)
-    u_thin = result.u(quad.thin_points)
-    Fu = thin_reaction(u_thin, spec)
-    polys = _poly_trials(grid.n, trials, seed)
-    pts = quad.solid_points
-    # the Laplacians are pointwise, so chunking the points only bounds memory
-    laps = np.empty((len(polys), pts.shape[0]))
+    monos, coef = _poly_trials(grid.n, trials, seed)
+    pts, wts = quad.solid_points, quad.solid_weights
+    lhs = np.zeros(trials)
+    norm2 = np.zeros(trials)
     for lo in range(0, pts.shape[0], _TRIAL_CHUNK):
-        laps[:, lo:lo + _TRIAL_CHUNK] = _trial_laplacians(polys, pts[lo:lo + _TRIAL_CHUNK],
-                                                          grid.n)
-    phis = _trial_values(polys, _power_tables(quad.thin_points, grid.n))
-    worst = 0.0
-    for lap, phi in zip(laps, phis):
-        lhs = float(quad.solid_weights @ (v_solid * lap))
-        rhs = float(quad.thin_weights @ (Fu * phi))
-        norm = float(np.sqrt(quad.solid_weights @ lap ** 2
-                             + quad.thin_weights @ phi ** 2))
-        if norm == 0.0:
-            continue
-        worst = max(worst, abs(lhs - rhs) / norm)
-    return worst
+        chunk = pts[lo:lo + _TRIAL_CHUNK]
+        w = wts[lo:lo + _TRIAL_CHUNK]
+        lap = coef @ _basis_laplacians(monos, chunk, grid.n)
+        lhs += lap @ (w * result.v(chunk))
+        norm2 += (lap * lap) @ w
+    phi = coef @ _basis_values(monos, quad.thin_points, grid.n)
+    Fu = thin_reaction(result.u(quad.thin_points), spec)
+    rhs = phi @ (quad.thin_weights * Fu)
+    norm = np.sqrt(norm2 + (phi * phi) @ quad.thin_weights)
+    return float((np.abs(lhs - rhs) / norm).max(initial=0.0))

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,12 @@ import scipy.sparse.linalg as spla
 import bilaplab
 from bilaplab import ProblemSpec, minimize, harmonic_extension, solver
 from bilaplab.oracle import brute_minimize
-from bilaplab.grid import sphere_quadrature
+from bilaplab.grid import build_grid, sphere_quadrature
 from bilaplab.problem import (ScalarField, energy, energy_array, energy_gradient, operators,
                               thin_reaction)
 from bilaplab.solver import (_TRIAL_CHUNK, ConvergenceError, LinearSolveError, SolveResult,
-                             _poly_trials, _split_preconditioner, el_crosscheck, weak_residual)
+                             _basis_laplacians, _poly_trials, _split_preconditioner,
+                             el_crosscheck, weak_residual)
 
 ASYM = dict(p=2.0, lambda_plus=2.0, lambda_minus=0.5, g="harmonic:coeffs=1;0.2")
 
@@ -93,27 +95,54 @@ def test_stationarity_residuals_shrink_under_refinement():
     assert wr2 < 0.5 * wr1
 
 
-def _reference_weak_residual(result, spec, trials=12, seed=0, m=512):
-    """The weak residual with each trial field evaluated on its own, monomial
-    by monomial, at every shifted copy of the solid points."""
+def _monomial(pts, expo, d=None):
+    """x^a y^(2b) for expo = (a..., b), or its derivative along axis d."""
+    powers = list(expo[:-1]) + [2 * expo[-1]]
+    out = np.ones(pts.shape[0])
+    for ax, k in enumerate(powers):
+        if ax == d:
+            out = out * (k * pts[:, ax] ** (k - 1) if k else 0.0)
+        else:
+            out = out * pts[:, ax] ** k
+    return out
+
+
+def _monomial_laplacian(pts, expo):
+    powers = list(expo[:-1]) + [2 * expo[-1]]
+    out = np.zeros(pts.shape[0])
+    for ax, k in enumerate(powers):
+        if k >= 2:
+            lower = list(powers)
+            lower[ax] -= 2
+            out += k * (k - 1) * np.prod(pts ** np.array(lower), axis=1)
+    return out
+
+
+def _reference_weak_residual(result, spec, trials=12, seed=0, m=512, fd_delta=None):
+    """The weak residual with each trial field evaluated on its own at all
+    solid points at once, monomial by monomial. The Laplacian is the product
+    rule Lap(c^2 m) = c^2 Lap(m) + 2 grad(c^2) . grad(m) + m Lap(c^2), c = 1 - |z|^2,
+    or, with `fd_delta`, the centred finite difference of that step size."""
     n = spec.n
 
     def trial(coeffs):
         def phi(pts):
-            x = pts[:, :n]
-            y2 = pts[:, -1] ** 2
-            P = np.zeros(pts.shape[0])
-            for expo, c in coeffs:
-                term = np.full(pts.shape[0], c)
-                for ax in range(n):
-                    term = term * x[:, ax] ** expo[ax]
-                term = term * y2 ** expo[-1]
-                P += term
             cut = 1.0 - (pts ** 2).sum(axis=1)
-            return cut * cut * P
+            return cut * cut * sum(c * _monomial(pts, expo) for expo, c in coeffs)
         return phi
 
-    def fd_laplacian(f, pts, delta=1e-4):
+    def exact_laplacian(coeffs, pts):
+        cut = 1.0 - (pts ** 2).sum(axis=1)
+        lap_c2 = 8.0 * (pts ** 2).sum(axis=1) - 4.0 * (n + 1) * cut
+        out = np.zeros(pts.shape[0])
+        for expo, c in coeffs:
+            grad_dot = sum(-4.0 * cut * pts[:, ax] * _monomial(pts, expo, ax)
+                           for ax in range(n + 1))
+            out += c * (cut * cut * _monomial_laplacian(pts, expo) + 2.0 * grad_dot
+                        + _monomial(pts, expo) * lap_c2)
+        return out
+
+    def fd_laplacian(f, pts, delta):
         dim = pts.shape[1]
         out = -2.0 * dim * f(pts)
         for ax in range(dim):
@@ -125,10 +154,15 @@ def _reference_weak_residual(result, spec, trials=12, seed=0, m=512):
     quad = sphere_quadrature(spec.grid(), np.zeros(n), 1.0, m=m)
     v_solid = result.v(quad.solid_points)
     Fu = thin_reaction(result.u(quad.thin_points), spec)
+    monos, table = _poly_trials(n, trials, seed)
     worst = 0.0
-    for coeffs in _poly_trials(n, trials, seed):
+    for row in table:
+        coeffs = list(zip(monos, row))
         phi = trial(coeffs)
-        lap = fd_laplacian(phi, quad.solid_points)
+        if fd_delta is None:
+            lap = exact_laplacian(coeffs, quad.solid_points)
+        else:
+            lap = fd_laplacian(phi, quad.solid_points, fd_delta)
         lhs = float(quad.solid_weights @ (v_solid * lap))
         rhs = float(quad.thin_weights @ (Fu * phi(quad.thin_points)))
         norm = float(np.sqrt(quad.solid_weights @ lap ** 2
@@ -139,12 +173,43 @@ def _reference_weak_residual(result, spec, trials=12, seed=0, m=512):
 
 @pytest.mark.parametrize("n,h,m", [(1, 1.0 / 16, 512), (2, 1.0 / 8, 96)])
 def test_weak_residual_matches_the_per_trial_evaluation_exactly(n, h, m):
-    # shared monomial tables and point chunks change no bit of the value
+    # the chunked pass over shared monomial tables agrees with the field-by-field
+    # product-rule Laplacian to rounding, and with the old finite-difference
+    # Laplacian to its truncation error
     spec = ProblemSpec(n=n, h=h, **ASYM)
     result = minimize(spec)
     assert sphere_quadrature(spec.grid(), np.zeros(n), 1.0, m=m).solid_points.shape[0] > _TRIAL_CHUNK
-    assert weak_residual(result, spec, seed=7, m=m) == \
-        _reference_weak_residual(result, spec, seed=7, m=m)
+    value = weak_residual(result, spec, seed=7, m=m)
+    assert value == pytest.approx(_reference_weak_residual(result, spec, seed=7, m=m),
+                                  rel=1e-12, abs=0.0)
+    assert value == pytest.approx(
+        _reference_weak_residual(result, spec, seed=7, m=m, fd_delta=1e-4), rel=1e-5, abs=0.0)
+
+
+@pytest.mark.parametrize("n,m", [(1, 512), (2, 96)])
+def test_trial_laplacians_satisfy_greens_identity(n, m):
+    # phi is flat on the sphere and even in y, so int_{B1+} Lap(phi) = 0, and
+    # the quadrature is exact on these polynomials
+    quad = sphere_quadrature(build_grid(n, 0.125), np.zeros(n), 1.0, m=m)
+    monos, coef = _poly_trials(n, 12, 0)
+    laps = coef @ _basis_laplacians(monos, quad.solid_points, n)
+    norms = np.sqrt((laps * laps) @ quad.solid_weights)
+    assert np.all(np.abs(laps @ quad.solid_weights) <= 1e-12 * norms)
+
+
+def test_weak_residual_holds_no_trial_by_point_array():
+    # n = 2 at m = 256 has N = 524 288 solid points; 12 trials by N doubles
+    # alone would be 48 MiB
+    spec = ProblemSpec(n=2, h=0.125, **ASYM)
+    result = minimize(spec)
+    N = sphere_quadrature(spec.grid(), np.zeros(2), 1.0, m=256).solid_points.shape[0]
+    tracemalloc.start()
+    try:
+        weak_residual(result, spec, m=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * N * 8
 
 
 def _assert_local_minimum(spec, result, seed=11, step=1e-6):
