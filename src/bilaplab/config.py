@@ -221,9 +221,17 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, digest: str, header: list[str], rows) -> None:
+    """Write rows under the config digest and a header line.
+
+    A float ndarray is formatted in bulk: repr of a Python float is exactly
+    what `_fmt` writes for it, nan and -0.0 included. Other rows go through
+    `_fmt` value by value.
+    """
     lines = [f"# config {digest}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    if isinstance(rows, np.ndarray):
+        lines += [",".join(map(repr, row)) for row in rows.tolist()]
+    else:
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -253,7 +261,8 @@ def run(config: RunConfig) -> Path:
         "node_count": grid.node_count,
         "h": spec.h,
     }
-    rows = zip(grid.nodes[:, 0], grid.nodes[:, -1], result.u.values, result.v.values)
+    rows = np.column_stack((grid.nodes[:, 0], grid.nodes[:, -1], result.u.values,
+                            result.v.values))
     _write_csv(out / "fields.csv", digest, ["x", "y", "u", "v"], rows)
 
     el = el_crosscheck(result, spec)

@@ -66,6 +66,13 @@ def extract_gamma(u: ScalarField, spec: ProblemSpec, zero_tol: float | None = No
     zero nodes contributes its endpoints: an endpoint adjacent to a nonzero
     node is a boundary point of that node's sign set; runs touching the
     corners contribute nothing there (the free boundary is open in the face).
+
+    By default a node counts as zero when |u| <= eps h^-4 max(1, sup|u|) on
+    the face, with eps the double-precision unit roundoff. That is the
+    rounding floor of the solve: the lattice bi-Laplacian has condition
+    number O(h^-4), and a trace value that is 0 in exact arithmetic (u(0)
+    of an odd problem) comes out at about 1e-12 at h = 1/32 and 1e-10 at
+    h = 1/128, whatever the CG tolerance.
     """
     g = u.grid
     if g.n != 1:
@@ -74,7 +81,7 @@ def extract_gamma(u: ScalarField, spec: ProblemSpec, zero_tol: float | None = No
     x = g.nodes[ids, 0]
     t = u.values[ids]
     if zero_tol is None:
-        zero_tol = 1e-12 * max(1.0, float(np.abs(t).max()))
+        zero_tol = np.finfo(float).eps / g.h ** 4 * max(1.0, float(np.abs(t).max()))
     sign = np.where(t > zero_tol, 1, np.where(t < -zero_tol, -1, 0))
 
     points: dict[float, FreeBoundaryPoint] = {}

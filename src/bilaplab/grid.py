@@ -193,8 +193,12 @@ class HalfBallGrid:
             raise ValueError(f"points must have {self.n + 1} coordinates")
         if extended:
             pts = self.mirror_points(pts)
-        rad = np.sqrt((pts ** 2).sum(axis=-1))
-        if (pts[:, -1] < -_TOL).any() or (rad > 1.0 + _TOL).any():
+        # squared radius column by column: the same bits as (pts ** 2).sum(-1)
+        # for d <= 3, without the (N, d) temporary and strided reduction
+        sq = pts[:, 0] * pts[:, 0]
+        for ax in range(1, self.n + 1):
+            sq += pts[:, ax] * pts[:, ax]
+        if (pts[:, -1] < -_TOL).any() or (np.sqrt(sq) > 1.0 + _TOL).any():
             raise OutOfDomainError("evaluation point outside the closed upper half-ball")
 
         stacked = box.ndim == self.n + 2

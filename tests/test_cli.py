@@ -126,6 +126,17 @@ def test_each_free_boundary_point_is_profiled_once(tmp_path, monkeypatch):
         assert row["monneau_constant"] == minimal_monneau_constant(radii, M)
 
 
+def test_bulk_float_rows_write_the_same_bytes_as_per_value_formatting(tmp_path):
+    special = [np.nan, -0.0, 0.0, np.inf, -np.inf, 5e-324, 1e-300, 0.1, 1.0 / 3, -2.5e17]
+    rng = np.random.default_rng(6)
+    table = np.column_stack([special, *rng.standard_normal((3, len(special)))])
+    table = np.vstack([table, rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-20, 20, (50, 4))])
+    header = ["x", "y", "u", "v"]
+    bilaplab.config._write_csv(tmp_path / "bulk.csv", "abc", header, table)
+    bilaplab.config._write_csv(tmp_path / "rows.csv", "abc", header, zip(*table.T))
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 def test_output_root_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("BILAPLAB_OUTPUT_ROOT", str(tmp_path))
     assert output_root() == tmp_path

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bilaplab import ProblemSpec, ScalarField, build_grid
+from bilaplab import ProblemSpec, ScalarField, build_grid, minimize
 from bilaplab.diagnostics import compute_profile
 from bilaplab.freeboundary import (
     FreeBoundaryPoint,
@@ -59,6 +59,24 @@ def test_extract_gamma_sign_definite_trace_has_no_points():
     g = build_grid(1, 1.0 / 16.0)
     u = ScalarField(g, np.ones(g.node_count))
     assert extract_gamma(u, SPEC) == []
+
+
+ODD_CASES = {
+    "sym-p2": dict(p=2.0, g="harmonic:deg=1"),
+    "sym-p3": dict(p=3.0, g="harmonic:deg=1"),
+    "trig-sin3": dict(p=2.0, g="trig:freq=3,kind=sin"),
+}
+
+
+@pytest.mark.parametrize("h", [1.0 / 16, 1.0 / 32, 1.0 / 64])
+@pytest.mark.parametrize("tag", sorted(ODD_CASES))
+def test_odd_problem_has_a_free_boundary_point_at_zero(tag, h):
+    # u(0) of an odd problem is 0 up to the rounding of the solve, which
+    # grows as h shrinks; the zero test must absorb it
+    spec = ProblemSpec(n=1, h=h, lambda_plus=1.0, lambda_minus=1.0, **ODD_CASES[tag])
+    pts = np.array([pt.x for pt in extract_gamma(minimize(spec).u, spec)])
+    assert np.any(pts == 0.0), pts
+    assert np.allclose(np.sort(pts), np.sort(-pts), rtol=0.0, atol=1e-12), pts
 
 
 def test_classify_transversal_crossing_as_regular():

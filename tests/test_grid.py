@@ -5,6 +5,7 @@ import pytest
 
 from bilaplab.grid import (
     _INTERP_CHUNK,
+    _TOL,
     CORNER,
     INTERIOR,
     OUTER,
@@ -113,6 +114,34 @@ def test_out_of_domain_query_rejected():
     f = ScalarField(g, np.zeros(g.node_count))
     with pytest.raises(OutOfDomainError):
         interp(f, [[1.2, 0.0]])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_domain_boundary_is_the_rounded_radius_at_one_plus_tol(n):
+    # points within a few ulp of |z| = 1 + _TOL: each is accepted exactly when
+    # sqrt((z ** 2).sum()) <= 1 + _TOL, the rule the domain check must keep
+    g = build_grid(n, 0.25)
+    box = np.zeros(g.box_shape)  # defined on every cell, so only the domain check rejects
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal((40, n + 1))
+    z[:, -1] = np.abs(z[:, -1])
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    edge = 1.0 + _TOL
+    radii = [edge]
+    for _ in range(4):
+        radii = [np.nextafter(radii[0], 0.0), *radii, np.nextafter(radii[-1], 2.0)]
+    verdicts = set()
+    for r in radii:
+        for pt in z * r:
+            inside = bool(np.sqrt((pt ** 2).sum()) <= edge)
+            verdicts.add(inside)
+            try:
+                g.interp_box(box, pt[None, :])
+                accepted = True
+            except OutOfDomainError:
+                accepted = False
+            assert accepted == inside, (pt, r)
+    assert verdicts == {True, False}
 
 
 def _reference_interp(g, box, pts):
