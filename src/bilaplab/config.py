@@ -9,7 +9,7 @@ writes four artifacts into the run directory:
                             frequency/classification/dimension, fitted
                             monotonicity constants)
     fields.csv              x, y, u, v at every grid node
-    profile_<center>.csv    r, H, D, D0, B, N, N0, phi, W, M
+    profile_<center>.csv    r, H, D, D0, B, N, N0, phi, W, M (W, M empty)
     gamma.csv               x, side, class, mu_hat, mu_int, d, fit_residual
 
 Every file carries a header row and a comment line with the effective config
@@ -54,7 +54,7 @@ class RunConfig:
     """Validated run description: problem fields plus orchestration knobs."""
 
     spec: ProblemSpec
-    centers: list[float] | None = None  # None = auto (free-boundary points, else 0)
+    centers: list[float] | None = None  # None = auto (free-boundary points, else the origin)
     radii: list[float] | None = None    # None = auto ladder
     output: str | None = None           # None = runs/<hash> under the output root
     seed: int = 0
@@ -121,7 +121,7 @@ def parse_config(text: str) -> RunConfig:
     centers follow the extracted free boundary (origin fallback), radii
     follow the geometric ladder of default_radii. Each violated constraint
     raises ConfigError naming the key: unknown keys, p <= 1, lambda <= 0,
-    h whose reciprocal is not an integer, centers outside the thin face.
+    h whose reciprocal is not an integer, centers outside the thin face or at n = 2.
     """
     raw: dict[str, str] = {}
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -171,6 +171,8 @@ def parse_config(text: str) -> RunConfig:
 
     centers = None
     if "centers" in raw and raw["centers"] != "auto":
+        if n == 2:
+            raise ConfigError("key 'centers': n = 2 profiles the origin of the face only")
         centers = []
         for part in raw["centers"].split(";"):
             c = _float("centers", part)
@@ -288,10 +290,11 @@ def run(config: RunConfig) -> Path:
         # an analyzed free-boundary point carries its profile on the default radii
         known = {} if config.radii else {pt.x: pt.profile for pt in points}
         for c in centers:
+            thin_c = [c] + [0.0] * (spec.n - 1)  # x at n = 1; the face origin at n = 2
             prof = known.get(c)
             if prof is None:
-                radii = np.asarray(config.radii) if config.radii else default_radii(grid, [c])
-                prof = compute_profile(result.u, result.v, [c], radii, spec, m=config.m)
+                radii = np.asarray(config.radii) if config.radii else default_radii(grid, thin_c)
+                prof = compute_profile(result.u, result.v, thin_c, radii, spec, m=config.m)
             almgren_c = minimal_almgren_constant(prof.radii, prof.N)
             entry = {
                 "center": c,
@@ -304,10 +307,9 @@ def run(config: RunConfig) -> Path:
             except ValueError as exc:
                 entry["mu_error"] = str(exc)
             summary["profiles"][_center_tag(c)] = entry
+            blank = [None] * prof.radii.size
             rows = zip(prof.radii, prof.H, prof.D, prof.D0, prof.B, prof.N,
-                       prof.N0, prof.phi,
-                       prof.W if prof.W is not None else [None] * prof.radii.size,
-                       [None] * prof.radii.size)  # M needs a blow-up fit: see the points
+                       prof.N0, prof.phi, blank, blank)
             _write_csv(out / f"profile_{_center_tag(c)}.csv", digest,
                        ["r", "H", "D", "D0", "B", "N", "N0", "phi", "W", "M"], rows)
 
@@ -317,7 +319,7 @@ def run(config: RunConfig) -> Path:
         for pt in points:
             mon_c = None
             if pt.mu_int is not None and pt.mu_int >= 1 and pt.p_mu is not None:
-                M = monneau_curve(result.u, result.v, pt.profile, spec, float(pt.mu_int),
+                M = monneau_curve(result.u, result.v, pt.profile, float(pt.mu_int),
                                   pt.p_mu, pt.q_mu)
                 mon_c = minimal_monneau_constant(pt.profile.radii, M)
             gamma_rows.append([pt.x, pt.side, pt.classification, pt.mu_hat,

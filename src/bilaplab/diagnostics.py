@@ -10,18 +10,18 @@ face through quadrature over half-spheres, half-balls, and thin balls:
     N0     r D0 / H        (frequency of the pair)
     N      r D / H         (perturbed frequency)
     phi    H / r^n
-    W_mu   (H / r^(n+2mu)) (N0 - mu)
     M_mu   (1 / r^(n+2mu)) surface integral of (u-p)^2 + (v-q)^2
 
 Fields may be ScalarFields (interpolated, gradients by central differences
 with even reflection at the face) or plain callables on points (evaluated
 exactly, gradients by small-step central differences on the even
-extension). Analytic checks want callables; solver output wants fields.
+extension), sized by the instrument's `grid=`; Laplacians of callables come
+from an AnalyticField. Analytic checks want callables; solver output fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +63,7 @@ class FieldProbe:
     symmetry rather than by approximation.
     """
 
-    def __init__(self, w, grid: HalfBallGrid | None = None, fd_step: float = 1e-5):
+    def __init__(self, w, grid: HalfBallGrid | None = None):
         self._analytic = w if isinstance(w, AnalyticField) else None
         if isinstance(w, ScalarField):
             self.grid = w.grid
@@ -76,7 +76,6 @@ class FieldProbe:
             self.grid = grid
             self.kind = "callable"
             self._fn = w
-            self.fd_step = float(fd_step)
         else:
             raise TypeError("field must be a ScalarField or a callable on points")
 
@@ -140,7 +139,7 @@ class FieldProbe:
             for ax, b in enumerate(boxes):
                 out[:, ax] = self.grid.interp_box(b, pts, extended=True)
             return out
-        d = self.fd_step
+        d = 1e-5
         out = np.empty_like(pts)
         for ax in range(pts.shape[1]):
             e = np.zeros(pts.shape[1])
@@ -149,32 +148,20 @@ class FieldProbe:
         return out
 
     def laplacian(self, pts: np.ndarray) -> np.ndarray:
-        """Laplacian probe: exact-step differences for callables, the lattice
-        Laplacian interpolated for grid fields (best away from the rim)."""
+        """Laplacian probe: the supplied closed form for an AnalyticField, the
+        lattice Laplacian interpolated for grid fields (best away from the rim)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        if self._analytic is not None and self._analytic.laplacian is not None:
-            q = pts.copy()
-            q[:, -1] = np.abs(q[:, -1])
-            return np.asarray(self._analytic.laplacian(q), dtype=np.float64)
-        if self.kind == "callable":
-            d = max(self.fd_step, 1e-4)
-            dim = pts.shape[1]
-            acc = -2.0 * dim * self.values(pts)
-            for ax in range(dim):
-                e = np.zeros(dim)
-                e[ax] = d
-                acc += self.values(pts + e) + self.values(pts - e)
-            return acc / d ** 2
-        lap = discrete_laplacian(self._field)
-        return lap(pts, extended=True)
+        if self.kind == "grid":
+            return discrete_laplacian(self._field)(pts, extended=True)
+        if self._analytic is None or self._analytic.laplacian is None:
+            raise TypeError("a callable field needs an AnalyticField with a laplacian")
+        q = pts.copy()
+        q[:, -1] = np.abs(q[:, -1])
+        return np.asarray(self._analytic.laplacian(q), dtype=np.float64)
 
 
-def _as_probe(w, grid, spec: ProblemSpec | None = None) -> FieldProbe:
-    if isinstance(w, FieldProbe):
-        return w
-    if grid is None and spec is not None:
-        grid = spec.grid()
-    return FieldProbe(w, grid=grid)
+def _as_probe(w, grid: HalfBallGrid | None = None) -> FieldProbe:
+    return w if isinstance(w, FieldProbe) else FieldProbe(w, grid=grid)
 
 
 class _PairSampler:
@@ -219,7 +206,7 @@ class RadialProfile:
 
     Arrays are indexed like `radii` (ascending). Rows where H is below
     DEGENERATE_FACTOR times the squared sup of the pair are flagged in
-    `degenerate` and carry NaN in the H-normalized columns (N0, N, W).
+    `degenerate` and carry NaN in the H-normalized columns (N0, N).
     `m` is the quadrature sample count the profile was computed with.
     """
 
@@ -232,23 +219,17 @@ class RadialProfile:
     N0: np.ndarray
     N: np.ndarray
     phi: np.ndarray
+    degenerate: np.ndarray
     m: int = 512
-    mu: float | None = None
-    W: np.ndarray | None = None
-    degenerate: np.ndarray = dc_field(default=None)
-
-    @property
-    def degenerate_radii(self) -> np.ndarray:
-        return self.radii[self.degenerate]
 
 
-def default_radii(grid: HalfBallGrid, center, shrink: float = 0.9) -> np.ndarray:
+def default_radii(grid: HalfBallGrid, center) -> np.ndarray:
     """Geometric radius ladder r_k = r_max 2^(-k/4) down to 4h, ascending.
 
-    r_max is `shrink` times the distance from the center to the sphere.
+    r_max is 0.9 times the distance from the center to the sphere.
     """
     c = _as_thin_center(grid.n, center)
-    r_max = shrink * (1.0 - float(np.linalg.norm(c)))
+    r_max = 0.9 * (1.0 - float(np.linalg.norm(c)))
     r_min = 4.0 * grid.h
     if r_max < r_min - _TOL:
         raise ValueError(f"no admissible radii: 0.9 dist = {r_max:.4g} < 4h = {r_min:.4g}")
@@ -260,15 +241,15 @@ def default_radii(grid: HalfBallGrid, center, shrink: float = 0.9) -> np.ndarray
     return np.array(out[::-1])
 
 
-def compute_profile(u, v, center, radii, spec: ProblemSpec, mu: float | None = None,
-                    m: int = 512, grid: HalfBallGrid | None = None) -> RadialProfile:
+def compute_profile(u, v, center, radii, spec: ProblemSpec, m: int = 512,
+                    grid: HalfBallGrid | None = None) -> RadialProfile:
     """Fill every radial functional but M_mu by quadrature. See module docstring.
 
-    u and v may be ScalarFields or callables; W is filled when mu is given.
+    u and v may be ScalarFields or callables; `spec` supplies the reaction F.
     M_mu needs a blow-up fit and comes from `monneau_curve` on the profile.
     """
-    pu = _as_probe(u, grid, spec)
-    pv = _as_probe(v, grid, spec)
+    pu = _as_probe(u, grid)
+    pv = _as_probe(v, grid)
     g = pu.grid
     c = _as_thin_center(g.n, center)
     radii = np.sort(np.asarray(radii, dtype=np.float64))
@@ -301,16 +282,11 @@ def compute_profile(u, v, center, radii, spec: ProblemSpec, mu: float | None = N
     N = radii * Dv / safeH
     phi = H / radii ** g.n
 
-    W = None
-    if mu is not None:
-        W = (safeH / radii ** (g.n + 2 * mu)) * (N0 - mu)
-
     return RadialProfile(center=c, radii=radii, H=H, D0=D0, D=Dv, B=Bv,
-                         N0=N0, N=N, phi=phi, m=m, mu=mu, W=W,
-                         degenerate=degenerate)
+                         N0=N0, N=N, phi=phi, degenerate=degenerate, m=m)
 
 
-def monneau_curve(u, v, profile: RadialProfile, spec: ProblemSpec, mu: float, p_mu, q_mu,
+def monneau_curve(u, v, profile: RadialProfile, mu: float, p_mu, q_mu,
                   grid: HalfBallGrid | None = None) -> np.ndarray:
     """M_mu of the pair on a profile's radii, center and sample count.
 
@@ -318,8 +294,8 @@ def monneau_curve(u, v, profile: RadialProfile, spec: ProblemSpec, mu: float, p_
     HomogeneousHarmonicPoly instances. Only half-sphere values are read;
     rows the profile flags degenerate are NaN.
     """
-    pu = _as_probe(u, grid, spec)
-    pv = _as_probe(v, grid, spec)
+    pu = _as_probe(u, grid)
+    pv = _as_probe(v, grid)
     g = pu.grid
     sampler = _PairSampler(pu, pv, gradients=False)
     M = np.zeros(profile.radii.size)
@@ -338,8 +314,7 @@ def monneau_curve(u, v, profile: RadialProfile, spec: ProblemSpec, mu: float, p_
 
 
 def rellich_residual(w, center, r: float, m: int = 512,
-                     grid: HalfBallGrid | None = None,
-                     spec: ProblemSpec | None = None) -> float:
+                     grid: HalfBallGrid | None = None) -> float:
     """|LHS - RHS| of the half-ball Rellich identity, coordinates centered.
 
         r int_surf (|grad w|^2 - 2 w_r^2)
@@ -350,9 +325,9 @@ def rellich_residual(w, center, r: float, m: int = 512,
     The solid terms dot the full ambient position against the full ambient
     gradient; the thin term uses only the tangential coordinates and the
     vertical derivative (which vanishes for even fields, but the identity
-    holds regardless).
+    holds regardless). A callable w must be an AnalyticField with a Laplacian.
     """
-    p = _as_probe(w, grid, spec)
+    p = _as_probe(w, grid)
     g = p.grid
     c = _as_thin_center(g.n, center)
     quad = sphere_quadrature(g, c, float(r), m=m)
@@ -376,10 +351,10 @@ def rellich_residual(w, center, r: float, m: int = 512,
     return float(abs(lhs - rhs))
 
 
-def poincare_check(w, r: float, m: int = 512, grid: HalfBallGrid | None = None,
-                   spec: ProblemSpec | None = None) -> tuple[float, float]:
+def poincare_check(w, r: float, m: int = 512,
+                   grid: HalfBallGrid | None = None) -> tuple[float, float]:
     """Both sides of (n/r^2) int w^2 <= (1/r) int_surf w^2 + int |grad w|^2."""
-    p = _as_probe(w, grid, spec)
+    p = _as_probe(w, grid)
     g = p.grid
     quad = sphere_quadrature(g, np.zeros(g.n), float(r), m=m)
     wb = p.values(quad.solid_points)
@@ -391,15 +366,15 @@ def poincare_check(w, r: float, m: int = 512, grid: HalfBallGrid | None = None,
     return lhs, rhs
 
 
-def trace_check(w, r: float, m: int = 512, grid: HalfBallGrid | None = None,
-                spec: ProblemSpec | None = None) -> tuple[float, float]:
+def trace_check(w, r: float, m: int = 512,
+                grid: HalfBallGrid | None = None) -> tuple[float, float]:
     """Thin-ball mass of w^2 and the trace-inequality bracket (no constant).
 
     Returns (int_thin w^2, r int_solid |grad w|^2 + int_surf w^2); a uniform
     constant C with lhs <= C * bracket across a corpus certifies the trace
     inequality numerically.
     """
-    p = _as_probe(w, grid, spec)
+    p = _as_probe(w, grid)
     g = p.grid
     quad = sphere_quadrature(g, np.zeros(g.n), float(r), m=m)
     wt = p.values(quad.thin_points)
@@ -438,23 +413,23 @@ def estimate_mu(profile: RadialProfile) -> tuple[float, int | None]:
     return mu_hat, mu_int
 
 
-def sphere_sup(w, center, r: float, m: int = 512, grid=None,
-               spec: ProblemSpec | None = None) -> float:
+def sphere_sup(w, center, r: float, m: int = 512,
+               grid: HalfBallGrid | None = None) -> float:
     """sup |w| over the upper half-sphere of radius r, by dense sampling."""
-    p = _as_probe(w, grid, spec)
+    p = _as_probe(w, grid)
     c = ball_center(p.grid, center, float(r), m)
     direc, _ = half_sphere(p.grid.n, m)
     return float(np.abs(p.values(c + float(r) * direc)).max())
 
 
-def growth_fit(w, center, radii, m: int = 512, grid=None,
-               spec: ProblemSpec | None = None) -> float:
+def growth_fit(w, center, radii, m: int = 512,
+               grid: HalfBallGrid | None = None) -> float:
     """Least-squares slope of log sup |w| on half-spheres against log r.
 
     Returns NaN when the field vanishes on every sampled sphere (degenerate);
     radii where the sup is exactly zero are dropped from the fit.
     """
-    p = _as_probe(w, grid, spec)
+    p = _as_probe(w, grid)
     radii = np.sort(np.asarray(radii, dtype=np.float64))
     sups = np.array([sphere_sup(p, center, r, m=m) for r in radii])
     keep = sups > 0
@@ -475,7 +450,8 @@ def mean_value_defects(w: ScalarField, rho: float, m: int = 64,
     Centres are the interior nodes whose whole ball B_rho(z) lies inside the
     unit ball; returns (centres, defects) with centres of shape (N, n+1).
     The average is over the full sphere around z inside the even extension
-    (queries below the face are mirrored), vectorised over all centres.
+    (queries below the face are mirrored), vectorised over all centres, on
+    the `half_sphere(n, m // 2)` directions and their mirror images.
 
     A field subharmonic in the open half-ball has nonpositive defect only on
     balls that miss the face, up to interpolation error O(h^2). Balls that
@@ -493,31 +469,14 @@ def mean_value_defects(w: ScalarField, rho: float, m: int = 64,
     vals = w.values[ids[ok]]
     if pts.shape[0] == 0:
         return pts, vals
-    if g.n == 1:
-        theta = (np.arange(m) + 0.5) * (2.0 * np.pi / m)
-        direc = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        wgt = np.full(m, 1.0 / m)
-    else:
-        mt = max(8, m // 4)
-        t, wt = np.polynomial.legendre.leggauss(mt)
-        phi = (np.arange(m) + 0.5) * (2.0 * np.pi / m)
-        sinp = np.sqrt(1.0 - t ** 2)
-        direc = np.stack([
-            (sinp[:, None] * np.cos(phi)[None, :]).ravel(),
-            (sinp[:, None] * np.sin(phi)[None, :]).ravel(),
-            np.broadcast_to(t[:, None], (mt, m)).ravel(),
-        ], axis=-1)
-        wgt = (np.broadcast_to(wt[:, None], (mt, m)).ravel()) / (2.0 * m)
+    upper, w_half = half_sphere(g.n, m // 2)
+    lower = upper * np.append(np.ones(g.n), -1.0)
+    direc = np.concatenate([upper, lower])
+    wgt = np.concatenate([w_half, w_half]) / (2.0 * w_half.sum())
     samples = pts[:, None, :] + rho * direc[None, :, :]
     flat = samples.reshape(-1, g.n + 1)
     svals = w(flat, extended=True).reshape(pts.shape[0], -1)
     return pts, vals - svals @ wgt
-
-
-def mean_value_violation(w: ScalarField, rho: float, m: int = 64) -> float:
-    """Max over centres of `mean_value_defects` (0 when no centre fits)."""
-    _, defects = mean_value_defects(w, rho, m=m)
-    return float(defects.max()) if defects.size else 0.0
 
 
 def face_mean_value_term(u, spec: ProblemSpec, centres, rho: float) -> np.ndarray:
@@ -535,7 +494,7 @@ def face_mean_value_term(u, spec: ProblemSpec, centres, rho: float) -> np.ndarra
     FACE_GAUSS_POINTS Gauss points on each half; u is read along the face
     through its interpolant.
     """
-    p = _as_probe(u, None, spec)
+    p = _as_probe(u)
     if p.grid.n != 1:
         raise ValueError("the face mean-value term is implemented for n=1 only")
     z = np.atleast_2d(np.asarray(centres, dtype=np.float64))
@@ -558,13 +517,12 @@ def face_mean_value_term(u, spec: ProblemSpec, centres, rho: float) -> np.ndarra
 # monotonicity-constant fitting
 
 
-def minimal_almgren_constant(radii, N, slack: float = 1e-3, c_max: float = 50.0,
-                             c_steps: int = 5001) -> float:
-    """Least C in [0, c_max] making e^(Cr) (N(r)+1) nondecreasing with slack.
+def minimal_almgren_constant(radii, N) -> float:
+    """Least C in [0, 50] making e^(Cr) (N(r)+1) nondecreasing with slack 1e-3.
 
     Nondecreasing with per-step slack means every adjacent pair (ascending r)
-    satisfies value(r_next) >= value(r_prev) - slack. Returns NaN when even
-    c_max fails. Scanned on a uniform C grid (resolution c_max/(c_steps-1)).
+    satisfies value(r_next) >= value(r_prev) - 1e-3. Returns NaN when even
+    C = 50 fails. Scanned on a uniform C grid of step 0.01.
     """
     r = np.asarray(radii, dtype=np.float64)
     f = np.asarray(N, dtype=np.float64) + 1.0
@@ -574,19 +532,19 @@ def minimal_almgren_constant(radii, N, slack: float = 1e-3, c_max: float = 50.0,
     r, f = r[keep], f[keep]
     if r.size < 2:
         return 0.0
-    C = np.linspace(0.0, c_max, c_steps)
+    C = np.linspace(0.0, 50.0, 5001)
     vals = np.exp(C[:, None] * r[None, :]) * f[None, :]
-    ok = (np.diff(vals, axis=1) >= -slack).all(axis=1)
+    ok = (np.diff(vals, axis=1) >= -1e-3).all(axis=1)
     if not ok.any():
         return float("nan")
     return float(C[np.argmax(ok)])
 
 
-def minimal_monneau_constant(radii, M, slack: float = 1e-3, c_max: float = 50.0) -> float:
-    """Least C in [0, c_max] making M(r) + C r nondecreasing with slack.
+def minimal_monneau_constant(radii, M) -> float:
+    """Least C in [0, 50] making M(r) + C r nondecreasing with slack 1e-3.
 
-    Closed form: each adjacent pair needs C >= (drop - slack) / dr; the
-    answer is the max over pairs, clamped at 0; NaN when it exceeds c_max.
+    Closed form: each adjacent pair needs C >= (drop - 1e-3) / dr; the
+    answer is the max over pairs, clamped at 0; NaN when it exceeds 50.
     """
     r = np.asarray(radii, dtype=np.float64)
     f = np.asarray(M, dtype=np.float64)
@@ -596,6 +554,6 @@ def minimal_monneau_constant(radii, M, slack: float = 1e-3, c_max: float = 50.0)
     r, f = r[keep], f[keep]
     if r.size < 2:
         return 0.0
-    need = (-(np.diff(f)) - slack) / np.diff(r)
+    need = (-(np.diff(f)) - 1e-3) / np.diff(r)
     c = max(0.0, float(need.max()))
-    return c if c <= c_max else float("nan")
+    return c if c <= 50.0 else float("nan")

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+STRIP_SAMPLES = 256  # x samples of the strip on [0, 2pi)
+
 
 @dataclass
 class FourierTrace:
@@ -32,25 +34,9 @@ class FourierTrace:
         if not np.isfinite(self.coeffs).all():
             raise ValueError("coefficients must be finite")
 
-    @property
-    def max_mode(self) -> int:
-        return self.coeffs.size - 1
-
-    def active_modes(self, tol: float = 0.0) -> np.ndarray:
+    def active_modes(self) -> np.ndarray:
         k = np.arange(self.coeffs.size)
-        return k[(np.abs(self.coeffs) > tol) & (k > 0)]
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        k = np.arange(self.coeffs.size)
-        return np.cos(np.multiply.outer(x, k)) @ self.coeffs
-
-
-def spectral_frac32(trace: FourierTrace) -> FourierTrace:
-    """Three-halves power of the (negative) Laplacian as a Fourier multiplier:
-    each cosine coefficient is multiplied by |k|^3 (the constant mode dies)."""
-    k = np.arange(trace.coeffs.size, dtype=np.float64)
-    return FourierTrace(trace.coeffs * k ** 3)
+        return k[(self.coeffs != 0.0) & (k > 0)]
 
 
 @dataclass
@@ -123,47 +109,38 @@ def _mode_profile(k: int, a_k: float, y: np.ndarray) -> np.ndarray:
     return f
 
 
-def strip_extension(trace: FourierTrace, Y: float = 12.0, resolution: int = 256,
-                    ) -> StripField:
+def strip_extension(trace: FourierTrace, Y: float = 12.0) -> StripField:
     """Assemble the clamped biharmonic extension of a cosine trace.
 
-    `resolution` is the number of x samples on [0, 2pi); the vertical step
-    uses the same spacing. Every active mode k must keep at least 8 samples
-    per wavelength (resolution / k >= 8), else the mode is under-resolved.
+    STRIP_SAMPLES x samples cover [0, 2pi); the vertical step uses the same
+    spacing. Every active mode k must keep at least 8 samples per wavelength
+    (STRIP_SAMPLES / k >= 8), else the mode is under-resolved.
     """
     if Y < 8.0:
         raise ValueError(f"strip height Y={Y} too small: need Y >= 8 for decay")
     active = trace.active_modes()
     for k in active:
-        if resolution / k < 8:
+        if STRIP_SAMPLES / k < 8:
             raise ValueError(
-                f"mode k={k} under-resolved: {resolution / k:.1f} "
+                f"mode k={k} under-resolved: {STRIP_SAMPLES / k:.1f} "
                 "points per wavelength, need >= 8")
-    dx = 2.0 * np.pi / resolution
-    x = np.arange(resolution) * dx
+    dx = 2.0 * np.pi / STRIP_SAMPLES
+    x = np.arange(STRIP_SAMPLES) * dx
     J = int(np.ceil(Y / dx))
     yg = np.linspace(0.0, Y, J + 1)
 
     profiles: dict[int, np.ndarray] = {}
-    values = np.zeros((resolution, J + 1))
+    values = np.zeros((STRIP_SAMPLES, J + 1))
     if trace.coeffs[0] != 0.0:
-        profiles[0] = _constant_profile(trace.coeffs[0], yg)
+        # k = 0: a constant is biharmonic with zero vertical derivative but cannot
+        # decay, so it is carried through unchanged (no fractional multiplier)
+        profiles[0] = np.full(yg.size, trace.coeffs[0])
         values += profiles[0][None, :]
     for k in active:
         profiles[int(k)] = _mode_profile(int(k), float(trace.coeffs[k]), yg)
         values += np.cos(k * x)[:, None] * profiles[int(k)][None, :]
     return StripField(trace=trace, Y=float(Y), x=x, y=yg, values=values,
                       mode_profiles=profiles)
-
-
-def _constant_profile(a0: float, y: np.ndarray) -> np.ndarray:
-    """k = 0: the clamped decaying profile degenerates; keep the constant.
-
-    A constant is biharmonic with zero vertical derivative; the decay
-    condition cannot be met by a constant, so the k=0 block is carried
-    through unchanged (it never enters the fractional multiplier).
-    """
-    return np.full(y.size, a0)
 
 
 def strip_biharmonic_residual(strip: StripField) -> float:
@@ -206,8 +183,7 @@ class DtnReport:
         return float(vals.max() - vals.min()) / float(np.abs(vals).max())
 
 
-def dtn_compare(trace: FourierTrace, Y: float = 12.0, resolution: int = 256,
-                ) -> DtnReport:
+def dtn_compare(trace: FourierTrace, Y: float = 12.0) -> DtnReport:
     """Measure d/dy Lap(extension) at the face against the |k|^3 multiplier.
 
     The vertical Laplacian derivative is taken from the assembled field:
@@ -219,7 +195,7 @@ def dtn_compare(trace: FourierTrace, Y: float = 12.0, resolution: int = 256,
     active = trace.active_modes()
     if active.size == 0:
         raise ValueError("trace has no active modes k >= 1")
-    strip = strip_extension(trace, Y=Y, resolution=resolution)
+    strip = strip_extension(trace, Y=Y)
     d = strip.dy
     vals = strip.values
     lap = np.empty_like(vals)

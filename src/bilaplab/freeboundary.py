@@ -1,10 +1,11 @@
-"""Free-boundary extraction, classification, rescalings, and blow-up fits.
+"""Free-boundary extraction, classification, and blow-up fits.
 
 The free boundary lives on the thin face: the topological boundary (within
 the face) of the positivity and negativity sets of the trace u(., 0). Points
-are found by scanning the thin trace, classified by the size of the thin
-gradients of u and v, and analyzed by rescaling the pair around the point
-and fitting homogeneous harmonic polynomials on the unit half-sphere.
+are found by scanning the phases of the thin trace, classified by the size
+of the thin gradients of u and v, and analyzed by fitting homogeneous
+harmonic polynomials to the homogeneous rescalings of the pair around the
+point, sampled on the unit half-sphere.
 """
 
 from __future__ import annotations
@@ -13,17 +14,19 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .diagnostics import RadialProfile, _as_probe
-from .grid import _TOL, HalfBallGrid, _as_thin_center, build_grid, half_sphere
+from .diagnostics import RadialProfile, _as_probe, sphere_sup
+from .grid import HalfBallGrid, _as_thin_center, half_sphere
 from .harmonics import HomogeneousHarmonicPoly, harmonic_basis
-from .problem import ProblemSpec, ScalarField
+from .problem import ProblemSpec, ScalarField, face_phase
+
+MU_CANDIDATES = (1, 2, 3)  # blow-up degrees that analyze_point fits
 
 
 @dataclass
 class FreeBoundaryPoint:
     """A point of the free boundary on the thin face (n=1: a single x).
 
-    Filled progressively: extract_gamma sets location and side labels;
+    Filled progressively: extract_gamma sets x and side labels;
     classify_point sets classification, thin gradients, and metadata;
     the blow-up pipeline fills the radial profile it extrapolates, mu_hat,
     mu_int, fits, residual, dimension.
@@ -47,18 +50,13 @@ class FreeBoundaryPoint:
     metadata: dict = dc_field(default_factory=dict)
 
     @property
-    def location(self) -> np.ndarray:
-        return np.array([self.x, 0.0])
-
-    @property
     def side(self) -> str:
         if self.in_plus and self.in_minus:
             return "both"
         return "+" if self.in_plus else "-"
 
 
-def extract_gamma(u: ScalarField, spec: ProblemSpec, zero_tol: float | None = None,
-                  ) -> list[FreeBoundaryPoint]:
+def extract_gamma(u: ScalarField, spec: ProblemSpec) -> list[FreeBoundaryPoint]:
     """Locate the free boundary of the thin trace of u (n=1 only).
 
     Sign changes between adjacent thin nodes are placed by linear
@@ -67,12 +65,8 @@ def extract_gamma(u: ScalarField, spec: ProblemSpec, zero_tol: float | None = No
     node is a boundary point of that node's sign set; runs touching the
     corners contribute nothing there (the free boundary is open in the face).
 
-    By default a node counts as zero when |u| <= eps h^-4 max(1, sup|u|) on
-    the face, with eps the double-precision unit roundoff. That is the
-    rounding floor of the solve: the lattice bi-Laplacian has condition
-    number O(h^-4), and a trace value that is 0 in exact arithmetic (u(0)
-    of an odd problem) comes out at about 1e-12 at h = 1/32 and 1e-10 at
-    h = 1/128, whatever the CG tolerance.
+    A node counts as zero when its `face_phase` is 0, that is when |u| is
+    within the rounding floor eps h^-4 max(1, sup|u|) of the solve.
     """
     g = u.grid
     if g.n != 1:
@@ -80,9 +74,7 @@ def extract_gamma(u: ScalarField, spec: ProblemSpec, zero_tol: float | None = No
     ids = g.face_ids
     x = g.nodes[ids, 0]
     t = u.values[ids]
-    if zero_tol is None:
-        zero_tol = np.finfo(float).eps / g.h ** 4 * max(1.0, float(np.abs(t).max()))
-    sign = np.where(t > zero_tol, 1, np.where(t < -zero_tol, -1, 0))
+    sign = face_phase(g, u.values)
 
     points: dict[float, FreeBoundaryPoint] = {}
 
@@ -123,10 +115,9 @@ def extract_gamma(u: ScalarField, spec: ProblemSpec, zero_tol: float | None = No
     return sorted(points.values(), key=lambda p: p.x)
 
 
-def thin_gradient(w, x0: float, grid: HalfBallGrid, spec: ProblemSpec | None = None,
-                  ) -> float:
+def thin_gradient(w, x0: float, grid: HalfBallGrid | None = None) -> float:
     """Central-difference tangential derivative of the thin trace at x0."""
-    p = _as_probe(w, grid, spec)
+    p = _as_probe(w, grid)
     g = p.grid
     step = min(g.h, 1.0 - abs(x0) - 1e-12)
     if step <= 0:
@@ -136,24 +127,21 @@ def thin_gradient(w, x0: float, grid: HalfBallGrid, spec: ProblemSpec | None = N
     return float((a - b) / (2.0 * step))
 
 
-def classify_point(point: FreeBoundaryPoint, u, v, spec: ProblemSpec,
-                   tau: float | None = None, tau_prime: float | None = None,
+def classify_point(point: FreeBoundaryPoint, u, v,
                    grid: HalfBallGrid | None = None) -> str:
     """REGULAR when the trace vanishes and both thin gradients are nonzero.
 
-    Numerical gates: |u(point)| <= tau (default 1e-6 + 10 h^2) and
-    min(|d_x u|, |d_x v|) > tau' (default 10 h). Anything else is SINGULAR.
+    Numerical gates: |u(point)| <= tau = 1e-6 + 10 h^2 and
+    min(|d_x u|, |d_x v|) > tau' = 10 h. Anything else is SINGULAR.
     A REGULAR verdict records the local smooth-graph conclusion (class
     C^{3,alpha}) as metadata: it is a classification tag, not a computed
     fact. The thresholds are calibration choices and are stored alongside.
     """
-    pu = _as_probe(u, grid, spec)
-    pv = _as_probe(v, grid, spec)
+    pu = _as_probe(u, grid)
+    pv = _as_probe(v, grid)
     g = pu.grid
-    if tau is None:
-        tau = 1e-6 + 10.0 * g.h ** 2
-    if tau_prime is None:
-        tau_prime = 10.0 * g.h
+    tau = 1e-6 + 10.0 * g.h ** 2
+    tau_prime = 10.0 * g.h
     pt = np.array([[point.x, 0.0]])
     point.value_u = float(pu.values(pt)[0])
     point.value_v = float(pv.values(pt)[0])
@@ -168,59 +156,6 @@ def classify_point(point: FreeBoundaryPoint, u, v, spec: ProblemSpec,
     if regular:
         point.metadata["graph_smoothness"] = "C3,alpha"
     return point.classification
-
-
-# ---------------------------------------------------------------------------
-# rescalings
-
-
-def _eval_points(eval_grid: HalfBallGrid, center: np.ndarray, r: float) -> np.ndarray:
-    return center[None, :] + r * eval_grid.nodes
-
-
-def homogeneous_rescale(w, center, r: float, mu: float,
-                        h_eval: float = 1.0 / 16, grid: HalfBallGrid | None = None,
-                        spec: ProblemSpec | None = None) -> ScalarField:
-    """w(center + r z) / r^mu sampled on a unit-half-ball evaluation lattice."""
-    p = _as_probe(w, grid, spec)
-    g = p.grid
-    c = _as_thin_center(g.n, center)
-    if r < 4.0 * g.h - _TOL:
-        raise ValueError(f"rescaling radius r={r} under-resolved: need r >= 4h")
-    if float(np.linalg.norm(c)) + r > 1.0 + _TOL:
-        raise ValueError("rescaled ball leaves the unit ball")
-    ev = build_grid(g.n, h_eval)
-    vals = p.values(_eval_points(ev, c, r)) / r ** mu
-    return ScalarField(ev, vals, role="rescaled")
-
-
-def almgren_rescale(u, v, center, r: float, profile: RadialProfile,
-                    h_eval: float = 1.0 / 16, grid: HalfBallGrid | None = None,
-                    spec: ProblemSpec | None = None) -> tuple[ScalarField, ScalarField]:
-    """(u, v)(center + r z) / sqrt(phi(r)) on the evaluation lattice.
-
-    phi(r) is looked up in the supplied profile; by construction the pair
-    then has unit surface norm: the half-sphere integral of u_r^2 + v_r^2
-    is 1 up to interpolation and quadrature tolerance.
-    """
-    pu = _as_probe(u, grid, spec)
-    pv = _as_probe(v, grid, spec)
-    g = pu.grid
-    c = _as_thin_center(g.n, center)
-    hit = np.isclose(profile.radii, r, rtol=1e-9, atol=1e-12)
-    if not hit.any():
-        raise ValueError(f"radius {r} not present in the profile")
-    phi = float(profile.phi[np.argmax(hit)])
-    if not np.isfinite(phi) or phi <= 0.0:
-        raise ValueError(f"degenerate phi(r) = {phi} at r = {r}")
-    if r < 4.0 * g.h - _TOL:
-        raise ValueError(f"rescaling radius r={r} under-resolved: need r >= 4h")
-    ev = build_grid(g.n, h_eval)
-    pts = _eval_points(ev, c, r)
-    scale = np.sqrt(phi)
-    ur = ScalarField(ev, pu.values(pts) / scale, role="rescaled")
-    vr = ScalarField(ev, pv.values(pts) / scale, role="rescaled")
-    return ur, vr
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +183,7 @@ class BlowupFit:
 
 
 def blowup_fit(u, v, center, radii, mu: int, m: int = 512,
-               grid: HalfBallGrid | None = None, spec: ProblemSpec | None = None,
-               ) -> BlowupFit:
+               grid: HalfBallGrid | None = None) -> BlowupFit:
     """Least-squares fit of the rescaled pair against the degree-mu basis.
 
     For each radius r the homogeneous rescaling w(center + r z)/r^mu is
@@ -261,8 +195,8 @@ def blowup_fit(u, v, center, radii, mu: int, m: int = 512,
     if mu != int(mu) or mu < 1:
         raise ValueError(f"blow-up degree must be a positive integer, got {mu}")
     mu = int(mu)
-    pu = _as_probe(u, grid, spec)
-    pv = _as_probe(v, grid, spec)
+    pu = _as_probe(u, grid)
+    pv = _as_probe(v, grid)
     g = pu.grid
     c = _as_thin_center(g.n, center)
     radii = np.sort(np.asarray(radii, dtype=np.float64))
@@ -296,36 +230,26 @@ def blowup_fit(u, v, center, radii, mu: int, m: int = 512,
 
 
 def nondegeneracy_check(u, v, center, radii, mu: float, m: int = 512,
-                        grid: HalfBallGrid | None = None,
-                        spec: ProblemSpec | None = None) -> float:
-    """min over r of max(sup |u|, sup |v|) / r^mu on half-spheres.
+                        grid: HalfBallGrid | None = None) -> float:
+    """min over r of max(sup |u|, sup |v|) / r^mu on half-spheres (`sphere_sup`).
 
     Positive and r-stable certifies nondegeneracy; 0 means the pair decays
     faster than r^mu (degenerate for the claimed frequency).
     """
-    pu = _as_probe(u, grid, spec)
-    pv = _as_probe(v, grid, spec)
-    g = pu.grid
-    c = _as_thin_center(g.n, center)
+    pu = _as_probe(u, grid)
+    pv = _as_probe(v, grid)
     radii = np.sort(np.asarray(radii, dtype=np.float64))
-    direc, _ = half_sphere(g.n, m)
-    best = np.inf
-    for r in radii:
-        pts = c[None, :] + r * direc
-        su = float(np.abs(pu.values(pts)).max())
-        sv = float(np.abs(pv.values(pts)).max())
-        best = min(best, max(su, sv) / r ** mu)
-    return float(best)
+    return float(min(max(sphere_sup(pu, center, r, m), sphere_sup(pv, center, r, m)) / r ** mu
+                     for r in radii))
 
 
-def singular_dimension(p_mu: HomogeneousHarmonicPoly, q_mu: HomogeneousHarmonicPoly,
-                       rel_tol: float = 1e-10) -> int:
+def singular_dimension(p_mu: HomogeneousHarmonicPoly, q_mu: HomogeneousHarmonicPoly) -> int:
     """Dimension of the singular stratum carried by a fitted pair.
 
     For each polynomial, the thin directions zeta with
     zeta . grad_x poly(x, 0) = 0 for all x form the kernel of its thin-trace
     gradient coefficient matrix; d is the max of the two kernel dimensions.
-    The rank uses a relative singular-value threshold, so rescaling either
+    The rank uses the relative singular-value threshold 1e-10, so rescaling either
     polynomial by a nonzero constant cannot change the answer.
     """
     if p_mu.degree != q_mu.degree:
@@ -337,7 +261,7 @@ def singular_dimension(p_mu: HomogeneousHarmonicPoly, q_mu: HomogeneousHarmonicP
         if scale == 0.0:
             return None  # zero polynomial: no information
         s = np.linalg.svd(A, compute_uv=False)
-        rank = int((s > rel_tol * s[0]).sum())
+        rank = int((s > 1e-10 * s[0]).sum())
         return A.shape[0] - rank
 
     du = kdim(p_mu)
@@ -350,47 +274,25 @@ def singular_dimension(p_mu: HomogeneousHarmonicPoly, q_mu: HomogeneousHarmonicP
     return max(du, dv)
 
 
-def continuity_probe(points: list[FreeBoundaryPoint], m: int = 512) -> float:
-    """Max over adjacent fitted singular points of the surface-L2 distance
-    between their polynomial pairs (same degree required)."""
-    pts = [p for p in points if p.p_mu is not None and p.q_mu is not None]
-    if len(pts) < 2:
-        raise ValueError("need at least two points with fitted polynomials")
-    degs = {p.p_mu.degree for p in pts}
-    if len(degs) != 1:
-        raise ValueError(f"points carry different fitted degrees: {sorted(degs)}")
-    pts = sorted(pts, key=lambda p: p.x)
-    n = pts[0].p_mu.n
-    direc, w = half_sphere(n, m)
-
-    def dist(a, b) -> float:
-        return float(np.sqrt(w @ (a(direc) - b(direc)) ** 2))
-
-    worst = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        worst = max(worst, dist(a.p_mu, b.p_mu) + dist(a.q_mu, b.q_mu))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # pipeline
 
 
-def analyze_point(point: FreeBoundaryPoint, u, v, spec: ProblemSpec,
-                  m: int = 512, grid: HalfBallGrid | None = None,
-                  mu_candidates: tuple[int, ...] = (1, 2, 3)) -> FreeBoundaryPoint:
+def analyze_point(point: FreeBoundaryPoint, u: ScalarField, v: ScalarField,
+                  spec: ProblemSpec, m: int = 512) -> FreeBoundaryPoint:
     """Classification plus frequency, blow-up fit, and stratum dimension.
 
     Runs the full per-point pipeline: thin-gradient classification, Almgren
-    frequency extrapolation for mu_hat/mu_int, blow-up fits over candidate
-    degrees (recording the best), and singular dimension for fitted pairs.
+    frequency extrapolation for mu_hat/mu_int, blow-up fits over the degrees
+    MU_CANDIDATES (recording the best), and singular dimension for fitted
+    pairs.
     """
     from .diagnostics import compute_profile, default_radii, estimate_mu
 
-    pu = _as_probe(u, grid, spec)
-    pv = _as_probe(v, grid, spec)
+    pu = _as_probe(u)
+    pv = _as_probe(v)
     g = pu.grid
-    classify_point(point, pu, pv, spec)
+    classify_point(point, pu, pv)
     radii = default_radii(g, [point.x])
     prof = point.profile = compute_profile(pu, pv, [point.x], radii, spec, m=m)
     try:
@@ -400,7 +302,7 @@ def analyze_point(point: FreeBoundaryPoint, u, v, spec: ProblemSpec,
         return point
 
     fits = {}
-    for mu in mu_candidates:
+    for mu in MU_CANDIDATES:
         fits[mu] = blowup_fit(pu, pv, [point.x], radii, mu, m=m)
     best_mu = min(fits, key=lambda k: np.nanmin(fits[k].residuals))
     point.metadata["best_fit_degree"] = best_mu

@@ -15,8 +15,9 @@ points (i*h, j*h) with j >= 0 inside the closed ball, classified as
 Classification is integer-exact: a lattice point (i, j) is inside iff
 i.i + j^2 <= M^2 with M = 1/h, and the h-band tests compare against (M-1)^2.
 
-Even extension across y = 0 is realized by index reflection (`mirror_points`
-and `interp(..., extended=True)`); mirrored values are never stored twice.
+Even extension across y = 0 is realized by reflecting query points to
+y >= 0 (`interp_box(..., extended=True)`); mirrored values are never stored
+twice.
 """
 
 from __future__ import annotations
@@ -128,15 +129,6 @@ class HalfBallGrid:
         if n == 1:
             self.face_ids = self.face_ids[np.argsort(self.nodes[self.face_ids, 0], kind="stable")]
 
-    # -- even reflection ---------------------------------------------------
-
-    @staticmethod
-    def mirror_points(points: np.ndarray) -> np.ndarray:
-        """Map evaluation points (x, y) -> (x, |y|) for even extension."""
-        pts = np.array(points, dtype=np.float64, copy=True)
-        pts[..., -1] = np.abs(pts[..., -1])
-        return pts
-
     # -- interpolation -----------------------------------------------------
 
     def to_box(self, values: np.ndarray) -> np.ndarray:
@@ -192,7 +184,8 @@ class HalfBallGrid:
         if pts.shape[-1] != self.n + 1:
             raise ValueError(f"points must have {self.n + 1} coordinates")
         if extended:
-            pts = self.mirror_points(pts)
+            pts = pts.copy()
+            pts[:, -1] = np.abs(pts[:, -1])
         # squared radius column by column: the same bits as (pts ** 2).sum(-1)
         # for d <= 3, without the (N, d) temporary and strided reduction
         sq = pts[:, 0] * pts[:, 0]
@@ -238,11 +231,6 @@ class HalfBallGrid:
 def build_grid(n: int, h: float) -> HalfBallGrid:
     """Build the classified half-ball grid. See `HalfBallGrid`."""
     return HalfBallGrid(n, h)
-
-
-def interp(field, points, extended: bool = False):
-    """Multilinear interpolation of a ScalarField (exact on per-axis affine fields)."""
-    return field.grid.interp_box(field.ghost_box(), points, extended=extended)
 
 
 @dataclass

@@ -22,21 +22,11 @@ import numpy as np
 Terms = dict  # exponent tuple (a_1..a_n, b) -> Fraction
 
 
-def _laplacian(terms: Terms, n: int) -> Terms:
+def _laplacian(terms: Terms, axes: int) -> Terms:
+    """Exact Laplacian in the first `axes` coordinates (n + 1: all; n: thin)."""
     out: Terms = {}
     for expo, c in terms.items():
-        for ax in range(n + 1):
-            e = expo[ax]
-            if e >= 2:
-                key = tuple(v - 2 if i == ax else v for i, v in enumerate(expo))
-                out[key] = out.get(key, Fraction(0)) + c * e * (e - 1)
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _x_laplacian(terms: Terms, n: int) -> Terms:
-    out: Terms = {}
-    for expo, c in terms.items():
-        for ax in range(n):
+        for ax in range(axes):
             e = expo[ax]
             if e >= 2:
                 key = tuple(v - 2 if i == ax else v for i, v in enumerate(expo))
@@ -64,7 +54,7 @@ def _basis_terms(n: int, mu: int):
         terms: Terms = dict(q)
         k = 0
         while q and k + 2 <= mu:
-            lap = _x_laplacian(q, n)
+            lap = _laplacian(q, n)
             q = {}
             for expo, c in lap.items():
                 key = expo[:-1] + (expo[-1] + 2,)
@@ -73,7 +63,7 @@ def _basis_terms(n: int, mu: int):
             for key, c in q.items():
                 terms[key] = terms.get(key, Fraction(0)) + c
             k += 2
-        if _laplacian(terms, n):
+        if _laplacian(terms, n + 1):
             raise AssertionError("harmonic recurrence produced a non-harmonic polynomial")
         if any(expo[-1] % 2 for expo in terms):
             raise AssertionError("harmonic recurrence produced an odd power of y")

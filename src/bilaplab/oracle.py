@@ -1,4 +1,4 @@
-"""Independent reference computations used to pin expected values.
+"""Brute-force minimizer used to pin the Newton solver's results.
 
 `brute_minimize` shares nothing with the Newton path except the energy and
 its gradient: projected gradient steps of length 0.9 / (a power-iteration
@@ -10,9 +10,6 @@ soon as it points uphill and no schedule needs tuning. The iteration starts
 from the datum on the pinned nodes and 0 elsewhere, not from the harmonic
 extension, so it never factors the Laplacian that Newton's preconditioner
 uses. It is restricted to coarse grids.
-
-`reference_integral` wraps adaptive Gauss-Kronrod quadrature and refuses to
-return a value whose error estimate exceeds the requested tolerance.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy.integrate import quad
 
 from .problem import (
     ProblemSpec,
@@ -37,16 +33,8 @@ STEP_REFRESH = 1000  # gradient steps between re-estimates of the Hessian norm
 MAX_STEPS = 100_000
 
 
-def reference_integral(f, a: float, b: float, tol: float = 1e-10) -> float:
-    """Adaptive quadrature of f over [a, b] to absolute tolerance tol."""
-    val, err = quad(f, a, b, epsabs=min(tol * 1e-2, 1e-12), epsrel=1e-12, limit=500)
-    if err > tol:
-        raise RuntimeError(f"quadrature error estimate {err:.3e} exceeds tol {tol:.3e}")
-    return float(val)
-
-
-def _hessian_norm(spec: ProblemSpec, w: np.ndarray, iters: int = 60) -> float:
-    """Power iteration for the spectral norm of the free-block Hessian."""
+def _hessian_norm(spec: ProblemSpec, w: np.ndarray) -> float:
+    """60 power-iteration steps for the spectral norm of the free-block Hessian."""
     grid = spec.grid()
     rng = np.random.default_rng(0)
     x = rng.standard_normal(grid.node_count)
@@ -54,7 +42,7 @@ def _hessian_norm(spec: ProblemSpec, w: np.ndarray, iters: int = 60) -> float:
     x /= np.linalg.norm(x)
     field = ScalarField(grid, w)
     lam = 1.0
-    for _ in range(iters):
+    for _ in range(60):
         y = energy_hessian_apply(field, x, spec)
         lam = float(np.linalg.norm(y))
         if lam == 0.0:
@@ -102,7 +90,7 @@ def brute_minimize(spec: ProblemSpec, tol: float = 1e-10) -> SolveResult:
         raise ConvergenceError(
             f"{MAX_STEPS} gradient steps exhausted (sup grad {gsup:.3e})",
             ScalarField(grid, y))
-    u = ScalarField(grid, y, role="u")
+    u = ScalarField(grid, y)
     return SolveResult(u=u, v=discrete_laplacian(u), energy=energy_array(grid, y, spec),
                        grad_sup=gsup, iterations=it, cg_iterations=0,
                        wall_time=time.perf_counter() - t0, spec=spec)

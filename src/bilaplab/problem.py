@@ -16,7 +16,6 @@ weights for n = 2.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -166,23 +165,10 @@ class ProblemSpec:
             raise ValueError("phase weights lambda_plus, lambda_minus must be nonnegative")
         self.g = as_datum(self.g, self.n)
 
-    @property
-    def q(self) -> float:
-        """Integrability exponent attached to the problem: q = max(2, p)."""
-        return max(2.0, self.p)
-
     def grid(self) -> HalfBallGrid:
         if self._grid is None:
             self._grid = build_grid(self.n, self.h)
         return self._grid
-
-    def describe(self) -> str:
-        gdesc = getattr(self.g, "description", getattr(self.g, "__name__", "callable"))
-        return (f"n={self.n} p={self.p:g} lambda_plus={self.lambda_plus:g} "
-                f"lambda_minus={self.lambda_minus:g} g={gdesc} h={self.h:g}")
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.describe().encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +177,10 @@ class ProblemSpec:
 
 @dataclass
 class ScalarField:
-    """Node values on a half-ball grid, with a role tag ("u", "v", ...)."""
+    """Node values on a half-ball grid."""
 
     grid: HalfBallGrid
     values: np.ndarray
-    role: str = "u"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -212,8 +197,8 @@ class ScalarField:
             self._box = self.grid.fill_extension(box)
         return self._box
 
-    def with_values(self, values, role=None) -> "ScalarField":
-        return ScalarField(self.grid, values, role or self.role)
+    def with_values(self, values) -> "ScalarField":
+        return ScalarField(self.grid, values)
 
     def __call__(self, points, extended: bool = False):
         return self.grid.interp_box(self.ghost_box(), points, extended=extended)
@@ -323,7 +308,7 @@ def operators(grid: HalfBallGrid) -> SimpleNamespace:
 
 
 def discrete_laplacian(w: ScalarField) -> ScalarField:
-    """Lattice Laplacian of a field, as a field with role "v".
+    """Lattice Laplacian of a field, as a field.
 
     The reflected star stencil of `operators(grid).L` at free nodes and 0 in
     the pinned band, where the Dirichlet datum sits and the continuum v
@@ -333,7 +318,20 @@ def discrete_laplacian(w: ScalarField) -> ScalarField:
     grid = w.grid
     out = np.zeros(grid.node_count)
     out[grid.free_ids] = operators(grid).L @ w.values
-    return ScalarField(grid, out, role="v")
+    return ScalarField(grid, out)
+
+
+def face_phase(grid: HalfBallGrid, w: np.ndarray) -> np.ndarray:
+    """Phase -1, 0 or +1 of w at each face node, in `face_ids` order.
+
+    Phase 0 is |w| <= eps h^-4 max(1, sup|w| on the face), eps the unit
+    roundoff: the rounding floor of a solve, as the lattice bi-Laplacian has
+    condition number O(h^-4). A trace value that is 0 in exact arithmetic
+    comes out near 1e-12 at h = 1/32 and 1e-10 at h = 1/128.
+    """
+    t = w[grid.face_ids]
+    floor = np.finfo(float).eps / grid.h ** 4 * max(1.0, float(np.abs(t).max()))
+    return np.where(t > floor, 1, np.where(t < -floor, -1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +339,7 @@ def discrete_laplacian(w: ScalarField) -> ScalarField:
 
 
 def energy_array(grid: HalfBallGrid, w: np.ndarray, spec: ProblemSpec) -> float:
+    """Discrete J[w]: volume-weighted squared Laplacian plus face penalty."""
     ops = operators(grid)
     Lw = ops.L @ w
     quad = float(ops.omega @ (Lw * Lw))
@@ -354,27 +353,18 @@ def energy_array(grid: HalfBallGrid, w: np.ndarray, spec: ProblemSpec) -> float:
 
 
 def gradient_array(grid: HalfBallGrid, w: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    ops = operators(grid)
-    g = 2.0 * (ops.K @ w)
-    thin = grid.thin_ids
-    g[thin] -= 2.0 * ops.face_w_by_node[thin] * thin_reaction(w[thin], spec)
-    g[grid.pinned_ids] = 0.0
-    return g
-
-
-def energy(w: ScalarField, spec: ProblemSpec) -> float:
-    """Discrete J[w]: volume-weighted squared Laplacian plus face penalty."""
-    return energy_array(w.grid, w.values, spec)
-
-
-def energy_gradient(w: ScalarField, spec: ProblemSpec) -> ScalarField:
     """Gradient of the discrete energy; zero at pinned (Dirichlet) nodes.
 
     d/dw_i of the face penalty is -2 face_w_i F(w_i) by the sign convention
     of thin_reaction, so the stationarity system couples the bi-Laplacian
     rows with the reaction on the face.
     """
-    return ScalarField(w.grid, gradient_array(w.grid, w.values, spec), role="residual")
+    ops = operators(grid)
+    g = 2.0 * (ops.K @ w)
+    thin = grid.thin_ids
+    g[thin] -= 2.0 * ops.face_w_by_node[thin] * thin_reaction(w[thin], spec)
+    g[grid.pinned_ids] = 0.0
+    return g
 
 
 def face_hessian_diagonal(grid: HalfBallGrid, w: np.ndarray, spec: ProblemSpec,

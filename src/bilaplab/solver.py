@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .grid import sphere_quadrature
+from .grid import THIN, sphere_quadrature
 from .problem import (
     ProblemSpec,
     ScalarField,
@@ -38,6 +38,7 @@ from .problem import (
     discrete_laplacian,
     energy_array,
     face_hessian_diagonal,
+    face_phase,
     gradient_array,
     operators,
     thin_reaction,
@@ -48,6 +49,7 @@ MAX_BACKTRACKS = 50
 ROUNDING_FLOOR = 1e-13  # relative size of changes of J taken as rounding
 # solid points per chunk of the weak-residual pass
 _TRIAL_CHUNK = 8192
+_TRIALS = 12  # random test fields of the weak residual
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,7 @@ class NewtonStep:
     step: float       # accepted step length, 1 halved `backtracks` times
     backtracks: int
     cg_steps: int     # inner CG steps of the Newton system
-    phase_flips: int  # free face nodes whose sign of u the step changed
+    phase_flips: int  # free face nodes whose `face_phase` of u the step changed
 
 
 class SolverError(RuntimeError):
@@ -143,7 +145,7 @@ def harmonic_extension(spec: ProblemSpec) -> ScalarField:
     w = np.zeros(grid.node_count)
     w[grid.pinned_ids] = dirichlet_values(spec)
     w[grid.free_ids] = _laplace_factor(grid).solve(rhs)
-    return ScalarField(grid, w, role="u")
+    return ScalarField(grid, w)
 
 
 def _newton(spec: ProblemSpec, w: np.ndarray):
@@ -160,6 +162,8 @@ def _newton(spec: ProblemSpec, w: np.ndarray):
     rows = np.repeat(np.arange(E), np.diff(H.indptr))
     slots = np.flatnonzero(rows == H.indices)[thin_pos]
     base = H.data[slots].copy()
+    on_thin = grid.node_class[grid.face_ids] == THIN
+    phase = face_phase(grid, w)[on_thin]
     M = _split_preconditioner(grid)
     trace: list[NewtonStep] = []
     cg_steps = 0
@@ -206,9 +210,10 @@ def _newton(spec: ProblemSpec, w: np.ndarray):
             t *= 0.5
         else:
             raise failure(LineSearchError, f"line search exhausted {MAX_BACKTRACKS} halvings")
-        flips = int(np.count_nonzero(np.sign(w_try[thin]) != np.sign(w[thin])))
+        phase_try = face_phase(grid, w_try)[on_thin]
+        flips = int(np.count_nonzero(phase_try != phase))
         trace.append(NewtonStep(J, gsup, t, backtracks, cg_steps, flips))
-        w = w_try
+        w, phase = w_try, phase_try
 
 
 def minimize(spec: ProblemSpec) -> SolveResult:
@@ -230,7 +235,7 @@ def minimize(spec: ProblemSpec) -> SolveResult:
         w, J, gsup, trace = _newton(spec, harmonic_extension(spec).values)
     finally:
         grid._lu = None
-    u = ScalarField(grid, w, role="u")
+    u = ScalarField(grid, w)
     return SolveResult(u=u, v=discrete_laplacian(u), energy=J, grad_sup=gsup,
                        iterations=len(trace), cg_iterations=sum(s.cg_steps for s in trace),
                        wall_time=time.perf_counter() - t0, spec=spec, trace=trace)
@@ -273,9 +278,7 @@ class ELReport:
     natural_sup: float
 
 
-def el_crosscheck(result: SolveResult, spec: ProblemSpec,
-                  corner_margin: float = 0.25, core_ymin: float = 0.25,
-                  core_rmax: float = 0.75) -> ELReport:
+def el_crosscheck(result: SolveResult, spec: ProblemSpec) -> ELReport:
     """Strong-form Euler-Lagrange residuals of a converged solve."""
     grid = spec.grid()
     u, v = result.u.values, result.v.values
@@ -288,7 +291,7 @@ def el_crosscheck(result: SolveResult, spec: ProblemSpec,
     pts = grid.nodes[grid.free_ids]
     rad = np.linalg.norm(pts, axis=1)
     deep = ((lat[:, -1] >= 2) & (r2 <= (M - 2) ** 2)
-            & (pts[:, -1] >= core_ymin - 1e-12) & (rad <= core_rmax + 1e-12))
+            & (pts[:, -1] >= 0.25 - 1e-12) & (rad <= 0.75 + 1e-12))  # the core
     sel = grid.free_ids[deep]
     if sel.size:
         acc = -2.0 * (grid.n + 1) * v[sel]
@@ -304,7 +307,7 @@ def el_crosscheck(result: SolveResult, spec: ProblemSpec,
 
     thin = grid.thin_ids
     xnorm = np.linalg.norm(grid.nodes[thin, :-1], axis=1)
-    thin = thin[xnorm <= 1.0 - corner_margin + 1e-12]
+    thin = thin[xnorm <= 0.75 + 1e-12]  # 1/4 away from the corners
     lat_t = grid.lattice[thin]
     up1 = lat_t.copy()
     up1[:, -1] = 1
@@ -322,9 +325,9 @@ def el_crosscheck(result: SolveResult, spec: ProblemSpec,
                     natural_sup=natural_sup)
 
 
-def _poly_trials(n: int, trials: int, seed: int):
+def _poly_trials(n: int, seed: int):
     """Monomials x^a (y^2)^b of total degree <= 3, as exponent tuples (a..., b),
-    and a (trials, K) table of random coefficients, one row per test field."""
+    and a (_TRIALS, K) table of random coefficients, one row per test field."""
     monos = []
     for total in range(4):
         if n == 1:
@@ -332,7 +335,7 @@ def _poly_trials(n: int, trials: int, seed: int):
         else:
             monos += [(a, b, total - a - b)
                       for a in range(total + 1) for b in range(total + 1 - a)]
-    return monos, np.random.default_rng(seed).standard_normal((trials, len(monos)))
+    return monos, np.random.default_rng(seed).standard_normal((_TRIALS, len(monos)))
 
 
 def _power_tables(pts: np.ndarray, n: int):
@@ -384,9 +387,9 @@ def _basis_laplacians(monos, pts: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def weak_residual(result: SolveResult, spec: ProblemSpec, trials: int = 12,
-                  seed: int = 0, m: int = 512) -> float:
-    """Max normalized weak-form defect of a solve over random test fields.
+def weak_residual(result: SolveResult, spec: ProblemSpec, seed: int = 0,
+                  m: int = 512) -> float:
+    """Max normalized weak-form defect of a solve over _TRIALS random test fields.
 
     For test fields phi vanishing to second order on the sphere and even in
     y, a minimizer satisfies  int Lap(u) Lap(phi) = int_face F(u) phi. Both
@@ -402,10 +405,10 @@ def weak_residual(result: SolveResult, spec: ProblemSpec, trials: int = 12,
     """
     grid = spec.grid()
     quad = sphere_quadrature(grid, np.zeros(grid.n), 1.0, m=m)
-    monos, coef = _poly_trials(grid.n, trials, seed)
+    monos, coef = _poly_trials(grid.n, seed)
     pts, wts = quad.solid_points, quad.solid_weights
-    lhs = np.zeros(trials)
-    norm2 = np.zeros(trials)
+    lhs = np.zeros(_TRIALS)
+    norm2 = np.zeros(_TRIALS)
     for lo in range(0, pts.shape[0], _TRIAL_CHUNK):
         chunk = pts[lo:lo + _TRIAL_CHUNK]
         w = wts[lo:lo + _TRIAL_CHUNK]

@@ -96,7 +96,7 @@ def corpus_points(tag: str, h_inv: int):
 
 
 def _fine_sizing():
-    """Sizing grid and spec for analytic-field quadrature (no solver grid)."""
+    """Sizing grid for analytic-field quadrature and a spec that supplies F."""
     grid = build_grid(1, 1.0 / 256)
     spec = ProblemSpec(n=1, h=1.0 / 256, p=2.0, lambda_plus=1.0,
                        lambda_minus=1.0, g="harmonic:deg=1")
@@ -414,13 +414,13 @@ def check_monneau_nondegeneracy(level: str = "quick") -> CheckResult:
     ok = True
     if seeded:
         for tag, h_inv, row in seeded:
-            pt, spec = row["point"], corpus_spec(tag, h_inv)
+            pt = row["point"]
             res = corpus_solve(tag, h_inv)
             radii = row["profile"].radii
-            M = monneau_curve(res.u, res.v, row["profile"], spec, float(pt.mu_int),
+            M = monneau_curve(res.u, res.v, row["profile"], float(pt.mu_int),
                               pt.p_mu, pt.q_mu)
             c = minimal_monneau_constant(radii, M)
-            nd = nondegeneracy_check(res.u, res.v, [pt.x], radii, pt.mu_int, spec=spec)
+            nd = nondegeneracy_check(res.u, res.v, [pt.x], radii, pt.mu_int)
             good = np.isfinite(c) and c <= 50.0 and nd > 0.0
             ok &= good
             notes.append(f"{tag}@1/{h_inv} x*={pt.x:+.3f}: C={c:.2f} c_min={nd:.2e}")
@@ -429,11 +429,11 @@ def check_monneau_nondegeneracy(level: str = "quick") -> CheckResult:
         grid, spec = _fine_sizing()
         f = _synthetic_pair()
         radii = np.geomspace(0.05, 0.5, 13)  # one decade of radii
-        fit = blowup_fit(f, f, [0.0], radii, mu=2, grid=grid, spec=spec)
+        fit = blowup_fit(f, f, [0.0], radii, mu=2, grid=grid)
         prof = compute_profile(f, f, [0.0], radii, spec, grid=grid)
-        M = monneau_curve(f, f, prof, spec, 2.0, fit.p_mu, fit.q_mu, grid=grid)
+        M = monneau_curve(f, f, prof, 2.0, fit.p_mu, fit.q_mu, grid=grid)
         c = minimal_monneau_constant(prof.radii, M)
-        cvals = np.array([nondegeneracy_check(f, f, [0.0], [r], 2, grid=grid, spec=spec)
+        cvals = np.array([nondegeneracy_check(f, f, [0.0], [r], 2, grid=grid)
                           for r in radii])
         slope = float(np.polyfit(np.log(radii), np.log(fit.residuals), 1)[0])
         ok = (np.isfinite(c) and c <= 50.0 and cvals.min() > 0.0
@@ -495,19 +495,19 @@ def identity_corpus() -> dict[str, AnalyticField]:
 
 
 def check_integral_identities(level: str = "quick") -> CheckResult:
-    grid, spec = _fine_sizing()
+    grid, _ = _fine_sizing()
     ok = True
     worst_res, worst_ratio = 0.0, np.inf
     pt_ok = True
     for fld in identity_corpus().values():
-        r512 = rellich_residual(fld, [0.0], 0.9, m=512, grid=grid, spec=spec)
-        r1024 = rellich_residual(fld, [0.0], 0.9, m=1024, grid=grid, spec=spec)
+        r512 = rellich_residual(fld, [0.0], 0.9, m=512, grid=grid)
+        r1024 = rellich_residual(fld, [0.0], 0.9, m=1024, grid=grid)
         worst_res = max(worst_res, r512)
         worst_ratio = min(worst_ratio, r512 / max(r1024, 1e-300))
         ok &= r512 <= 1e-3 and r1024 <= 0.5 * r512 + 1e-13
         for r in (0.5, 0.9):
-            pl, pr = poincare_check(fld, r, grid=grid, spec=spec)
-            tl, tr = trace_check(fld, r, grid=grid, spec=spec)
+            pl, pr = poincare_check(fld, r, grid=grid)
+            tl, tr = trace_check(fld, r, grid=grid)
             pt_ok &= (pl <= pr) and (tl <= tr)
     ok &= pt_ok
     return CheckResult(
@@ -539,10 +539,10 @@ def check_extension_dtn(level: str = "quick") -> CheckResult:
 
 
 def check_blowup_fitting(level: str = "quick") -> CheckResult:
-    grid, spec = _fine_sizing()
+    grid, _ = _fine_sizing()
     f = _synthetic_pair()
     radii = np.geomspace(0.05, 0.5, 13)
-    fit = blowup_fit(f, f, [0.0], radii, mu=2, grid=grid, spec=spec)
+    fit = blowup_fit(f, f, [0.0], radii, mu=2, grid=grid)
     coeff = float(fit.p_mu(np.array([[1.0, 0.0]]))[0])
     slope = float(np.polyfit(np.log(radii), np.log(fit.residuals), 1)[0])
     synth_ok = abs(coeff - 1.0) <= 1e-3 and abs(slope - 1.0) <= 0.1

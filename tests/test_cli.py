@@ -4,6 +4,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +137,33 @@ def test_bulk_float_rows_write_the_same_bytes_as_per_value_formatting(tmp_path):
     bilaplab.config._write_csv(tmp_path / "bulk.csv", "abc", header, table)
     bilaplab.config._write_csv(tmp_path / "rows.csv", "abc", header, zip(*table.T))
     assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+N2 = "n = 2\nh = 0.125\nm = 64\ng = harmonic:coeffs=1;0.2\n"
+
+
+def test_cli_diagnose_profiles_the_face_origin_at_n2(tmp_path, capsys):
+    cfgfile = tmp_path / "n2.cfg"
+    cfgfile.write_text(N2 + f"output = {tmp_path / 'n2'}\n")
+    assert main(["diagnose", str(cfgfile)]) == 0
+    assert [n for n in os.listdir(tmp_path / "n2") if n.startswith("profile_")] == [
+        "profile_+0.0000.csv"]
+    profile, = json.loads((tmp_path / "n2" / "summary.json").read_text())["profiles"].values()
+    assert profile["center"] == 0.0 and len(profile["radii"]) > 0
+    cfgfile.write_text(N2 + "centers = 0.1\n")
+    assert main(["diagnose", str(cfgfile)]) == 2
+    assert "'centers'" in capsys.readouterr().err
+
+
+def test_cli_and_verify_do_not_import_scipy_integrate():
+    code = ("import sys, bilaplab.cli, bilaplab.verify\n"
+            "print('scipy.integrate' in sys.modules)\n")
+    src = str(Path(bilaplab.config.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=120)
+    assert child.returncode == 0, child.stderr[-400:]
+    assert child.stdout.strip() == "False"
 
 
 def test_output_root_env_var(tmp_path, monkeypatch):

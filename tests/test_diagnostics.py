@@ -13,7 +13,6 @@ from bilaplab.diagnostics import (
     face_mean_value_term,
     growth_fit,
     mean_value_defects,
-    mean_value_violation,
     minimal_almgren_constant,
     minimal_monneau_constant,
     monneau_curve,
@@ -133,7 +132,7 @@ def test_grid_field_profile_equals_the_per_field_path(n, h, m):
                                         spec, 2.0, p_mu, q_mu, m)
     assert (prof.H == H).all() and (prof.B == B).all()
     assert (prof.D0 == D0).all() and (prof.D == D).all()
-    curve = monneau_curve(u, v, prof, spec, 2.0, p_mu, q_mu)
+    curve = monneau_curve(u, v, prof, 2.0, p_mu, q_mu)
     assert np.array_equal(curve, np.where(prof.degenerate, np.nan, M), equal_nan=True)
 
 
@@ -151,15 +150,19 @@ def test_default_radii_ladder():
         default_radii(g, [0.0, 0.1])
 
 
+def _worst_defect(w, rho):
+    return mean_value_defects(w, rho)[1].max()
+
+
 def test_mean_value_violation_signs():
     g = build_grid(1, 1.0 / 16.0)
     rsq = ScalarField(g, (g.nodes ** 2).sum(axis=1))
     harmonic = ScalarField(g, g.nodes[:, 0].copy())
     cap = ScalarField(g, -(g.nodes ** 2).sum(axis=1))
     # Laplacian 4: circle mean exceeds the center value by rho^2.
-    assert mean_value_violation(rsq, 0.25) < -0.05
-    assert abs(mean_value_violation(harmonic, 0.25)) < 1e-12
-    assert mean_value_violation(cap, 0.25) > 0.05
+    assert _worst_defect(rsq, 0.25) < -0.05
+    assert abs(_worst_defect(harmonic, 0.25)) < 1e-12
+    assert _worst_defect(cap, 0.25) > 0.05
 
 
 def test_mean_value_defects_per_centre():
@@ -171,7 +174,18 @@ def test_mean_value_defects_per_centre():
     # Laplacian 4: every centre falls short of its circle mean by rho^2,
     # up to the bilinear interpolation error of |z|^2
     assert np.abs(defects + 0.25 ** 2).max() <= 0.5 * g.h ** 2
-    assert mean_value_violation(rsq, 0.25) == defects.max()
+
+
+def test_mean_value_defects_at_n2():
+    g = build_grid(2, 1.0 / 8.0)
+    rsq = ScalarField(g, (g.nodes ** 2).sum(axis=1))
+    centres, defects = mean_value_defects(rsq, 0.25)
+    assert centres.shape == (defects.size, 3) and defects.size > 0
+    assert np.all(np.linalg.norm(centres, axis=1) + 0.25 <= 1.0 + 1e-12)
+    # Laplacian 6: every centre falls short of its sphere mean by rho^2; the
+    # trilinear interpolant of |z|^2 exceeds it by at most 3 h^2 / 4
+    err = defects + 0.25 ** 2
+    assert np.all(err <= 0.0) and np.all(err >= -0.75 * g.h ** 2)
 
 
 def test_face_mean_value_term_closed_form():

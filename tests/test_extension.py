@@ -6,7 +6,6 @@ import pytest
 from bilaplab.extension import (
     FourierTrace,
     dtn_compare,
-    spectral_frac32,
     strip_biharmonic_residual,
     strip_extension,
 )
@@ -22,17 +21,13 @@ def test_fourier_trace_validation():
 
 
 def test_fourier_trace_evaluation():
-    trace = FourierTrace([0.5, 1.0, 2.0])
-    x = np.array([0.0, np.pi / 3, np.pi])
-    expected = 0.5 + np.cos(x) + 2.0 * np.cos(2 * x)
-    assert np.allclose(trace(x), expected, atol=1e-14)
-    assert trace.max_mode == 2
-    assert list(trace.active_modes()) == [1, 2]
-
-
-def test_spectral_frac32_multiplier():
-    out = spectral_frac32(FourierTrace([3.0, 1.0, 1.0, 2.0]))
-    assert np.allclose(out.coeffs, [0.0, 1.0, 8.0, 54.0], atol=1e-14)
+    # the extension's face row is the cosine series of the trace
+    trace = FourierTrace([0.5, 1.0, 0.0, 2.0])
+    assert list(trace.active_modes()) == [1, 3]
+    strip = strip_extension(trace, Y=12.0)
+    x = strip.x
+    expected = 0.5 + np.cos(x) + 2.0 * np.cos(3 * x)
+    assert np.allclose(strip.values[:, 0], expected, rtol=0.0, atol=1e-14)
 
 
 def test_mode_profiles_match_clamped_decay():

@@ -1,18 +1,14 @@
-"""Free-boundary extraction, classification, rescaling, and blow-up fitting."""
+"""Free-boundary extraction, classification, and blow-up fitting."""
 
 import numpy as np
 import pytest
 
 from bilaplab import ProblemSpec, ScalarField, build_grid, minimize
-from bilaplab.diagnostics import compute_profile
 from bilaplab.freeboundary import (
     FreeBoundaryPoint,
-    almgren_rescale,
     blowup_fit,
     classify_point,
-    continuity_probe,
     extract_gamma,
-    homogeneous_rescale,
     nondegeneracy_check,
     singular_dimension,
 )
@@ -82,7 +78,7 @@ def test_odd_problem_has_a_free_boundary_point_at_zero(tag, h):
 def test_classify_transversal_crossing_as_regular():
     point = FreeBoundaryPoint(x=0.0)
     lin = lambda p: p[:, 0]
-    label = classify_point(point, lin, lin, SPEC, grid=FINE)
+    label = classify_point(point, lin, lin, grid=FINE)
     assert label == "REGULAR"
     assert point.classification == "REGULAR"
     assert point.grad_u == pytest.approx(1.0, abs=1e-9)
@@ -92,44 +88,7 @@ def test_classify_transversal_crossing_as_regular():
 def test_classify_flat_touch_as_singular():
     point = FreeBoundaryPoint(x=0.0)
     flat = lambda p: p[:, 0] ** 2
-    assert classify_point(point, flat, flat, SPEC, grid=FINE) == "SINGULAR"
-
-
-def test_homogeneous_rescale_fixes_homogeneous_fields():
-    resc = homogeneous_rescale(_rez2, 0.0, 0.5, 2.0, grid=FINE)
-    ev = resc.grid
-    expected = ev.nodes[:, 0] ** 2 - ev.nodes[:, 1] ** 2
-    assert np.abs(resc.values - expected).max() == 0.0
-
-
-def test_homogeneous_rescale_guards():
-    with pytest.raises(ValueError, match="under-resolved"):
-        homogeneous_rescale(_rez2, 0.0, 2.0 * FINE.h, 2.0, grid=FINE)
-    with pytest.raises(ValueError, match="leaves the unit ball"):
-        homogeneous_rescale(_rez2, 0.8, 0.5, 2.0, grid=FINE)
-
-
-def test_almgren_rescale_normalizes_surface_mass():
-    # For u = x, v = 0 the height is H(r) = pi r^3 / 2, so phi = pi r^2 / 2
-    # and the rescaled pair is (x sqrt(2/pi), 0).
-    ux = lambda p: p[:, 0]
-    vz = lambda p: np.zeros(len(p))
-    radii = np.geomspace(0.1, 0.5, 9)
-    prof = compute_profile(ux, vz, 0.0, radii, SPEC, grid=FINE)
-    ur, vr = almgren_rescale(ux, vz, 0.0, 0.5, prof, grid=FINE)
-    expected = ur.grid.nodes[:, 0] * np.sqrt(2.0 / np.pi)
-    assert np.abs(ur.values - expected).max() < 1e-12
-    assert np.abs(vr.values).max() == 0.0
-    with pytest.raises(ValueError, match="not present"):
-        almgren_rescale(ux, vz, 0.0, 0.123, prof, grid=FINE)
-
-
-def test_almgren_rescale_rejects_degenerate_height():
-    vz = lambda p: np.zeros(len(p))
-    radii = np.geomspace(0.1, 0.5, 9)
-    prof = compute_profile(vz, vz, 0.0, radii, SPEC, grid=FINE)
-    with pytest.raises(ValueError, match="degenerate phi"):
-        almgren_rescale(vz, vz, 0.0, 0.5, prof, grid=FINE)
+    assert classify_point(point, flat, flat, grid=FINE) == "SINGULAR"
 
 
 def test_blowup_fit_exact_on_homogeneous_pair():
@@ -189,20 +148,3 @@ def test_singular_dimension_two_thin_directions():
     # Any nonzero linear form on a two-dimensional face has a line kernel.
     assert singular_dimension(b[0], b[1]) == 1
 
-
-def test_continuity_probe_distances():
-    p2 = HomogeneousHarmonicPoly(1, 2, [1.0])
-    q2 = HomogeneousHarmonicPoly(1, 2, [2.0])
-    a = FreeBoundaryPoint(x=-0.1, p_mu=p2, q_mu=p2)
-    b = FreeBoundaryPoint(x=0.1, p_mu=p2, q_mu=p2)
-    c = FreeBoundaryPoint(x=0.3, p_mu=p2, q_mu=q2)
-    assert continuity_probe([a, b]) == 0.0
-    # Adjacent pair (b, c) differs by one copy of Re z^2, whose
-    # half-circle norm is sqrt(pi/2).
-    assert continuity_probe([a, b, c]) == pytest.approx(np.sqrt(np.pi / 2), abs=1e-9)
-    with pytest.raises(ValueError, match="at least two"):
-        continuity_probe([a])
-    with pytest.raises(ValueError, match="different fitted degrees"):
-        continuity_probe([a, FreeBoundaryPoint(
-            x=0.5, p_mu=HomogeneousHarmonicPoly(1, 3, [1.0]),
-            q_mu=HomogeneousHarmonicPoly(1, 3, [1.0]))])

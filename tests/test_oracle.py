@@ -1,40 +1,11 @@
-"""Reference quadrature and the brute-force cross-check minimizer."""
+"""The brute-force cross-check minimizer."""
 
 import numpy as np
 import pytest
 
 from bilaplab import ProblemSpec, verify
-from bilaplab.oracle import brute_minimize, reference_integral
+from bilaplab.oracle import brute_minimize
 from bilaplab.problem import discrete_laplacian
-
-
-def test_reference_integral_polynomial():
-    assert reference_integral(lambda t: t ** 2, 0.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-
-def test_reference_integral_transcendental():
-    got = reference_integral(np.sin, 0.0, np.pi)
-    assert got == pytest.approx(2.0, abs=1e-12)
-
-
-def test_reference_integral_with_kink():
-    got = reference_integral(lambda t: abs(t - 0.3) ** 3, 0.0, 1.0)
-    expected = (0.3 ** 4 + 0.7 ** 4) / 4.0
-    assert got == pytest.approx(expected, abs=1e-12)
-
-
-@pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.filterwarnings("ignore:.*maximum number of subdivisions.*")
-def test_reference_integral_reports_unmet_tolerance():
-    # A discontinuous oscillator defeats the adaptive rule at an
-    # unreachable tolerance.
-    rng = np.random.default_rng(7)
-
-    def noisy(t):
-        return float(rng.standard_normal())
-
-    with pytest.raises(RuntimeError, match="exceeds tol"):
-        reference_integral(noisy, 0.0, 1.0, tol=1e-14)
 
 
 def _spec(h):
