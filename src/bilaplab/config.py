@@ -9,12 +9,13 @@ writes four artifacts into the run directory:
                             frequency/classification/dimension, fitted
                             monotonicity constants)
     fields.csv              x, y, u, v at every grid node
-    profile_<center>.csv    r, H, D, D0, B, N, N0, phi, W, M (W, M empty)
+    profile_<center>.csv    r, H, D, D0, B, N, N0, phi
     gamma.csv               x, side, class, mu_hat, mu_int, d, fit_residual
 
 Every file carries a header row and a comment line with the effective config
 hash; outputs are byte-deterministic for a fixed config and seed (no wall
-times or machine identifiers in any artifact). The environment variable
+times or machine identifiers in any artifact). `config.txt` holds the
+effective config and parses back to the same hash. The environment variable
 BILAPLAB_OUTPUT_ROOT overrides where run directories are created.
 """
 
@@ -58,7 +59,6 @@ class RunConfig:
     radii: list[float] | None = None    # None = auto ladder
     output: str | None = None           # None = runs/<hash> under the output root
     seed: int = 0
-    m: int = 512
     stages: tuple[str, ...] = _STAGES
 
     def echo(self) -> str:
@@ -70,13 +70,12 @@ class RunConfig:
             f"lambda_plus = {s.lambda_plus!r}",
             f"lambda_minus = {s.lambda_minus!r}",
             f"h = {s.h!r}",
-            f"g = {s.g}",
+            f"g = {s.g.description}",
             f"tol_grad = {'auto' if s.tol_grad is None else repr(s.tol_grad)}",
             f"max_iter = {s.max_iter}",
             f"centers = {'auto' if self.centers is None else ';'.join(repr(c) for c in self.centers)}",
             f"radii = {'auto' if self.radii is None else ';'.join(repr(r) for r in self.radii)}",
             f"seed = {self.seed}",
-            f"m = {self.m}",
             f"stages = {','.join(self.stages)}",
         ]
         return "\n".join(lines) + "\n"
@@ -88,7 +87,7 @@ class RunConfig:
 
 _KEYS = {
     "n", "p", "lambda_plus", "lambda_minus", "g", "h", "tol_grad", "max_iter",
-    "centers", "radii", "output", "seed", "m", "stages",
+    "centers", "radii", "output", "seed", "stages",
 }
 
 
@@ -115,7 +114,7 @@ def parse_config(text: str) -> RunConfig:
         lambda_minus = 1.0  h = 0.0625         g = zero
         tol_grad = auto     max_iter = 200     centers = auto
         radii = auto        output = (unset)   seed = 0
-        m = 512             stages = solve,profile,gamma
+        stages = solve,profile,gamma
 
     "auto" keeps the adaptive policy: tol_grad scales with the energy,
     centers follow the extracted free boundary (origin fallback), radii
@@ -190,9 +189,6 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("key 'radii': radii must be positive")
 
     seed = _int("seed", raw["seed"]) if "seed" in raw else 0
-    m = _int("m", raw["m"]) if "m" in raw else 512
-    if m < 64:
-        raise ConfigError(f"key 'm': quadrature sample count must be >= 64, got {m}")
 
     stages: tuple[str, ...] = _STAGES
     if "stages" in raw:
@@ -202,7 +198,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"key 'stages': unknown stage(s) {bad}; valid: {list(_STAGES)}")
 
     return RunConfig(spec=spec, centers=centers, radii=radii,
-                     output=raw.get("output"), seed=seed, m=m, stages=stages)
+                     output=raw.get("output"), seed=seed, stages=stages)
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +268,14 @@ def run(config: RunConfig) -> Path:
         "harmonic_sup": el.harmonic_sup,
         "neumann_sup": el.neumann_sup,
         "natural_sup": el.natural_sup,
-        "weak_residual": weak_residual(result, spec, seed=config.seed, m=config.m),
+        "weak_residual": weak_residual(result, spec, seed=config.seed),
     }
 
     points = []
     if "gamma" in config.stages and spec.n == 1:
         points = extract_gamma(result.u, spec)
         for pt in points:
-            analyze_point(pt, result.u, result.v, spec, m=config.m)
+            analyze_point(pt, result.u, result.v, spec)
 
     centers = config.centers
     if centers is None:
@@ -294,7 +290,7 @@ def run(config: RunConfig) -> Path:
             prof = known.get(c)
             if prof is None:
                 radii = np.asarray(config.radii) if config.radii else default_radii(grid, thin_c)
-                prof = compute_profile(result.u, result.v, thin_c, radii, spec, m=config.m)
+                prof = compute_profile(result.u, result.v, thin_c, radii, spec)
             almgren_c = minimal_almgren_constant(prof.radii, prof.N)
             entry = {
                 "center": c,
@@ -307,11 +303,10 @@ def run(config: RunConfig) -> Path:
             except ValueError as exc:
                 entry["mu_error"] = str(exc)
             summary["profiles"][_center_tag(c)] = entry
-            blank = [None] * prof.radii.size
-            rows = zip(prof.radii, prof.H, prof.D, prof.D0, prof.B, prof.N,
-                       prof.N0, prof.phi, blank, blank)
+            rows = np.column_stack((prof.radii, prof.H, prof.D, prof.D0, prof.B, prof.N,
+                                    prof.N0, prof.phi))
             _write_csv(out / f"profile_{_center_tag(c)}.csv", digest,
-                       ["r", "H", "D", "D0", "B", "N", "N0", "phi", "W", "M"], rows)
+                       ["r", "H", "D", "D0", "B", "N", "N0", "phi"], rows)
 
     if "gamma" in config.stages:
         gamma_rows = []

@@ -17,6 +17,7 @@ with even reflection at the face) or plain callables on points (evaluated
 exactly, gradients by small-step central differences on the even
 extension), sized by the instrument's `grid=`; Laplacians of callables come
 from an AnalyticField. Analytic checks want callables; solver output fields.
+Every sphere and ball is sampled with `sample_count(r, h)` directions.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _TOL, HalfBallGrid, _as_thin_center, ball_center, half_sphere, sphere_quadrature
+from .grid import (_TOL, HalfBallGrid, _as_thin_center, ball_center, half_sphere, sample_count,
+                   sphere_quadrature)
 from .problem import ProblemSpec, ScalarField, discrete_laplacian, thin_reaction
 
 DEGENERATE_FACTOR = 1e-14  # H below this times sup(u^2+v^2) is flagged
@@ -207,7 +209,6 @@ class RadialProfile:
     Arrays are indexed like `radii` (ascending). Rows where H is below
     DEGENERATE_FACTOR times the squared sup of the pair are flagged in
     `degenerate` and carry NaN in the H-normalized columns (N0, N).
-    `m` is the quadrature sample count the profile was computed with.
     """
 
     center: np.ndarray
@@ -220,7 +221,6 @@ class RadialProfile:
     N: np.ndarray
     phi: np.ndarray
     degenerate: np.ndarray
-    m: int = 512
 
 
 def default_radii(grid: HalfBallGrid, center) -> np.ndarray:
@@ -241,7 +241,7 @@ def default_radii(grid: HalfBallGrid, center) -> np.ndarray:
     return np.array(out[::-1])
 
 
-def compute_profile(u, v, center, radii, spec: ProblemSpec, m: int = 512,
+def compute_profile(u, v, center, radii, spec: ProblemSpec,
                     grid: HalfBallGrid | None = None) -> RadialProfile:
     """Fill every radial functional but M_mu by quadrature. See module docstring.
 
@@ -264,7 +264,7 @@ def compute_profile(u, v, center, radii, spec: ProblemSpec, m: int = 512,
     sup2 = 0.0
     sampler = _PairSampler(pu, pv)
     for k, r in enumerate(radii):
-        quad = sphere_quadrature(g, c, float(r), m=m)
+        quad = sphere_quadrature(g, c, float(r))
         us, vs, gu, gv = sampler.with_gradients(quad.surface_points)
         sup2 = max(sup2, float((us ** 2 + vs ** 2).max()))
         H[k] = quad.surface_weights @ (us ** 2 + vs ** 2)
@@ -283,12 +283,12 @@ def compute_profile(u, v, center, radii, spec: ProblemSpec, m: int = 512,
     phi = H / radii ** g.n
 
     return RadialProfile(center=c, radii=radii, H=H, D0=D0, D=Dv, B=Bv,
-                         N0=N0, N=N, phi=phi, degenerate=degenerate, m=m)
+                         N0=N0, N=N, phi=phi, degenerate=degenerate)
 
 
 def monneau_curve(u, v, profile: RadialProfile, mu: float, p_mu, q_mu,
                   grid: HalfBallGrid | None = None) -> np.ndarray:
-    """M_mu of the pair on a profile's radii, center and sample count.
+    """M_mu of the pair on a profile's radii and center, sampled as the profile was.
 
     p_mu and q_mu are callables on points RELATIVE to the center, typically
     HomogeneousHarmonicPoly instances. Only half-sphere values are read;
@@ -300,7 +300,7 @@ def monneau_curve(u, v, profile: RadialProfile, mu: float, p_mu, q_mu,
     sampler = _PairSampler(pu, pv, gradients=False)
     M = np.zeros(profile.radii.size)
     for k, r in enumerate(profile.radii):
-        quad = sphere_quadrature(g, profile.center, float(r), m=profile.m)
+        quad = sphere_quadrature(g, profile.center, float(r))
         us, vs = sampler.values(quad.surface_points)
         rel = quad.surface_points - quad.center
         du = us - np.asarray(p_mu(rel))
@@ -313,8 +313,7 @@ def monneau_curve(u, v, profile: RadialProfile, mu: float, p_mu, q_mu,
 # identity checks
 
 
-def rellich_residual(w, center, r: float, m: int = 512,
-                     grid: HalfBallGrid | None = None) -> float:
+def rellich_residual(w, center, r: float, grid: HalfBallGrid | None = None) -> float:
     """|LHS - RHS| of the half-ball Rellich identity, coordinates centered.
 
         r int_surf (|grad w|^2 - 2 w_r^2)
@@ -330,7 +329,7 @@ def rellich_residual(w, center, r: float, m: int = 512,
     p = _as_probe(w, grid)
     g = p.grid
     c = _as_thin_center(g.n, center)
-    quad = sphere_quadrature(g, c, float(r), m=m)
+    quad = sphere_quadrature(g, c, float(r))
 
     gs = p.gradient(quad.surface_points)
     rel = quad.surface_points - c
@@ -351,12 +350,11 @@ def rellich_residual(w, center, r: float, m: int = 512,
     return float(abs(lhs - rhs))
 
 
-def poincare_check(w, r: float, m: int = 512,
-                   grid: HalfBallGrid | None = None) -> tuple[float, float]:
+def poincare_check(w, r: float, grid: HalfBallGrid | None = None) -> tuple[float, float]:
     """Both sides of (n/r^2) int w^2 <= (1/r) int_surf w^2 + int |grad w|^2."""
     p = _as_probe(w, grid)
     g = p.grid
-    quad = sphere_quadrature(g, np.zeros(g.n), float(r), m=m)
+    quad = sphere_quadrature(g, np.zeros(g.n), float(r))
     wb = p.values(quad.solid_points)
     lhs = (g.n / r ** 2) * float(quad.solid_weights @ wb ** 2)
     ws = p.values(quad.surface_points)
@@ -366,8 +364,7 @@ def poincare_check(w, r: float, m: int = 512,
     return lhs, rhs
 
 
-def trace_check(w, r: float, m: int = 512,
-                grid: HalfBallGrid | None = None) -> tuple[float, float]:
+def trace_check(w, r: float, grid: HalfBallGrid | None = None) -> tuple[float, float]:
     """Thin-ball mass of w^2 and the trace-inequality bracket (no constant).
 
     Returns (int_thin w^2, r int_solid |grad w|^2 + int_surf w^2); a uniform
@@ -376,7 +373,7 @@ def trace_check(w, r: float, m: int = 512,
     """
     p = _as_probe(w, grid)
     g = p.grid
-    quad = sphere_quadrature(g, np.zeros(g.n), float(r), m=m)
+    quad = sphere_quadrature(g, np.zeros(g.n), float(r))
     wt = p.values(quad.thin_points)
     lhs = float(quad.thin_weights @ wt ** 2)
     gb = p.gradient(quad.solid_points)
@@ -413,25 +410,28 @@ def estimate_mu(profile: RadialProfile) -> tuple[float, int | None]:
     return mu_hat, mu_int
 
 
-def sphere_sup(w, center, r: float, m: int = 512,
-               grid: HalfBallGrid | None = None) -> float:
-    """sup |w| over the upper half-sphere of radius r, by dense sampling."""
-    p = _as_probe(w, grid)
-    c = ball_center(p.grid, center, float(r), m)
-    direc, _ = half_sphere(p.grid.n, m)
-    return float(np.abs(p.values(c + float(r) * direc)).max())
+def _sphere_sups(p: FieldProbe, center, radii) -> np.ndarray:
+    """sup |w| over the upper half-sphere of each radius, by dense sampling
+    along one direction set, sized by `sample_count` for the largest radius."""
+    radii = np.atleast_1d(np.asarray(radii, dtype=np.float64))
+    direc, _ = half_sphere(p.grid.n, sample_count(radii.max(), p.grid.h))
+    return np.array([np.abs(p.values(ball_center(p.grid, center, r) + r * direc)).max()
+                     for r in radii])
 
 
-def growth_fit(w, center, radii, m: int = 512,
-               grid: HalfBallGrid | None = None) -> float:
+def sphere_sup(w, center, r: float, grid: HalfBallGrid | None = None) -> float:
+    """sup |w| over the upper half-sphere of radius r (`_sphere_sups`)."""
+    return float(_sphere_sups(_as_probe(w, grid), center, [float(r)])[0])
+
+
+def growth_fit(w, center, radii, grid: HalfBallGrid | None = None) -> float:
     """Least-squares slope of log sup |w| on half-spheres against log r.
 
     Returns NaN when the field vanishes on every sampled sphere (degenerate);
     radii where the sup is exactly zero are dropped from the fit.
     """
-    p = _as_probe(w, grid)
     radii = np.sort(np.asarray(radii, dtype=np.float64))
-    sups = np.array([sphere_sup(p, center, r, m=m) for r in radii])
+    sups = _sphere_sups(_as_probe(w, grid), center, radii)
     keep = sups > 0
     if keep.sum() < 2:
         return float("nan")
@@ -443,15 +443,15 @@ def growth_fit(w, center, radii, m: int = 512,
 # mean-value (subharmonicity) check
 
 
-def mean_value_defects(w: ScalarField, rho: float, m: int = 64,
-                       ) -> tuple[np.ndarray, np.ndarray]:
+def mean_value_defects(w: ScalarField, rho: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-centre defect w(z) minus the sphere average of w at radius rho.
 
     Centres are the interior nodes whose whole ball B_rho(z) lies inside the
     unit ball; returns (centres, defects) with centres of shape (N, n+1).
     The average is over the full sphere around z inside the even extension
     (queries below the face are mirrored), vectorised over all centres, on
-    the `half_sphere(n, m // 2)` directions and their mirror images.
+    the `half_sphere(n, sample_count(rho, h) // 2)` directions and their
+    mirror images.
 
     A field subharmonic in the open half-ball has nonpositive defect only on
     balls that miss the face, up to interpolation error O(h^2). Balls that
@@ -469,7 +469,7 @@ def mean_value_defects(w: ScalarField, rho: float, m: int = 64,
     vals = w.values[ids[ok]]
     if pts.shape[0] == 0:
         return pts, vals
-    upper, w_half = half_sphere(g.n, m // 2)
+    upper, w_half = half_sphere(g.n, sample_count(rho, g.h) // 2)
     lower = upper * np.append(np.ones(g.n), -1.0)
     direc = np.concatenate([upper, lower])
     wgt = np.concatenate([w_half, w_half]) / (2.0 * w_half.sum())

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .diagnostics import RadialProfile, _as_probe, sphere_sup
-from .grid import HalfBallGrid, _as_thin_center, half_sphere
+from .diagnostics import RadialProfile, _as_probe, _sphere_sups
+from .grid import HalfBallGrid, _as_thin_center, half_sphere, sample_count
 from .harmonics import HomogeneousHarmonicPoly, harmonic_basis
 from .problem import ProblemSpec, ScalarField, face_phase
 
@@ -182,13 +182,13 @@ class BlowupFit:
     no_blowup: bool
 
 
-def blowup_fit(u, v, center, radii, mu: int, m: int = 512,
-               grid: HalfBallGrid | None = None) -> BlowupFit:
+def blowup_fit(u, v, center, radii, mu: int, grid: HalfBallGrid | None = None) -> BlowupFit:
     """Least-squares fit of the rescaled pair against the degree-mu basis.
 
     For each radius r the homogeneous rescaling w(center + r z)/r^mu is
     sampled on the unit half-sphere and projected onto the even harmonic
-    basis of degree mu in the weighted L2 sense. The returned polynomials
+    basis of degree mu in the weighted L2 sense; every radius uses the
+    `sample_count` directions of the largest. The returned polynomials
     are the fits at the smallest radius; the residual curve should decrease
     toward 0 (linearly in r when the remainder is one degree higher).
     """
@@ -201,7 +201,7 @@ def blowup_fit(u, v, center, radii, mu: int, m: int = 512,
     c = _as_thin_center(g.n, center)
     radii = np.sort(np.asarray(radii, dtype=np.float64))
     basis = harmonic_basis(g.n, mu)
-    direc, w = half_sphere(g.n, m)
+    direc, w = half_sphere(g.n, sample_count(radii.max(), g.h))
     A = np.stack([b(direc) for b in basis], axis=1)
     sw = np.sqrt(w)
     Aw = A * sw[:, None]
@@ -229,18 +229,17 @@ def blowup_fit(u, v, center, radii, mu: int, m: int = 512,
                      coeff_curve_u=cu, coeff_curve_v=cv, no_blowup=nb)
 
 
-def nondegeneracy_check(u, v, center, radii, mu: float, m: int = 512,
-                        grid: HalfBallGrid | None = None) -> float:
-    """min over r of max(sup |u|, sup |v|) / r^mu on half-spheres (`sphere_sup`).
+def nondegeneracy_check(u, v, center, radii, mu: float, grid: HalfBallGrid | None = None) -> float:
+    """min over r of max(sup |u|, sup |v|) / r^mu on half-spheres, sampled along
+    one direction set for all radii.
 
     Positive and r-stable certifies nondegeneracy; 0 means the pair decays
     faster than r^mu (degenerate for the claimed frequency).
     """
-    pu = _as_probe(u, grid)
-    pv = _as_probe(v, grid)
-    radii = np.sort(np.asarray(radii, dtype=np.float64))
-    return float(min(max(sphere_sup(pu, center, r, m), sphere_sup(pv, center, r, m)) / r ** mu
-                     for r in radii))
+    radii = np.asarray(radii, dtype=np.float64)
+    sups = np.maximum(_sphere_sups(_as_probe(u, grid), center, radii),
+                      _sphere_sups(_as_probe(v, grid), center, radii))
+    return float((sups / radii ** mu).min())
 
 
 def singular_dimension(p_mu: HomogeneousHarmonicPoly, q_mu: HomogeneousHarmonicPoly) -> int:
@@ -279,7 +278,7 @@ def singular_dimension(p_mu: HomogeneousHarmonicPoly, q_mu: HomogeneousHarmonicP
 
 
 def analyze_point(point: FreeBoundaryPoint, u: ScalarField, v: ScalarField,
-                  spec: ProblemSpec, m: int = 512) -> FreeBoundaryPoint:
+                  spec: ProblemSpec) -> FreeBoundaryPoint:
     """Classification plus frequency, blow-up fit, and stratum dimension.
 
     Runs the full per-point pipeline: thin-gradient classification, Almgren
@@ -294,7 +293,7 @@ def analyze_point(point: FreeBoundaryPoint, u: ScalarField, v: ScalarField,
     g = pu.grid
     classify_point(point, pu, pv)
     radii = default_radii(g, [point.x])
-    prof = point.profile = compute_profile(pu, pv, [point.x], radii, spec, m=m)
+    prof = point.profile = compute_profile(pu, pv, [point.x], radii, spec)
     try:
         point.mu_hat, point.mu_int = estimate_mu(prof)
     except ValueError as exc:
@@ -303,7 +302,7 @@ def analyze_point(point: FreeBoundaryPoint, u: ScalarField, v: ScalarField,
 
     fits = {}
     for mu in MU_CANDIDATES:
-        fits[mu] = blowup_fit(pu, pv, [point.x], radii, mu, m=m)
+        fits[mu] = blowup_fit(pu, pv, [point.x], radii, mu)
     best_mu = min(fits, key=lambda k: np.nanmin(fits[k].residuals))
     point.metadata["best_fit_degree"] = best_mu
     pick = point.mu_int if point.mu_int in fits else best_mu

@@ -274,30 +274,40 @@ def half_sphere(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return direc, (wt[:, None] * (2.0 * np.pi / m) * np.ones(m)).ravel()
 
 
-def ball_center(grid: HalfBallGrid, center, r: float, m: int) -> np.ndarray:
+def sample_count(r: float, h: float) -> int:
+    """Directions sampled on a sphere of radius r for a lattice of step h: the
+    least power of two at least max(64, 2 pi r / h), one sample per lattice
+    step along the circle of radius r. Powers of two keep the `_leggauss`
+    cache small."""
+    m = 64
+    while m < 2.0 * np.pi * r / h:
+        m *= 2
+    return m
+
+
+def ball_center(grid: HalfBallGrid, center, r: float) -> np.ndarray:
     """Normalized center of a sampled ball B_r(center); ValueError unless
-    r >= 4h, m >= 64 and the ball lies in the unit ball."""
+    r >= 4h and the ball lies in the unit ball."""
     c = _as_thin_center(grid.n, center)
     if r < 4.0 * grid.h - _TOL:
         raise ValueError(f"radius r={r} under-resolved: need r >= 4h = {4 * grid.h}")
-    if m < 64:
-        raise ValueError(f"sample count m={m} too small: need m >= 64")
     if np.sqrt((c ** 2).sum()) + r > 1.0 + _TOL:
         raise ValueError("ball B_r(center) not contained in the unit ball")
     return c
 
 
-def sphere_quadrature(grid: HalfBallGrid, center, r: float, m: int = 256) -> SphereQuadrature:
+def sphere_quadrature(grid: HalfBallGrid, center, r: float) -> SphereQuadrature:
     """Quadrature over the half-sphere, half-ball, and thin ball of radius r.
 
-    Surface samples are the `half_sphere` directions scaled by r; solid
-    samples use a Gauss radial rule against the polar volume factor along
-    the same directions, so weight totals are exact; thin samples are Gauss
-    points on the thin ball.
+    Surface samples are the `half_sphere` directions scaled by r, with
+    m = `sample_count(r, h)`; solid samples use a Gauss radial rule against
+    the polar volume factor along the same directions, so weight totals are
+    exact; thin samples are Gauss points on the thin ball.
 
-    Preconditions (see `ball_center`): B_r(center)+ inside B_1+, r >= 4h, m >= 64.
+    Preconditions (see `ball_center`): B_r(center)+ inside B_1+, r >= 4h.
     """
-    c = ball_center(grid, center, r, m)
+    c = ball_center(grid, center, r)
+    m = sample_count(r, grid.h)
     n = grid.n
     direc, wdir = half_sphere(n, m)
     surf_pts = c + r * direc

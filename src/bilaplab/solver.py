@@ -387,15 +387,15 @@ def _basis_laplacians(monos, pts: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def weak_residual(result: SolveResult, spec: ProblemSpec, seed: int = 0,
-                  m: int = 512) -> float:
+def weak_residual(result: SolveResult, spec: ProblemSpec, seed: int = 0) -> float:
     """Max normalized weak-form defect of a solve over _TRIALS random test fields.
 
     For test fields phi vanishing to second order on the sphere and even in
     y, a minimizer satisfies  int Lap(u) Lap(phi) = int_face F(u) phi. Both
-    sides are evaluated with quadrature independent of the solver's own
-    discrete algebra (v and u enter through interpolation), so the defect
-    measures consistency, not the solver's optimality; it decays like O(h).
+    sides are evaluated with the unit ball's `sphere_quadrature`, sized by h
+    and independent of the solver's own discrete algebra (v and u enter
+    through interpolation), so the defect measures consistency, not the
+    solver's optimality; it decays like O(h).
 
     The test fields are phi = (1 - |z|^2)^2 P(x, y^2) with random cubic P,
     and their Laplacians are taken in closed form (`_basis_laplacians`), with
@@ -404,7 +404,7 @@ def weak_residual(result: SolveResult, spec: ProblemSpec, seed: int = 0,
     array of trials by solid points and no v over all solid points is held.
     """
     grid = spec.grid()
-    quad = sphere_quadrature(grid, np.zeros(grid.n), 1.0, m=m)
+    quad = sphere_quadrature(grid, np.zeros(grid.n), 1.0)
     monos, coef = _poly_trials(grid.n, seed)
     pts, wts = quad.solid_points, quad.solid_weights
     lhs = np.zeros(_TRIALS)

@@ -4,9 +4,9 @@ Each check returns a CheckResult with a human-readable target and the measured
 value; `run_suite` prints one line per check, ending in its wall time, and
 exits nonzero when any check fails. The time is inclusive: a memoized corpus
 solve is charged to the first check that asks for it. Level "quick" runs
-reduced resolutions (about 4 s on a 2-core x86_64 machine); "full" adds the
-h = 1/64 refinement studies and the oracle comparisons at h = 1/16 (about
-5 s there).
+reduced resolutions (about 1.5 s on a 2-core x86_64 machine); "full" adds
+the h = 1/64 refinement studies and the oracle comparisons at h = 1/16
+(about 2.5 s there).
 
 Corpus solves are memoized per process so the suite and the test harness share
 them. The three corpus configurations exercise p = 2 against p = 3 and
@@ -38,7 +38,7 @@ from .diagnostics import (
 )
 from .extension import FourierTrace, dtn_compare
 from .freeboundary import analyze_point, blowup_fit, extract_gamma, nondegeneracy_check
-from .grid import build_grid
+from .grid import build_grid, sample_count
 from .oracle import brute_minimize
 from .problem import ProblemSpec, energy_array, gradient_array
 from .solver import minimize, weak_residual
@@ -96,9 +96,12 @@ def corpus_points(tag: str, h_inv: int):
 
 
 def _fine_sizing():
-    """Sizing grid for analytic-field quadrature and a spec that supplies F."""
-    grid = build_grid(1, 1.0 / 256)
-    spec = ProblemSpec(n=1, h=1.0 / 256, p=2.0, lambda_plus=1.0,
+    """Sizing grid for analytic-field quadrature and a spec that supplies F.
+
+    At h = 1/80 the smallest radius the checks use, 0.05, is 4h.
+    """
+    grid = build_grid(1, 1.0 / 80)
+    spec = ProblemSpec(n=1, h=1.0 / 80, p=2.0, lambda_plus=1.0,
                        lambda_minus=1.0, g="harmonic:deg=1")
     return grid, spec
 
@@ -165,7 +168,7 @@ def check_analytic_frequency(level: str = "quick") -> CheckResult:
             pts = np.atleast_2d(pts)
             z = pts[..., 0] + 1j * np.abs(pts[..., 1])
             return np.real(z ** mu)
-        prof = compute_profile(f, f, [0.0], radii, spec, m=512, grid=grid)
+        prof = compute_profile(f, f, [0.0], radii, spec, grid=grid)
         worst = max(worst, float(np.abs(prof.N0 - mu).max()))
     return CheckResult(
         "frequency of harmonic pairs",
@@ -496,12 +499,13 @@ def identity_corpus() -> dict[str, AnalyticField]:
 
 def check_integral_identities(level: str = "quick") -> CheckResult:
     grid, _ = _fine_sizing()
+    finer = build_grid(1, 1.0 / 160)  # twice the samples of `grid` at r = 0.9
     ok = True
     worst_res, worst_ratio = 0.0, np.inf
     pt_ok = True
     for fld in identity_corpus().values():
-        r512 = rellich_residual(fld, [0.0], 0.9, m=512, grid=grid)
-        r1024 = rellich_residual(fld, [0.0], 0.9, m=1024, grid=grid)
+        r512 = rellich_residual(fld, [0.0], 0.9, grid=grid)
+        r1024 = rellich_residual(fld, [0.0], 0.9, grid=finer)
         worst_res = max(worst_res, r512)
         worst_ratio = min(worst_ratio, r512 / max(r1024, 1e-300))
         ok &= r512 <= 1e-3 and r1024 <= 0.5 * r512 + 1e-13
@@ -512,7 +516,8 @@ def check_integral_identities(level: str = "quick") -> CheckResult:
     ok &= pt_ok
     return CheckResult(
         "integral identities",
-        "Rellich <= 1e-3 at m=512, halves at m=1024; Poincare/trace hold",
+        f"Rellich <= 1e-3 at m={sample_count(0.9, grid.h)}, halves at "
+        f"m={sample_count(0.9, finer.h)}; Poincare/trace hold",
         f"max res {worst_res:.2e}, min halving ratio {worst_ratio:.1f}, "
         f"Poincare/trace {'ok' if pt_ok else 'VIOLATED'}",
         ok)

@@ -33,7 +33,6 @@ def test_parse_empty_text_yields_defaults():
     assert cfg.spec.lambda_minus == 1.0
     assert cfg.spec.h == 0.0625
     assert cfg.seed == 0
-    assert cfg.m == 512
     assert cfg.stages == ("solve", "profile", "gamma")
     commented = parse_config("# nothing but a comment\n\n")
     assert commented.digest == cfg.digest
@@ -46,7 +45,7 @@ def test_parse_empty_text_yields_defaults():
     ("lambda_minus = -2", r"key 'lambda_minus'.*must be > 0"),
     ("h = 0.3", r"key 'h'.*divide 1 exactly.*0\.3"),
     ("centers = 1.5", r"key 'centers'.*outside the open thin face"),
-    ("m = 32", r"key 'm'.*>= 64"),
+    ("m = 512", r"unknown key 'm' \(line 1\)"),
     ("stages = solve,fly", r"key 'stages'.*unknown stage"),
     ("p = 2\np = 3", r"key 'p' given twice \(line 2\)"),
     ("p", r"line 1: expected 'key = value'"),
@@ -68,7 +67,7 @@ def test_run_writes_artifact_tree(tmp_path):
         assert lines[0] == stamp
     assert (out / "fields.csv").read_text().splitlines()[1] == "x,y,u,v"
     head = (out / "profile_+0.0000.csv").read_text().splitlines()[1]
-    assert head == "r,H,D,D0,B,N,N0,phi,W,M"
+    assert head == "r,H,D,D0,B,N,N0,phi"
 
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config_hash"] == cfg.digest
@@ -86,6 +85,17 @@ def test_run_is_byte_deterministic(tmp_path):
     out_b = run(parse_config(BASE + f"output = {tmp_path / 'b'}\n"))
     for name in sorted(os.listdir(out_a)):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_config_txt_parses_back_to_the_run_digest(tmp_path):
+    cfgfile = tmp_path / "case.cfg"
+    cfgfile.write_text("h = 0.0625\np = 2.5\ng = tabulated:values=1;0.5;-0.2;-1\n"
+                       "tol_grad = 1e-09\ncenters = 0.1;-0.2\nseed = 3\n"
+                       f"output = {tmp_path / 'solve'}\n")
+    assert main(["solve", str(cfgfile)]) == 0
+    summary = json.loads((tmp_path / "solve" / "summary.json").read_text())
+    echoed = parse_config((tmp_path / "solve" / "config.txt").read_text())
+    assert echoed.digest == summary["config_hash"]
 
 
 def test_each_free_boundary_point_is_profiled_once(tmp_path, monkeypatch):
@@ -119,7 +129,7 @@ def test_each_free_boundary_point_is_profiled_once(tmp_path, monkeypatch):
         mu, c = float(pt.mu_int), np.array([pt.x, 0.0])
         M = []
         for r in radii:
-            quad = sphere_quadrature(spec.grid(), c, float(r), m=cfg.m)
+            quad = sphere_quadrature(spec.grid(), c, float(r))
             rel = quad.surface_points - c
             du = FieldProbe(result.u).values(quad.surface_points) - pt.p_mu(rel)
             dv = FieldProbe(result.v).values(quad.surface_points) - pt.q_mu(rel)
@@ -139,7 +149,7 @@ def test_bulk_float_rows_write_the_same_bytes_as_per_value_formatting(tmp_path):
     assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
-N2 = "n = 2\nh = 0.125\nm = 64\ng = harmonic:coeffs=1;0.2\n"
+N2 = "n = 2\nh = 0.125\ng = harmonic:coeffs=1;0.2\n"
 
 
 def test_cli_diagnose_profiles_the_face_origin_at_n2(tmp_path, capsys):

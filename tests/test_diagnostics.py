@@ -82,18 +82,18 @@ def test_sphere_sup_radial_field():
 
 def test_sphere_sup_samples_the_quadrature_surface():
     w = lambda p: p[:, 0] ** 2 - p[:, 1] ** 2 + 0.1 * p[:, 0]
-    quad = sphere_quadrature(FINE, np.array([0.1, 0.0]), 0.3, m=512)
+    quad = sphere_quadrature(FINE, np.array([0.1, 0.0]), 0.3)
     assert sphere_sup(w, 0.1, 0.3, grid=FINE) == np.abs(w(quad.surface_points)).max()
     with pytest.raises(ValueError, match="under-resolved"):
         sphere_sup(w, 0.1, 1e-3, grid=FINE)
 
 
-def _per_field_profile(pu, pv, c, radii, spec, mu, p_mu, q_mu, m):
+def _per_field_profile(pu, pv, c, radii, spec, mu, p_mu, q_mu):
     """H, B, D0, D and M with one probe call per field and point set."""
     n = pu.grid.n
     rows = []
     for r in radii:
-        quad = sphere_quadrature(pu.grid, c, float(r), m=m)
+        quad = sphere_quadrature(pu.grid, c, float(r))
         us, vs = pu.values(quad.surface_points), pv.values(quad.surface_points)
         gu, gv = pu.gradient(quad.surface_points), pv.gradient(quad.surface_points)
         gus, gvs = pu.gradient(quad.solid_points), pv.gradient(quad.solid_points)
@@ -113,8 +113,8 @@ def _per_field_profile(pu, pv, c, radii, spec, mu, p_mu, q_mu, m):
     return [np.array(col) for col in zip(*rows)]
 
 
-@pytest.mark.parametrize("n,h,m", [(1, 1.0 / 16, 512), (2, 1.0 / 8, 64)])
-def test_grid_field_profile_equals_the_per_field_path(n, h, m):
+@pytest.mark.parametrize("n,h", [(1, 1.0 / 16), (2, 1.0 / 8)])
+def test_grid_field_profile_equals_the_per_field_path(n, h):
     """The stacked reads of two grid fields change no bit of the profile
     or of the Monneau curve taken on its radii."""
     g = build_grid(n, h)
@@ -126,10 +126,9 @@ def test_grid_field_profile_equals_the_per_field_path(n, h, m):
     radii = default_radii(g, c)
     p_mu = lambda rel: rel[:, 0] ** 2 - rel[:, -1] ** 2
     q_mu = lambda rel: 0.5 * rel[:, 0] * rel[:, -1]
-    prof = compute_profile(u, v, c, radii, spec, m=m)
-    assert prof.m == m
+    prof = compute_profile(u, v, c, radii, spec)
     H, B, D0, D, M = _per_field_profile(FieldProbe(u), FieldProbe(v), c, prof.radii,
-                                        spec, 2.0, p_mu, q_mu, m)
+                                        spec, 2.0, p_mu, q_mu)
     assert (prof.H == H).all() and (prof.B == B).all()
     assert (prof.D0 == D0).all() and (prof.D == D).all()
     curve = monneau_curve(u, v, prof, 2.0, p_mu, q_mu)

@@ -13,6 +13,7 @@ from bilaplab.grid import (
     OutOfDomainError,
     build_grid,
     half_sphere,
+    sample_count,
     sphere_quadrature,
 )
 from bilaplab.problem import ProblemSpec, ScalarField
@@ -217,7 +218,7 @@ def test_quadrature_measures_match_closed_forms():
     """Weights integrate 1 to the half circle length, half disc area, and
     thin segment length."""
     g = build_grid(1, 1 / 16)
-    q = sphere_quadrature(g, np.array([0.0, 0.0]), 0.8, m=256)
+    q = sphere_quadrature(g, np.array([0.0, 0.0]), 0.8)
     assert q.surface_weights.sum() == pytest.approx(np.pi * 0.8, rel=1e-12)
     assert q.solid_weights.sum() == pytest.approx(np.pi * 0.64 / 2, rel=1e-12)
     assert q.thin_weights.sum() == pytest.approx(1.6, rel=1e-12)
@@ -228,7 +229,7 @@ def test_quadrature_exactness_on_smooth_integrand():
     the integral is pi r^3 / 2."""
     g = build_grid(1, 1 / 16)
     r = 0.7
-    q = sphere_quadrature(g, np.array([0.0, 0.0]), r, m=128)
+    q = sphere_quadrature(g, np.array([0.0, 0.0]), r)
     val = (q.surface_weights * q.surface_points[:, 0] ** 2).sum()
     assert val == pytest.approx(np.pi * r ** 3 / 2, rel=1e-12)
 
@@ -236,11 +237,25 @@ def test_quadrature_exactness_on_smooth_integrand():
 def test_quadrature_guards():
     g = build_grid(1, 1 / 8)
     with pytest.raises(ValueError, match="under-resolved"):
-        sphere_quadrature(g, np.array([0.0, 0.0]), 0.25, m=128)
+        sphere_quadrature(g, np.array([0.0, 0.0]), 0.25)
     with pytest.raises(ValueError, match="not contained"):
-        sphere_quadrature(g, np.array([0.5, 0.0]), 0.75, m=128)
-    with pytest.raises(ValueError, match="too small"):
-        sphere_quadrature(g, np.array([0.0, 0.0]), 0.5, m=8)
+        sphere_quadrature(g, np.array([0.5, 0.0]), 0.75)
+
+
+@pytest.mark.parametrize("r,h", [(0.05, 1 / 80), (0.9, 1 / 80), (0.9, 1 / 160), (1.0, 1 / 16),
+                                 (1.0, 1 / 128), (0.3, 1 / 256), (0.25, 1 / 8)])
+def test_sample_count_is_the_least_power_of_two_with_one_sample_per_step(r, h):
+    m = sample_count(r, h)
+    assert m >= 64 and m & (m - 1) == 0
+    assert 2 * np.pi * r / m <= h
+    assert m == 64 or 2 * np.pi * r / (m // 2) > h
+
+
+def test_sample_count_gives_the_two_rellich_sample_sets():
+    # the integral-identity check compares these two counts at r = 0.9
+    assert sample_count(0.9, 1 / 80) == 512
+    assert sample_count(0.9, 1 / 160) == 1024
+    assert sphere_quadrature(build_grid(1, 1 / 80), np.zeros(1), 0.9).surface_points.shape == (512, 2)
 
 
 def test_three_dimensional_grid_smoke():

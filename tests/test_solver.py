@@ -118,7 +118,7 @@ def _monomial_laplacian(pts, expo):
     return out
 
 
-def _reference_weak_residual(result, spec, seed=0, m=512, fd_delta=None):
+def _reference_weak_residual(result, spec, seed=0, fd_delta=None):
     """The weak residual with each trial field evaluated on its own at all
     solid points at once, monomial by monomial. The Laplacian is the product
     rule Lap(c^2 m) = c^2 Lap(m) + 2 grad(c^2) . grad(m) + m Lap(c^2), c = 1 - |z|^2,
@@ -151,7 +151,7 @@ def _reference_weak_residual(result, spec, seed=0, m=512, fd_delta=None):
             out += f(pts + e) + f(pts - e)
         return out / delta ** 2
 
-    quad = sphere_quadrature(spec.grid(), np.zeros(n), 1.0, m=m)
+    quad = sphere_quadrature(spec.grid(), np.zeros(n), 1.0)
     v_solid = result.v(quad.solid_points)
     Fu = thin_reaction(result.u(quad.thin_points), spec)
     monos, table = _poly_trials(n, seed)
@@ -171,26 +171,27 @@ def _reference_weak_residual(result, spec, seed=0, m=512, fd_delta=None):
     return worst
 
 
-@pytest.mark.parametrize("n,h,m", [(1, 1.0 / 16, 512), (2, 1.0 / 8, 96)])
-def test_weak_residual_matches_the_per_trial_evaluation_exactly(n, h, m):
+@pytest.mark.parametrize("n,h", [(1, 1.0 / 41), (2, 1.0 / 11)])
+def test_weak_residual_matches_the_per_trial_evaluation_exactly(n, h):
     # the chunked pass over shared monomial tables agrees with the field-by-field
     # product-rule Laplacian to rounding, and with the old finite-difference
-    # Laplacian to its truncation error
+    # Laplacian to its truncation error (about 2e-9 absolute at every h, so
+    # each h is the coarsest whose quadrature takes more than one chunk)
     spec = ProblemSpec(n=n, h=h, **ASYM)
     result = minimize(spec)
-    assert sphere_quadrature(spec.grid(), np.zeros(n), 1.0, m=m).solid_points.shape[0] > _TRIAL_CHUNK
-    value = weak_residual(result, spec, seed=7, m=m)
-    assert value == pytest.approx(_reference_weak_residual(result, spec, seed=7, m=m),
+    assert sphere_quadrature(spec.grid(), np.zeros(n), 1.0).solid_points.shape[0] > _TRIAL_CHUNK
+    value = weak_residual(result, spec, seed=7)
+    assert value == pytest.approx(_reference_weak_residual(result, spec, seed=7),
                                   rel=1e-12, abs=0.0)
     assert value == pytest.approx(
-        _reference_weak_residual(result, spec, seed=7, m=m, fd_delta=1e-4), rel=1e-5, abs=0.0)
+        _reference_weak_residual(result, spec, seed=7, fd_delta=1e-4), rel=1e-5, abs=0.0)
 
 
-@pytest.mark.parametrize("n,m", [(1, 512), (2, 96)])
-def test_trial_laplacians_satisfy_greens_identity(n, m):
+@pytest.mark.parametrize("n,h", [(1, 1.0 / 41), (2, 1.0 / 11)])
+def test_trial_laplacians_satisfy_greens_identity(n, h):
     # phi is flat on the sphere and even in y, so int_{B1+} Lap(phi) = 0, and
     # the quadrature is exact on these polynomials
-    quad = sphere_quadrature(build_grid(n, 0.125), np.zeros(n), 1.0, m=m)
+    quad = sphere_quadrature(build_grid(n, h), np.zeros(n), 1.0)
     monos, coef = _poly_trials(n, 0)
     laps = coef @ _basis_laplacians(monos, quad.solid_points, n)
     norms = np.sqrt((laps * laps) @ quad.solid_weights)
@@ -198,14 +199,15 @@ def test_trial_laplacians_satisfy_greens_identity(n, m):
 
 
 def test_weak_residual_holds_no_trial_by_point_array():
-    # n = 2 at m = 256 has N = 524 288 solid points; 12 trials by N doubles
-    # alone would be 48 MiB
-    spec = ProblemSpec(n=2, h=0.125, **ASYM)
+    # n = 1 at h = 1/128 samples m = 1024 directions: N = 131 072 solid points
+    # in 16 chunks; 12 trials by N doubles alone would be 12 MiB
+    spec = ProblemSpec(n=1, h=1.0 / 128, **ASYM)
     result = minimize(spec)
-    N = sphere_quadrature(spec.grid(), np.zeros(2), 1.0, m=256).solid_points.shape[0]
+    N = sphere_quadrature(spec.grid(), np.zeros(1), 1.0).solid_points.shape[0]
+    assert N == 131072
     tracemalloc.start()
     try:
-        weak_residual(result, spec, m=256)
+        weak_residual(result, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
