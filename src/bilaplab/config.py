@@ -29,14 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import (
-    compute_profile,
-    default_radii,
-    estimate_mu,
-    minimal_almgren_constant,
-    minimal_monneau_constant,
-    monneau_curve,
-)
+from .diagnostics import compute_profile, default_radii, estimate_mu, minimal_almgren_constant
 from .freeboundary import analyze_point, extract_gamma
 from .problem import ProblemSpec
 from .solver import el_crosscheck, minimize, weak_residual
@@ -238,7 +231,11 @@ def output_root() -> Path:
 
 
 def run(config: RunConfig) -> Path:
-    """Execute the configured stages and write the artifact directory."""
+    """Execute the configured stages and write the artifact directory. The
+    gamma stage at n = 2 is a ConfigError, raised before anything is solved."""
+    if "gamma" in config.stages and config.spec.n != 1:
+        raise ConfigError("key 'n': the free boundary (stage gamma, `bilaplab blowup`) "
+                          "is extracted at n = 1 only")
     digest = config.digest
     out = Path(config.output) if config.output else output_root() / "runs" / digest
     out.mkdir(parents=True, exist_ok=True)
@@ -272,7 +269,7 @@ def run(config: RunConfig) -> Path:
     }
 
     points = []
-    if "gamma" in config.stages and spec.n == 1:
+    if "gamma" in config.stages:
         points = extract_gamma(result.u, spec)
         for pt in points:
             analyze_point(pt, result.u, result.v, spec)
@@ -283,15 +280,17 @@ def run(config: RunConfig) -> Path:
 
     if "profile" in config.stages:
         summary["profiles"] = {}
-        # an analyzed free-boundary point carries its profile on the default radii
-        known = {} if config.radii else {pt.x: pt.profile for pt in points}
+        # an analyzed free-boundary point carries its profile on the default
+        # radii and the profile's Almgren constant
+        known = {} if config.radii else {pt.x: pt for pt in points}
         for c in centers:
             thin_c = [c] + [0.0] * (spec.n - 1)  # x at n = 1; the face origin at n = 2
-            prof = known.get(c)
-            if prof is None:
+            if c in known:
+                prof, almgren_c = known[c].profile, known[c].almgren_constant
+            else:
                 radii = np.asarray(config.radii) if config.radii else default_radii(grid, thin_c)
                 prof = compute_profile(result.u, result.v, thin_c, radii, spec)
-            almgren_c = minimal_almgren_constant(prof.radii, prof.N)
+                almgren_c = minimal_almgren_constant(prof.radii, prof.N)
             entry = {
                 "center": c,
                 "radii": [float(r) for r in prof.radii],
@@ -312,11 +311,6 @@ def run(config: RunConfig) -> Path:
         gamma_rows = []
         summary["points"] = []
         for pt in points:
-            mon_c = None
-            if pt.mu_int is not None and pt.mu_int >= 1 and pt.p_mu is not None:
-                M = monneau_curve(result.u, result.v, pt.profile, float(pt.mu_int),
-                                  pt.p_mu, pt.q_mu)
-                mon_c = minimal_monneau_constant(pt.profile.radii, M)
             gamma_rows.append([pt.x, pt.side, pt.classification, pt.mu_hat,
                                pt.mu_int, pt.dimension, pt.fit_residual])
             summary["points"].append({
@@ -328,7 +322,7 @@ def run(config: RunConfig) -> Path:
                 "dimension": pt.dimension,
                 "fit_residual": pt.fit_residual,
                 "value_v": pt.value_v,
-                "monneau_constant": mon_c,
+                "monneau_constant": pt.monneau_constant,
             })
         _write_csv(out / "gamma.csv", digest,
                    ["x", "side", "class", "mu_hat", "mu_int", "d", "fit_residual"],

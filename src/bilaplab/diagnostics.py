@@ -15,9 +15,12 @@ face through quadrature over half-spheres, half-balls, and thin balls:
 Fields may be ScalarFields (interpolated, gradients by central differences
 with even reflection at the face) or plain callables on points (evaluated
 exactly, gradients by small-step central differences on the even
-extension), sized by the instrument's `grid=`; Laplacians of callables come
-from an AnalyticField. Analytic checks want callables; solver output fields.
-Every sphere and ball is sampled with `sample_count(r, h)` directions.
+extension), sized by the instrument's `grid=`; Laplacians come only from an
+AnalyticField. Analytic checks want callables; solver output fields.
+Instruments read the pair through `_PairSampler` (one interpolation per point
+set for two grid fields). `compute_profile` samples each sphere and ball with
+`sample_count(r, h)` directions and keeps its half-sphere samples, from which
+`monneau_curve` reads M_mu; a radius ladder on one direction set is `_ladder`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from .grid import (_TOL, HalfBallGrid, _as_thin_center, ball_center, half_sphere, sample_count,
                    sphere_quadrature)
-from .problem import ProblemSpec, ScalarField, discrete_laplacian, thin_reaction
+from .problem import ProblemSpec, ScalarField, thin_reaction
 
 DEGENERATE_FACTOR = 1e-14  # H below this times sup(u^2+v^2) is flagged
 FACE_GAUSS_POINTS = 64  # Gauss-Legendre points per half-chord in face_mean_value_term
@@ -150,13 +153,10 @@ class FieldProbe:
         return out
 
     def laplacian(self, pts: np.ndarray) -> np.ndarray:
-        """Laplacian probe: the supplied closed form for an AnalyticField, the
-        lattice Laplacian interpolated for grid fields (best away from the rim)."""
+        """The closed-form Laplacian of an AnalyticField; TypeError for any other field."""
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        if self.kind == "grid":
-            return discrete_laplacian(self._field)(pts, extended=True)
         if self._analytic is None or self._analytic.laplacian is None:
-            raise TypeError("a callable field needs an AnalyticField with a laplacian")
+            raise TypeError("a Laplacian needs an AnalyticField with a laplacian")
         q = pts.copy()
         q[:, -1] = np.abs(q[:, -1])
         return np.asarray(self._analytic.laplacian(q), dtype=np.float64)
@@ -209,6 +209,9 @@ class RadialProfile:
     Arrays are indexed like `radii` (ascending). Rows where H is below
     DEGENERATE_FACTOR times the squared sup of the pair are flagged in
     `degenerate` and carry NaN in the H-normalized columns (N0, N).
+    `surface[k]` holds the half-sphere samples of radius k that H was
+    taken from: the points relative to the center, the quadrature weights,
+    and the values of u and v there.
     """
 
     center: np.ndarray
@@ -221,6 +224,7 @@ class RadialProfile:
     N: np.ndarray
     phi: np.ndarray
     degenerate: np.ndarray
+    surface: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
 
 
 def default_radii(grid: HalfBallGrid, center) -> np.ndarray:
@@ -246,7 +250,8 @@ def compute_profile(u, v, center, radii, spec: ProblemSpec,
     """Fill every radial functional but M_mu by quadrature. See module docstring.
 
     u and v may be ScalarFields or callables; `spec` supplies the reaction F.
-    M_mu needs a blow-up fit and comes from `monneau_curve` on the profile.
+    M_mu needs a blow-up fit and comes from `monneau_curve` on the profile's
+    half-sphere samples, which the profile keeps.
     """
     pu = _as_probe(u, grid)
     pv = _as_probe(v, grid)
@@ -262,10 +267,12 @@ def compute_profile(u, v, center, radii, spec: ProblemSpec,
     Dv = np.zeros(K)
     Bv = np.zeros(K)
     sup2 = 0.0
+    surface = []
     sampler = _PairSampler(pu, pv)
     for k, r in enumerate(radii):
         quad = sphere_quadrature(g, c, float(r))
         us, vs, gu, gv = sampler.with_gradients(quad.surface_points)
+        surface.append((quad.surface_points - c, quad.surface_weights, us, vs))
         sup2 = max(sup2, float((us ** 2 + vs ** 2).max()))
         H[k] = quad.surface_weights @ (us ** 2 + vs ** 2)
         Bv[k] = quad.surface_weights @ ((gu ** 2).sum(axis=1) + (gv ** 2).sum(axis=1))
@@ -283,29 +290,21 @@ def compute_profile(u, v, center, radii, spec: ProblemSpec,
     phi = H / radii ** g.n
 
     return RadialProfile(center=c, radii=radii, H=H, D0=D0, D=Dv, B=Bv,
-                         N0=N0, N=N, phi=phi, degenerate=degenerate)
+                         N0=N0, N=N, phi=phi, degenerate=degenerate, surface=surface)
 
 
-def monneau_curve(u, v, profile: RadialProfile, mu: float, p_mu, q_mu,
-                  grid: HalfBallGrid | None = None) -> np.ndarray:
-    """M_mu of the pair on a profile's radii and center, sampled as the profile was.
+def monneau_curve(profile: RadialProfile, mu: float, p_mu, q_mu) -> np.ndarray:
+    """M_mu of the profiled pair on the profile's radii, from its half-sphere samples.
 
     p_mu and q_mu are callables on points RELATIVE to the center, typically
-    HomogeneousHarmonicPoly instances. Only half-sphere values are read;
-    rows the profile flags degenerate are NaN.
+    HomogeneousHarmonicPoly instances. The fields are not read again: the
+    values are those `compute_profile` took H from. Rows the profile flags
+    degenerate are NaN.
     """
-    pu = _as_probe(u, grid)
-    pv = _as_probe(v, grid)
-    g = pu.grid
-    sampler = _PairSampler(pu, pv, gradients=False)
-    M = np.zeros(profile.radii.size)
-    for k, r in enumerate(profile.radii):
-        quad = sphere_quadrature(g, profile.center, float(r))
-        us, vs = sampler.values(quad.surface_points)
-        rel = quad.surface_points - quad.center
-        du = us - np.asarray(p_mu(rel))
-        dv = vs - np.asarray(q_mu(rel))
-        M[k] = (quad.surface_weights @ (du ** 2 + dv ** 2)) / r ** (g.n + 2 * mu)
+    n = profile.center.size - 1
+    M = np.array([(w @ ((us - np.asarray(p_mu(rel))) ** 2 + (vs - np.asarray(q_mu(rel))) ** 2))
+                  / r ** (n + 2 * mu)
+                  for r, (rel, w, us, vs) in zip(profile.radii, profile.surface)])
     return np.where(profile.degenerate, np.nan, M)
 
 
@@ -324,7 +323,7 @@ def rellich_residual(w, center, r: float, grid: HalfBallGrid | None = None) -> f
     The solid terms dot the full ambient position against the full ambient
     gradient; the thin term uses only the tangential coordinates and the
     vertical derivative (which vanishes for even fields, but the identity
-    holds regardless). A callable w must be an AnalyticField with a Laplacian.
+    holds regardless). w must be an AnalyticField with a Laplacian.
     """
     p = _as_probe(w, grid)
     g = p.grid
@@ -410,13 +409,25 @@ def estimate_mu(profile: RadialProfile) -> tuple[float, int | None]:
     return mu_hat, mu_int
 
 
-def _sphere_sups(p: FieldProbe, center, radii) -> np.ndarray:
-    """sup |w| over the upper half-sphere of each radius, by dense sampling
-    along one direction set, sized by `sample_count` for the largest radius."""
+def _ladder(grid: HalfBallGrid, center, radii):
+    """One half-sphere direction set for a whole radius ladder.
+
+    Returns the `half_sphere` directions and weights, sized by `sample_count`
+    of the largest radius, and the points center + r d, radius by radius in
+    the order given, shape (K m, n+1). The center and each radius are
+    checked by `ball_center`.
+    """
     radii = np.atleast_1d(np.asarray(radii, dtype=np.float64))
-    direc, _ = half_sphere(p.grid.n, sample_count(radii.max(), p.grid.h))
-    return np.array([np.abs(p.values(ball_center(p.grid, center, r) + r * direc)).max()
-                     for r in radii])
+    direc, w = half_sphere(grid.n, sample_count(radii.max(), grid.h))
+    for r in radii:
+        c = ball_center(grid, center, r)
+    return direc, w, (c + radii[:, None, None] * direc).reshape(-1, grid.n + 1)
+
+
+def _sphere_sups(p: FieldProbe, center, radii) -> np.ndarray:
+    """sup |w| over the upper half-sphere of each radius, sampled along `_ladder`."""
+    _, _, pts = _ladder(p.grid, center, radii)
+    return np.abs(p.values(pts)).reshape(len(radii), -1).max(axis=1)
 
 
 def sphere_sup(w, center, r: float, grid: HalfBallGrid | None = None) -> float:

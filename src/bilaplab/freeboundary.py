@@ -14,8 +14,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .diagnostics import RadialProfile, _as_probe, _sphere_sups
-from .grid import HalfBallGrid, _as_thin_center, half_sphere, sample_count
+from .diagnostics import RadialProfile, _as_probe, _ladder, _PairSampler
+from .grid import HalfBallGrid
 from .harmonics import HomogeneousHarmonicPoly, harmonic_basis
 from .problem import ProblemSpec, ScalarField, face_phase
 
@@ -27,9 +27,10 @@ class FreeBoundaryPoint:
     """A point of the free boundary on the thin face (n=1: a single x).
 
     Filled progressively: extract_gamma sets x and side labels;
-    classify_point sets classification, thin gradients, and metadata;
-    the blow-up pipeline fills the radial profile it extrapolates, mu_hat,
-    mu_int, fits, residual, dimension.
+    classify_point sets classification, the values and thin gradients of
+    u and v, and metadata; analyze_point fills the radial profile it
+    extrapolates, mu_hat, mu_int, fits, residual, dimension, and the
+    point's Almgren and Monneau constants.
     """
 
     x: float
@@ -47,6 +48,8 @@ class FreeBoundaryPoint:
     fit_residual: float | None = None
     dimension: int | None = None
     profile: RadialProfile | None = None
+    almgren_constant: float | None = None
+    monneau_constant: float | None = None
     metadata: dict = dc_field(default_factory=dict)
 
     @property
@@ -115,24 +118,14 @@ def extract_gamma(u: ScalarField, spec: ProblemSpec) -> list[FreeBoundaryPoint]:
     return sorted(points.values(), key=lambda p: p.x)
 
 
-def thin_gradient(w, x0: float, grid: HalfBallGrid | None = None) -> float:
-    """Central-difference tangential derivative of the thin trace at x0."""
-    p = _as_probe(w, grid)
-    g = p.grid
-    step = min(g.h, 1.0 - abs(x0) - 1e-12)
-    if step <= 0:
-        raise ValueError(f"point x={x0} too close to the face edge")
-    a = p.values(np.array([[x0 + step, 0.0]]))[0]
-    b = p.values(np.array([[x0 - step, 0.0]]))[0]
-    return float((a - b) / (2.0 * step))
-
-
 def classify_point(point: FreeBoundaryPoint, u, v,
                    grid: HalfBallGrid | None = None) -> str:
     """REGULAR when the trace vanishes and both thin gradients are nonzero.
 
     Numerical gates: |u(point)| <= tau = 1e-6 + 10 h^2 and
-    min(|d_x u|, |d_x v|) > tau' = 10 h. Anything else is SINGULAR.
+    min(|d_x u|, |d_x v|) > tau' = 10 h. Anything else is SINGULAR. The
+    pair is read once, at x and x +- step with step = min(h, distance to
+    the face edge); the thin gradients are the central differences.
     A REGULAR verdict records the local smooth-graph conclusion (class
     C^{3,alpha}) as metadata: it is a classification tag, not a computed
     fact. The thresholds are calibration choices and are stored alongside.
@@ -142,11 +135,14 @@ def classify_point(point: FreeBoundaryPoint, u, v,
     g = pu.grid
     tau = 1e-6 + 10.0 * g.h ** 2
     tau_prime = 10.0 * g.h
-    pt = np.array([[point.x, 0.0]])
-    point.value_u = float(pu.values(pt)[0])
-    point.value_v = float(pv.values(pt)[0])
-    point.grad_u = thin_gradient(pu, point.x, g)
-    point.grad_v = thin_gradient(pv, point.x, g)
+    step = min(g.h, 1.0 - abs(point.x) - 1e-12)
+    if step <= 0:
+        raise ValueError(f"point x={point.x} too close to the face edge")
+    x = np.array([[point.x, 0.0], [point.x + step, 0.0], [point.x - step, 0.0]])
+    u, v = _PairSampler(pu, pv, gradients=False).values(x)
+    point.value_u, point.value_v = float(u[0]), float(v[0])
+    point.grad_u = float((u[1] - u[2]) / (2.0 * step))
+    point.grad_v = float((v[1] - v[2]) / (2.0 * step))
     point.metadata["tau"] = tau
     point.metadata["tau_prime"] = tau_prime
     regular = (abs(point.value_u) <= tau
@@ -187,10 +183,11 @@ def blowup_fit(u, v, center, radii, mu: int, grid: HalfBallGrid | None = None) -
 
     For each radius r the homogeneous rescaling w(center + r z)/r^mu is
     sampled on the unit half-sphere and projected onto the even harmonic
-    basis of degree mu in the weighted L2 sense; every radius uses the
-    `sample_count` directions of the largest. The returned polynomials
-    are the fits at the smallest radius; the residual curve should decrease
-    toward 0 (linearly in r when the remainder is one degree higher).
+    basis of degree mu in the weighted L2 sense; every radius uses the one
+    direction set of `_ladder`, and the pair is read at all radii at once.
+    The returned polynomials are the fits at the smallest radius; the
+    residual curve should decrease toward 0 (linearly in r when the
+    remainder is one degree higher).
     """
     if mu != int(mu) or mu < 1:
         raise ValueError(f"blow-up degree must be a positive integer, got {mu}")
@@ -198,10 +195,9 @@ def blowup_fit(u, v, center, radii, mu: int, grid: HalfBallGrid | None = None) -
     pu = _as_probe(u, grid)
     pv = _as_probe(v, grid)
     g = pu.grid
-    c = _as_thin_center(g.n, center)
     radii = np.sort(np.asarray(radii, dtype=np.float64))
     basis = harmonic_basis(g.n, mu)
-    direc, w = half_sphere(g.n, sample_count(radii.max(), g.h))
+    direc, w, pts = _ladder(g, center, radii)
     A = np.stack([b(direc) for b in basis], axis=1)
     sw = np.sqrt(w)
     Aw = A * sw[:, None]
@@ -210,10 +206,10 @@ def blowup_fit(u, v, center, radii, mu: int, grid: HalfBallGrid | None = None) -
     res = np.zeros(K)
     cu = np.zeros((K, len(basis)))
     cv = np.zeros((K, len(basis)))
+    us, vs = (a.reshape(K, -1) for a in _PairSampler(pu, pv, gradients=False).values(pts))
     for k, r in enumerate(radii):
-        pts = c[None, :] + r * direc
-        au = pu.values(pts) / r ** mu
-        av = pv.values(pts) / r ** mu
+        au = us[k] / r ** mu
+        av = vs[k] / r ** mu
         solu, *_ = np.linalg.lstsq(Aw, au * sw, rcond=None)
         solv, *_ = np.linalg.lstsq(Aw, av * sw, rcond=None)
         cu[k], cv[k] = solu, solv
@@ -231,14 +227,16 @@ def blowup_fit(u, v, center, radii, mu: int, grid: HalfBallGrid | None = None) -
 
 def nondegeneracy_check(u, v, center, radii, mu: float, grid: HalfBallGrid | None = None) -> float:
     """min over r of max(sup |u|, sup |v|) / r^mu on half-spheres, sampled along
-    one direction set for all radii.
+    the one direction set of `_ladder`.
 
     Positive and r-stable certifies nondegeneracy; 0 means the pair decays
     faster than r^mu (degenerate for the claimed frequency).
     """
     radii = np.asarray(radii, dtype=np.float64)
-    sups = np.maximum(_sphere_sups(_as_probe(u, grid), center, radii),
-                      _sphere_sups(_as_probe(v, grid), center, radii))
+    pu = _as_probe(u, grid)
+    _, _, pts = _ladder(pu.grid, center, radii)
+    us, vs = _PairSampler(pu, _as_probe(v, grid), gradients=False).values(pts)
+    sups = np.maximum(np.abs(us), np.abs(vs)).reshape(radii.size, -1).max(axis=1)
     return float((sups / radii ** mu).min())
 
 
@@ -279,14 +277,18 @@ def singular_dimension(p_mu: HomogeneousHarmonicPoly, q_mu: HomogeneousHarmonicP
 
 def analyze_point(point: FreeBoundaryPoint, u: ScalarField, v: ScalarField,
                   spec: ProblemSpec) -> FreeBoundaryPoint:
-    """Classification plus frequency, blow-up fit, and stratum dimension.
+    """Classification, frequency, blow-up fit, stratum dimension, and constants.
 
-    Runs the full per-point pipeline: thin-gradient classification, Almgren
-    frequency extrapolation for mu_hat/mu_int, blow-up fits over the degrees
-    MU_CANDIDATES (recording the best), and singular dimension for fitted
-    pairs.
+    Runs the full per-point pipeline: thin-gradient classification, the
+    profile on the default radii with its Almgren constant, frequency
+    extrapolation for mu_hat/mu_int, blow-up fits over the degrees
+    MU_CANDIDATES (recording the best), singular dimension for fitted
+    pairs, and, when mu_int >= 1, the Monneau constant of the fit with
+    mu = mu_int, taken from the profile's own half-sphere samples.
     """
-    from .diagnostics import compute_profile, default_radii, estimate_mu
+    from .diagnostics import (compute_profile, default_radii, estimate_mu,
+                              minimal_almgren_constant, minimal_monneau_constant,
+                              monneau_curve)
 
     pu = _as_probe(u)
     pv = _as_probe(v)
@@ -294,6 +296,7 @@ def analyze_point(point: FreeBoundaryPoint, u: ScalarField, v: ScalarField,
     classify_point(point, pu, pv)
     radii = default_radii(g, [point.x])
     prof = point.profile = compute_profile(pu, pv, [point.x], radii, spec)
+    point.almgren_constant = minimal_almgren_constant(prof.radii, prof.N)
     try:
         point.mu_hat, point.mu_int = estimate_mu(prof)
     except ValueError as exc:
@@ -310,6 +313,9 @@ def analyze_point(point: FreeBoundaryPoint, u: ScalarField, v: ScalarField,
     point.p_mu, point.q_mu = fit.p_mu, fit.q_mu
     point.fit_residual = float(fit.residuals[0])
     point.metadata["fit_no_blowup"] = fit.no_blowup
+    if point.mu_int is not None and point.mu_int >= 1:
+        M = monneau_curve(prof, float(point.mu_int), fit.p_mu, fit.q_mu)
+        point.monneau_constant = minimal_monneau_constant(prof.radii, M)
     try:
         point.dimension = singular_dimension(fit.p_mu, fit.q_mu)
     except ValueError as exc:

@@ -103,6 +103,8 @@ class HalfBallGrid:
         ).astype(np.uint8)
 
         self.box_shape = inside.shape
+        # flat-index stride of each lattice axis, for `interp_box`
+        self._strides = [int(np.prod(self.box_shape[ax + 1:])) for ax in range(n + 1)]
         self.inside = inside
         self.box_ids = np.full(inside.shape, -1, dtype=np.int64)
         N = int(inside.sum())
@@ -200,7 +202,7 @@ class HalfBallGrid:
         f = np.empty_like(pts)
         f[:, : self.n] = pts[:, : self.n] / self.h + self.M
         f[:, -1] = np.maximum(pts[:, -1], 0.0) / self.h
-        strides = [int(np.prod(self.box_shape[ax + 1:])) for ax in range(dim)]
+        strides = self._strides
         cell = np.zeros(pts.shape[0], dtype=np.int64)  # flat index of the base corner
         frac = np.empty((dim, pts.shape[0]))
         for ax in range(dim):

@@ -25,11 +25,9 @@ import numpy as np
 from .diagnostics import (
     AnalyticField,
     compute_profile,
-    estimate_mu,
     growth_fit,
     face_mean_value_term,
     mean_value_defects,
-    minimal_almgren_constant,
     minimal_monneau_constant,
     monneau_curve,
     poincare_check,
@@ -76,23 +74,10 @@ def corpus_oracle(tag: str, h_inv: int):
 
 @lru_cache(maxsize=None)
 def corpus_points(tag: str, h_inv: int):
-    """Free-boundary points of a corpus solve, fully analyzed, plus profiles."""
+    """Free-boundary points of a corpus solve, each set by `analyze_point`."""
     spec = corpus_spec(tag, h_inv)
     res = corpus_solve(tag, h_inv)
-    pts = extract_gamma(res.u, spec)
-    rows = []
-    for pt in pts:
-        analyze_point(pt, res.u, res.v, spec)
-        prof = pt.profile
-        octave = prof.radii[prof.radii <= 2.0 * prof.radii[0] + 1e-12]
-        rows.append({
-            "point": pt,
-            "profile": prof,
-            "almgren_c": minimal_almgren_constant(prof.radii, prof.N),
-            "growth_slope": growth_fit(res.u, [pt.x], octave),
-            "v_at_point": float(res.v([[pt.x, 0.0]])[0]),
-        })
-    return tuple(rows)
+    return tuple(analyze_point(pt, res.u, res.v, spec) for pt in extract_gamma(res.u, spec))
 
 
 def _fine_sizing():
@@ -188,7 +173,7 @@ def check_almgren_monotonicity(level: str = "quick") -> CheckResult:
     for tag in CORPUS:
         per_h[tag] = {}
         for h_inv in h_list:
-            cs = [row["almgren_c"] for row in corpus_points(tag, h_inv)]
+            cs = [pt.almgren_constant for pt in corpus_points(tag, h_inv)]
             if not cs or any(np.isnan(c) for c in cs):
                 ok = False
                 notes.append(f"{tag}@1/{h_inv}: no admissible C")
@@ -222,14 +207,15 @@ def check_growth_estimate(level: str = "quick") -> CheckResult:
     worst_margin, ok, n_pts = np.inf, True, 0
     for tag in CORPUS:
         for h_inv in h_list:
-            for row in corpus_points(tag, h_inv):
-                pt, prof = row["point"], row["profile"]
-                try:
-                    mu_hat, _ = estimate_mu(prof)
-                except ValueError:
-                    continue
+            u = corpus_solve(tag, h_inv).u
+            for pt in corpus_points(tag, h_inv):
+                if pt.mu_hat is None:
+                    continue  # analyze_point found no frequency here
                 n_pts += 1
-                margin = row["growth_slope"] - (mu_hat - 0.1)
+                # sup |u| over the smallest octave of the point's radii
+                radii = pt.profile.radii
+                octave = radii[radii <= 2.0 * radii[0] + 1e-12]
+                margin = growth_fit(u, [pt.x], octave) - (pt.mu_hat - 0.1)
                 worst_margin = min(worst_margin, margin)
                 ok &= margin >= 0.0
     return CheckResult(
@@ -328,12 +314,12 @@ def check_v_vanishes(level: str = "quick") -> CheckResult:
         odd = odd_in_x(corpus_spec(tag, h_list[0]))
         forced, other = [], []
         for h_inv in h_list:
-            rows = corpus_points(tag, h_inv)
+            pts = corpus_points(tag, h_inv)
             # symmetry forces v = 0 only on the axis x1 = 0 of an odd problem;
             # 1e-6 h is the resolution at which extract_gamma merges points
-            on_axis = [odd and abs(r["point"].x) <= 1e-6 / h_inv for r in rows]
-            forced.append([abs(r["v_at_point"]) for r, f in zip(rows, on_axis) if f])
-            other.append([r["v_at_point"] for r, f in zip(rows, on_axis) if not f])
+            on_axis = [odd and abs(pt.x) <= 1e-6 / h_inv for pt in pts]
+            forced.append([abs(pt.value_v) for pt, f in zip(pts, on_axis) if f])
+            other.append([pt.value_v for pt, f in zip(pts, on_axis) if not f])
         if all(forced):
             n_forced += 1
             # C stable across h: each refinement may not grow the constant by
@@ -408,22 +394,17 @@ def check_monneau_nondegeneracy(level: str = "quick") -> CheckResult:
     seeded = []
     for tag in CORPUS:
         for h_inv in h_list:
-            for row in corpus_points(tag, h_inv):
-                pt = row["point"]
+            for pt in corpus_points(tag, h_inv):
                 if (pt.classification == "SINGULAR" and pt.mu_int is not None
                         and pt.mu_int >= 2):
-                    seeded.append((tag, h_inv, row))
+                    seeded.append((tag, h_inv, pt))
     notes = []
     ok = True
     if seeded:
-        for tag, h_inv, row in seeded:
-            pt = row["point"]
+        for tag, h_inv, pt in seeded:
             res = corpus_solve(tag, h_inv)
-            radii = row["profile"].radii
-            M = monneau_curve(res.u, res.v, row["profile"], float(pt.mu_int),
-                              pt.p_mu, pt.q_mu)
-            c = minimal_monneau_constant(radii, M)
-            nd = nondegeneracy_check(res.u, res.v, [pt.x], radii, pt.mu_int)
+            c = pt.monneau_constant
+            nd = nondegeneracy_check(res.u, res.v, [pt.x], pt.profile.radii, pt.mu_int)
             good = np.isfinite(c) and c <= 50.0 and nd > 0.0
             ok &= good
             notes.append(f"{tag}@1/{h_inv} x*={pt.x:+.3f}: C={c:.2f} c_min={nd:.2e}")
@@ -434,7 +415,7 @@ def check_monneau_nondegeneracy(level: str = "quick") -> CheckResult:
         radii = np.geomspace(0.05, 0.5, 13)  # one decade of radii
         fit = blowup_fit(f, f, [0.0], radii, mu=2, grid=grid)
         prof = compute_profile(f, f, [0.0], radii, spec, grid=grid)
-        M = monneau_curve(f, f, prof, 2.0, fit.p_mu, fit.q_mu, grid=grid)
+        M = monneau_curve(prof, 2.0, fit.p_mu, fit.q_mu)
         c = minimal_monneau_constant(prof.radii, M)
         cvals = np.array([nondegeneracy_check(f, f, [0.0], [r], 2, grid=grid)
                           for r in radii])
@@ -556,8 +537,7 @@ def check_blowup_fitting(level: str = "quick") -> CheckResult:
     agree, outside, solver_ok = 0, 0, True
     for tag in CORPUS:
         for h_inv in h_list:
-            for row in corpus_points(tag, h_inv):
-                pt = row["point"]
+            for pt in corpus_points(tag, h_inv):
                 best = pt.metadata.get("best_fit_degree")
                 if pt.mu_int is not None and pt.mu_int >= 1:
                     solver_ok &= (best == pt.mu_int)

@@ -136,6 +136,7 @@ def test_each_free_boundary_point_is_profiled_once(tmp_path, monkeypatch):
             M.append((quad.surface_weights @ (du ** 2 + dv ** 2)) / r ** (spec.n + 2 * mu))
         M = np.where(pt.profile.degenerate, np.nan, M)
         assert row["monneau_constant"] == minimal_monneau_constant(radii, M)
+        assert pt.monneau_constant == minimal_monneau_constant(radii, M)
 
 
 def test_bulk_float_rows_write_the_same_bytes_as_per_value_formatting(tmp_path):
@@ -163,6 +164,14 @@ def test_cli_diagnose_profiles_the_face_origin_at_n2(tmp_path, capsys):
     cfgfile.write_text(N2 + "centers = 0.1\n")
     assert main(["diagnose", str(cfgfile)]) == 2
     assert "'centers'" in capsys.readouterr().err
+
+
+def test_cli_blowup_at_n2_is_a_config_error_naming_n(tmp_path, capsys):
+    cfgfile = tmp_path / "n2.cfg"
+    cfgfile.write_text(N2 + f"output = {tmp_path / 'n2'}\n")
+    assert main(["blowup", str(cfgfile)]) == 2
+    assert "key 'n'" in capsys.readouterr().err
+    assert not (tmp_path / "n2").exists()
 
 
 def test_cli_and_verify_do_not_import_scipy_integrate():

@@ -21,7 +21,8 @@ from bilaplab.diagnostics import (
     sphere_sup,
     trace_check,
 )
-from bilaplab.grid import sphere_quadrature
+from bilaplab.freeboundary import FreeBoundaryPoint, blowup_fit, classify_point, nondegeneracy_check
+from bilaplab.grid import HalfBallGrid, sphere_quadrature
 from bilaplab.problem import thin_reaction
 
 FINE = build_grid(1, 1.0 / 256.0)
@@ -54,6 +55,12 @@ def test_rellich_identity_vanishes_on_smooth_field():
         laplacian=lambda p: np.full(len(p), 2.0),
     )
     assert rellich_residual(ysq, 0.0, 0.9, grid=FINE) < 1e-12
+
+
+def test_rellich_residual_needs_an_analytic_field():
+    w = ScalarField(FINE, FINE.nodes[:, 1] ** 2)
+    with pytest.raises(TypeError, match="AnalyticField"):
+        rellich_residual(w, 0.0, 0.9)
 
 
 def test_frequency_of_homogeneous_harmonic_pair():
@@ -114,9 +121,10 @@ def _per_field_profile(pu, pv, c, radii, spec, mu, p_mu, q_mu):
 
 
 @pytest.mark.parametrize("n,h", [(1, 1.0 / 16), (2, 1.0 / 8)])
-def test_grid_field_profile_equals_the_per_field_path(n, h):
-    """The stacked reads of two grid fields change no bit of the profile
-    or of the Monneau curve taken on its radii."""
+def test_grid_field_profile_equals_the_per_field_path(n, h, monkeypatch):
+    """The stacked reads of two grid fields change no bit of the profile, of
+    the Monneau curve taken from its samples without reading the fields, or
+    of the blow-up fit, nondegeneracy ratio and classification."""
     g = build_grid(n, h)
     spec = ProblemSpec(n=n, p=3.0, lambda_plus=2.0, lambda_minus=0.5, g="zero", h=h)
     z = g.nodes
@@ -131,8 +139,28 @@ def test_grid_field_profile_equals_the_per_field_path(n, h):
                                         spec, 2.0, p_mu, q_mu)
     assert (prof.H == H).all() and (prof.B == B).all()
     assert (prof.D0 == D0).all() and (prof.D == D).all()
-    curve = monneau_curve(u, v, prof, 2.0, p_mu, q_mu)
+    reads = []
+    interp_box = HalfBallGrid.interp_box
+    monkeypatch.setattr(HalfBallGrid, "interp_box",
+                        lambda *a, **k: reads.append(1) or interp_box(*a, **k))
+    curve = monneau_curve(prof, 2.0, p_mu, q_mu)
+    assert reads == []
+    monkeypatch.undo()
     assert np.array_equal(curve, np.where(prof.degenerate, np.nan, M), equal_nan=True)
+
+    # callables wrapping one probe each: the pair is read field by field
+    fu, fv = FieldProbe(u).values, FieldProbe(v).values
+    fit, ref = blowup_fit(u, v, c, radii, 2), blowup_fit(fu, fv, c, radii, 2, grid=g)
+    assert np.array_equal(fit.residuals, ref.residuals, equal_nan=True)
+    assert (fit.coeff_curve_u == ref.coeff_curve_u).all()
+    assert (fit.coeff_curve_v == ref.coeff_curve_v).all()
+    assert nondegeneracy_check(u, v, c, radii, 2.0) == nondegeneracy_check(
+        fu, fv, c, radii, 2.0, grid=g)
+    if n == 1:  # free-boundary points live on the n = 1 face
+        pt, ref_pt = FreeBoundaryPoint(x=0.1), FreeBoundaryPoint(x=0.1)
+        classify_point(pt, u, v)
+        classify_point(ref_pt, fu, fv, grid=g)
+        assert pt == ref_pt and pt.grad_u is not None
 
 
 def test_default_radii_ladder():
@@ -207,7 +235,7 @@ def _profile_with_n0(radii, n0):
     return RadialProfile(center=np.zeros(1), radii=np.asarray(radii),
                          H=np.ones(k), D0=z, D=z, B=z, N0=np.asarray(n0),
                          N=np.asarray(n0), phi=np.ones(k),
-                         degenerate=np.zeros(k, dtype=bool))
+                         degenerate=np.zeros(k, dtype=bool), surface=[])
 
 
 def test_estimate_mu_extrapolates_to_zero_radius():

@@ -1,0 +1,27 @@
+"""The same-bytes command's comparison of two artifact trees."""
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "same_bytes.py"
+_spec = importlib.util.spec_from_file_location("same_bytes", _PATH)
+same_bytes = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_bytes)
+
+
+def _tree(root: Path, files: dict) -> Path:
+    for name, data in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_bytes(data)
+    return root
+
+
+def test_differing_lists_changed_and_one_sided_files(tmp_path):
+    common = {"a/summary.json": b"{}\n", "a/fields.csv": b"x,y\n0.0,1.0\n",
+              "exit_codes.json": b'{"a": 0}\n'}
+    base = _tree(tmp_path / "base", {**common, "b/gamma.csv": b"x\n", "c/old.csv": b""})
+    change = _tree(tmp_path / "change", {**common, "b/gamma.csv": b"x\n\n",
+                                         "d/new.csv": b""})
+    assert same_bytes.differing(base, change) == (6, ["b/gamma.csv", "c/old.csv", "d/new.csv"])
+    assert same_bytes.differing(base, tmp_path / "base") == (5, [])
+

@@ -1,0 +1,128 @@
+"""Run the CLI on fixed configs in two versions of the repository and compare every file.
+
+    python3 tools/same_bytes.py --base HEAD --change WORKTREE
+
+Each side is a `git archive` checkout of its revision (see
+`tools/bench_pairs.py`; `--change WORKTREE` takes the tracked files of the
+working tree as they stand). In each checkout one process runs, with one
+BLAS thread,
+
+    bilaplab solve|diagnose|blowup   on the six `pipeline-n1` configs of
+                                     perfbench/workloads.py at h = 1/16 and 1/32
+    bilaplab diagnose                on the same configs at h = 1/32 with
+                                     explicit centers and radii
+    bilaplab solve|diagnose          at n = 2, h = 1/8, on the configs whose
+                                     datum is defined at n = 2
+
+and writes each run's artifacts, plus the exit code of every run in
+`exit_codes.json`. The command prints every file that differs between the
+two sides, a file present on one side only included, and exits 1 if any
+file differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "perfbench"), str(ROOT / "src")]
+from bench_pairs import ENV, checkout, resolve  # noqa: E402
+from workloads import PIPELINE_CONFIGS  # noqa: E402
+
+CENTERS = "0.1;-0.25"
+RADII = ";".join(repr(0.125 * 2.0 ** (k / 4.0)) for k in range(9))  # 1/8 .. 1/2
+
+# runs every listed command in one process; argv[1] lists the runs, argv[2] gets the exit codes
+DRIVER = """
+import json, sys
+from pathlib import Path
+from bilaplab.cli import main
+runs = json.loads(Path(sys.argv[1]).read_text())
+codes = {name: main(argv) for name, argv in runs}
+Path(sys.argv[2]).write_text(json.dumps(codes, indent=1) + "\\n")
+"""
+
+
+def runs() -> list[tuple[str, str, str]]:
+    """(name, command, config text without `output`) of every run, in order."""
+    out = []
+    for tag, case in PIPELINE_CONFIGS.items():
+        text = "".join(f"{k} = {v}\n" for k, v in case.items())
+        for h_inv in (16, 32):
+            for command in ("solve", "diagnose", "blowup"):
+                out.append((f"{tag}-h{h_inv}-{command}", command, text + f"h = {1 / h_inv!r}\n"))
+        out.append((f"{tag}-h32-diagnose-explicit", "diagnose",
+                    text + f"h = {1 / 32!r}\ncenters = {CENTERS}\nradii = {RADII}\n"))
+        if not case["g"].startswith("tabulated"):  # tabulated data is n = 1 only
+            for command in ("solve", "diagnose"):
+                out.append((f"{tag}-n2-h8-{command}", command, text + "n = 2\nh = 0.125\n"))
+    return out
+
+
+def produce(tree: Path, into: Path) -> Path:
+    """Run every run of `runs()` with the sources of `tree`; returns the
+    directory under `into` that holds the artifacts."""
+    configs, dest = into / "configs", into / "out"
+    configs.mkdir(parents=True)
+    dest.mkdir(parents=True)
+    argvs = []
+    for name, command, text in runs():
+        cfg = configs / f"{name}.cfg"
+        cfg.write_text(text + f"output = {dest / name}\n")
+        argvs.append((name, [command, str(cfg)]))
+    (configs / "runs.json").write_text(json.dumps(argvs))
+    subprocess.run([sys.executable, "-c", DRIVER, str(configs / "runs.json"),
+                    str(dest / "exit_codes.json")],
+                   cwd=tree, env={**ENV, "PYTHONPATH": str(tree / "src")}, check=True,
+                   stdout=subprocess.DEVNULL)
+    return dest
+
+
+def differing(base: Path, change: Path) -> tuple[int, list[str]]:
+    """The number of files under either directory, and the relative paths of
+    those that are not byte-identical on both sides (one-sided files included)."""
+    files = {p.relative_to(root).as_posix()
+             for root in (base, change) for p in root.rglob("*") if p.is_file()}
+    diff = [f for f in sorted(files)
+            if not ((base / f).is_file() and (change / f).is_file()
+                    and (base / f).read_bytes() == (change / f).read_bytes())]
+    return len(files), diff
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--base", default="HEAD~1", help="revision of the base side")
+    ap.add_argument("--change", default="HEAD",
+                    help="revision of the change side, or WORKTREE")
+    ap.add_argument("--workdir", type=Path, default=None,
+                    help="keep checkouts and artifacts here (default: a temporary directory)")
+    args = ap.parse_args(argv)
+
+    commits = {"base": resolve(args.base), "change": resolve(args.change)}
+    workdir = args.workdir or Path(tempfile.mkdtemp(prefix="same-bytes-"))
+    workdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outs = [produce(checkout(commit, workdir / side), workdir / side)
+                for side, commit in commits.items()]
+        total, diff = differing(*outs)
+    finally:
+        if args.workdir is None:
+            shutil.rmtree(workdir, ignore_errors=True)
+
+    for f in diff:
+        print(f"differs: {f}")
+    print(f"{len(runs())} runs per side, {total} files, {len(diff)} differ "
+          f"(base {commits['base'][:12]} = {args.base}, "
+          f"change {commits['change'][:12]} = {args.change})")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
