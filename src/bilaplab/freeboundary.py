@@ -191,13 +191,24 @@ def blowup_fit(u, v, center, radii, mu: int, grid: HalfBallGrid | None = None) -
     """
     if mu != int(mu) or mu < 1:
         raise ValueError(f"blow-up degree must be a positive integer, got {mu}")
-    mu = int(mu)
     pu = _as_probe(u, grid)
-    pv = _as_probe(v, grid)
-    g = pu.grid
+    return _fit_degree(*_ladder_pair(pu, _as_probe(v, grid), center, radii), int(mu))
+
+
+def _ladder_pair(pu, pv, center, radii):
+    """The sorted radii, the `_ladder` directions and weights, and the pair
+    read at every ladder point, (K, m) each: what `_fit_degree` fits."""
     radii = np.sort(np.asarray(radii, dtype=np.float64))
-    basis = harmonic_basis(g.n, mu)
-    direc, w, pts = _ladder(g, center, radii)
+    direc, w, pts = _ladder(pu.grid, center, radii)
+    us, vs = (a.reshape(radii.size, -1)
+              for a in _PairSampler(pu, pv, gradients=False).values(pts))
+    return radii, direc, w, us, vs
+
+
+def _fit_degree(radii, direc, w, us, vs, mu: int) -> BlowupFit:
+    """The degree-mu fit of `blowup_fit` from the pair read on the ladder."""
+    n = direc.shape[1] - 1
+    basis = harmonic_basis(n, mu)
     A = np.stack([b(direc) for b in basis], axis=1)
     sw = np.sqrt(w)
     Aw = A * sw[:, None]
@@ -206,7 +217,6 @@ def blowup_fit(u, v, center, radii, mu: int, grid: HalfBallGrid | None = None) -
     res = np.zeros(K)
     cu = np.zeros((K, len(basis)))
     cv = np.zeros((K, len(basis)))
-    us, vs = (a.reshape(K, -1) for a in _PairSampler(pu, pv, gradients=False).values(pts))
     for k, r in enumerate(radii):
         au = us[k] / r ** mu
         av = vs[k] / r ** mu
@@ -217,8 +227,8 @@ def blowup_fit(u, v, center, radii, mu: int, grid: HalfBallGrid | None = None) -
         norm = (w @ au ** 2) + (w @ av ** 2)
         res[k] = np.sqrt(mis / norm) if norm > 0 else float("nan")
 
-    p = HomogeneousHarmonicPoly(g.n, mu, cu[0])
-    q = HomogeneousHarmonicPoly(g.n, mu, cv[0])
+    p = HomogeneousHarmonicPoly(n, mu, cu[0])
+    q = HomogeneousHarmonicPoly(n, mu, cv[0])
     finite = res[np.isfinite(res)]
     nb = bool(finite.size > 0 and (finite > 0.5).all())
     return BlowupFit(mu=mu, radii=radii, p_mu=p, q_mu=q, residuals=res,
@@ -282,9 +292,10 @@ def analyze_point(point: FreeBoundaryPoint, u: ScalarField, v: ScalarField,
     Runs the full per-point pipeline: thin-gradient classification, the
     profile on the default radii with its Almgren constant, frequency
     extrapolation for mu_hat/mu_int, blow-up fits over the degrees
-    MU_CANDIDATES (recording the best), singular dimension for fitted
-    pairs, and, when mu_int >= 1, the Monneau constant of the fit with
-    mu = mu_int, taken from the profile's own half-sphere samples.
+    MU_CANDIDATES from one read of the pair on the `_ladder` points
+    (recording the best), singular dimension for fitted pairs, and, when
+    mu_int >= 1, the Monneau constant of the fit with mu = mu_int, taken
+    from the profile's own half-sphere samples.
     """
     from .diagnostics import (compute_profile, default_radii, estimate_mu,
                               minimal_almgren_constant, minimal_monneau_constant,
@@ -303,9 +314,8 @@ def analyze_point(point: FreeBoundaryPoint, u: ScalarField, v: ScalarField,
         point.metadata["mu_error"] = str(exc)
         return point
 
-    fits = {}
-    for mu in MU_CANDIDATES:
-        fits[mu] = blowup_fit(pu, pv, [point.x], radii, mu)
+    ladder = _ladder_pair(pu, pv, [point.x], radii)
+    fits = {mu: _fit_degree(*ladder, mu) for mu in MU_CANDIDATES}
     best_mu = min(fits, key=lambda k: np.nanmin(fits[k].residuals))
     point.metadata["best_fit_degree"] = best_mu
     pick = point.mu_int if point.mu_int in fits else best_mu

@@ -130,6 +130,11 @@ class HalfBallGrid:
         self.face_ids = np.flatnonzero(self.nodes[:, -1] == 0.0)
         if n == 1:
             self.face_ids = self.face_ids[np.argsort(self.nodes[self.face_ids, 0], kind="stable")]
+        # `build_grid` hands one grid to every caller with the same (n, h), so
+        # a write into one of its arrays would reach them all
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     # -- interpolation -----------------------------------------------------
 
@@ -230,8 +235,15 @@ class HalfBallGrid:
         return out if stacked else out[0]
 
 
+@functools.lru_cache(maxsize=1)
 def build_grid(n: int, h: float) -> HalfBallGrid:
-    """Build the classified half-ball grid. See `HalfBallGrid`."""
+    """The classified half-ball grid of (n, h). See `HalfBallGrid`.
+
+    The last grid built is kept, and a call with the same (n, h) returns that
+    same object, so consecutive problems on one lattice share its operators
+    (`problem.operators`) and the solver's Laplace factor. Its arrays are
+    read-only.
+    """
     return HalfBallGrid(n, h)
 
 

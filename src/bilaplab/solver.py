@@ -14,8 +14,10 @@ system preconditioned with (2 Kff)^-1, a transposed and a plain solve with
 one LU of L_ff, so its step count stays small at every h and every p. That
 LU is factored in SuperLU's symmetric mode (minimum-degree ordering on
 L_ff + L_ff^T, no pivoting), which holds about half the fill of the default
-column ordering. It is factored by `harmonic_extension` for the initial
-iterate and released when `minimize` returns.
+column ordering. The factor, like 2 Kff's pattern, depends on the grid
+alone: `build_grid` hands every spec with the same (n, h) one grid, and
+`_laplace_factor` keeps the factor of the last grid it was asked for, so
+consecutive solves on one lattice factor L_ff once.
 
 Near a p < 2 minimizer a Newton step can predict a decrease below the
 rounding of J, where Armijo compares noise; the unit step is then taken
@@ -101,8 +103,19 @@ class SolveResult:
     trace: list[NewtonStep] = field(default_factory=list)  # one record per Newton step
 
 
+_factors: dict = {}  # at most one entry: the last grid asked for, and the LU of its L_ff
+
+
 def _laplace_factor(grid):
-    """Sparse LU of the reflected Dirichlet Laplacian L_ff, cached on the grid.
+    """Sparse LU of the reflected Dirichlet Laplacian L_ff of the last grid asked for.
+
+    One factor is kept in total, in `_factors`, and it stays until a call on
+    another grid replaces it: 216k nonzeros at n = 1, h = 1/64, and 1.46M at
+    n = 2, h = 1/16. The old factor is dropped before the new one is
+    factored: SuperLU sizes its storage from a fill estimate (about 24 MB of
+    heap at n = 1, h = 1/64, for 2.5 MB of L and U), and factoring while the
+    old factor is still held, as `functools.lru_cache` would, raised the
+    peak RSS of a `sweep-n1` benchmark run from 73 to 79 MB.
 
     L_ff has a symmetric pattern, and its rows are weakly diagonally dominant,
     so elimination needs no pivoting. SuperLU therefore runs in its
@@ -113,22 +126,24 @@ def _laplace_factor(grid):
     2.97M -> 1.46M at n = 2, h = 1/16), and every preconditioner
     application solves with both triangles.
     """
-    lu = getattr(grid, "_lu", None)
+    lu = _factors.get(grid)
     if lu is None:
+        _factors.clear()
         # pass no relax= or panel_size=: they do not reduce the fill of L_ff, and
         # changing them between factorizations in one process has crashed
         # SuperLU with a corrupted heap (exit 139)
-        lu = grid._lu = spla.splu(operators(grid).L[:, grid.free_ids].tocsc(),
-                                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                  options=dict(SymmetricMode=True))
+        lu = _factors[grid] = spla.splu(operators(grid).L[:, grid.free_ids].tocsc(),
+                                        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                        options=dict(SymmetricMode=True))
     return lu
 
 
 def _split_preconditioner(grid) -> spla.LinearOperator:
     """(2 Kff)^-1 = 1/2 L_ff^-1 diag(omega)^-1 L_ff^-T, applied with the LU of L_ff."""
     lu, scale = _laplace_factor(grid), 0.5 / operators(grid).omega
+    # dtype given, so scipy does not apply the operator to a zero vector to find it
     return spla.LinearOperator(
-        (scale.size, scale.size),
+        (scale.size, scale.size), dtype=np.float64,
         matvec=lambda x: lu.solve(scale * lu.solve(np.ravel(x), trans="T")))
 
 
@@ -136,8 +151,9 @@ def harmonic_extension(spec: ProblemSpec) -> ScalarField:
     """Solve the lattice Laplace equation with the problem's Dirichlet data.
 
     Used as the default initial iterate: it already matches the boundary
-    values and satisfies the face reflection condition. The LU of L_ff it
-    factors stays on the grid for the Newton preconditioner.
+    values and satisfies the face reflection condition. It solves with
+    `_laplace_factor(grid)`, which the Newton preconditioner then reuses; the
+    factor is kept until a solve on another grid.
     """
     grid = spec.grid()
     ops = operators(grid)
@@ -148,19 +164,28 @@ def harmonic_extension(spec: ProblemSpec) -> ScalarField:
     return ScalarField(grid, w)
 
 
+def _free_hessian(grid):
+    """Kff and the positions in its `data` of the thin rows' diagonal entries,
+    computed once per grid and kept on it beside `operators(grid)`."""
+    cached = getattr(grid, "_Kff", None)
+    if cached is None:
+        free = grid.free_ids
+        Kff = operators(grid).K[free][:, free].tocsr()
+        # every row of Kff stores its positive diagonal
+        rows = np.repeat(np.arange(free.size), np.diff(Kff.indptr))
+        slots = np.flatnonzero(rows == Kff.indices)[np.searchsorted(free, grid.thin_ids)]
+        cached = grid._Kff = (Kff, slots)
+    return cached
+
+
 def _newton(spec: ProblemSpec, w: np.ndarray):
     grid = spec.grid()
-    free, thin = grid.free_ids, grid.thin_ids
-    Kff = getattr(grid, "_Kff", None)
-    if Kff is None:
-        Kff = grid._Kff = operators(grid).K[free][:, free].tocsr()
+    free = grid.free_ids
+    Kff, slots = _free_hessian(grid)
     E = free.size
-    # 2 Kff once per solve; each step writes the face diagonal into the
-    # thin rows' diagonal entries (every row of Kff stores its positive diagonal)
+    # 2 Kff once per solve, with the pattern of Kff; each step writes the face
+    # diagonal into the thin rows' diagonal entries
     H = 2.0 * Kff
-    thin_pos = np.searchsorted(free, thin)
-    rows = np.repeat(np.arange(E), np.diff(H.indptr))
-    slots = np.flatnonzero(rows == H.indices)[thin_pos]
     base = H.data[slots].copy()
     on_thin = grid.node_class[grid.face_ids] == THIN
     phase = face_phase(grid, w)[on_thin]
@@ -224,17 +249,17 @@ def minimize(spec: ProblemSpec) -> SolveResult:
     `v` is `discrete_laplacian(u)`: the reflected star stencil at free nodes
     and 0 in the pinned band (v = 0 on the sphere). Each Newton step is one
     CG solve preconditioned by the split Laplacian factor; `trace` records
-    every step and `cg_iterations` sums their CG steps. The factor stays on
-    the grid only while this call runs, failed solves included.
+    every step and `cg_iterations` sums their CG steps. The factor is
+    `_laplace_factor(grid)`: a solve on the grid of the previous solve
+    reuses it, and it is kept after this call returns, failed solves
+    included, until a solve on another grid replaces it (at n = 2,
+    h = 1/16 that is 1.46M nonzeros).
     """
     grid = spec.grid()
     if grid.M < 2:
         raise ValueError("solving requires h <= 1/2")
     t0 = time.perf_counter()
-    try:
-        w, J, gsup, trace = _newton(spec, harmonic_extension(spec).values)
-    finally:
-        grid._lu = None
+    w, J, gsup, trace = _newton(spec, harmonic_extension(spec).values)
     u = ScalarField(grid, w)
     return SolveResult(u=u, v=discrete_laplacian(u), energy=J, grad_sup=gsup,
                        iterations=len(trace), cg_iterations=sum(s.cg_steps for s in trace),

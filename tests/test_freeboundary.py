@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from bilaplab import ProblemSpec, ScalarField, build_grid, minimize
+from bilaplab import ProblemSpec, ScalarField, build_grid, freeboundary, minimize
+from bilaplab.diagnostics import default_radii
 from bilaplab.freeboundary import (
+    MU_CANDIDATES,
     FreeBoundaryPoint,
+    analyze_point,
     blowup_fit,
     classify_point,
     extract_gamma,
@@ -118,6 +121,29 @@ def test_blowup_fit_flags_degree_mismatch():
     fit = blowup_fit(lin, lin, 0.0, radii, 3, grid=FINE)
     assert fit.no_blowup
     assert fit.residuals.min() > 0.5
+
+
+def test_analyze_point_reads_the_ladder_once_and_fits_like_blowup_fit(monkeypatch):
+    spec = ProblemSpec(n=1, h=1.0 / 32, p=2.0, lambda_plus=2.0, lambda_minus=0.5,
+                       g="harmonic:coeffs=1;0.2")
+    res = minimize(spec)
+    calls = []
+    real = freeboundary._ladder
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(freeboundary, "_ladder", counted)
+    pt = analyze_point(extract_gamma(res.u, spec)[0], res.u, res.v, spec)
+    assert len(calls) == 1
+    radii = default_radii(spec.grid(), [pt.x])
+    fits = {mu: blowup_fit(res.u, res.v, [pt.x], radii, mu) for mu in MU_CANDIDATES}
+    assert pt.metadata["best_fit_degree"] == min(fits, key=lambda k: np.nanmin(fits[k].residuals))
+    fit = fits[pt.p_mu.degree]
+    assert np.array_equal(pt.p_mu.coeffs, fit.p_mu.coeffs)
+    assert np.array_equal(pt.q_mu.coeffs, fit.q_mu.coeffs)
+    assert pt.fit_residual == fit.residuals[0]
 
 
 def test_nondegeneracy_ratio():

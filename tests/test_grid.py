@@ -70,6 +70,13 @@ def test_node_count_matches_independent_enumeration():
         assert build_grid(1, h).node_count == count
 
 
+def test_shared_grid_arrays_are_read_only():
+    g = build_grid(1, 0.25)
+    with pytest.raises(ValueError, match="read-only"):
+        g.nodes[0, 0] = 0.5
+    assert all(not a.flags.writeable for a in vars(g).values() if isinstance(a, np.ndarray))
+
+
 def test_invalid_spacing_rejected():
     with pytest.raises(ValueError, match="does not divide"):
         build_grid(1, 0.3)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bilaplab import ProblemSpec, verify
+from bilaplab import ProblemSpec, solver, verify
 from bilaplab.oracle import brute_minimize
 from bilaplab.problem import discrete_laplacian
 
@@ -24,10 +24,13 @@ def test_brute_minimizer_converges_on_coarse_grid():
     assert np.isfinite(result.energy)
 
 
-def test_brute_minimizer_leaves_no_laplace_factor_on_the_grid():
-    spec = _spec(0.125)  # the sym-p2 corpus config
-    brute_minimize(spec)
-    assert getattr(spec.grid(), "_lu", None) is None
+def test_brute_minimizer_needs_no_laplace_factor(monkeypatch):
+    def refuse(grid):
+        raise AssertionError("the oracle factored the Newton preconditioner")
+
+    monkeypatch.setattr(solver, "_laplace_factor", refuse)
+    result = brute_minimize(_spec(0.125))  # the sym-p2 corpus config
+    assert np.isfinite(result.energy)
 
 
 def test_brute_minimizer_returns_the_one_lattice_laplacian():

@@ -372,35 +372,63 @@ def _laplace_matrix(grid):
 
 def test_laplace_factor_fills_less_than_the_column_ordering():
     grid = ProblemSpec(n=1, h=1.0 / 64, **ASYM).grid()
-    try:
-        lu = solver._laplace_factor(grid)
-        colamd = spla.splu(_laplace_matrix(grid))
-        assert lu.L.nnz + lu.U.nnz < 0.7 * (colamd.L.nnz + colamd.U.nnz)
-    finally:
-        grid._lu = None
+    lu = solver._laplace_factor(grid)
+    colamd = spla.splu(_laplace_matrix(grid))
+    assert lu.L.nnz + lu.U.nnz < 0.7 * (colamd.L.nnz + colamd.U.nnz)
 
 
 def test_laplace_factor_solves_the_reflected_laplacian():
     grid = ProblemSpec(n=1, h=1.0 / 64, **ASYM).grid()
     A = _laplace_matrix(grid)
     b = np.random.default_rng(5).standard_normal(A.shape[0])
-    try:
-        lu = solver._laplace_factor(grid)
-        for trans, op in (("N", A), ("T", A.T)):
-            x = lu.solve(b, trans=trans)
-            assert np.linalg.norm(op @ x - b) <= 1e-12 * np.linalg.norm(b)
-    finally:
-        grid._lu = None
+    lu = solver._laplace_factor(grid)
+    for trans, op in (("N", A), ("T", A.T)):
+        x = lu.solve(b, trans=trans)
+        assert np.linalg.norm(op @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
-def test_minimize_releases_the_laplace_factor():
-    spec = ProblemSpec(n=1, h=0.125, **ASYM)
-    minimize(spec)
-    assert spec.grid()._lu is None
-    failing = _spec(0.125, p=3.0, max_iter=1)  # needs two Newton steps
+def test_specs_on_one_lattice_share_one_grid():
+    first = ProblemSpec(n=1, h=1.0 / 16, **ASYM)
+    second = _spec(1.0 / 16, p=3.0)
+    assert second.grid() is first.grid()
+
+
+def test_second_solve_on_a_grid_reuses_its_laplace_factor(monkeypatch):
+    minimize(ProblemSpec(n=1, h=1.0 / 16, **ASYM))
+    factors_held = []  # factors kept at each call of splu
+    real = spla.splu
+
+    def counted(*args, **kwargs):
+        factors_held.append(len(solver._factors))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", counted)
+    minimize(_spec(1.0 / 16, p=3.0))
+    assert factors_held == []
+    minimize(_spec(1.0 / 8, p=3.0))  # another grid: the old factor goes first
+    assert factors_held == [0]
+
+
+def test_one_laplace_factor_is_kept_across_grids():
+    minimize(ProblemSpec(n=1, h=1.0 / 16, **ASYM))
+    last = ProblemSpec(n=1, h=1.0 / 8, **ASYM)
+    minimize(last)
+    assert list(solver._factors) == [last.grid()]
+    failing = _spec(1.0 / 16, p=3.0, max_iter=1)  # needs two Newton steps
     with pytest.raises(ConvergenceError):
         minimize(failing)
-    assert failing.grid()._lu is None
+    assert list(solver._factors) == [failing.grid()]
+
+
+def test_a_reused_factor_solves_to_the_same_bits():
+    spec = ProblemSpec(n=1, h=1.0 / 32, **ASYM)
+    minimize(_spec(1.0 / 32, p=3.0))  # leaves the factor of this grid
+    reused = minimize(spec)
+    solver._factors.clear()
+    fresh = minimize(ProblemSpec(n=1, h=1.0 / 32, **ASYM))
+    assert np.array_equal(reused.u.values, fresh.u.values)
+    assert reused.energy == fresh.energy
+    assert reused.cg_iterations == fresh.cg_iterations
 
 
 @pytest.mark.parametrize("h", [1.0 / 8, 1.0 / 16])
