@@ -17,9 +17,8 @@ other name is imported from its own module (`bilaplab.diagnostics`,
 """
 
 from .grid import build_grid
-from .problem import ProblemSpec, ScalarField
+from .problem import AnalyticField, ProblemSpec, ScalarField
 from .solver import harmonic_extension, minimize
-from .diagnostics import AnalyticField
 
 __version__ = "0.1.0"
 

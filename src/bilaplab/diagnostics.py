@@ -12,15 +12,19 @@ face through quadrature over half-spheres, half-balls, and thin balls:
     phi    H / r^n
     M_mu   (1 / r^(n+2mu)) surface integral of (u-p)^2 + (v-q)^2
 
-Fields may be ScalarFields (interpolated, gradients by central differences
-with even reflection at the face) or plain callables on points (evaluated
-exactly, gradients by small-step central differences on the even
-extension), sized by the instrument's `grid=`; Laplacians come only from an
-AnalyticField. Analytic checks want callables; solver output fields.
-Instruments read the pair through `_PairSampler` (one interpolation per point
-set for two grid fields). `compute_profile` samples each sphere and ball with
-`sample_count(r, h)` directions and keeps its half-sphere samples, from which
-`monneau_curve` reads M_mu; a radius ladder on one direction set is `_ladder`.
+Every instrument reads a field w in one way: w(pts), w.gradient(pts), and
+w.grid, whose step h sizes the quadrature. A field is a ScalarField
+(interpolated, gradients from central-difference boxes) or an
+AnalyticField (closed forms, or gradients by small-step central
+differences); both read through the even extension. Laplacians come only
+from an AnalyticField. Analytic checks want AnalyticFields; solver output
+ScalarFields; anything else is refused with a TypeError.
+
+Instruments read the pair through `_PairSampler` (one interpolation per
+point set for two ScalarFields on one grid). `compute_profile` samples each
+sphere and ball with `sample_count(r, h)` directions and keeps its
+half-sphere samples, from which `monneau_curve` reads M_mu; a radius ladder
+on one direction set is `_ladder`.
 """
 
 from __future__ import annotations
@@ -31,170 +35,55 @@ import numpy as np
 
 from .grid import (_TOL, HalfBallGrid, _as_thin_center, ball_center, half_sphere, sample_count,
                    sphere_quadrature)
-from .problem import ProblemSpec, ScalarField, thin_reaction
+from .problem import AnalyticField, ProblemSpec, ScalarField, thin_reaction
 
 DEGENERATE_FACTOR = 1e-14  # H below this times sup(u^2+v^2) is flagged
 FACE_GAUSS_POINTS = 64  # Gauss-Legendre points per half-chord in face_mean_value_term
 
 
 # ---------------------------------------------------------------------------
-# field probes
+# field reads
 
 
-class AnalyticField:
-    """Field on the half ball supplied with closed-form derivatives.
-
-    `value` is required; `gradient` (points -> (N, d) array) and `laplacian`
-    are optional and replace finite differences wherever given, which removes
-    the finite-difference floor from identity checks. All three are called on
-    (N, d) point arrays with y >= 0; queries below the face go through the
-    even extension.
-    """
-
-    def __init__(self, value, gradient=None, laplacian=None):
-        self.value = value
-        self.gradient = gradient
-        self.laplacian = laplacian
-
-    def __call__(self, pts):
-        return self.value(pts)
-
-
-class FieldProbe:
-    """Uniform evaluation interface over ScalarFields and callables.
-
-    Evaluation always goes through the even extension: a query at (x, y) is
-    answered at (x, |y|), so the vertical derivative vanishes on the face by
-    symmetry rather than by approximation.
-    """
-
-    def __init__(self, w, grid: HalfBallGrid | None = None):
-        self._analytic = w if isinstance(w, AnalyticField) else None
-        if isinstance(w, ScalarField):
-            self.grid = w.grid
-            self.kind = "grid"
-            self._field = w
-            self._gradient_boxes = None
-        elif callable(w):
-            if grid is None:
-                raise ValueError("callable fields need an explicit grid for quadrature sizing")
-            self.grid = grid
-            self.kind = "callable"
-            self._fn = w
-        else:
-            raise TypeError("field must be a ScalarField or a callable on points")
-
-    # values ---------------------------------------------------------------
-
-    def values(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        if self.kind == "grid":
-            return self._field(pts, extended=True)
-        q = pts.copy()
-        q[:, -1] = np.abs(q[:, -1])
-        return np.asarray(self._fn(q), dtype=np.float64)
-
-    # gradients ------------------------------------------------------------
-
-    def _grid_gradient_boxes(self):
-        if self._gradient_boxes is not None:
-            return self._gradient_boxes
-        g = self.grid
-        box = self._field.ghost_box()
-        h = g.h
-        boxes = []
-        for ax in range(g.n + 1):
-            fwd = np.roll(box, -1, axis=ax)
-            bwd = np.roll(box, 1, axis=ax)
-            d = (fwd - bwd) / (2.0 * h)
-            # roll wraps around; kill the wrapped faces
-            sl = [slice(None)] * box.ndim
-            sl[ax] = 0
-            d[tuple(sl)] = np.nan
-            sl[ax] = -1
-            d[tuple(sl)] = np.nan
-            if ax == g.n:
-                # even extension: the vertical derivative vanishes on the face
-                face = [slice(None)] * box.ndim
-                face[ax] = 0
-                second = [slice(None)] * box.ndim
-                second[ax] = 1
-                d[tuple(face)] = 0.0
-                d[tuple(second)] = (np.take(box, 2, axis=ax) - np.take(box, 0, axis=ax)) / (2 * h)
-            d = g.fill_extension(np.where(np.isfinite(d), d, np.nan))
-            boxes.append(d)
-        self._gradient_boxes = boxes
-        return boxes
-
-    def boxes(self, gradients: bool) -> list[np.ndarray]:
-        """A grid probe's ghost-filled value box, then its gradient boxes if asked."""
-        return [self._field.ghost_box()] + (self._grid_gradient_boxes() if gradients else [])
-
-    def gradient(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        if self._analytic is not None and self._analytic.gradient is not None:
-            q = pts.copy()
-            q[:, -1] = np.abs(q[:, -1])
-            out = np.asarray(self._analytic.gradient(q), dtype=np.float64)
-            out[pts[:, -1] < 0, -1] *= -1.0  # even extension
-            return out
-        if self.kind == "grid":
-            boxes = self._grid_gradient_boxes()
-            out = np.empty_like(pts)
-            for ax, b in enumerate(boxes):
-                out[:, ax] = self.grid.interp_box(b, pts, extended=True)
-            return out
-        d = 1e-5
-        out = np.empty_like(pts)
-        for ax in range(pts.shape[1]):
-            e = np.zeros(pts.shape[1])
-            e[ax] = d
-            out[:, ax] = (self.values(pts + e) - self.values(pts - e)) / (2.0 * d)
-        return out
-
-    def laplacian(self, pts: np.ndarray) -> np.ndarray:
-        """The closed-form Laplacian of an AnalyticField; TypeError for any other field."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        if self._analytic is None or self._analytic.laplacian is None:
-            raise TypeError("a Laplacian needs an AnalyticField with a laplacian")
-        q = pts.copy()
-        q[:, -1] = np.abs(q[:, -1])
-        return np.asarray(self._analytic.laplacian(q), dtype=np.float64)
-
-
-def _as_probe(w, grid: HalfBallGrid | None = None) -> FieldProbe:
-    return w if isinstance(w, FieldProbe) else FieldProbe(w, grid=grid)
+def _field(w):
+    """w itself when it is a field an instrument can read; TypeError otherwise."""
+    if not isinstance(w, (ScalarField, AnalyticField)):
+        raise TypeError(f"a field must be a ScalarField or an AnalyticField, "
+                        f"got {type(w).__name__}")
+    return w
 
 
 class _PairSampler:
     """Reads the pair (u, v), and their gradients if asked, at a point set.
 
-    Two grid fields on one grid are read through one stacked `interp_box`
-    call per point set; any other pair goes through its probes one field at
-    a time. Both ways give the same values.
+    Two ScalarFields on one grid are read through one stacked `interp_box`
+    call per point set; any other pair is read one field at a time. Both
+    ways give the same values. `grid` is u's: it sizes the quadrature.
     """
 
-    def __init__(self, pu: FieldProbe, pv: FieldProbe, gradients: bool = True):
-        self.pu, self.pv = pu, pv
+    def __init__(self, u, v, gradients: bool = True):
+        self.u, self.v = _field(u), _field(v)
+        self.grid = u.grid
         self.stack = None
-        if pu.kind == pv.kind == "grid" and pv.grid is pu.grid:
-            bu, bv = pu.boxes(gradients), pv.boxes(gradients)
+        if isinstance(u, ScalarField) and isinstance(v, ScalarField) and v.grid is u.grid:
+            bu = [u.ghost_box()] + (u.gradient_boxes() if gradients else [])
+            bv = [v.ghost_box()] + (v.gradient_boxes() if gradients else [])
             self.pair = np.stack([bu[0], bv[0]])
             self.stack = np.stack(bu + bv) if gradients else self.pair
 
     def values(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.stack is None:
-            return self.pu.values(pts), self.pv.values(pts)
-        u, v = self.pu.grid.interp_box(self.pair, pts, extended=True)
+            return self.u(pts), self.v(pts)
+        u, v = self.grid.interp_box(self.pair, pts, extended=True)
         return u, v
 
     def with_gradients(self, pts: np.ndarray):
         """(u, v, grad u, grad v) at pts; the sampler must hold gradients."""
-        pu, pv = self.pu, self.pv
+        u, v = self.u, self.v
         if self.stack is None:
-            return pu.values(pts), pv.values(pts), pu.gradient(pts), pv.gradient(pts)
-        vals = pu.grid.interp_box(self.stack, pts, extended=True)
-        d = pu.grid.n + 2
+            return u(pts), v(pts), u.gradient(pts), v.gradient(pts)
+        vals = self.grid.interp_box(self.stack, pts, extended=True)
+        d = self.grid.n + 2
         return vals[0], vals[d], vals[1:d].T, vals[d + 1:].T
 
 
@@ -245,17 +134,15 @@ def default_radii(grid: HalfBallGrid, center) -> np.ndarray:
     return np.array(out[::-1])
 
 
-def compute_profile(u, v, center, radii, spec: ProblemSpec,
-                    grid: HalfBallGrid | None = None) -> RadialProfile:
+def compute_profile(u, v, center, radii, spec: ProblemSpec) -> RadialProfile:
     """Fill every radial functional but M_mu by quadrature. See module docstring.
 
-    u and v may be ScalarFields or callables; `spec` supplies the reaction F.
-    M_mu needs a blow-up fit and comes from `monneau_curve` on the profile's
-    half-sphere samples, which the profile keeps.
+    u and v are ScalarFields or AnalyticFields; `spec` supplies the reaction
+    F. M_mu needs a blow-up fit and comes from `monneau_curve` on the
+    profile's half-sphere samples, which the profile keeps.
     """
-    pu = _as_probe(u, grid)
-    pv = _as_probe(v, grid)
-    g = pu.grid
+    sampler = _PairSampler(u, v)
+    g = sampler.grid
     c = _as_thin_center(g.n, center)
     radii = np.sort(np.asarray(radii, dtype=np.float64))
     if radii.size == 0:
@@ -268,7 +155,6 @@ def compute_profile(u, v, center, radii, spec: ProblemSpec,
     Bv = np.zeros(K)
     sup2 = 0.0
     surface = []
-    sampler = _PairSampler(pu, pv)
     for k, r in enumerate(radii):
         quad = sphere_quadrature(g, c, float(r))
         us, vs, gu, gv = sampler.with_gradients(quad.surface_points)
@@ -312,7 +198,7 @@ def monneau_curve(profile: RadialProfile, mu: float, p_mu, q_mu) -> np.ndarray:
 # identity checks
 
 
-def rellich_residual(w, center, r: float, grid: HalfBallGrid | None = None) -> float:
+def rellich_residual(w, center, r: float) -> float:
     """|LHS - RHS| of the half-ball Rellich identity, coordinates centered.
 
         r int_surf (|grad w|^2 - 2 w_r^2)
@@ -325,58 +211,57 @@ def rellich_residual(w, center, r: float, grid: HalfBallGrid | None = None) -> f
     vertical derivative (which vanishes for even fields, but the identity
     holds regardless). w must be an AnalyticField with a Laplacian.
     """
-    p = _as_probe(w, grid)
-    g = p.grid
+    if not isinstance(w, AnalyticField):
+        raise TypeError("the Rellich residual needs an AnalyticField with a laplacian")
+    g = w.grid
     c = _as_thin_center(g.n, center)
     quad = sphere_quadrature(g, c, float(r))
 
-    gs = p.gradient(quad.surface_points)
+    gs = w.gradient(quad.surface_points)
     rel = quad.surface_points - c
     rad = rel / np.linalg.norm(rel, axis=1, keepdims=True)
     wr = (gs * rad).sum(axis=1)
     lhs = r * (quad.surface_weights @ ((gs ** 2).sum(axis=1) - 2.0 * wr ** 2))
 
-    gb = p.gradient(quad.solid_points)
+    gb = w.gradient(quad.solid_points)
     relb = quad.solid_points - c
-    lap = p.laplacian(quad.solid_points)
+    lap = w.laplacian(quad.solid_points)
     rhs = (g.n - 1) * (quad.solid_weights @ (gb ** 2).sum(axis=1))
     rhs -= 2.0 * (quad.solid_weights @ ((relb * gb).sum(axis=1) * lap))
 
-    gt = p.gradient(quad.thin_points)
+    gt = w.gradient(quad.thin_points)
     relt = quad.thin_points - c
     xdot = (relt[:, :-1] * gt[:, :-1]).sum(axis=1)
     rhs -= 2.0 * (quad.thin_weights @ (xdot * gt[:, -1]))
     return float(abs(lhs - rhs))
 
 
-def poincare_check(w, r: float, grid: HalfBallGrid | None = None) -> tuple[float, float]:
+def poincare_check(w, r: float) -> tuple[float, float]:
     """Both sides of (n/r^2) int w^2 <= (1/r) int_surf w^2 + int |grad w|^2."""
-    p = _as_probe(w, grid)
-    g = p.grid
+    g = _field(w).grid
     quad = sphere_quadrature(g, np.zeros(g.n), float(r))
-    wb = p.values(quad.solid_points)
+    wb = w(quad.solid_points)
     lhs = (g.n / r ** 2) * float(quad.solid_weights @ wb ** 2)
-    ws = p.values(quad.surface_points)
-    gb = p.gradient(quad.solid_points)
+    ws = w(quad.surface_points)
+    gb = w.gradient(quad.solid_points)
     rhs = float(quad.surface_weights @ ws ** 2) / r \
         + float(quad.solid_weights @ (gb ** 2).sum(axis=1))
     return lhs, rhs
 
 
-def trace_check(w, r: float, grid: HalfBallGrid | None = None) -> tuple[float, float]:
+def trace_check(w, r: float) -> tuple[float, float]:
     """Thin-ball mass of w^2 and the trace-inequality bracket (no constant).
 
     Returns (int_thin w^2, r int_solid |grad w|^2 + int_surf w^2); a uniform
     constant C with lhs <= C * bracket across a corpus certifies the trace
     inequality numerically.
     """
-    p = _as_probe(w, grid)
-    g = p.grid
+    g = _field(w).grid
     quad = sphere_quadrature(g, np.zeros(g.n), float(r))
-    wt = p.values(quad.thin_points)
+    wt = w(quad.thin_points)
     lhs = float(quad.thin_weights @ wt ** 2)
-    gb = p.gradient(quad.solid_points)
-    ws = p.values(quad.surface_points)
+    gb = w.gradient(quad.solid_points)
+    ws = w(quad.surface_points)
     bracket = r * float(quad.solid_weights @ (gb ** 2).sum(axis=1)) \
         + float(quad.surface_weights @ ws ** 2)
     return lhs, bracket
@@ -424,25 +309,20 @@ def _ladder(grid: HalfBallGrid, center, radii):
     return direc, w, (c + radii[:, None, None] * direc).reshape(-1, grid.n + 1)
 
 
-def _sphere_sups(p: FieldProbe, center, radii) -> np.ndarray:
+def _sphere_sups(w, center, radii) -> np.ndarray:
     """sup |w| over the upper half-sphere of each radius, sampled along `_ladder`."""
-    _, _, pts = _ladder(p.grid, center, radii)
-    return np.abs(p.values(pts)).reshape(len(radii), -1).max(axis=1)
+    _, _, pts = _ladder(_field(w).grid, center, radii)
+    return np.abs(w(pts)).reshape(len(radii), -1).max(axis=1)
 
 
-def sphere_sup(w, center, r: float, grid: HalfBallGrid | None = None) -> float:
-    """sup |w| over the upper half-sphere of radius r (`_sphere_sups`)."""
-    return float(_sphere_sups(_as_probe(w, grid), center, [float(r)])[0])
-
-
-def growth_fit(w, center, radii, grid: HalfBallGrid | None = None) -> float:
+def growth_fit(w, center, radii) -> float:
     """Least-squares slope of log sup |w| on half-spheres against log r.
 
     Returns NaN when the field vanishes on every sampled sphere (degenerate);
     radii where the sup is exactly zero are dropped from the fit.
     """
     radii = np.sort(np.asarray(radii, dtype=np.float64))
-    sups = _sphere_sups(_as_probe(w, grid), center, radii)
+    sups = _sphere_sups(w, center, radii)
     keep = sups > 0
     if keep.sum() < 2:
         return float("nan")
@@ -486,7 +366,7 @@ def mean_value_defects(w: ScalarField, rho: float) -> tuple[np.ndarray, np.ndarr
     wgt = np.concatenate([w_half, w_half]) / (2.0 * w_half.sum())
     samples = pts[:, None, :] + rho * direc[None, :, :]
     flat = samples.reshape(-1, g.n + 1)
-    svals = w(flat, extended=True).reshape(pts.shape[0], -1)
+    svals = w(flat).reshape(pts.shape[0], -1)
     return pts, vals - svals @ wgt
 
 
@@ -505,8 +385,7 @@ def face_mean_value_term(u, spec: ProblemSpec, centres, rho: float) -> np.ndarra
     FACE_GAUSS_POINTS Gauss points on each half; u is read along the face
     through its interpolant.
     """
-    p = _as_probe(u)
-    if p.grid.n != 1:
+    if u.grid.n != 1:
         raise ValueError("the face mean-value term is implemented for n=1 only")
     z = np.atleast_2d(np.asarray(centres, dtype=np.float64))
     y = z[:, 1:2]
@@ -519,7 +398,7 @@ def face_mean_value_term(u, spec: ProblemSpec, centres, rho: float) -> np.ndarra
     for side in (-1.0, 1.0):
         zeta = (z[:, :1] + side * s).ravel()
         pts = np.stack([zeta, np.zeros_like(zeta)], axis=-1)
-        F = thin_reaction(p.values(pts), spec).reshape(s.shape)
+        F = thin_reaction(u(pts), spec).reshape(s.shape)
         out += (kernel * F).sum(axis=1)
     return out / np.pi
 

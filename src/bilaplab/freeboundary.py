@@ -14,8 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .diagnostics import RadialProfile, _as_probe, _ladder, _PairSampler
-from .grid import HalfBallGrid
+from .diagnostics import RadialProfile, _ladder, _PairSampler
 from .harmonics import HomogeneousHarmonicPoly, harmonic_basis
 from .problem import ProblemSpec, ScalarField, face_phase
 
@@ -118,8 +117,7 @@ def extract_gamma(u: ScalarField, spec: ProblemSpec) -> list[FreeBoundaryPoint]:
     return sorted(points.values(), key=lambda p: p.x)
 
 
-def classify_point(point: FreeBoundaryPoint, u, v,
-                   grid: HalfBallGrid | None = None) -> str:
+def classify_point(point: FreeBoundaryPoint, u, v) -> str:
     """REGULAR when the trace vanishes and both thin gradients are nonzero.
 
     Numerical gates: |u(point)| <= tau = 1e-6 + 10 h^2 and
@@ -130,16 +128,15 @@ def classify_point(point: FreeBoundaryPoint, u, v,
     C^{3,alpha}) as metadata: it is a classification tag, not a computed
     fact. The thresholds are calibration choices and are stored alongside.
     """
-    pu = _as_probe(u, grid)
-    pv = _as_probe(v, grid)
-    g = pu.grid
+    sampler = _PairSampler(u, v, gradients=False)
+    g = sampler.grid
     tau = 1e-6 + 10.0 * g.h ** 2
     tau_prime = 10.0 * g.h
     step = min(g.h, 1.0 - abs(point.x) - 1e-12)
     if step <= 0:
         raise ValueError(f"point x={point.x} too close to the face edge")
     x = np.array([[point.x, 0.0], [point.x + step, 0.0], [point.x - step, 0.0]])
-    u, v = _PairSampler(pu, pv, gradients=False).values(x)
+    u, v = sampler.values(x)
     point.value_u, point.value_v = float(u[0]), float(v[0])
     point.grad_u = float((u[1] - u[2]) / (2.0 * step))
     point.grad_v = float((v[1] - v[2]) / (2.0 * step))
@@ -178,7 +175,7 @@ class BlowupFit:
     no_blowup: bool
 
 
-def blowup_fit(u, v, center, radii, mu: int, grid: HalfBallGrid | None = None) -> BlowupFit:
+def blowup_fit(u, v, center, radii, mu: int) -> BlowupFit:
     """Least-squares fit of the rescaled pair against the degree-mu basis.
 
     For each radius r the homogeneous rescaling w(center + r z)/r^mu is
@@ -191,17 +188,16 @@ def blowup_fit(u, v, center, radii, mu: int, grid: HalfBallGrid | None = None) -
     """
     if mu != int(mu) or mu < 1:
         raise ValueError(f"blow-up degree must be a positive integer, got {mu}")
-    pu = _as_probe(u, grid)
-    return _fit_degree(*_ladder_pair(pu, _as_probe(v, grid), center, radii), int(mu))
+    return _fit_degree(*_ladder_pair(u, v, center, radii), int(mu))
 
 
-def _ladder_pair(pu, pv, center, radii):
+def _ladder_pair(u, v, center, radii):
     """The sorted radii, the `_ladder` directions and weights, and the pair
     read at every ladder point, (K, m) each: what `_fit_degree` fits."""
     radii = np.sort(np.asarray(radii, dtype=np.float64))
-    direc, w, pts = _ladder(pu.grid, center, radii)
-    us, vs = (a.reshape(radii.size, -1)
-              for a in _PairSampler(pu, pv, gradients=False).values(pts))
+    sampler = _PairSampler(u, v, gradients=False)
+    direc, w, pts = _ladder(sampler.grid, center, radii)
+    us, vs = (a.reshape(radii.size, -1) for a in sampler.values(pts))
     return radii, direc, w, us, vs
 
 
@@ -235,7 +231,7 @@ def _fit_degree(radii, direc, w, us, vs, mu: int) -> BlowupFit:
                      coeff_curve_u=cu, coeff_curve_v=cv, no_blowup=nb)
 
 
-def nondegeneracy_check(u, v, center, radii, mu: float, grid: HalfBallGrid | None = None) -> float:
+def nondegeneracy_check(u, v, center, radii, mu: float) -> float:
     """min over r of max(sup |u|, sup |v|) / r^mu on half-spheres, sampled along
     the one direction set of `_ladder`.
 
@@ -243,9 +239,9 @@ def nondegeneracy_check(u, v, center, radii, mu: float, grid: HalfBallGrid | Non
     faster than r^mu (degenerate for the claimed frequency).
     """
     radii = np.asarray(radii, dtype=np.float64)
-    pu = _as_probe(u, grid)
-    _, _, pts = _ladder(pu.grid, center, radii)
-    us, vs = _PairSampler(pu, _as_probe(v, grid), gradients=False).values(pts)
+    sampler = _PairSampler(u, v, gradients=False)
+    _, _, pts = _ladder(sampler.grid, center, radii)
+    us, vs = sampler.values(pts)
     sups = np.maximum(np.abs(us), np.abs(vs)).reshape(radii.size, -1).max(axis=1)
     return float((sups / radii ** mu).min())
 
@@ -301,12 +297,9 @@ def analyze_point(point: FreeBoundaryPoint, u: ScalarField, v: ScalarField,
                               minimal_almgren_constant, minimal_monneau_constant,
                               monneau_curve)
 
-    pu = _as_probe(u)
-    pv = _as_probe(v)
-    g = pu.grid
-    classify_point(point, pu, pv)
-    radii = default_radii(g, [point.x])
-    prof = point.profile = compute_profile(pu, pv, [point.x], radii, spec)
+    classify_point(point, u, v)
+    radii = default_radii(u.grid, [point.x])
+    prof = point.profile = compute_profile(u, v, [point.x], radii, spec)
     point.almgren_constant = minimal_almgren_constant(prof.radii, prof.N)
     try:
         point.mu_hat, point.mu_int = estimate_mu(prof)
@@ -314,7 +307,7 @@ def analyze_point(point: FreeBoundaryPoint, u: ScalarField, v: ScalarField,
         point.metadata["mu_error"] = str(exc)
         return point
 
-    ladder = _ladder_pair(pu, pv, [point.x], radii)
+    ladder = _ladder_pair(u, v, [point.x], radii)
     fits = {mu: _fit_degree(*ladder, mu) for mu in MU_CANDIDATES}
     best_mu = min(fits, key=lambda k: np.nanmin(fits[k].residuals))
     point.metadata["best_fit_degree"] = best_mu

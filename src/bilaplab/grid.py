@@ -16,8 +16,8 @@ Classification is integer-exact: a lattice point (i, j) is inside iff
 i.i + j^2 <= M^2 with M = 1/h, and the h-band tests compare against (M-1)^2.
 
 Even extension across y = 0 is realized by reflecting query points to
-y >= 0 (`interp_box(..., extended=True)`); mirrored values are never stored
-twice.
+y >= 0 (`interp_box(..., extended=True)`, as every ScalarField read does);
+mirrored values are never stored twice.
 """
 
 from __future__ import annotations

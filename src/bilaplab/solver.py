@@ -8,8 +8,9 @@ Kff = L_ff^T diag(omega) L_ff and L_ff is the reflected Dirichlet Laplacian
 the reaction derivative is unbounded at the sign change, so that diagonal
 uses max(|u|, delta)^(p-2) with delta = 1e-3 sup|grad J|; the energy, the
 gradient, the Armijo test and the stopping rule stay those of the true
-problem. 2 Kff is assembled once per solve, and each Newton step writes
-the face diagonal into its thin-node diagonal entries. CG solves each Newton
+problem. 2 Kff is formed once per solve from `operators(grid).Kff`, and
+each Newton step writes the face diagonal into its thin-node diagonal
+entries (`operators(grid).thin_slots`). CG solves each Newton
 system preconditioned with (2 Kff)^-1, a transposed and a plain solve with
 one LU of L_ff, so its step count stays small at every h and every p. That
 LU is factored in SuperLU's symmetric mode (minimum-degree ordering on
@@ -164,28 +165,15 @@ def harmonic_extension(spec: ProblemSpec) -> ScalarField:
     return ScalarField(grid, w)
 
 
-def _free_hessian(grid):
-    """Kff and the positions in its `data` of the thin rows' diagonal entries,
-    computed once per grid and kept on it beside `operators(grid)`."""
-    cached = getattr(grid, "_Kff", None)
-    if cached is None:
-        free = grid.free_ids
-        Kff = operators(grid).K[free][:, free].tocsr()
-        # every row of Kff stores its positive diagonal
-        rows = np.repeat(np.arange(free.size), np.diff(Kff.indptr))
-        slots = np.flatnonzero(rows == Kff.indices)[np.searchsorted(free, grid.thin_ids)]
-        cached = grid._Kff = (Kff, slots)
-    return cached
-
-
 def _newton(spec: ProblemSpec, w: np.ndarray):
     grid = spec.grid()
     free = grid.free_ids
-    Kff, slots = _free_hessian(grid)
+    ops = operators(grid)
+    slots = ops.thin_slots
     E = free.size
     # 2 Kff once per solve, with the pattern of Kff; each step writes the face
     # diagonal into the thin rows' diagonal entries
-    H = 2.0 * Kff
+    H = 2.0 * ops.Kff
     base = H.data[slots].copy()
     on_thin = grid.node_class[grid.face_ids] == THIN
     phase = face_phase(grid, w)[on_thin]

@@ -23,7 +23,6 @@ from functools import lru_cache
 import numpy as np
 
 from .diagnostics import (
-    AnalyticField,
     compute_profile,
     growth_fit,
     face_mean_value_term,
@@ -38,7 +37,7 @@ from .extension import FourierTrace, dtn_compare
 from .freeboundary import analyze_point, blowup_fit, extract_gamma, nondegeneracy_check
 from .grid import build_grid, sample_count
 from .oracle import brute_minimize
-from .problem import ProblemSpec, energy_array, gradient_array
+from .problem import AnalyticField, ProblemSpec, energy_array, gradient_array
 from .solver import minimize, weak_residual
 
 
@@ -149,11 +148,11 @@ def check_analytic_frequency(level: str = "quick") -> CheckResult:
     radii = np.geomspace(0.05, 0.9, 17)
     worst = 0.0
     for mu in (1, 2, 3):
-        def f(pts, mu=mu):
-            pts = np.atleast_2d(pts)
-            z = pts[..., 0] + 1j * np.abs(pts[..., 1])
+        def re_zmu(pts, mu=mu):
+            z = pts[..., 0] + 1j * pts[..., 1]
             return np.real(z ** mu)
-        prof = compute_profile(f, f, [0.0], radii, spec, grid=grid)
+        f = AnalyticField(re_zmu, grid=grid)
+        prof = compute_profile(f, f, [0.0], radii, spec)
         worst = max(worst, float(np.abs(prof.N0 - mu).max()))
     return CheckResult(
         "frequency of harmonic pairs",
@@ -381,12 +380,22 @@ def check_weak_residual_refinement(level: str = "quick") -> CheckResult:
 # 9. Monneau near-monotonicity and nondegeneracy
 
 
-def _synthetic_pair():
-    def f(pts):
-        pts = np.atleast_2d(pts)
-        z = pts[..., 0] + 1j * np.abs(pts[..., 1])
+@lru_cache(maxsize=None)
+def _synthetic_fit():
+    """The synthetic pair u = v = Re z^2 + 1e-3 Re z^3 (sized by `_fine_sizing`),
+    one decade of 13 radii, the pair's degree-2 blow-up fit on them, and the
+    slope of log residual against log r. Checks 9 and 12 read this one fit."""
+    grid, _ = _fine_sizing()
+
+    def value(pts):
+        z = pts[..., 0] + 1j * pts[..., 1]
         return np.real(z ** 2) + 1e-3 * np.real(z ** 3)
-    return f
+
+    f = AnalyticField(value, grid=grid)
+    radii = np.geomspace(0.05, 0.5, 13)  # one decade of radii
+    fit = blowup_fit(f, f, [0.0], radii, mu=2)
+    slope = float(np.polyfit(np.log(radii), np.log(fit.residuals), 1)[0])
+    return f, radii, fit, slope
 
 
 def check_monneau_nondegeneracy(level: str = "quick") -> CheckResult:
@@ -410,16 +419,12 @@ def check_monneau_nondegeneracy(level: str = "quick") -> CheckResult:
             notes.append(f"{tag}@1/{h_inv} x*={pt.x:+.3f}: C={c:.2f} c_min={nd:.2e}")
     else:
         # no singular candidate arises in the corpus; exercise the synthetic pair
-        grid, spec = _fine_sizing()
-        f = _synthetic_pair()
-        radii = np.geomspace(0.05, 0.5, 13)  # one decade of radii
-        fit = blowup_fit(f, f, [0.0], radii, mu=2, grid=grid)
-        prof = compute_profile(f, f, [0.0], radii, spec, grid=grid)
+        _, spec = _fine_sizing()
+        f, radii, fit, slope = _synthetic_fit()
+        prof = compute_profile(f, f, [0.0], radii, spec)
         M = monneau_curve(prof, 2.0, fit.p_mu, fit.q_mu)
         c = minimal_monneau_constant(prof.radii, M)
-        cvals = np.array([nondegeneracy_check(f, f, [0.0], [r], 2, grid=grid)
-                          for r in radii])
-        slope = float(np.polyfit(np.log(radii), np.log(fit.residuals), 1)[0])
+        cvals = np.array([nondegeneracy_check(f, f, [0.0], [r], 2) for r in radii])
         ok = (np.isfinite(c) and c <= 50.0 and cvals.min() > 0.0
               and cvals.max() / cvals.min() <= 2.0 and abs(slope - 1.0) <= 0.1)
         notes.append(f"synthetic: C={c:.2f} c_min={cvals.min():.4f} "
@@ -435,11 +440,12 @@ def check_monneau_nondegeneracy(level: str = "quick") -> CheckResult:
 # 10. integral identity checks
 
 
-def identity_corpus() -> dict[str, AnalyticField]:
-    """Five C^2 fields with two off-center |x - a|^3 kinks and closed-form
-    derivatives. The kink cross terms keep the quadrature error measurable
-    (the identity superconverges on smooth fields), so the halving clause of
-    the check is a real statement about the rules rather than noise."""
+def identity_corpus() -> dict[str, tuple]:
+    """Five C^2 fields with two off-center |x - a|^3 kinks, each as its value,
+    gradient and Laplacian in closed form. The kink cross terms keep the
+    quadrature error measurable (the identity superconverges on smooth
+    fields), so the halving clause of the check is a real statement about
+    the rules rather than noise."""
     one = (lambda y: np.ones_like(y), lambda y: np.zeros_like(y),
            lambda y: np.zeros_like(y))
     cosy = (np.cos, lambda y: -np.sin(y), lambda y: -np.cos(y))
@@ -467,7 +473,7 @@ def identity_corpus() -> dict[str, AnalyticField]:
             return (6 * sa * g1(p[..., 1]) + sa ** 3 * g1pp(p[..., 1])
                     + 6 * sb * g2(p[..., 1]) + sb ** 3 * g2pp(p[..., 1]))
 
-        return AnalyticField(val, grad, lap)
+        return val, grad, lap
 
     return {
         "two-kink constant": cusp_pair(0.2, one, -0.4, one),
@@ -484,15 +490,17 @@ def check_integral_identities(level: str = "quick") -> CheckResult:
     ok = True
     worst_res, worst_ratio = 0.0, np.inf
     pt_ok = True
-    for fld in identity_corpus().values():
-        r512 = rellich_residual(fld, [0.0], 0.9, grid=grid)
-        r1024 = rellich_residual(fld, [0.0], 0.9, grid=finer)
+    for val, grad, lap in identity_corpus().values():
+        fld = AnalyticField(val, grid, grad, lap)
+        fine = AnalyticField(val, finer, grad, lap)
+        r512 = rellich_residual(fld, [0.0], 0.9)
+        r1024 = rellich_residual(fine, [0.0], 0.9)
         worst_res = max(worst_res, r512)
         worst_ratio = min(worst_ratio, r512 / max(r1024, 1e-300))
         ok &= r512 <= 1e-3 and r1024 <= 0.5 * r512 + 1e-13
         for r in (0.5, 0.9):
-            pl, pr = poincare_check(fld, r, grid=grid)
-            tl, tr = trace_check(fld, r, grid=grid)
+            pl, pr = poincare_check(fld, r)
+            tl, tr = trace_check(fld, r)
             pt_ok &= (pl <= pr) and (tl <= tr)
     ok &= pt_ok
     return CheckResult(
@@ -525,12 +533,8 @@ def check_extension_dtn(level: str = "quick") -> CheckResult:
 
 
 def check_blowup_fitting(level: str = "quick") -> CheckResult:
-    grid, _ = _fine_sizing()
-    f = _synthetic_pair()
-    radii = np.geomspace(0.05, 0.5, 13)
-    fit = blowup_fit(f, f, [0.0], radii, mu=2, grid=grid)
+    _, _, fit, slope = _synthetic_fit()
     coeff = float(fit.p_mu(np.array([[1.0, 0.0]]))[0])
-    slope = float(np.polyfit(np.log(radii), np.log(fit.residuals), 1)[0])
     synth_ok = abs(coeff - 1.0) <= 1e-3 and abs(slope - 1.0) <= 0.1
 
     h_list = (32,) if level == "quick" else (32, 64)

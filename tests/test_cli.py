@@ -18,7 +18,7 @@ import bilaplab.solver
 import bilaplab.verify as verify
 from bilaplab.cli import main
 from bilaplab.config import ConfigError, output_root, parse_config, run
-from bilaplab.diagnostics import FieldProbe, default_radii, minimal_monneau_constant
+from bilaplab.diagnostics import default_radii, minimal_monneau_constant
 from bilaplab.freeboundary import analyze_point, extract_gamma
 from bilaplab.grid import sphere_quadrature
 
@@ -131,8 +131,8 @@ def test_each_free_boundary_point_is_profiled_once(tmp_path, monkeypatch):
         for r in radii:
             quad = sphere_quadrature(spec.grid(), c, float(r))
             rel = quad.surface_points - c
-            du = FieldProbe(result.u).values(quad.surface_points) - pt.p_mu(rel)
-            dv = FieldProbe(result.v).values(quad.surface_points) - pt.q_mu(rel)
+            du = result.u(quad.surface_points) - pt.p_mu(rel)
+            dv = result.v(quad.surface_points) - pt.q_mu(rel)
             M.append((quad.surface_weights @ (du ** 2 + dv ** 2)) / r ** (spec.n + 2 * mu))
         M = np.where(pt.profile.degenerate, np.nan, M)
         assert row["monneau_constant"] == minimal_monneau_constant(radii, M)

@@ -5,8 +5,8 @@ import pytest
 
 from bilaplab import AnalyticField, ProblemSpec, ScalarField, build_grid
 from bilaplab.diagnostics import (
-    FieldProbe,
     RadialProfile,
+    _sphere_sups,
     compute_profile,
     default_radii,
     estimate_mu,
@@ -18,7 +18,6 @@ from bilaplab.diagnostics import (
     monneau_curve,
     poincare_check,
     rellich_residual,
-    sphere_sup,
     trace_check,
 )
 from bilaplab.freeboundary import FreeBoundaryPoint, blowup_fit, classify_point, nondegeneracy_check
@@ -30,20 +29,20 @@ SPEC = ProblemSpec(n=1, p=2.0, lambda_plus=1.0, lambda_minus=1.0,
                    g="zero", h=1.0 / 256.0)
 
 
-def _ones(pts):
-    return np.ones(len(np.atleast_2d(pts)))
+_ones = AnalyticField(lambda p: np.ones(len(p)), grid=FINE)
+_rez2 = AnalyticField(lambda p: p[:, 0] ** 2 - p[:, 1] ** 2, grid=FINE)
 
 
 def test_poincare_closed_form_for_constants():
     """For w = 1 the two sides are the half-disc and half-circle masses."""
-    lhs, rhs = poincare_check(_ones, 0.5, grid=FINE)
+    lhs, rhs = poincare_check(_ones, 0.5)
     assert lhs == pytest.approx(np.pi / 2, abs=1e-12)
     assert rhs == pytest.approx(np.pi, abs=1e-12)
     assert lhs <= rhs
 
 
 def test_trace_closed_form_for_constants():
-    lhs, bracket = trace_check(_ones, 0.5, grid=FINE)
+    lhs, bracket = trace_check(_ones, 0.5)
     assert lhs == pytest.approx(1.0, abs=1e-12)
     assert bracket == pytest.approx(np.pi / 2, abs=1e-12)
 
@@ -53,8 +52,9 @@ def test_rellich_identity_vanishes_on_smooth_field():
         value=lambda p: p[:, 1] ** 2,
         gradient=lambda p: np.column_stack([np.zeros(len(p)), 2.0 * p[:, 1]]),
         laplacian=lambda p: np.full(len(p), 2.0),
+        grid=FINE,
     )
-    assert rellich_residual(ysq, 0.0, 0.9, grid=FINE) < 1e-12
+    assert rellich_residual(ysq, 0.0, 0.9) < 1e-12
 
 
 def test_rellich_residual_needs_an_analytic_field():
@@ -65,9 +65,9 @@ def test_rellich_residual_needs_an_analytic_field():
 
 def test_frequency_of_homogeneous_harmonic_pair():
     # u = v = Re z^2 has scaling exponent exactly 2 at every radius.
-    w = lambda p: p[:, 0] ** 2 - p[:, 1] ** 2
+    w = _rez2
     radii = np.geomspace(0.05, 0.5, 9)
-    prof = compute_profile(w, w, 0.0, radii, SPEC, grid=FINE)
+    prof = compute_profile(w, w, 0.0, radii, SPEC)
     assert not prof.degenerate.any()
     assert np.abs(prof.N0 - 2.0).max() < 1e-9
     # The full frequency adds cross and reaction terms of lower order,
@@ -77,35 +77,34 @@ def test_frequency_of_homogeneous_harmonic_pair():
 
 
 def test_growth_fit_recovers_homogeneity_degree():
-    w = lambda p: p[:, 0] ** 2 - p[:, 1] ** 2
     radii = np.geomspace(0.05, 0.5, 9)
-    assert growth_fit(w, 0.0, radii, grid=FINE) == pytest.approx(2.0, abs=1e-12)
+    assert growth_fit(_rez2, 0.0, radii) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_sphere_sup_radial_field():
-    w = lambda p: (p ** 2).sum(axis=1)
-    assert sphere_sup(w, 0.0, 0.3, grid=FINE) == pytest.approx(0.09, abs=1e-14)
+    w = AnalyticField(lambda p: (p ** 2).sum(axis=1), grid=FINE)
+    assert _sphere_sups(w, 0.0, [0.3])[0] == pytest.approx(0.09, abs=1e-14)
 
 
 def test_sphere_sup_samples_the_quadrature_surface():
-    w = lambda p: p[:, 0] ** 2 - p[:, 1] ** 2 + 0.1 * p[:, 0]
+    w = AnalyticField(lambda p: p[:, 0] ** 2 - p[:, 1] ** 2 + 0.1 * p[:, 0], grid=FINE)
     quad = sphere_quadrature(FINE, np.array([0.1, 0.0]), 0.3)
-    assert sphere_sup(w, 0.1, 0.3, grid=FINE) == np.abs(w(quad.surface_points)).max()
+    assert _sphere_sups(w, 0.1, [0.3])[0] == np.abs(w(quad.surface_points)).max()
     with pytest.raises(ValueError, match="under-resolved"):
-        sphere_sup(w, 0.1, 1e-3, grid=FINE)
+        _sphere_sups(w, 0.1, [1e-3])
 
 
-def _per_field_profile(pu, pv, c, radii, spec, mu, p_mu, q_mu):
-    """H, B, D0, D and M with one probe call per field and point set."""
-    n = pu.grid.n
+def _per_field_profile(u, v, c, radii, spec, mu, p_mu, q_mu):
+    """H, B, D0, D and M with one read per field and point set."""
+    n = u.grid.n
     rows = []
     for r in radii:
-        quad = sphere_quadrature(pu.grid, c, float(r))
-        us, vs = pu.values(quad.surface_points), pv.values(quad.surface_points)
-        gu, gv = pu.gradient(quad.surface_points), pv.gradient(quad.surface_points)
-        gus, gvs = pu.gradient(quad.solid_points), pv.gradient(quad.solid_points)
-        ub, vb = pu.values(quad.solid_points), pv.values(quad.solid_points)
-        ut, vt = pu.values(quad.thin_points), pv.values(quad.thin_points)
+        quad = sphere_quadrature(u.grid, c, float(r))
+        us, vs = u(quad.surface_points), v(quad.surface_points)
+        gu, gv = u.gradient(quad.surface_points), v.gradient(quad.surface_points)
+        gus, gvs = u.gradient(quad.solid_points), v.gradient(quad.solid_points)
+        ub, vb = u(quad.solid_points), v(quad.solid_points)
+        ut, vt = u(quad.thin_points), v(quad.thin_points)
         D0 = quad.solid_weights @ ((gus ** 2).sum(axis=1) + (gvs ** 2).sum(axis=1))
         rel = quad.surface_points - c
         rows.append((
@@ -135,8 +134,7 @@ def test_grid_field_profile_equals_the_per_field_path(n, h, monkeypatch):
     p_mu = lambda rel: rel[:, 0] ** 2 - rel[:, -1] ** 2
     q_mu = lambda rel: 0.5 * rel[:, 0] * rel[:, -1]
     prof = compute_profile(u, v, c, radii, spec)
-    H, B, D0, D, M = _per_field_profile(FieldProbe(u), FieldProbe(v), c, prof.radii,
-                                        spec, 2.0, p_mu, q_mu)
+    H, B, D0, D, M = _per_field_profile(u, v, c, prof.radii, spec, 2.0, p_mu, q_mu)
     assert (prof.H == H).all() and (prof.B == B).all()
     assert (prof.D0 == D0).all() and (prof.D == D).all()
     reads = []
@@ -148,18 +146,18 @@ def test_grid_field_profile_equals_the_per_field_path(n, h, monkeypatch):
     monkeypatch.undo()
     assert np.array_equal(curve, np.where(prof.degenerate, np.nan, M), equal_nan=True)
 
-    # callables wrapping one probe each: the pair is read field by field
-    fu, fv = FieldProbe(u).values, FieldProbe(v).values
-    fit, ref = blowup_fit(u, v, c, radii, 2), blowup_fit(fu, fv, c, radii, 2, grid=g)
+    # analytic fields wrapping one grid field each: the pair is read field by field
+    fu, fv = AnalyticField(u, grid=g), AnalyticField(v, grid=g)
+    fit, ref = blowup_fit(u, v, c, radii, 2), blowup_fit(fu, fv, c, radii, 2)
     assert np.array_equal(fit.residuals, ref.residuals, equal_nan=True)
     assert (fit.coeff_curve_u == ref.coeff_curve_u).all()
     assert (fit.coeff_curve_v == ref.coeff_curve_v).all()
     assert nondegeneracy_check(u, v, c, radii, 2.0) == nondegeneracy_check(
-        fu, fv, c, radii, 2.0, grid=g)
+        fu, fv, c, radii, 2.0)
     if n == 1:  # free-boundary points live on the n = 1 face
         pt, ref_pt = FreeBoundaryPoint(x=0.1), FreeBoundaryPoint(x=0.1)
         classify_point(pt, u, v)
-        classify_point(ref_pt, fu, fv, grid=g)
+        classify_point(ref_pt, fu, fv)
         assert pt == ref_pt and pt.grad_u is not None
 
 
@@ -282,14 +280,24 @@ def test_analytic_field_probe_uses_supplied_derivatives():
         gradient=lambda p: np.column_stack([2 * p[:, 0] * p[:, 1] ** 2,
                                             2 * p[:, 0] ** 2 * p[:, 1]]),
         laplacian=lambda p: 2 * p[:, 1] ** 2 + 2 * p[:, 0] ** 2,
+        grid=FINE,
     )
-    probe = FieldProbe(f, grid=FINE)
     below = np.array([[0.3, -0.4]])
     # Even extension: the vertical derivative flips sign below the face.
-    assert np.allclose(probe.gradient(below), [[0.096, -0.072]], atol=1e-14)
-    assert probe.laplacian(below)[0] == pytest.approx(0.5, abs=1e-14)
+    assert np.allclose(f.gradient(below), [[0.096, -0.072]], atol=1e-14)
+    assert f.laplacian(below)[0] == pytest.approx(0.5, abs=1e-14)
 
 
-def test_probe_requires_grid_for_callables():
-    with pytest.raises(ValueError, match="grid"):
-        FieldProbe(lambda p: p[:, 0])
+def test_instruments_refuse_plain_callables():
+    """A field is a ScalarField or an AnalyticField; the grid that sizes a
+    callable's quadrature comes with its AnalyticField."""
+    w = lambda p: p[:, 0] ** 2 - p[:, 1] ** 2
+    radii = np.geomspace(0.1, 0.5, 9)
+    with pytest.raises(TypeError, match="ScalarField or an AnalyticField"):
+        compute_profile(w, w, 0.0, radii, SPEC)
+    with pytest.raises(TypeError, match="ScalarField or an AnalyticField"):
+        blowup_fit(_rez2, w, 0.0, radii, 2)
+    with pytest.raises(TypeError, match="ScalarField or an AnalyticField"):
+        growth_fit(w, 0.0, radii)
+    with pytest.raises(TypeError):
+        AnalyticField(w)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bilaplab import ProblemSpec, ScalarField, build_grid, freeboundary, minimize
+from bilaplab import AnalyticField, ProblemSpec, ScalarField, build_grid, freeboundary, minimize
 from bilaplab.diagnostics import default_radii
 from bilaplab.freeboundary import (
     MU_CANDIDATES,
@@ -22,8 +22,7 @@ SPEC = ProblemSpec(n=1, p=2.0, lambda_plus=1.0, lambda_minus=1.0,
                    g="zero", h=1.0 / 256.0)
 
 
-def _rez2(p):
-    return p[:, 0] ** 2 - p[:, 1] ** 2
+_rez2 = AnalyticField(lambda p: p[:, 0] ** 2 - p[:, 1] ** 2, grid=FINE)
 
 
 def test_extract_gamma_single_crossing():
@@ -80,8 +79,8 @@ def test_odd_problem_has_a_free_boundary_point_at_zero(tag, h):
 
 def test_classify_transversal_crossing_as_regular():
     point = FreeBoundaryPoint(x=0.0)
-    lin = lambda p: p[:, 0]
-    label = classify_point(point, lin, lin, grid=FINE)
+    lin = AnalyticField(lambda p: p[:, 0], grid=FINE)
+    label = classify_point(point, lin, lin)
     assert label == "REGULAR"
     assert point.classification == "REGULAR"
     assert point.grad_u == pytest.approx(1.0, abs=1e-9)
@@ -90,13 +89,13 @@ def test_classify_transversal_crossing_as_regular():
 
 def test_classify_flat_touch_as_singular():
     point = FreeBoundaryPoint(x=0.0)
-    flat = lambda p: p[:, 0] ** 2
-    assert classify_point(point, flat, flat, grid=FINE) == "SINGULAR"
+    flat = AnalyticField(lambda p: p[:, 0] ** 2, grid=FINE)
+    assert classify_point(point, flat, flat) == "SINGULAR"
 
 
 def test_blowup_fit_exact_on_homogeneous_pair():
     radii = np.geomspace(0.1, 0.5, 9)
-    fit = blowup_fit(_rez2, _rez2, 0.0, radii, 2, grid=FINE)
+    fit = blowup_fit(_rez2, _rez2, 0.0, radii, 2)
     assert not fit.no_blowup
     assert fit.residuals.max() < 1e-12
     assert np.allclose(fit.coeff_curve_u, 1.0, atol=1e-12)
@@ -107,18 +106,19 @@ def test_blowup_fit_perturbation_residual_linear_in_radius():
     # A degree-3 perturbation of relative size eps contributes a misfit
     # eps * r, so the residual curve is linear through the origin.
     eps = 1e-3
-    pert = lambda p: _rez2(p) + eps * (p[:, 0] ** 3 - 3 * p[:, 0] * p[:, 1] ** 2)
+    pert = AnalyticField(lambda p: _rez2(p) + eps * (p[:, 0] ** 3 - 3 * p[:, 0] * p[:, 1] ** 2),
+                         grid=FINE)
     radii = np.geomspace(0.1, 0.5, 9)
-    fit = blowup_fit(pert, pert, 0.0, radii, 2, grid=FINE)
+    fit = blowup_fit(pert, pert, 0.0, radii, 2)
     assert not fit.no_blowup
     assert np.allclose(fit.coeff_curve_u, 1.0, atol=2e-3)
     assert np.allclose(fit.residuals, eps * radii, rtol=1e-3)
 
 
 def test_blowup_fit_flags_degree_mismatch():
-    lin = lambda p: p[:, 0]
+    lin = AnalyticField(lambda p: p[:, 0], grid=FINE)
     radii = np.geomspace(0.1, 0.5, 9)
-    fit = blowup_fit(lin, lin, 0.0, radii, 3, grid=FINE)
+    fit = blowup_fit(lin, lin, 0.0, radii, 3)
     assert fit.no_blowup
     assert fit.residuals.min() > 0.5
 
@@ -148,11 +148,11 @@ def test_analyze_point_reads_the_ladder_once_and_fits_like_blowup_fit(monkeypatc
 
 def test_nondegeneracy_ratio():
     radii = np.geomspace(0.1, 0.5, 9)
-    at_two = nondegeneracy_check(_rez2, _rez2, 0.0, radii, 2.0, grid=FINE)
+    at_two = nondegeneracy_check(_rez2, _rez2, 0.0, radii, 2.0)
     assert 0.99 < at_two <= 1.0
     # Claiming a lower frequency than the truth makes the ratio collapse
     # with the smallest radius.
-    at_one = nondegeneracy_check(_rez2, _rez2, 0.0, radii, 1.0, grid=FINE)
+    at_one = nondegeneracy_check(_rez2, _rez2, 0.0, radii, 1.0)
     assert at_one == pytest.approx(0.1, rel=1e-3)
 
 

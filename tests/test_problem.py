@@ -268,3 +268,14 @@ def test_scalar_field_validation():
     bad[0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         ScalarField(grid, bad)
+
+
+@pytest.mark.parametrize("n,h", [(1, 1 / 16), (2, 1 / 8)])
+def test_operators_carry_the_free_block_and_its_thin_diagonal_slots(n, h):
+    grid = _spec(n=n, h=h).grid()
+    ops = operators(grid)
+    free, thin = grid.free_ids, grid.thin_ids
+    assert (ops.Kff != ops.K[free][:, free]).nnz == 0
+    rows = np.searchsorted(free, thin)
+    assert np.array_equal(ops.Kff.indices[ops.thin_slots], rows)
+    assert np.array_equal(ops.Kff.data[ops.thin_slots], ops.K[thin, thin].A1)

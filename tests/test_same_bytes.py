@@ -25,3 +25,18 @@ def test_differing_lists_changed_and_one_sided_files(tmp_path):
     assert same_bytes.differing(base, change) == (6, ["b/gamma.csv", "c/old.csv", "d/new.csv"])
     assert same_bytes.differing(base, tmp_path / "base") == (5, [])
 
+
+
+def test_strip_times_drops_only_the_time_that_ends_a_check_line():
+    transcript = ("acceptance suite, level=quick\n"
+                  " 1. oracle equivalence  energy rel <= 1e-8  energy rel 2.1e-12  [pass]  0.53 s\n"
+                  "10. integral identities  m=512  max res 1.40e-04  [pass]  12.07 s\n"
+                  "12/12 checks passed\n")
+    assert same_bytes.strip_times(transcript) == (
+        "acceptance suite, level=quick\n"
+        " 1. oracle equivalence  energy rel <= 1e-8  energy rel 2.1e-12  [pass]\n"
+        "10. integral identities  m=512  max res 1.40e-04  [pass]\n"
+        "12/12 checks passed\n")
+    # a time that changes is gone; a figure inside the line stays
+    assert same_bytes.strip_times("a  1.00 s\n") == same_bytes.strip_times("a  2.50 s\n")
+    assert same_bytes.strip_times("took 0.50 s here\n") == "took 0.50 s here\n"

@@ -15,7 +15,9 @@ BLAS thread,
                                      datum is defined at n = 2
 
 and writes each run's artifacts, plus the exit code of every run in
-`exit_codes.json`. The command prints every file that differs between the
+`exit_codes.json`. Then `bilaplab verify --level quick` and `--level full`
+run in a process each; their output is kept as `verify-quick.txt` and
+`verify-full.txt`, without the wall time that ends each check line. The command prints every file that differs between the
 two sides, a file present on one side only included, and exits 1 if any
 file differs.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -37,6 +40,10 @@ from workloads import PIPELINE_CONFIGS  # noqa: E402
 
 CENTERS = "0.1;-0.25"
 RADII = ";".join(repr(0.125 * 2.0 ** (k / 4.0)) for k in range(9))  # 1/8 .. 1/2
+
+VERIFY_LEVELS = ("quick", "full")
+# the wall time `verify` prints at the end of each check line
+_CHECK_TIME = re.compile(r"  \d+\.\d\d s$", re.MULTILINE)
 
 # runs every listed command in one process; argv[1] lists the runs, argv[2] gets the exit codes
 DRIVER = """
@@ -81,7 +88,17 @@ def produce(tree: Path, into: Path) -> Path:
                     str(dest / "exit_codes.json")],
                    cwd=tree, env={**ENV, "PYTHONPATH": str(tree / "src")}, check=True,
                    stdout=subprocess.DEVNULL)
+    for level in VERIFY_LEVELS:
+        proc = subprocess.run([sys.executable, "-m", "bilaplab.cli", "verify", "--level", level],
+                              cwd=tree, env={**ENV, "PYTHONPATH": str(tree / "src")},
+                              stdout=subprocess.PIPE, text=True)
+        (dest / f"verify-{level}.txt").write_text(strip_times(proc.stdout))
     return dest
+
+
+def strip_times(transcript: str) -> str:
+    """A `verify` transcript without the wall time that ends each check line."""
+    return _CHECK_TIME.sub("", transcript)
 
 
 def differing(base: Path, change: Path) -> tuple[int, list[str]]:
