@@ -26,7 +26,7 @@ for label, kw in CONFIGS.items():
     for h_inv in (16, 32, 64):
         spec = ProblemSpec(n=1, p=2.0, h=1.0 / h_inv, **kw)
         result = minimize(spec)
-        points = extract_gamma(result.u, spec)
+        points = extract_gamma(result.u)
         print(f"h = 1/{h_inv}: {len(points)} free-boundary point(s)")
         for pt in points:
             analyze_point(pt, result.u, result.v, spec)

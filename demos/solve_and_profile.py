@@ -45,7 +45,7 @@ print(f"weak residual        {weak_residual(result, spec):.3e}")
 # Radial profile around the extracted free-boundary point: H is the
 # surface mass of the pair (u, v), D0 the Dirichlet mass, and
 # N0 = r D0 / H the frequency.
-point = extract_gamma(result.u, spec)[0]
+point = extract_gamma(result.u)[0]
 print(f"\nfree-boundary point  x* = {point.x:+.5f}")
 radii = default_radii(spec.grid(), point.x)
 profile = compute_profile(result.u, result.v, point.x, radii, spec)

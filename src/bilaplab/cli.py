@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config, run
-from .extension import FourierTrace, dtn_compare
+from .extension import (RATIO_TARGET, RATIO_TOLERANCE, SPREAD_LIMIT, FourierTrace,
+                        dtn_compare)
 
 _STAGE_MAP = {
     "solve": ("solve",),
@@ -60,19 +61,15 @@ def _cmd_extension_check(args: argparse.Namespace) -> int:
     coeffs = np.zeros(max(modes) + 1)
     coeffs[modes] = 1.0
     report = dtn_compare(FourierTrace(coeffs), Y=args.height)
-    ok = True
+    target = f"{RATIO_TARGET:.2f}+-{RATIO_TOLERANCE:.0%}"
     print(f"{'mode':>6s} {'ratio':>12s} {'target':>10s} {'status':>8s}")
     for k in modes:
-        ratio = report.ratios[k]
-        good = abs(ratio - 2.0) <= 0.05 * 2.0
-        ok &= good
-        print(f"{k:6d} {ratio:12.6f} {'2.00+-5%':>10s} {'pass' if good else 'FAIL':>8s}")
-    spread_ok = report.spread <= 0.02
-    ok &= spread_ok
-    print(f"spread {report.spread:.6f} (target <= 0.02): "
-          f"{'pass' if spread_ok else 'FAIL'}")
+        print(f"{k:6d} {report.ratios[k]:12.6f} {target:>10s} "
+              f"{'pass' if report.mode_ok(k) else 'FAIL':>8s}")
+    print(f"spread {report.spread:.6f} (target <= {SPREAD_LIMIT}): "
+          f"{'pass' if report.spread_ok else 'FAIL'}")
     print(f"calibrated inverse constant: {report.calibrated_inverse_constant:.6f}")
-    return 0 if ok else 1
+    return 0 if report.ok else 1
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -86,9 +86,12 @@ _KEYS = {
 
 def _float(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        val = float(raw)
     except ValueError:
         raise ConfigError(f"key '{key}': expected a number, got {raw!r}") from None
+    if not np.isfinite(val):
+        raise ConfigError(f"key '{key}': expected a finite number, got {raw!r}")
+    return val
 
 
 def _int(key: str, raw: str) -> int:
@@ -112,8 +115,9 @@ def parse_config(text: str) -> RunConfig:
     "auto" keeps the adaptive policy: tol_grad scales with the energy,
     centers follow the extracted free boundary (origin fallback), radii
     follow the geometric ladder of default_radii. Each violated constraint
-    raises ConfigError naming the key: unknown keys, p <= 1, lambda <= 0,
-    h whose reciprocal is not an integer, centers outside the thin face or at n = 2.
+    raises ConfigError naming the key: unknown keys, non-finite numbers,
+    p <= 1, lambda <= 0, h whose reciprocal is not an integer or is below 4,
+    centers outside the thin face or at n = 2, non-finite datum parameters.
     """
     raw: dict[str, str] = {}
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -145,6 +149,9 @@ def parse_config(text: str) -> RunConfig:
     h = _float("h", raw["h"]) if "h" in raw else 1.0 / 16
     if h <= 0 or abs(round(1.0 / h) - 1.0 / h) > 1e-9:
         raise ConfigError(f"key 'h': grid step must divide 1 exactly, got {h}")
+    if round(1.0 / h) < 4:
+        raise ConfigError(f"key 'h': a run samples the unit ball, which needs 1 >= 4h, "
+                          f"so h <= 1/4; got {h}")
     g = raw.get("g", "zero")
     tol_grad = None
     if "tol_grad" in raw and raw["tol_grad"] != "auto":
@@ -270,7 +277,7 @@ def run(config: RunConfig) -> Path:
 
     points = []
     if "gamma" in config.stages:
-        points = extract_gamma(result.u, spec)
+        points = extract_gamma(result.u)
         for pt in points:
             analyze_point(pt, result.u, result.v, spec)
 

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (_TOL, HalfBallGrid, _as_thin_center, ball_center, half_sphere, sample_count,
-                   sphere_quadrature)
+from .grid import (_TOL, HalfBallGrid, _as_thin_center, _gauss_on, ball_center, half_sphere,
+                   sample_count, sphere_quadrature)
 from .problem import AnalyticField, ProblemSpec, ScalarField, thin_reaction
 
 DEGENERATE_FACTOR = 1e-14  # H below this times sup(u^2+v^2) is flagged
@@ -74,7 +74,7 @@ class _PairSampler:
     def values(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.stack is None:
             return self.u(pts), self.v(pts)
-        u, v = self.grid.interp_box(self.pair, pts, extended=True)
+        u, v = self.grid.interp_box(self.pair, pts)
         return u, v
 
     def with_gradients(self, pts: np.ndarray):
@@ -82,7 +82,7 @@ class _PairSampler:
         u, v = self.u, self.v
         if self.stack is None:
             return u(pts), v(pts), u.gradient(pts), v.gradient(pts)
-        vals = self.grid.interp_box(self.stack, pts, extended=True)
+        vals = self.grid.interp_box(self.stack, pts)
         d = self.grid.n + 2
         return vals[0], vals[d], vals[1:d].T, vals[d + 1:].T
 
@@ -390,9 +390,7 @@ def face_mean_value_term(u, spec: ProblemSpec, centres, rho: float) -> np.ndarra
     z = np.atleast_2d(np.asarray(centres, dtype=np.float64))
     y = z[:, 1:2]
     half = np.sqrt(np.maximum(rho ** 2 - y ** 2, 0.0))
-    t, wt = np.polynomial.legendre.leggauss(FACE_GAUSS_POINTS)
-    s = 0.5 * half * (t + 1.0)
-    ws = 0.5 * half * wt
+    s, ws = _gauss_on(0.0, half, FACE_GAUSS_POINTS)
     kernel = ws * np.log(rho / np.sqrt(s ** 2 + y ** 2))
     out = np.zeros(z.shape[0])
     for side in (-1.0, 1.0):

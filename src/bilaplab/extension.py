@@ -20,6 +20,12 @@ import scipy.linalg
 
 STRIP_SAMPLES = 256  # x samples of the strip on [0, 2pi)
 
+# the acceptance rule of the identity: every ratio within 5% of 2, and a
+# spread across modes of at most 2%
+RATIO_TARGET = 2.0
+RATIO_TOLERANCE = 0.05  # relative to RATIO_TARGET
+SPREAD_LIMIT = 0.02
+
 
 @dataclass
 class FourierTrace:
@@ -43,15 +49,12 @@ class FourierTrace:
 class StripField:
     """Biharmonic extension on the periodic strip [0, 2pi) x [0, Y].
 
-    values[i, j] = u(x[i], y[j]); mode_profiles[k] is the vertical profile
-    f_k with u(x, y) = sum_k f_k(y) cos(k x).
+    mode_profiles[k] is the vertical profile f_k on the nodes y, with
+    u(x, y) = sum_k f_k(y) cos(k x); x holds the strip's x samples.
     """
 
-    trace: FourierTrace
-    Y: float
     x: np.ndarray
     y: np.ndarray
-    values: np.ndarray
     mode_profiles: dict[int, np.ndarray]
 
     @property
@@ -72,34 +75,21 @@ def _mode_profile(k: int, a_k: float, y: np.ndarray) -> np.ndarray:
     unknown = J - 1  # f_1 .. f_{J-1}
     if unknown < 3:
         raise ValueError("strip resolution too coarse for the vertical solve")
-    ab = np.zeros((5, unknown))
-    rhs = np.zeros(unknown)
     k2, k4, d2, d4 = float(k * k), float(k ** 4), d * d, d ** 4
-
-    def add(row: int, col: int, val: float) -> None:
-        if 0 <= col < unknown:
-            ab[2 + row - col, col] += val
-        else:
-            # known values: f_0 = a_k on the left, f_J = 0 on the right
-            if col == -1:
-                rhs[row] -= val * a_k
-            elif col == unknown:
-                pass  # f_J = 0
-
-    for i in range(unknown):
-        j = i + 1  # absolute y index
-        # ghost handling: f_{-1} = f_1 (f'(0)=0), f_{J+1} = f_{J-1} (f'(Y)=0)
-        stencil = {j - 2: 1.0, j - 1: -4.0, j: 6.0, j + 1: -4.0, j + 2: 1.0}
-        if j - 2 == -1:
-            stencil[j] += stencil.pop(j - 2)  # f_{-1} -> f_1 = f_{j}
-        if j + 2 == J + 1:
-            stencil[j] += stencil.pop(j + 2)  # f_{J+1} -> f_{J-1} = f_j
-        for col, cv in stencil.items():
-            add(i, col - 1, cv / d4)
-        lap = {j - 1: 1.0, j: -2.0, j + 1: 1.0}
-        for col, cv in lap.items():
-            add(i, col - 1, -2.0 * k2 * cv / d2)
-        add(i, j - 1, k4)
+    far = 1.0 / d4                     # f_{j-2}, f_{j+2}
+    near = -4.0 / d4 + -2.0 * k2 / d2  # f_{j-1}, f_{j+1}
+    # the ghosts f_{-1} = f_1 (f'(0) = 0) and f_{J+1} = f_{J-1} (f'(Y) = 0)
+    # fold onto the diagonal of the first and last rows
+    center = np.full(unknown, 6.0)
+    center[[0, -1]] = 7.0
+    ab = np.zeros((5, unknown))
+    ab[0, 2:] = ab[4, :-2] = far
+    ab[1, 1:] = ab[3, :-1] = near
+    ab[2] = center / d4 + -2.0 * k2 * -2.0 / d2 + k4
+    # the known f_0 = a_k moves to the right-hand side; f_J = 0 adds nothing
+    rhs = np.zeros(unknown)
+    rhs[0] = -a_k * (-4.0 / d4) - a_k * (-2.0 * k2 / d2)
+    rhs[1] = -a_k * far
 
     sol = scipy.linalg.solve_banded((2, 2), ab, rhs)
     f = np.empty(J + 1)
@@ -110,7 +100,7 @@ def _mode_profile(k: int, a_k: float, y: np.ndarray) -> np.ndarray:
 
 
 def strip_extension(trace: FourierTrace, Y: float = 12.0) -> StripField:
-    """Assemble the clamped biharmonic extension of a cosine trace.
+    """Solve the clamped biharmonic extension of a cosine trace, mode by mode.
 
     STRIP_SAMPLES x samples cover [0, 2pi); the vertical step uses the same
     spacing. Every active mode k must keep at least 8 samples per wavelength
@@ -130,17 +120,13 @@ def strip_extension(trace: FourierTrace, Y: float = 12.0) -> StripField:
     yg = np.linspace(0.0, Y, J + 1)
 
     profiles: dict[int, np.ndarray] = {}
-    values = np.zeros((STRIP_SAMPLES, J + 1))
     if trace.coeffs[0] != 0.0:
         # k = 0: a constant is biharmonic with zero vertical derivative but cannot
         # decay, so it is carried through unchanged (no fractional multiplier)
         profiles[0] = np.full(yg.size, trace.coeffs[0])
-        values += profiles[0][None, :]
     for k in active:
         profiles[int(k)] = _mode_profile(int(k), float(trace.coeffs[k]), yg)
-        values += np.cos(k * x)[:, None] * profiles[int(k)][None, :]
-    return StripField(trace=trace, Y=float(Y), x=x, y=yg, values=values,
-                      mode_profiles=profiles)
+    return StripField(x=x, y=yg, mode_profiles=profiles)
 
 
 def strip_biharmonic_residual(strip: StripField) -> float:
@@ -148,8 +134,8 @@ def strip_biharmonic_residual(strip: StripField) -> float:
 
     Evaluates f'''' - 2 k^2 f'' + k^4 f with the same central stencils used
     by the solve, over interior collocation nodes; machine-level for the
-    banded solution (this is the honest consistency statement: the assembled
-    field solves the discrete biharmonic strip problem exactly).
+    banded solution (this is the honest consistency statement: each mode
+    profile solves the discrete biharmonic strip problem exactly).
     """
     worst = 0.0
     d = strip.dy
@@ -182,36 +168,42 @@ class DtnReport:
         vals = np.array(list(self.ratios.values()))
         return float(vals.max() - vals.min()) / float(np.abs(vals).max())
 
+    def mode_ok(self, k: int) -> bool:
+        return abs(self.ratios[k] - RATIO_TARGET) <= RATIO_TOLERANCE * RATIO_TARGET
+
+    @property
+    def spread_ok(self) -> bool:
+        return self.spread <= SPREAD_LIMIT
+
+    @property
+    def ok(self) -> bool:
+        return self.spread_ok and all(map(self.mode_ok, self.ratios))
+
 
 def dtn_compare(trace: FourierTrace, Y: float = 12.0) -> DtnReport:
     """Measure d/dy Lap(extension) at the face against the |k|^3 multiplier.
 
-    The vertical Laplacian derivative is taken from the assembled field:
-    Lap u is formed with the same second-order stencils as the solve
-    (periodic in x), its one-sided vertical derivative is evaluated on the
-    face row, and the result is projected onto cos(k x) by the exact
-    discrete cosine projection. ratio_k = projection_k / (|k|^3 a_k).
+    Mode by mode, Lap(f_k(y) cos(k x)) = (f_k'' - sigma_k f_k) cos(k x).
+    f_k'' is the solve's central second difference in y, with the even
+    reflection ghost f_{-1} = f_1 on the face row. sigma_k =
+    (2 - 2 cos(k dx)) / dy^2 is the symbol of the periodic second difference
+    in x, divided by dy^2 rather than dx^2. The one-sided second-order d/dy
+    of that Laplacian on the face gives ratio_k = d/dy Lap_k(0) / (|k|^3 a_k).
     """
     active = trace.active_modes()
     if active.size == 0:
         raise ValueError("trace has no active modes k >= 1")
     strip = strip_extension(trace, Y=Y)
     d = strip.dy
-    vals = strip.values
-    lap = np.empty_like(vals)
-    # x part, periodic
-    lap[:] = (np.roll(vals, 1, axis=0) + np.roll(vals, -1, axis=0) - 2 * vals) / d ** 2
-    # y part: interior central; face row uses the even reflection ghost
-    lap[:, 1:-1] += (vals[:, 2:] + vals[:, :-2] - 2 * vals[:, 1:-1]) / d ** 2
-    lap[:, 0] += (2 * vals[:, 1] - 2 * vals[:, 0]) / d ** 2
-    lap[:, -1] += (vals[:, -2] - vals[:, -1]) / d ** 2  # lid row, unused below
-
-    dlap = (-3.0 * lap[:, 0] + 4.0 * lap[:, 1] - lap[:, 2]) / (2.0 * d)
-
-    mx = strip.x.size
+    dx = float(strip.x[1] - strip.x[0])
     ratios = {}
     for k in active:
-        proj = 2.0 / mx * float(dlap @ np.cos(k * strip.x))
-        ratios[int(k)] = proj / (float(k) ** 3 * float(trace.coeffs[k]))
+        f = strip.mode_profiles[int(k)]
+        f2 = np.array([2 * f[1] - 2 * f[0],  # face row: ghost f_{-1} = f_1
+                       f[2] + f[0] - 2 * f[1],
+                       f[3] + f[1] - 2 * f[2]]) / d ** 2
+        lap = f2 - (2.0 - 2.0 * np.cos(k * dx)) / d ** 2 * f[:3]
+        dlap = (-3.0 * lap[0] + 4.0 * lap[1] - lap[2]) / (2.0 * d)
+        ratios[int(k)] = float(dlap) / (float(k) ** 3 * float(trace.coeffs[k]))
     mean = float(np.mean(list(ratios.values())))
     return DtnReport(ratios=ratios, calibrated_inverse_constant=mean)

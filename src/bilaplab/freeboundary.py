@@ -58,7 +58,7 @@ class FreeBoundaryPoint:
         return "+" if self.in_plus else "-"
 
 
-def extract_gamma(u: ScalarField, spec: ProblemSpec) -> list[FreeBoundaryPoint]:
+def extract_gamma(u: ScalarField) -> list[FreeBoundaryPoint]:
     """Locate the free boundary of the thin trace of u (n=1 only).
 
     Sign changes between adjacent thin nodes are placed by linear

@@ -16,8 +16,8 @@ Classification is integer-exact: a lattice point (i, j) is inside iff
 i.i + j^2 <= M^2 with M = 1/h, and the h-band tests compare against (M-1)^2.
 
 Even extension across y = 0 is realized by reflecting query points to
-y >= 0 (`interp_box(..., extended=True)`, as every ScalarField read does);
-mirrored values are never stored twice.
+y >= 0 (`_mirrored`, which `interp_box` and every AnalyticField read go
+through); mirrored values are never stored twice.
 """
 
 from __future__ import annotations
@@ -49,6 +49,14 @@ def _gauss_on(a: float, b: float, m: int):
     t, w = _leggauss(m)
     half = 0.5 * (b - a)
     return a + half * (t + 1.0), half * w
+
+
+def _mirrored(points) -> tuple[np.ndarray, np.ndarray]:
+    """The points as an (N, d) float array, and a copy with y replaced by |y|."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    q = pts.copy()
+    q[:, -1] = np.abs(q[:, -1])
+    return pts, q
 
 
 def _shift(a: np.ndarray, axis: int, k: int) -> np.ndarray:
@@ -172,12 +180,12 @@ class HalfBallGrid:
             V = np.where(fill, np.divide(total, np.maximum(count, 1)), V)
         return V
 
-    def interp_box(self, box: np.ndarray, points: np.ndarray, extended: bool = False) -> np.ndarray:
+    def interp_box(self, box: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Multilinear interpolation of a dense box field at arbitrary points.
 
         `box` must be ghost-filled (see `fill_extension`) if any query point
-        lies in a boundary-cut cell. With `extended=True` the even extension
-        is evaluated: points are mirrored to y >= 0 first.
+        lies in a boundary-cut cell. The even extension is evaluated: points
+        are mirrored to y >= 0 first (`_mirrored`).
 
         `box` may also be a stack of boxes, shape (F, *box_shape); the result
         is then (F, N). Cell indices and corner weights are computed once per
@@ -185,28 +193,24 @@ class HalfBallGrid:
         corner order and weight products of the single-box call, so each
         field gets exactly the values of its own call.
         """
-        pts = np.asarray(points, dtype=np.float64)
-        scalar_in = pts.ndim == 1
-        pts = np.atleast_2d(pts)
+        scalar_in = np.ndim(points) == 1
+        pts = _mirrored(points)[1]
         if pts.shape[-1] != self.n + 1:
             raise ValueError(f"points must have {self.n + 1} coordinates")
-        if extended:
-            pts = pts.copy()
-            pts[:, -1] = np.abs(pts[:, -1])
         # squared radius column by column: the same bits as (pts ** 2).sum(-1)
         # for d <= 3, without the (N, d) temporary and strided reduction
         sq = pts[:, 0] * pts[:, 0]
         for ax in range(1, self.n + 1):
             sq += pts[:, ax] * pts[:, ax]
-        if (pts[:, -1] < -_TOL).any() or (np.sqrt(sq) > 1.0 + _TOL).any():
-            raise OutOfDomainError("evaluation point outside the closed upper half-ball")
+        if (np.sqrt(sq) > 1.0 + _TOL).any():
+            raise OutOfDomainError("evaluation point outside the closed unit ball")
 
         stacked = box.ndim == self.n + 2
         flat = box.reshape(box.shape[0] if stacked else 1, -1)
         dim = self.n + 1
         f = np.empty_like(pts)
         f[:, : self.n] = pts[:, : self.n] / self.h + self.M
-        f[:, -1] = np.maximum(pts[:, -1], 0.0) / self.h
+        f[:, -1] = pts[:, -1] / self.h
         strides = self._strides
         cell = np.zeros(pts.shape[0], dtype=np.int64)  # flat index of the base corner
         frac = np.empty((dim, pts.shape[0]))

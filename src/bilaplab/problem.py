@@ -24,12 +24,20 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import THIN, HalfBallGrid, _shift, build_grid
+from .grid import THIN, HalfBallGrid, _mirrored, _shift, build_grid
 from .harmonics import HomogeneousHarmonicPoly, basis_size
 
 
 # ---------------------------------------------------------------------------
 # boundary data
+
+
+def _finite(raw: str) -> float:
+    """A boundary datum parameter as a float; ValueError unless it is finite."""
+    val = float(raw)
+    if not math.isfinite(val):
+        raise ValueError(f"boundary datum parameters must be finite, got {raw!r}")
+    return val
 
 
 class BoundaryDatum:
@@ -68,7 +76,7 @@ class BoundaryDatum:
             self._fn = lambda pts: np.zeros(pts.shape[0])
         elif fam == "harmonic":
             if "coeffs" in params:
-                coeffs = [float(v) for v in params["coeffs"].split(";")]
+                coeffs = [_finite(v) for v in params["coeffs"].split(";")]
                 polys = []
                 for k, c in enumerate(coeffs, start=1):
                     vec = np.zeros(basis_size(self.n, k))
@@ -77,7 +85,7 @@ class BoundaryDatum:
                 self._fn = lambda pts: sum(p(pts) for p in polys)
             else:
                 deg = int(params.pop("deg"))
-                coef = float(params.pop("coef", "1"))
+                coef = _finite(params.pop("coef", "1"))
                 if params:
                     raise ValueError(f"unknown harmonic parameters {sorted(params)}")
                 vec = np.zeros(basis_size(self.n, deg))
@@ -85,8 +93,8 @@ class BoundaryDatum:
                 poly = HomogeneousHarmonicPoly(self.n, deg, vec)
                 self._fn = poly
         elif fam == "trig":
-            freq = float(params.pop("freq"))
-            amp = float(params.pop("amp", "1"))
+            freq = _finite(params.pop("freq"))
+            amp = _finite(params.pop("amp", "1"))
             kind = params.pop("kind", "cos")
             if params:
                 raise ValueError(f"unknown trig parameters {sorted(params)}")
@@ -99,7 +107,7 @@ class BoundaryDatum:
         elif fam == "tabulated":
             if self.n != 1:
                 raise ValueError("tabulated boundary data is only supported for n = 1")
-            vals = np.array([float(v) for v in params.pop("values").split(";")])
+            vals = np.array([_finite(v) for v in params.pop("values").split(";")])
             if params:
                 raise ValueError(f"unknown tabulated parameters {sorted(params)}")
             if vals.size < 2:
@@ -223,23 +231,15 @@ class ScalarField:
         return ScalarField(self.grid, values)
 
     def __call__(self, points):
-        return self.grid.interp_box(self.ghost_box(), points, extended=True)
+        return self.grid.interp_box(self.ghost_box(), points)
 
     def gradient(self, points) -> np.ndarray:
         """Interpolated gradient boxes at the points, shape (N, n+1)."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         out = np.empty_like(pts)
         for ax, b in enumerate(self.gradient_boxes()):
-            out[:, ax] = self.grid.interp_box(b, pts, extended=True)
+            out[:, ax] = self.grid.interp_box(b, pts)
         return out
-
-
-def _mirrored(points) -> tuple[np.ndarray, np.ndarray]:
-    """The points as an (N, d) float array, and a copy with y replaced by |y|."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    q = pts.copy()
-    q[:, -1] = np.abs(q[:, -1])
-    return pts, q
 
 
 class AnalyticField:

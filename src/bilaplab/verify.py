@@ -33,7 +33,7 @@ from .diagnostics import (
     rellich_residual,
     trace_check,
 )
-from .extension import FourierTrace, dtn_compare
+from .extension import RATIO_TARGET, RATIO_TOLERANCE, SPREAD_LIMIT, FourierTrace, dtn_compare
 from .freeboundary import analyze_point, blowup_fit, extract_gamma, nondegeneracy_check
 from .grid import build_grid, sample_count
 from .oracle import brute_minimize
@@ -76,7 +76,7 @@ def corpus_points(tag: str, h_inv: int):
     """Free-boundary points of a corpus solve, each set by `analyze_point`."""
     spec = corpus_spec(tag, h_inv)
     res = corpus_solve(tag, h_inv)
-    return tuple(analyze_point(pt, res.u, res.v, spec) for pt in extract_gamma(res.u, spec))
+    return tuple(analyze_point(pt, res.u, res.v, spec) for pt in extract_gamma(res.u))
 
 
 def _fine_sizing():
@@ -518,14 +518,13 @@ def check_integral_identities(level: str = "quick") -> CheckResult:
 
 def check_extension_dtn(level: str = "quick") -> CheckResult:
     report = dtn_compare(FourierTrace(np.array([0.0, 1.0, 1.0, 1.0])), Y=12.0)
-    ratios = [report.ratios[k] for k in (1, 2, 3)]
-    within = max(abs(r - 2.0) / 2.0 for r in ratios)
-    ok = within <= 0.05 and report.spread <= 0.02
     return CheckResult(
         "extension DtN identity",
-        "ratio 2.00 +- 5% for k in {1,2,3} at Y=12, spread <= 2%",
-        f"ratios {', '.join(f'{r:.4f}' for r in ratios)}, spread {report.spread:.4f}",
-        ok)
+        f"ratio {RATIO_TARGET:.2f} +- {RATIO_TOLERANCE:.0%} for k in {{1,2,3}} at Y=12, "
+        f"spread <= {SPREAD_LIMIT:.0%}",
+        f"ratios {', '.join(f'{r:.4f}' for r in report.ratios.values())}, "
+        f"spread {report.spread:.4f}",
+        report.ok)
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,36 @@ def test_parse_empty_text_yields_defaults():
     ("stages = solve,fly", r"key 'stages'.*unknown stage"),
     ("p = 2\np = 3", r"key 'p' given twice \(line 2\)"),
     ("p", r"line 1: expected 'key = value'"),
+    ("h = nan", r"key 'h'.*finite number.*'nan'"),
+    ("h = inf", r"key 'h'.*finite number.*'inf'"),
+    ("tol_grad = nan", r"key 'tol_grad'.*finite number"),
+    ("lambda_plus = inf", r"key 'lambda_plus'.*finite number"),
+    ("lambda_minus = -inf", r"key 'lambda_minus'.*finite number"),
+    ("centers = nan", r"key 'centers'.*finite number"),
+    ("radii = 0.5;inf", r"key 'radii'.*finite number"),
+    ("p = inf", r"key 'p'.*finite number"),
+    ("g = trig:freq=nan", r"key 'g'.*must be finite.*'nan'"),
+    ("g = trig:freq=1,amp=inf", r"key 'g'.*must be finite.*'inf'"),
+    ("g = harmonic:deg=1,coef=nan", r"key 'g'.*must be finite"),
+    ("g = harmonic:coeffs=1;nan", r"key 'g'.*must be finite"),
+    ("g = tabulated:values=1;-inf", r"key 'g'.*must be finite"),
+    ("h = 1", r"key 'h'.*h <= 1/4"),
+    ("h = 0.5", r"key 'h'.*h <= 1/4"),
+    (f"h = {1 / 3!r}", r"key 'h'.*h <= 1/4"),
 ])
 def test_parse_errors_name_the_offending_key(text, message):
     with pytest.raises(ConfigError, match=message):
         parse_config(text)
+
+
+def test_coarsest_accepted_grid_solves(tmp_path):
+    """h = 1/4 is the coarsest step `parse_config` accepts; a solve at it runs
+    to the end, the weak residual on the unit ball included."""
+    cfg = parse_config(f"h = 0.25\ng = harmonic:deg=1\nstages = solve\n"
+                       f"output = {tmp_path / 'coarse'}\n")
+    summary = json.loads((run(cfg) / "summary.json").read_text())
+    assert summary["solve"]["h"] == 0.25
+    assert np.isfinite(summary["stationarity"]["weak_residual"])
 
 
 def test_run_writes_artifact_tree(tmp_path):
@@ -122,7 +148,7 @@ def test_each_free_boundary_point_is_profiled_once(tmp_path, monkeypatch):
     cfg = parse_config(BASE)
     spec = cfg.spec
     result = bilaplab.solver.minimize(spec)
-    for pt, row in zip(extract_gamma(result.u, spec), points):
+    for pt, row in zip(extract_gamma(result.u), points):
         analyze_point(pt, result.u, result.v, spec)
         assert pt.mu_int is not None and pt.mu_int >= 1
         radii = default_radii(spec.grid(), [pt.x])

@@ -4,11 +4,40 @@ import numpy as np
 import pytest
 
 from bilaplab.extension import (
+    DtnReport,
     FourierTrace,
     dtn_compare,
     strip_biharmonic_residual,
     strip_extension,
 )
+
+# traces whose DtN ratios are compared with the two-dimensional route
+DTN_TRACES = [
+    [0.0, 1.0, 1.0, 1.0],
+    [0.5, 1.0, 0.0, 2.0],
+    [0.0, 2.0, -3.0],
+    [0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0],
+    list(np.random.default_rng(5).standard_normal(33)),
+]
+
+
+def _strip_dtn_reference(trace, Y):
+    """The DtN ratios by way of the whole strip: sum the mode profiles into
+    u[i, j] = u(x_i, y_j), apply the five-point Laplacian (periodic in x, with
+    the x difference divided by dy^2, and the even reflection ghost on the
+    face row), take the one-sided d/dy on the face and project onto cos(k x)."""
+    strip = strip_extension(trace, Y=Y)
+    x, d = strip.x, strip.dy
+    vals = np.zeros((x.size, strip.y.size))
+    for k, f in strip.mode_profiles.items():
+        vals += np.cos(k * x)[:, None] * f[None, :]
+    lap = (np.roll(vals, 1, axis=0) + np.roll(vals, -1, axis=0) - 2 * vals) / d ** 2
+    lap[:, 1:-1] += (vals[:, 2:] + vals[:, :-2] - 2 * vals[:, 1:-1]) / d ** 2
+    lap[:, 0] += (2 * vals[:, 1] - 2 * vals[:, 0]) / d ** 2
+    dlap = (-3.0 * lap[:, 0] + 4.0 * lap[:, 1] - lap[:, 2]) / (2.0 * d)
+    return {int(k): 2.0 / x.size * float(dlap @ np.cos(k * x))
+            / (float(k) ** 3 * float(trace.coeffs[k]))
+            for k in trace.active_modes()}
 
 
 def test_fourier_trace_validation():
@@ -25,9 +54,13 @@ def test_fourier_trace_evaluation():
     trace = FourierTrace([0.5, 1.0, 0.0, 2.0])
     assert list(trace.active_modes()) == [1, 3]
     strip = strip_extension(trace, Y=12.0)
+    assert sorted(strip.mode_profiles) == [0, 1, 3]
+    for k, f in strip.mode_profiles.items():
+        assert f[0] == trace.coeffs[k]
     x = strip.x
+    face = sum(np.cos(k * x) * f[0] for k, f in strip.mode_profiles.items())
     expected = 0.5 + np.cos(x) + 2.0 * np.cos(3 * x)
-    assert np.allclose(strip.values[:, 0], expected, rtol=0.0, atol=1e-14)
+    assert np.allclose(face, expected, rtol=0.0, atol=1e-14)
 
 
 def test_mode_profiles_match_clamped_decay():
@@ -49,12 +82,18 @@ def test_extension_is_linear_in_the_trace():
     s1 = strip_extension(FourierTrace([0.0, 1.0, 0.0]), Y=12.0)
     s2 = strip_extension(FourierTrace([0.0, 0.0, 1.0]), Y=12.0)
     combo = strip_extension(FourierTrace([0.0, 2.0, -3.0]), Y=12.0)
-    assert np.abs(combo.values - (2.0 * s1.values - 3.0 * s2.values)).max() < 1e-12
+    assert sorted(combo.mode_profiles) == [1, 2]
+    f1, f2 = combo.mode_profiles[1], combo.mode_profiles[2]
+    assert np.abs(f1 - 2.0 * s1.mode_profiles[1]).max() < 1e-12
+    assert np.abs(f2 + 3.0 * s2.mode_profiles[2]).max() < 1e-12
 
 
 def test_constant_mode_passes_through():
     strip = strip_extension(FourierTrace([2.0]), Y=12.0)
-    assert strip.values.min() == strip.values.max() == 2.0
+    assert list(strip.mode_profiles) == [0]
+    f = strip.mode_profiles[0]
+    assert f.shape == strip.y.shape
+    assert f.min() == f.max() == 2.0
 
 
 def test_dtn_ratio_matches_fractional_multiplier():
@@ -63,6 +102,27 @@ def test_dtn_ratio_matches_fractional_multiplier():
         assert report.ratios[k] == pytest.approx(2.0, abs=0.1)
     assert report.spread < 0.02
     assert report.calibrated_inverse_constant == pytest.approx(2.0, abs=0.05)
+    assert report.ok
+
+
+@pytest.mark.parametrize("coeffs", DTN_TRACES)
+def test_dtn_ratios_equal_the_two_dimensional_route(coeffs):
+    """Measuring each mode on its own profile gives the ratios of the
+    Laplacian of the assembled strip field, projected back onto cos(k x)."""
+    trace = FourierTrace(coeffs)
+    report = dtn_compare(trace, Y=12.0)
+    reference = _strip_dtn_reference(trace, Y=12.0)
+    assert list(report.ratios) == list(reference)
+    for k, ratio in reference.items():
+        assert report.ratios[k] == pytest.approx(ratio, rel=1e-10, abs=0.0)
+
+
+def test_acceptance_rule_reads_each_mode_and_the_spread():
+    low = DtnReport(ratios={1: 2.0, 2: 1.91}, calibrated_inverse_constant=1.955)
+    assert low.mode_ok(1) and low.mode_ok(2)  # 1.91 is 4.5% below 2
+    assert not low.spread_ok and not low.ok   # but the modes differ by 4.5%
+    off = DtnReport(ratios={1: 2.11, 2: 2.11}, calibrated_inverse_constant=2.11)
+    assert off.spread_ok and not off.mode_ok(1) and not off.ok
 
 
 def test_extension_guards():

@@ -28,7 +28,7 @@ _rez2 = AnalyticField(lambda p: p[:, 0] ** 2 - p[:, 1] ** 2, grid=FINE)
 def test_extract_gamma_single_crossing():
     g = build_grid(1, 1.0 / 16.0)
     u = ScalarField(g, g.nodes[:, 0].copy())
-    points = extract_gamma(u, SPEC)
+    points = extract_gamma(u)
     assert len(points) == 1
     assert points[0].x == pytest.approx(0.0, abs=1e-12)
     assert points[0].side == "both"
@@ -37,7 +37,7 @@ def test_extract_gamma_single_crossing():
 def test_extract_gamma_two_crossings():
     g = build_grid(1, 1.0 / 16.0)
     u = ScalarField(g, g.nodes[:, 0] ** 2 - 0.25)
-    points = extract_gamma(u, SPEC)
+    points = extract_gamma(u)
     assert [round(p.x, 6) for p in points] == [-0.5, 0.5]
     assert all(p.side == "both" for p in points)
 
@@ -47,7 +47,7 @@ def test_extract_gamma_zero_plateau_contributes_endpoint():
     # its other end touches the corner and is dropped.
     g = build_grid(1, 1.0 / 16.0)
     u = ScalarField(g, np.maximum(g.nodes[:, 0], 0.0))
-    points = extract_gamma(u, SPEC)
+    points = extract_gamma(u)
     assert len(points) == 1
     assert points[0].x == pytest.approx(0.0, abs=1e-12)
     assert points[0].side == "+"
@@ -56,7 +56,7 @@ def test_extract_gamma_zero_plateau_contributes_endpoint():
 def test_extract_gamma_sign_definite_trace_has_no_points():
     g = build_grid(1, 1.0 / 16.0)
     u = ScalarField(g, np.ones(g.node_count))
-    assert extract_gamma(u, SPEC) == []
+    assert extract_gamma(u) == []
 
 
 ODD_CASES = {
@@ -72,7 +72,7 @@ def test_odd_problem_has_a_free_boundary_point_at_zero(tag, h):
     # u(0) of an odd problem is 0 up to the rounding of the solve, which
     # grows as h shrinks; the zero test must absorb it
     spec = ProblemSpec(n=1, h=h, lambda_plus=1.0, lambda_minus=1.0, **ODD_CASES[tag])
-    pts = np.array([pt.x for pt in extract_gamma(minimize(spec).u, spec)])
+    pts = np.array([pt.x for pt in extract_gamma(minimize(spec).u)])
     assert np.any(pts == 0.0), pts
     assert np.allclose(np.sort(pts), np.sort(-pts), rtol=0.0, atol=1e-12), pts
 
@@ -135,7 +135,7 @@ def test_analyze_point_reads_the_ladder_once_and_fits_like_blowup_fit(monkeypatc
         return real(*args)
 
     monkeypatch.setattr(freeboundary, "_ladder", counted)
-    pt = analyze_point(extract_gamma(res.u, spec)[0], res.u, res.v, spec)
+    pt = analyze_point(extract_gamma(res.u)[0], res.u, res.v, spec)
     assert len(calls) == 1
     radii = default_radii(spec.grid(), [pt.x])
     fits = {mu: blowup_fit(res.u, res.v, [pt.x], radii, mu) for mu in MU_CANDIDATES}

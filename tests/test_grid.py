@@ -107,14 +107,12 @@ def test_interp_reproduces_linear_fields():
 
 def test_interp_even_extension():
     """A field answers a query below the face with the bits of its mirror
-    image; `interp_box` without `extended` refuses it."""
+    image."""
     g = build_grid(1, 0.125)
     f = ScalarField(g, g.nodes[:, 0] ** 2 + g.nodes[:, 1])
     up = f([[0.3, 0.4]])
     down = f([[0.3, -0.4]])
     assert up[0] == down[0]
-    with pytest.raises(OutOfDomainError):
-        g.interp_box(f.ghost_box(), [[0.3, -0.4]])
 
 
 def test_out_of_domain_query_rejected():
@@ -196,20 +194,18 @@ def test_stacked_interp_equals_per_field_calls(n, h):
     mirrored = _ball_points(n, 40, rng)
     mirrored[::2, -1] *= -1.0
     many = _ball_points(n, _INTERP_CHUNK + 37, rng)
-    for pts, extended in ((face, False), (mirrored, True), (many, False)):
-        got = g.interp_box(stack, pts, extended=extended)
+    for pts in (face, mirrored, many):
+        got = g.interp_box(stack, pts)
         assert got.shape == (3, pts.shape[0])
         up = pts.copy()
         up[:, -1] = np.abs(up[:, -1])
         for k, box in enumerate(boxes):
-            single = g.interp_box(box, pts, extended=extended)
+            single = g.interp_box(box, pts)
             assert (got[k] == single).all()
             assert (single == _reference_interp(g, box, up)).all()
     one = g.interp_box(stack, face[0])
     assert one.shape == (3,)
     assert (one == g.interp_box(stack, face[:1])[:, 0]).all()
-    with pytest.raises(OutOfDomainError):
-        g.interp_box(stack, mirrored)
     with pytest.raises(OutOfDomainError):
         g.interp_box(stack, np.full((1, n + 1), 0.9))
 

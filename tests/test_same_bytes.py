@@ -1,6 +1,7 @@
 """The same-bytes command's comparison of two artifact trees."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "same_bytes.py"
@@ -25,6 +26,30 @@ def test_differing_lists_changed_and_one_sided_files(tmp_path):
     assert same_bytes.differing(base, change) == (6, ["b/gamma.csv", "c/old.csv", "d/new.csv"])
     assert same_bytes.differing(base, tmp_path / "base") == (5, [])
 
+
+def test_transcribe_keeps_the_extension_outputs(tmp_path):
+    """The extension-check and demo transcripts are compared, each with its
+    exit code; they carry no wall time, so `strip_times` leaves them as printed."""
+    names = [name for name, _ in same_bytes.TRANSCRIPTS]
+    assert len(set(names)) == len(names)
+    extension = [(name, argv) for name, argv in same_bytes.TRANSCRIPTS
+                 if not name.startswith("verify-")]
+    assert [name for name, _ in extension] == [
+        "extension-check.txt", "extension-check-modes-1,2,3,5,8-height-16.txt",
+        "demo-extension_identity.txt"]
+    same_bytes.transcribe(_PATH.parent.parent, tmp_path, extension)
+    codes = json.loads((tmp_path / "transcript_exit_codes.json").read_text())
+    # mode 8 reads 1.9559, so the spread across 1, 2, 3, 5, 8 exceeds 2%
+    assert list(codes.values()) == [0, 1, 0]
+    default = (tmp_path / "extension-check.txt").read_text().splitlines()
+    assert [line.split()[0] for line in default[1:4]] == ["1", "2", "3"]
+    assert default[-2] == "spread 0.002912 (target <= 0.02): pass"
+    wide = (tmp_path / "extension-check-modes-1,2,3,5,8-height-16.txt").read_text()
+    assert [line.split()[0] for line in wide.splitlines()[1:6]] == ["1", "2", "3", "5", "8"]
+    assert "spread 0.021682 (target <= 0.02): FAIL\n" in wide
+    demo = (tmp_path / "demo-extension_identity.txt").read_text()
+    assert demo.startswith("strip resolution: 256 x 490, height 12.0\n")
+    assert "calibrated constant: 1.996579 (target 2)" in demo
 
 
 def test_strip_times_drops_only_the_time_that_ends_a_check_line():

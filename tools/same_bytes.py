@@ -15,11 +15,14 @@ BLAS thread,
                                      datum is defined at n = 2
 
 and writes each run's artifacts, plus the exit code of every run in
-`exit_codes.json`. Then `bilaplab verify --level quick` and `--level full`
-run in a process each; their output is kept as `verify-quick.txt` and
-`verify-full.txt`, without the wall time that ends each check line. The command prints every file that differs between the
-two sides, a file present on one side only included, and exits 1 if any
-file differs.
+`exit_codes.json`. Then each command of `TRANSCRIPTS` runs in a process of
+its own: `bilaplab verify --level quick` and `--level full`, `bilaplab
+extension-check` with its defaults and with `--modes 1,2,3,5,8 --height 16`,
+and `demos/extension_identity.py`. Each one's stdout is kept in its file,
+without the wall time that ends each `verify` check line, and the exit codes
+go to `transcript_exit_codes.json`. The command prints every file that
+differs between the two sides, a file present on one side only included,
+and exits 1 if any file differs.
 """
 
 from __future__ import annotations
@@ -41,7 +44,15 @@ from workloads import PIPELINE_CONFIGS  # noqa: E402
 CENTERS = "0.1;-0.25"
 RADII = ";".join(repr(0.125 * 2.0 ** (k / 4.0)) for k in range(9))  # 1/8 .. 1/2
 
-VERIFY_LEVELS = ("quick", "full")
+# (file, arguments of the interpreter) of each command whose stdout is compared
+TRANSCRIPTS = [
+    ("verify-quick.txt", ["-m", "bilaplab.cli", "verify", "--level", "quick"]),
+    ("verify-full.txt", ["-m", "bilaplab.cli", "verify", "--level", "full"]),
+    ("extension-check.txt", ["-m", "bilaplab.cli", "extension-check"]),
+    ("extension-check-modes-1,2,3,5,8-height-16.txt",
+     ["-m", "bilaplab.cli", "extension-check", "--modes", "1,2,3,5,8", "--height", "16"]),
+    ("demo-extension_identity.txt", ["demos/extension_identity.py"]),
+]
 # the wall time `verify` prints at the end of each check line
 _CHECK_TIME = re.compile(r"  \d+\.\d\d s$", re.MULTILINE)
 
@@ -88,12 +99,22 @@ def produce(tree: Path, into: Path) -> Path:
                     str(dest / "exit_codes.json")],
                    cwd=tree, env={**ENV, "PYTHONPATH": str(tree / "src")}, check=True,
                    stdout=subprocess.DEVNULL)
-    for level in VERIFY_LEVELS:
-        proc = subprocess.run([sys.executable, "-m", "bilaplab.cli", "verify", "--level", level],
+    transcribe(tree, dest, TRANSCRIPTS)
+    return dest
+
+
+def transcribe(tree: Path, dest: Path, commands) -> None:
+    """Run each (file, arguments) of `commands` with the interpreter in `tree`
+    and its sources; write its stdout, times stripped, to `dest / file` and
+    every exit code to `dest / transcript_exit_codes.json`."""
+    codes = {}
+    for name, argv in commands:
+        proc = subprocess.run([sys.executable, *argv],
                               cwd=tree, env={**ENV, "PYTHONPATH": str(tree / "src")},
                               stdout=subprocess.PIPE, text=True)
-        (dest / f"verify-{level}.txt").write_text(strip_times(proc.stdout))
-    return dest
+        (dest / name).write_text(strip_times(proc.stdout))
+        codes[name] = proc.returncode
+    (dest / "transcript_exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n")
 
 
 def strip_times(transcript: str) -> str:
