@@ -3,7 +3,7 @@
 A run configuration is plain text, one `key = value` per line, `#` comments.
 Unknown keys are rejected by name; every constraint violation names its key.
 `run` executes solve -> per-center diagnostics -> free-boundary analysis and
-writes four artifacts into the run directory:
+then writes its artifacts into the run directory:
 
     summary.json            headline numbers (energies, iterations, per-point
                             frequency/classification/dimension, fitted
@@ -31,6 +31,7 @@ import numpy as np
 
 from .diagnostics import compute_profile, default_radii, estimate_mu, minimal_almgren_constant
 from .freeboundary import analyze_point, extract_gamma
+from .grid import ball_center
 from .problem import ProblemSpec
 from .solver import el_crosscheck, minimize, weak_residual
 
@@ -218,8 +219,8 @@ def _fmt(x) -> str:
     return repr(x)
 
 
-def _write_csv(path: Path, digest: str, header: list[str], rows) -> None:
-    """Write rows under the config digest and a header line.
+def _csv(digest: str, header: list[str], rows) -> str:
+    """Rows under the config digest and a header line, as the text of a CSV file.
 
     A float ndarray is formatted in bulk: repr of a Python float is exactly
     what `_fmt` writes for it, nan and -0.0 included. Other rows go through
@@ -230,26 +231,46 @@ def _write_csv(path: Path, digest: str, header: list[str], rows) -> None:
         lines += [",".join(map(repr, row)) for row in rows.tolist()]
     else:
         lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def output_root() -> Path:
     return Path(os.environ.get(ENV_OUTPUT_ROOT, os.getcwd()))
 
 
+def _check_ladders(config: RunConfig, grid) -> None:
+    """A ConfigError naming its key, before the solve, for a ball an instrument
+    would refuse: `default_radii` of each configured center ('centers') or of
+    the origin ('h'; its ladder is the longest, so it also stands for the gamma
+    stage's points), and `ball_center` of each explicit radius ('radii')."""
+    def check(key, rule, c, *radius):
+        try:
+            rule(grid, [c] + [0.0] * (config.spec.n - 1), *radius)
+        except ValueError as exc:
+            raise ConfigError(f"key '{key}': {exc}") from None
+
+    if "gamma" in config.stages:
+        check("h", default_radii, 0.0)
+    if "profile" in config.stages:
+        for c in config.centers or [0.0]:
+            for r in config.radii or []:
+                check("radii", ball_center, c, r)
+            if not config.radii:
+                check("centers" if config.centers else "h", default_radii, c)
+
+
 def run(config: RunConfig) -> Path:
-    """Execute the configured stages and write the artifact directory. The
-    gamma stage at n = 2 is a ConfigError, raised before anything is solved."""
+    """Execute the configured stages, then write the artifact directory. Stage
+    inputs that would fail (the gamma stage at n = 2, `_check_ladders`) are a
+    ConfigError before the solve, and a run that fails writes nothing."""
     if "gamma" in config.stages and config.spec.n != 1:
         raise ConfigError("key 'n': the free boundary (stage gamma, `bilaplab blowup`) "
                           "is extracted at n = 1 only")
-    digest = config.digest
-    out = Path(config.output) if config.output else output_root() / "runs" / digest
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.txt").write_text(f"# config {digest}\n" + config.echo())
-
     spec = config.spec
     grid = spec.grid()
+    _check_ladders(config, grid)
+    digest = config.digest
+    files = {"config.txt": f"# config {digest}\n" + config.echo()}
     summary: dict = {"config_hash": digest, "config": config.echo().splitlines()}
 
     result = minimize(spec)
@@ -265,7 +286,7 @@ def run(config: RunConfig) -> Path:
     }
     rows = np.column_stack((grid.nodes[:, 0], grid.nodes[:, -1], result.u.values,
                             result.v.values))
-    _write_csv(out / "fields.csv", digest, ["x", "y", "u", "v"], rows)
+    files["fields.csv"] = _csv(digest, ["x", "y", "u", "v"], rows)
 
     el = el_crosscheck(result, spec)
     summary["stationarity"] = {
@@ -311,33 +332,28 @@ def run(config: RunConfig) -> Path:
             summary["profiles"][_center_tag(c)] = entry
             rows = np.column_stack((prof.radii, prof.H, prof.D, prof.D0, prof.B, prof.N,
                                     prof.N0, prof.phi))
-            _write_csv(out / f"profile_{_center_tag(c)}.csv", digest,
-                       ["r", "H", "D", "D0", "B", "N", "N0", "phi"], rows)
+            files[f"profile_{_center_tag(c)}.csv"] = _csv(
+                digest, ["r", "H", "D", "D0", "B", "N", "N0", "phi"], rows)
 
     if "gamma" in config.stages:
-        gamma_rows = []
-        summary["points"] = []
-        for pt in points:
-            gamma_rows.append([pt.x, pt.side, pt.classification, pt.mu_hat,
-                               pt.mu_int, pt.dimension, pt.fit_residual])
-            summary["points"].append({
-                "x": pt.x,
-                "side": pt.side,
-                "classification": pt.classification,
-                "mu_hat": pt.mu_hat,
-                "mu_int": pt.mu_int,
-                "dimension": pt.dimension,
-                "fit_residual": pt.fit_residual,
-                "value_v": pt.value_v,
-                "monneau_constant": pt.monneau_constant,
-            })
-        _write_csv(out / "gamma.csv", digest,
-                   ["x", "side", "class", "mu_hat", "mu_int", "d", "fit_residual"],
-                   gamma_rows)
+        summary["points"] = [{
+            "x": pt.x, "side": pt.side, "classification": pt.classification,
+            "mu_hat": pt.mu_hat, "mu_int": pt.mu_int, "dimension": pt.dimension,
+            "fit_residual": pt.fit_residual, "value_v": pt.value_v,
+            "monneau_constant": pt.monneau_constant,
+        } for pt in points]
+        columns = ["x", "side", "classification", "mu_hat", "mu_int", "dimension",
+                   "fit_residual"]
+        files["gamma.csv"] = _csv(
+            digest, ["x", "side", "class", "mu_hat", "mu_int", "d", "fit_residual"],
+            [[row[k] for k in columns] for row in summary["points"]])
 
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True, allow_nan=True,
-                   default=_json_default) + "\n")
+    files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True, allow_nan=True,
+                                       default=_json_default) + "\n"
+    out = Path(config.output) if config.output else output_root() / "runs" / digest
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text)
     return out
 
 

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (_TOL, HalfBallGrid, _as_thin_center, _gauss_on, ball_center, half_sphere,
-                   sample_count, sphere_quadrature)
+from .grid import (_TOL, HalfBallGrid, _as_thin_center, _even_gradient, _gauss_on, ball_center,
+                   half_sphere, sample_count, sphere_quadrature)
 from .problem import AnalyticField, ProblemSpec, ScalarField, thin_reaction
 
 DEGENERATE_FACTOR = 1e-14  # H below this times sup(u^2+v^2) is flagged
@@ -84,7 +84,8 @@ class _PairSampler:
             return u(pts), v(pts), u.gradient(pts), v.gradient(pts)
         vals = self.grid.interp_box(self.stack, pts)
         d = self.grid.n + 2
-        return vals[0], vals[d], vals[1:d].T, vals[d + 1:].T
+        gu, gv = vals[1:d].T, vals[d + 1:].T
+        return vals[0], vals[d], _even_gradient(pts, gu), _even_gradient(pts, gv)
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +237,20 @@ def rellich_residual(w, center, r: float) -> float:
     return float(abs(lhs - rhs))
 
 
-def poincare_check(w, r: float) -> tuple[float, float]:
-    """Both sides of (n/r^2) int w^2 <= (1/r) int_surf w^2 + int |grad w|^2."""
+def _solid_and_surface(w, r: float):
+    """The quadrature of B_r(0), int_solid |grad w|^2 and int_surf w^2."""
     g = _field(w).grid
     quad = sphere_quadrature(g, np.zeros(g.n), float(r))
-    wb = w(quad.solid_points)
-    lhs = (g.n / r ** 2) * float(quad.solid_weights @ wb ** 2)
-    ws = w(quad.surface_points)
     gb = w.gradient(quad.solid_points)
-    rhs = float(quad.surface_weights @ ws ** 2) / r \
-        + float(quad.solid_weights @ (gb ** 2).sum(axis=1))
-    return lhs, rhs
+    return (quad, float(quad.solid_weights @ (gb ** 2).sum(axis=1)),
+            float(quad.surface_weights @ w(quad.surface_points) ** 2))
+
+
+def poincare_check(w, r: float) -> tuple[float, float]:
+    """Both sides of (n/r^2) int w^2 <= (1/r) int_surf w^2 + int |grad w|^2."""
+    quad, grad2, surf2 = _solid_and_surface(w, r)
+    lhs = (w.grid.n / r ** 2) * float(quad.solid_weights @ w(quad.solid_points) ** 2)
+    return lhs, surf2 / r + grad2
 
 
 def trace_check(w, r: float) -> tuple[float, float]:
@@ -256,15 +260,8 @@ def trace_check(w, r: float) -> tuple[float, float]:
     constant C with lhs <= C * bracket across a corpus certifies the trace
     inequality numerically.
     """
-    g = _field(w).grid
-    quad = sphere_quadrature(g, np.zeros(g.n), float(r))
-    wt = w(quad.thin_points)
-    lhs = float(quad.thin_weights @ wt ** 2)
-    gb = w.gradient(quad.solid_points)
-    ws = w(quad.surface_points)
-    bracket = r * float(quad.solid_weights @ (gb ** 2).sum(axis=1)) \
-        + float(quad.surface_weights @ ws ** 2)
-    return lhs, bracket
+    quad, grad2, surf2 = _solid_and_surface(w, r)
+    return float(quad.thin_weights @ w(quad.thin_points) ** 2), r * grad2 + surf2
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +402,15 @@ def face_mean_value_term(u, spec: ProblemSpec, centres, rho: float) -> np.ndarra
 # monotonicity-constant fitting
 
 
+def _ascending_finite(radii, f) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (r, f) in ascending r, without the rows where f is not finite."""
+    r = np.asarray(radii, dtype=np.float64)
+    f = np.asarray(f, dtype=np.float64)
+    order = np.argsort(r)
+    keep = np.isfinite(f[order])
+    return r[order][keep], f[order][keep]
+
+
 def minimal_almgren_constant(radii, N) -> float:
     """Least C in [0, 50] making e^(Cr) (N(r)+1) nondecreasing with slack 1e-3.
 
@@ -412,12 +418,7 @@ def minimal_almgren_constant(radii, N) -> float:
     satisfies value(r_next) >= value(r_prev) - 1e-3. Returns NaN when even
     C = 50 fails. Scanned on a uniform C grid of step 0.01.
     """
-    r = np.asarray(radii, dtype=np.float64)
-    f = np.asarray(N, dtype=np.float64) + 1.0
-    order = np.argsort(r)
-    r, f = r[order], f[order]
-    keep = np.isfinite(f)
-    r, f = r[keep], f[keep]
+    r, f = _ascending_finite(radii, np.asarray(N, dtype=np.float64) + 1.0)
     if r.size < 2:
         return 0.0
     C = np.linspace(0.0, 50.0, 5001)
@@ -434,12 +435,7 @@ def minimal_monneau_constant(radii, M) -> float:
     Closed form: each adjacent pair needs C >= (drop - 1e-3) / dr; the
     answer is the max over pairs, clamped at 0; NaN when it exceeds 50.
     """
-    r = np.asarray(radii, dtype=np.float64)
-    f = np.asarray(M, dtype=np.float64)
-    order = np.argsort(r)
-    r, f = r[order], f[order]
-    keep = np.isfinite(f)
-    r, f = r[keep], f[keep]
+    r, f = _ascending_finite(radii, M)
     if r.size < 2:
         return 0.0
     need = (-(np.diff(f)) - 1e-3) / np.diff(r)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .diagnostics import RadialProfile, _ladder, _PairSampler
+from .diagnostics import RadialProfile, _ladder, _PairSampler, _sphere_sups
 from .harmonics import HomogeneousHarmonicPoly, harmonic_basis
 from .problem import ProblemSpec, ScalarField, face_phase
 
@@ -61,11 +61,11 @@ class FreeBoundaryPoint:
 def extract_gamma(u: ScalarField) -> list[FreeBoundaryPoint]:
     """Locate the free boundary of the thin trace of u (n=1 only).
 
-    Sign changes between adjacent thin nodes are placed by linear
-    interpolation and belong to both sides. A maximal run of (numerically)
-    zero nodes contributes its endpoints: an endpoint adjacent to a nonzero
-    node is a boundary point of that node's sign set; runs touching the
-    corners contribute nothing there (the free boundary is open in the face).
+    One scan over the face edges whose two nodes differ in `face_phase`. A
+    sign change between two nonzero nodes is placed by linear interpolation
+    and belongs to both sides; otherwise the zero node is a boundary point of
+    the other node's sign set, so a zero run touching a corner contributes
+    nothing there (the free boundary is open in the face).
 
     A node counts as zero when its `face_phase` is 0, that is when |u| is
     within the rounding floor eps h^-4 max(1, sup|u|) of the solve.
@@ -83,36 +83,18 @@ def extract_gamma(u: ScalarField) -> list[FreeBoundaryPoint]:
     def add(xs: float, plus: bool, minus: bool) -> None:
         if abs(xs) >= 1.0 - 1e-12:
             return
-        key = round(xs / (g.h * 1e-6))
-        pt = points.get(key)
-        if pt is None:
-            pt = FreeBoundaryPoint(x=float(xs))
-            points[key] = pt
+        pt = points.setdefault(round(xs / (g.h * 1e-6)), FreeBoundaryPoint(x=float(xs)))
         pt.in_plus |= plus
         pt.in_minus |= minus
 
-    # strict sign changes between consecutive nonzero nodes
-    for i in range(len(x) - 1):
-        if sign[i] != 0 and sign[i + 1] != 0 and sign[i] != sign[i + 1]:
+    for i in np.flatnonzero(sign[:-1] != sign[1:]):
+        if sign[i] == 0:
+            add(x[i], sign[i + 1] > 0, sign[i + 1] < 0)
+        elif sign[i + 1] == 0:
+            add(x[i + 1], sign[i] > 0, sign[i] < 0)
+        else:
             xs = x[i] + (x[i + 1] - x[i]) * (-t[i]) / (t[i + 1] - t[i])
             add(xs, True, True)
-
-    # zero plateaus: maximal runs of sign == 0
-    i = 0
-    while i < len(x):
-        if sign[i] != 0:
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(x) and sign[j + 1] == 0:
-            j += 1
-        left = sign[i - 1] if i > 0 else 0
-        right = sign[j + 1] if j + 1 < len(x) else 0
-        if left != 0:
-            add(x[i], left > 0, left < 0)
-        if right != 0:
-            add(x[j], right > 0, right < 0)
-        i = j + 1
 
     return sorted(points.values(), key=lambda p: p.x)
 
@@ -232,17 +214,14 @@ def _fit_degree(radii, direc, w, us, vs, mu: int) -> BlowupFit:
 
 
 def nondegeneracy_check(u, v, center, radii, mu: float) -> float:
-    """min over r of max(sup |u|, sup |v|) / r^mu on half-spheres, sampled along
-    the one direction set of `_ladder`.
+    """min over r of max(sup |u|, sup |v|) / r^mu on half-spheres, each sup
+    taken by `_sphere_sups` along the one direction set of `_ladder`.
 
     Positive and r-stable certifies nondegeneracy; 0 means the pair decays
     faster than r^mu (degenerate for the claimed frequency).
     """
     radii = np.asarray(radii, dtype=np.float64)
-    sampler = _PairSampler(u, v, gradients=False)
-    _, _, pts = _ladder(sampler.grid, center, radii)
-    us, vs = sampler.values(pts)
-    sups = np.maximum(np.abs(us), np.abs(vs)).reshape(radii.size, -1).max(axis=1)
+    sups = np.maximum(_sphere_sups(u, center, radii), _sphere_sups(v, center, radii))
     return float((sups / radii ** mu).min())
 
 

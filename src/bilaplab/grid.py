@@ -17,7 +17,8 @@ i.i + j^2 <= M^2 with M = 1/h, and the h-band tests compare against (M-1)^2.
 
 Even extension across y = 0 is realized by reflecting query points to
 y >= 0 (`_mirrored`, which `interp_box` and every AnalyticField read go
-through); mirrored values are never stored twice.
+through); mirrored values are never stored twice. A gradient read at the
+mirror image becomes the extension's gradient by `_even_gradient`.
 """
 
 from __future__ import annotations
@@ -57,6 +58,13 @@ def _mirrored(points) -> tuple[np.ndarray, np.ndarray]:
     q = pts.copy()
     q[:, -1] = np.abs(q[:, -1])
     return pts, q
+
+
+def _even_gradient(points: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """`grad`, read at the mirror images of the (N, d) points, made the gradient
+    of the even extension in place: d/dy changes sign below the face."""
+    grad[points[:, -1] < 0, -1] *= -1.0
+    return grad
 
 
 def _shift(a: np.ndarray, axis: int, k: int) -> np.ndarray:

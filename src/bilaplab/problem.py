@@ -24,7 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import THIN, HalfBallGrid, _mirrored, _shift, build_grid
+from .grid import THIN, HalfBallGrid, _even_gradient, _mirrored, _shift, build_grid
 from .harmonics import HomogeneousHarmonicPoly, basis_size
 
 
@@ -234,12 +234,13 @@ class ScalarField:
         return self.grid.interp_box(self.ghost_box(), points)
 
     def gradient(self, points) -> np.ndarray:
-        """Interpolated gradient boxes at the points, shape (N, n+1)."""
+        """Interpolated gradient boxes at the points, shape (N, n+1), with
+        d/dy of the even extension below the face."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         out = np.empty_like(pts)
         for ax, b in enumerate(self.gradient_boxes()):
             out[:, ax] = self.grid.interp_box(b, pts)
-        return out
+        return _even_gradient(pts, out)
 
 
 class AnalyticField:
@@ -266,9 +267,7 @@ class AnalyticField:
     def gradient(self, points) -> np.ndarray:
         pts, q = _mirrored(points)
         if self._gradient is not None:
-            out = np.asarray(self._gradient(q), dtype=np.float64)
-            out[pts[:, -1] < 0, -1] *= -1.0  # even extension
-            return out
+            return _even_gradient(pts, np.asarray(self._gradient(q), dtype=np.float64))
         d = 1e-5
         out = np.empty_like(pts)
         for ax in range(pts.shape[1]):

@@ -81,6 +81,57 @@ def test_coarsest_accepted_grid_solves(tmp_path):
     assert np.isfinite(summary["stationarity"]["weak_residual"])
 
 
+def _stage_cases(h_inv):
+    """(name, config lines, key `diagnose` must name or None) for h = 1/h_inv."""
+    h = 1.0 / h_inv
+    return [
+        ("auto", "", "h" if h_inv == 4 else None),
+        ("edge-center", "centers = 0.9\n", "centers"),  # 0.9 (1 - 0.9) < 4h
+        ("near-centers", "centers = -0.3;0.1\n", "centers" if h_inv <= 6 else None),
+        ("fine-radii", f"radii = {2 * h!r};0.5\n", "radii"),  # below 4h
+        ("wide-radii", "centers = 0.9\nradii = 0.5\n", "radii"),  # beyond 1 - |c|
+        ("fitting-radii", f"radii = {4 * h!r};0.8\n", "radii" if h_inv == 4 else None),
+    ]
+
+
+@pytest.mark.parametrize("h_inv", [4, 5, 6, 7, 8])
+def test_a_run_finishes_every_stage_or_writes_nothing(h_inv, tmp_path, capsys):
+    """`diagnose` and `blowup` either exit 0 with every artifact of the
+    command, or exit 2 naming the key whose balls an instrument would refuse,
+    before the solve, and leave no run directory. `blowup` profiles the
+    free-boundary points on their default radii, so only 'h' can stop it."""
+    for name, lines, key in _stage_cases(h_inv):
+        for command, expected in (("diagnose", key), ("blowup", "h" if h_inv == 4 else None)):
+            out = tmp_path / f"{command}-{name}"
+            cfgfile = tmp_path / f"{command}-{name}.cfg"
+            cfgfile.write_text(f"h = {1 / h_inv!r}\ng = harmonic:deg=1\n{lines}output = {out}\n")
+            code = main([command, str(cfgfile)])
+            err = capsys.readouterr().err
+            if expected is not None:
+                assert code == 2 and f"key '{expected}'" in err, (command, name, err)
+                assert not out.exists()
+                continue
+            assert code == 0, (command, name, err)
+            names = set(os.listdir(out))
+            assert {"config.txt", "fields.csv", "summary.json"} <= names
+            if command == "blowup":
+                assert names == {"config.txt", "fields.csv", "summary.json", "gamma.csv"}
+            else:
+                centers = parse_config(cfgfile.read_text()).centers or [0.0]
+                assert names - {"config.txt", "fields.csv", "summary.json"} == {
+                    f"profile_{c:+.4f}.csv" for c in centers}
+
+
+def test_a_failed_solve_writes_nothing(tmp_path, capsys):
+    """The odd p = 1.5 problem does not converge (see CHANGES.md); the run
+    exits 1 and leaves no run directory."""
+    cfgfile = tmp_path / "odd.cfg"
+    cfgfile.write_text(f"p = 1.5\ng = harmonic:deg=1\nh = 0.0625\noutput = {tmp_path / 'odd'}\n")
+    assert main(["solve", str(cfgfile)]) == 1
+    assert "no convergence" in capsys.readouterr().err
+    assert not (tmp_path / "odd").exists()
+
+
 def test_run_writes_artifact_tree(tmp_path):
     cfg = parse_config(BASE + f"output = {tmp_path / 'art'}\n")
     out = run(cfg)
@@ -171,8 +222,8 @@ def test_bulk_float_rows_write_the_same_bytes_as_per_value_formatting(tmp_path):
     table = np.column_stack([special, *rng.standard_normal((3, len(special)))])
     table = np.vstack([table, rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-20, 20, (50, 4))])
     header = ["x", "y", "u", "v"]
-    bilaplab.config._write_csv(tmp_path / "bulk.csv", "abc", header, table)
-    bilaplab.config._write_csv(tmp_path / "rows.csv", "abc", header, zip(*table.T))
+    (tmp_path / "bulk.csv").write_text(bilaplab.config._csv("abc", header, table))
+    (tmp_path / "rows.csv").write_text(bilaplab.config._csv("abc", header, zip(*table.T)))
     assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 

@@ -6,6 +6,7 @@ import pytest
 from bilaplab import AnalyticField, ProblemSpec, ScalarField, build_grid
 from bilaplab.diagnostics import (
     RadialProfile,
+    _PairSampler,
     _sphere_sups,
     compute_profile,
     default_radii,
@@ -265,6 +266,11 @@ def test_minimal_almgren_constant_scan():
     # Over a step of 0.001 even C = 50 multiplies by only e^0.05, which
     # cannot compensate a drop from 100 to 1.
     assert np.isnan(minimal_almgren_constant([0.5, 0.501], [99.0, 0.0]))
+    # rows are read in ascending r, and rows with a non-finite N are dropped
+    assert minimal_almgren_constant([2.0, 0.3, 1.9], [0.9, np.nan, 1.0]) == c
+    assert minimal_almgren_constant([0.3, 0.1, 0.2], [1.2, 1.0, 1.1]) == 0.0
+    assert minimal_almgren_constant([0.5, 0.501, 0.6], [np.inf, 0.0, np.nan]) == 0.0
+    assert minimal_almgren_constant([0.5], [1.0]) == 0.0
 
 
 def test_minimal_monneau_constant_closed_form():
@@ -272,6 +278,11 @@ def test_minimal_monneau_constant_closed_form():
     assert c == pytest.approx(0.099, abs=1e-12)
     assert minimal_monneau_constant([1.0, 2.0], [1.0, 1.5]) == 0.0
     assert np.isnan(minimal_monneau_constant([1.0, 1.001], [1.0, 0.0]))
+    # rows are read in ascending r, and rows with a non-finite M are dropped
+    assert minimal_monneau_constant([2.0, 1.5, 1.0], [0.9, np.nan, 1.0]) == c
+    assert minimal_monneau_constant([2.0, 1.0], [1.5, 1.0]) == 0.0
+    assert minimal_monneau_constant([1.0, 1.001, 1.5], [1.0, -np.inf, np.nan]) == 0.0
+    assert minimal_monneau_constant([], []) == 0.0
 
 
 def test_analytic_field_probe_uses_supplied_derivatives():
@@ -286,6 +297,46 @@ def test_analytic_field_probe_uses_supplied_derivatives():
     # Even extension: the vertical derivative flips sign below the face.
     assert np.allclose(f.gradient(below), [[0.096, -0.072]], atol=1e-14)
     assert f.laplacian(below)[0] == pytest.approx(0.5, abs=1e-14)
+
+
+@pytest.mark.parametrize("n,h", [(1, 1.0 / 32), (2, 1.0 / 16)])
+def test_gradients_below_the_face_are_those_of_the_even_extension(n, h):
+    """At a mirrored point every gradient reader returns the gradient at the
+    point above with d/dy flipped: both field kinds, and both ways
+    `_PairSampler` reads a pair (stacked and field by field)."""
+    g = build_grid(n, h)
+
+    def f(p):
+        return p[:, 0] * p[:, -1] ** 2
+
+    def df(p):
+        out = np.zeros_like(p)
+        out[:, 0], out[:, -1] = p[:, -1] ** 2, 2.0 * p[:, 0] * p[:, -1]
+        return out
+
+    u = ScalarField(g, f(g.nodes))
+    v = ScalarField(g, np.cos(g.nodes[:, 0]) * np.cosh(g.nodes[:, -1]))
+    closed, differenced = AnalyticField(f, g, gradient=df), AnalyticField(f, g)
+    rng = np.random.default_rng(3)
+    above = rng.uniform(-0.5, 0.5, size=(40, n + 1))
+    above[:, -1] = np.abs(above[:, -1]) + 0.05
+    flip = np.append(np.ones(n), -1.0)
+    below = above * flip
+    for w in (u, v, closed, differenced):
+        assert np.array_equal(w.gradient(below), w.gradient(above) * flip)
+    assert np.abs(u.gradient(below) - df(above) * flip).max() < 4.0 * h
+    if n == 1:
+        assert np.allclose(closed.gradient([[0.3, -0.4]]), [[0.16, -0.24]], atol=1e-15)
+        assert np.allclose(u.gradient([[0.3, -0.4]]), [[0.16, -0.24]], atol=5e-3)
+
+    stacked, per_field = _PairSampler(u, v), _PairSampler(closed, v)
+    assert stacked.stack is not None and per_field.stack is None
+    su, sv, sgu, sgv = stacked.with_gradients(below)
+    assert np.array_equal(su, u(below)) and np.array_equal(sv, v(below))
+    assert np.array_equal(sgu, u.gradient(below)) and np.array_equal(sgv, v.gradient(below))
+    fu, fv, fgu, fgv = per_field.with_gradients(below)
+    assert np.array_equal(fgu, closed.gradient(above) * flip)
+    assert np.array_equal(fgv, sgv)
 
 
 def test_instruments_refuse_plain_callables():

@@ -16,6 +16,7 @@ from bilaplab.freeboundary import (
     singular_dimension,
 )
 from bilaplab.harmonics import HomogeneousHarmonicPoly, harmonic_basis
+from bilaplab.problem import face_phase
 
 FINE = build_grid(1, 1.0 / 256.0)
 SPEC = ProblemSpec(n=1, p=2.0, lambda_plus=1.0, lambda_minus=1.0,
@@ -57,6 +58,78 @@ def test_extract_gamma_sign_definite_trace_has_no_points():
     g = build_grid(1, 1.0 / 16.0)
     u = ScalarField(g, np.ones(g.node_count))
     assert extract_gamma(u) == []
+
+
+def _two_pass_gamma(u):
+    """The free boundary by two scans of the face: strict sign changes first,
+    then the ends of each maximal zero run that border a nonzero node."""
+    g = u.grid
+    x = g.nodes[g.face_ids, 0]
+    t = u.values[g.face_ids]
+    sign = face_phase(g, u.values)
+    points = {}
+
+    def add(xs, plus, minus):
+        if abs(xs) >= 1.0 - 1e-12:
+            return
+        key = round(xs / (g.h * 1e-6))
+        pt = points.get(key)
+        if pt is None:
+            pt = FreeBoundaryPoint(x=float(xs))
+            points[key] = pt
+        pt.in_plus |= plus
+        pt.in_minus |= minus
+
+    for i in range(len(x) - 1):
+        if sign[i] != 0 and sign[i + 1] != 0 and sign[i] != sign[i + 1]:
+            add(x[i] + (x[i + 1] - x[i]) * (-t[i]) / (t[i + 1] - t[i]), True, True)
+    i = 0
+    while i < len(x):
+        if sign[i] != 0:
+            i += 1
+            continue
+        j = i
+        while j + 1 < len(x) and sign[j + 1] == 0:
+            j += 1
+        left = sign[i - 1] if i > 0 else 0
+        right = sign[j + 1] if j + 1 < len(x) else 0
+        if left != 0:
+            add(x[i], left > 0, left < 0)
+        if right != 0:
+            add(x[j], right > 0, right < 0)
+        i = j + 1
+    return sorted(points.values(), key=lambda p: p.x)
+
+
+def test_one_edge_scan_equals_the_two_pass_scan():
+    """Same x, in_plus and in_minus as the two-pass scan on random phase
+    patterns, including zero runs at both corners, a single zero node
+    between + and -, interior plateaus, and crossings within 1e-9 h of a
+    node (which the 1e-6 h key merges)."""
+    g = build_grid(1, 1.0 / 16.0)
+    m = g.face_ids.size
+    rng = np.random.default_rng(11)
+    fixed = [
+        [0, 0, 0] + [1] * (m - 6) + [0, 0, 0],
+        [0, 0] + [1] * 10 + [-1] * (m - 14) + [0, 0],
+        [1] * 12 + [0] + [-1] * (m - 13),
+        [-1] * 5 + [0] * 4 + [-1] * 6 + [0] * 3 + [1] * (m - 18),
+        [0] * m,
+        [1, -1] * (m // 2) + [1],
+    ]
+    patterns = fixed + [list(rng.choice([-1, 0, 1], size=m, p=[0.4, 0.2, 0.4]))
+                        for _ in range(150)]
+    patterns += [list(np.repeat(rng.choice([-1, 0, 1], size=m), rng.integers(1, 6, size=m))[:m])
+                 for _ in range(150)]
+    checked = 0
+    for signs in patterns:
+        values = np.zeros(g.node_count)
+        values[g.face_ids] = np.asarray(signs) * 10.0 ** rng.uniform(-9.0, 0.3, size=m)
+        u = ScalarField(g, values)
+        got = [(p.x, p.in_plus, p.in_minus) for p in extract_gamma(u)]
+        assert got == [(p.x, p.in_plus, p.in_minus) for p in _two_pass_gamma(u)], signs
+        checked += bool(got)
+    assert checked > 250
 
 
 ODD_CASES = {

@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "same_bytes.py"
@@ -65,3 +68,34 @@ def test_strip_times_drops_only_the_time_that_ends_a_check_line():
     # a time that changes is gone; a figure inside the line stays
     assert same_bytes.strip_times("a  1.00 s\n") == same_bytes.strip_times("a  2.50 s\n")
     assert same_bytes.strip_times("took 0.50 s here\n") == "took 0.50 s here\n"
+
+
+def test_runs_take_every_pipeline_config_through_all_three_stages():
+    """No command runs solve, profile and gamma together, so each `pipeline-n1`
+    config at h = 1/32 also goes through `config.run` with every stage."""
+    from bilaplab.config import parse_config
+    from workloads import PIPELINE_CONFIGS
+
+    all_stages = [(name, text) for name, command, text in same_bytes.runs() if command == "run"]
+    assert [name for name, _ in all_stages] == [f"{tag}-h32-run" for tag in PIPELINE_CONFIGS]
+    for _, text in all_stages:
+        cfg = parse_config(text)
+        assert cfg.stages == ("solve", "profile", "gamma") and cfg.spec.h == 1.0 / 32
+
+
+def test_the_run_command_goes_through_config_run(tmp_path):
+    text = "g = harmonic:deg=1\nh = 0.125\n"
+    runs = []
+    for name, command in (("all", "run"), ("blowup", "blowup")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text + f"output = {tmp_path / name}\n")
+        runs.append((name, [command, str(cfg)]))
+    (tmp_path / "runs.json").write_text(json.dumps(runs))
+    src = str(_PATH.parent.parent / "src")
+    subprocess.run([sys.executable, "-c", same_bytes.DRIVER, str(tmp_path / "runs.json"),
+                    str(tmp_path / "codes.json")], env={**os.environ, "PYTHONPATH": src},
+                   check=True, stdout=subprocess.DEVNULL, timeout=120)
+    assert json.loads((tmp_path / "codes.json").read_text()) == {"all": 0, "blowup": 0}
+    assert sorted(os.listdir(tmp_path / "all")) == [
+        "config.txt", "fields.csv", "gamma.csv", "profile_+0.0000.csv", "summary.json"]
+    assert "profile_+0.0000.csv" not in os.listdir(tmp_path / "blowup")

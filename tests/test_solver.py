@@ -119,54 +119,50 @@ def _monomial_laplacian(pts, expo):
 
 
 def _reference_weak_residual(result, spec, seed=0, fd_delta=None):
-    """The weak residual with each trial field evaluated on its own at all
-    solid points at once, monomial by monomial. The Laplacian is the product
-    rule Lap(c^2 m) = c^2 Lap(m) + 2 grad(c^2) . grad(m) + m Lap(c^2), c = 1 - |z|^2,
-    or, with `fd_delta`, the centred finite difference of that step size."""
+    """The weak residual from per-monomial tables over all solid points at
+    once: each monomial's trial value c^2 m and its Laplacian are evaluated
+    once per point set, then combined with the coefficient rows. The
+    Laplacian is the product rule Lap(c^2 m) = c^2 Lap(m) + 2 grad(c^2) . grad(m)
+    + m Lap(c^2), c = 1 - |z|^2, or, with `fd_delta`, the centred finite
+    difference of that step size."""
     n = spec.n
+    monos, table = _poly_trials(n, seed)
 
-    def trial(coeffs):
-        def phi(pts):
-            cut = 1.0 - (pts ** 2).sum(axis=1)
-            return cut * cut * sum(c * _monomial(pts, expo) for expo, c in coeffs)
-        return phi
+    def values(pts):
+        cut = 1.0 - (pts ** 2).sum(axis=1)
+        return np.array([cut * cut * _monomial(pts, expo) for expo in monos])
 
-    def exact_laplacian(coeffs, pts):
+    def exact_laplacians(pts):
         cut = 1.0 - (pts ** 2).sum(axis=1)
         lap_c2 = 8.0 * (pts ** 2).sum(axis=1) - 4.0 * (n + 1) * cut
-        out = np.zeros(pts.shape[0])
-        for expo, c in coeffs:
+        out = []
+        for expo in monos:
             grad_dot = sum(-4.0 * cut * pts[:, ax] * _monomial(pts, expo, ax)
                            for ax in range(n + 1))
-            out += c * (cut * cut * _monomial_laplacian(pts, expo) + 2.0 * grad_dot
-                        + _monomial(pts, expo) * lap_c2)
-        return out
+            out.append(cut * cut * _monomial_laplacian(pts, expo) + 2.0 * grad_dot
+                       + _monomial(pts, expo) * lap_c2)
+        return np.array(out)
 
-    def fd_laplacian(f, pts, delta):
+    def fd_laplacians(pts, delta):
         dim = pts.shape[1]
-        out = -2.0 * dim * f(pts)
+        out = -2.0 * dim * values(pts)
         for ax in range(dim):
             e = np.zeros(dim)
             e[ax] = delta
-            out += f(pts + e) + f(pts - e)
+            out += values(pts + e) + values(pts - e)
         return out / delta ** 2
 
     quad = sphere_quadrature(spec.grid(), np.zeros(n), 1.0)
     v_solid = result.v(quad.solid_points)
     Fu = thin_reaction(result.u(quad.thin_points), spec)
-    monos, table = _poly_trials(n, seed)
+    laps = table @ (exact_laplacians(quad.solid_points) if fd_delta is None
+                    else fd_laplacians(quad.solid_points, fd_delta))
+    phis = table @ values(quad.thin_points)
     worst = 0.0
-    for row in table:
-        coeffs = list(zip(monos, row))
-        phi = trial(coeffs)
-        if fd_delta is None:
-            lap = exact_laplacian(coeffs, quad.solid_points)
-        else:
-            lap = fd_laplacian(phi, quad.solid_points, fd_delta)
+    for lap, phi in zip(laps, phis):
         lhs = float(quad.solid_weights @ (v_solid * lap))
-        rhs = float(quad.thin_weights @ (Fu * phi(quad.thin_points)))
-        norm = float(np.sqrt(quad.solid_weights @ lap ** 2
-                             + quad.thin_weights @ phi(quad.thin_points) ** 2))
+        rhs = float(quad.thin_weights @ (Fu * phi))
+        norm = float(np.sqrt(quad.solid_weights @ lap ** 2 + quad.thin_weights @ phi ** 2))
         worst = max(worst, abs(lhs - rhs) / norm)
     return worst
 

@@ -13,6 +13,10 @@ BLAS thread,
                                      explicit centers and radii
     bilaplab solve|diagnose          at n = 2, h = 1/8, on the configs whose
                                      datum is defined at n = 2
+    run(parse_config(text))          all three stages on the same six configs
+                                     at h = 1/32 (the profile stage reuses the
+                                     analyzed points' profiles; no command
+                                     runs all three)
 
 and writes each run's artifacts, plus the exit code of every run in
 `exit_codes.json`. Then each command of `TRANSCRIPTS` runs in a process of
@@ -56,13 +60,22 @@ TRANSCRIPTS = [
 # the wall time `verify` prints at the end of each check line
 _CHECK_TIME = re.compile(r"  \d+\.\d\d s$", re.MULTILINE)
 
-# runs every listed command in one process; argv[1] lists the runs, argv[2] gets the exit codes
+# runs every listed command in one process; argv[1] lists the runs, argv[2] gets the exit
+# codes. The command `run` is `config.run` on the parsed config, with every stage it names.
 DRIVER = """
 import json, sys
 from pathlib import Path
 from bilaplab.cli import main
+from bilaplab.config import parse_config, run
+
+def call(argv):
+    if argv[0] != "run":
+        return main(argv)
+    run(parse_config(Path(argv[1]).read_text()))
+    return 0
+
 runs = json.loads(Path(sys.argv[1]).read_text())
-codes = {name: main(argv) for name, argv in runs}
+codes = {name: call(argv) for name, argv in runs}
 Path(sys.argv[2]).write_text(json.dumps(codes, indent=1) + "\\n")
 """
 
@@ -77,6 +90,7 @@ def runs() -> list[tuple[str, str, str]]:
                 out.append((f"{tag}-h{h_inv}-{command}", command, text + f"h = {1 / h_inv!r}\n"))
         out.append((f"{tag}-h32-diagnose-explicit", "diagnose",
                     text + f"h = {1 / 32!r}\ncenters = {CENTERS}\nradii = {RADII}\n"))
+        out.append((f"{tag}-h32-run", "run", text + f"h = {1 / 32!r}\n"))
         if not case["g"].startswith("tabulated"):  # tabulated data is n = 1 only
             for command in ("solve", "diagnose"):
                 out.append((f"{tag}-n2-h8-{command}", command, text + "n = 2\nh = 0.125\n"))
