@@ -241,8 +241,9 @@ def output_root() -> Path:
 def _check_ladders(config: RunConfig, grid) -> None:
     """A ConfigError naming its key, before the solve, for a ball an instrument
     would refuse: `default_radii` of each configured center ('centers') or of
-    the origin ('h'; its ladder is the longest, so it also stands for the gamma
-    stage's points), and `ball_center` of each explicit radius ('radii')."""
+    the origin ('h'), and `ball_center` of each explicit radius ('radii'). The
+    gamma stage's points are found only by the solve; `analyze_point` skips
+    one too near the face edge for `default_radii` with a note."""
     def check(key, rule, c, *radius):
         try:
             rule(grid, [c] + [0.0] * (config.spec.n - 1), *radius)
@@ -262,7 +263,9 @@ def _check_ladders(config: RunConfig, grid) -> None:
 def run(config: RunConfig) -> Path:
     """Execute the configured stages, then write the artifact directory. Stage
     inputs that would fail (the gamma stage at n = 2, `_check_ladders`) are a
-    ConfigError before the solve, and a run that fails writes nothing."""
+    ConfigError before the solve, and a run that fails writes nothing. A
+    free-boundary point that `analyze_point` left without a profile is an
+    auto center whose profile entry holds only the reason, with no CSV."""
     if "gamma" in config.stages and config.spec.n != 1:
         raise ConfigError("key 'n': the free boundary (stage gamma, `bilaplab blowup`) "
                           "is extracted at n = 1 only")
@@ -313,6 +316,10 @@ def run(config: RunConfig) -> Path:
         known = {} if config.radii else {pt.x: pt for pt in points}
         for c in centers:
             thin_c = [c] + [0.0] * (spec.n - 1)  # x at n = 1; the face origin at n = 2
+            if c in known and known[c].profile is None:  # too near the face edge
+                summary["profiles"][_center_tag(c)] = {
+                    "center": c, "profile_error": known[c].metadata["profile_error"]}
+                continue
             if c in known:
                 prof, almgren_c = known[c].profile, known[c].almgren_constant
             else:
@@ -341,6 +348,8 @@ def run(config: RunConfig) -> Path:
             "mu_hat": pt.mu_hat, "mu_int": pt.mu_int, "dimension": pt.dimension,
             "fit_residual": pt.fit_residual, "value_v": pt.value_v,
             "monneau_constant": pt.monneau_constant,
+            **({"profile_error": pt.metadata["profile_error"]}
+               if "profile_error" in pt.metadata else {}),
         } for pt in points]
         columns = ["x", "side", "classification", "mu_hat", "mu_int", "dimension",
                    "fit_residual"]

@@ -12,19 +12,21 @@ face through quadrature over half-spheres, half-balls, and thin balls:
     phi    H / r^n
     M_mu   (1 / r^(n+2mu)) surface integral of (u-p)^2 + (v-q)^2
 
-Every instrument reads a field w in one way: w(pts), w.gradient(pts), and
-w.grid, whose step h sizes the quadrature. A field is a ScalarField
-(interpolated, gradients from central-difference boxes) or an
-AnalyticField (closed forms, or gradients by small-step central
-differences); both read through the even extension. Laplacians come only
-from an AnalyticField. Analytic checks want AnalyticFields; solver output
-ScalarFields; anything else is refused with a TypeError.
+Every instrument reads a field w in one way: w(pts), w.gradient(pts) or
+w.with_gradient(pts) (both from one read), and w.grid, whose step h sizes
+the quadrature. A field is a ScalarField (interpolated, gradients from
+central-difference boxes) or an AnalyticField (closed forms, or gradients
+by small-step central differences); both read through the even
+extension. Laplacians come only from an AnalyticField. Analytic checks
+want AnalyticFields; solver output ScalarFields; anything else is refused
+with a TypeError.
 
-Instruments read the pair through `_PairSampler` (one interpolation per
-point set for two ScalarFields on one grid). `compute_profile` samples each
-sphere and ball with `sample_count(r, h)` directions and keeps its
-half-sphere samples, from which `monneau_curve` reads M_mu; a radius ladder
-on one direction set is `_ladder`.
+Each field reads itself, one ScalarField read being one `interp_box` call.
+`compute_profile` samples each sphere and ball with `sample_count(r, h)`
+directions, reads u once and v once per radius on the surface, solid and
+thin points together, and keeps copies of its half-sphere samples, from
+which `monneau_curve` reads M_mu; a radius ladder on one direction set is
+`_ladder`.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (_TOL, HalfBallGrid, _as_thin_center, _even_gradient, _gauss_on, ball_center,
-                   half_sphere, sample_count, sphere_quadrature)
+from .grid import (_TOL, HalfBallGrid, _as_thin_center, _gauss_on, ball_center, half_sphere,
+                   sample_count, sphere_quadrature)
 from .problem import AnalyticField, ProblemSpec, ScalarField, thin_reaction
 
 DEGENERATE_FACTOR = 1e-14  # H below this times sup(u^2+v^2) is flagged
@@ -51,41 +53,6 @@ def _field(w):
         raise TypeError(f"a field must be a ScalarField or an AnalyticField, "
                         f"got {type(w).__name__}")
     return w
-
-
-class _PairSampler:
-    """Reads the pair (u, v), and their gradients if asked, at a point set.
-
-    Two ScalarFields on one grid are read through one stacked `interp_box`
-    call per point set; any other pair is read one field at a time. Both
-    ways give the same values. `grid` is u's: it sizes the quadrature.
-    """
-
-    def __init__(self, u, v, gradients: bool = True):
-        self.u, self.v = _field(u), _field(v)
-        self.grid = u.grid
-        self.stack = None
-        if isinstance(u, ScalarField) and isinstance(v, ScalarField) and v.grid is u.grid:
-            bu = [u.ghost_box()] + (u.gradient_boxes() if gradients else [])
-            bv = [v.ghost_box()] + (v.gradient_boxes() if gradients else [])
-            self.pair = np.stack([bu[0], bv[0]])
-            self.stack = np.stack(bu + bv) if gradients else self.pair
-
-    def values(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.stack is None:
-            return self.u(pts), self.v(pts)
-        u, v = self.grid.interp_box(self.pair, pts)
-        return u, v
-
-    def with_gradients(self, pts: np.ndarray):
-        """(u, v, grad u, grad v) at pts; the sampler must hold gradients."""
-        u, v = self.u, self.v
-        if self.stack is None:
-            return u(pts), v(pts), u.gradient(pts), v.gradient(pts)
-        vals = self.grid.interp_box(self.stack, pts)
-        d = self.grid.n + 2
-        gu, gv = vals[1:d].T, vals[d + 1:].T
-        return vals[0], vals[d], _even_gradient(pts, gu), _even_gradient(pts, gv)
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +109,8 @@ def compute_profile(u, v, center, radii, spec: ProblemSpec) -> RadialProfile:
     F. M_mu needs a blow-up fit and comes from `monneau_curve` on the
     profile's half-sphere samples, which the profile keeps.
     """
-    sampler = _PairSampler(u, v)
-    g = sampler.grid
+    u, v = _field(u), _field(v)
+    g = u.grid
     c = _as_thin_center(g.n, center)
     radii = np.sort(np.asarray(radii, dtype=np.float64))
     if radii.size == 0:
@@ -158,16 +125,21 @@ def compute_profile(u, v, center, radii, spec: ProblemSpec) -> RadialProfile:
     surface = []
     for k, r in enumerate(radii):
         quad = sphere_quadrature(g, c, float(r))
-        us, vs, gu, gv = sampler.with_gradients(quad.surface_points)
+        # one read of each field per radius: surface [:s], solid [s:b], thin [b:];
+        # the kept surface samples are copies, so that no whole read stays alive
+        s = quad.surface_weights.size
+        b = s + quad.solid_weights.size
+        pts = np.concatenate([quad.surface_points, quad.solid_points, quad.thin_points])
+        (ua, gu), (va, gv) = u.with_gradient(pts), v.with_gradient(pts)
+        us, vs = ua[:s].copy(), va[:s].copy()
         surface.append((quad.surface_points - c, quad.surface_weights, us, vs))
         sup2 = max(sup2, float((us ** 2 + vs ** 2).max()))
         H[k] = quad.surface_weights @ (us ** 2 + vs ** 2)
-        Bv[k] = quad.surface_weights @ ((gu ** 2).sum(axis=1) + (gv ** 2).sum(axis=1))
-        ub, vb, gus, gvs = sampler.with_gradients(quad.solid_points)
-        D0[k] = quad.solid_weights @ ((gus ** 2).sum(axis=1) + (gvs ** 2).sum(axis=1))
-        cross = quad.solid_weights @ (ub * vb)
-        ut, vt = sampler.values(quad.thin_points)
-        thin = quad.thin_weights @ (thin_reaction(ut, spec) * vt)
+        grad2 = (gu ** 2).sum(axis=1) + (gv ** 2).sum(axis=1)
+        Bv[k] = quad.surface_weights @ grad2[:s]
+        D0[k] = quad.solid_weights @ grad2[s:b]
+        cross = quad.solid_weights @ (ua[s:b] * va[s:b])
+        thin = quad.thin_weights @ (thin_reaction(ua[b:], spec) * va[b:])
         Dv[k] = D0[k] + cross + thin
 
     degenerate = H < DEGENERATE_FACTOR * max(sup2, 1e-300)

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .diagnostics import RadialProfile, _ladder, _PairSampler, _sphere_sups
+from .diagnostics import (RadialProfile, _field, _ladder, _sphere_sups, compute_profile,
+                          default_radii, estimate_mu, minimal_almgren_constant,
+                          minimal_monneau_constant, monneau_curve)
 from .harmonics import HomogeneousHarmonicPoly, harmonic_basis
 from .problem import ProblemSpec, ScalarField, face_phase
 
@@ -103,25 +105,25 @@ def classify_point(point: FreeBoundaryPoint, u, v) -> str:
     """REGULAR when the trace vanishes and both thin gradients are nonzero.
 
     Numerical gates: |u(point)| <= tau = 1e-6 + 10 h^2 and
-    min(|d_x u|, |d_x v|) > tau' = 10 h. Anything else is SINGULAR. The
-    pair is read once, at x and x +- step with step = min(h, distance to
+    min(|d_x u|, |d_x v|) > tau' = 10 h. Anything else is SINGULAR. Each
+    field is read once, at x and x +- step with step = min(h, distance to
     the face edge); the thin gradients are the central differences.
     A REGULAR verdict records the local smooth-graph conclusion (class
     C^{3,alpha}) as metadata: it is a classification tag, not a computed
     fact. The thresholds are calibration choices and are stored alongside.
     """
-    sampler = _PairSampler(u, v, gradients=False)
-    g = sampler.grid
+    u, v = _field(u), _field(v)
+    g = u.grid
     tau = 1e-6 + 10.0 * g.h ** 2
     tau_prime = 10.0 * g.h
     step = min(g.h, 1.0 - abs(point.x) - 1e-12)
     if step <= 0:
         raise ValueError(f"point x={point.x} too close to the face edge")
     x = np.array([[point.x, 0.0], [point.x + step, 0.0], [point.x - step, 0.0]])
-    u, v = sampler.values(x)
-    point.value_u, point.value_v = float(u[0]), float(v[0])
-    point.grad_u = float((u[1] - u[2]) / (2.0 * step))
-    point.grad_v = float((v[1] - v[2]) / (2.0 * step))
+    us, vs = u(x), v(x)
+    point.value_u, point.value_v = float(us[0]), float(vs[0])
+    point.grad_u = float((us[1] - us[2]) / (2.0 * step))
+    point.grad_v = float((vs[1] - vs[2]) / (2.0 * step))
     point.metadata["tau"] = tau
     point.metadata["tau_prime"] = tau_prime
     regular = (abs(point.value_u) <= tau
@@ -177,9 +179,9 @@ def _ladder_pair(u, v, center, radii):
     """The sorted radii, the `_ladder` directions and weights, and the pair
     read at every ladder point, (K, m) each: what `_fit_degree` fits."""
     radii = np.sort(np.asarray(radii, dtype=np.float64))
-    sampler = _PairSampler(u, v, gradients=False)
-    direc, w, pts = _ladder(sampler.grid, center, radii)
-    us, vs = (a.reshape(radii.size, -1) for a in sampler.values(pts))
+    u, v = _field(u), _field(v)
+    direc, w, pts = _ladder(u.grid, center, radii)
+    us, vs = u(pts).reshape(radii.size, -1), v(pts).reshape(radii.size, -1)
     return radii, direc, w, us, vs
 
 
@@ -271,13 +273,18 @@ def analyze_point(point: FreeBoundaryPoint, u: ScalarField, v: ScalarField,
     (recording the best), singular dimension for fitted pairs, and, when
     mu_int >= 1, the Monneau constant of the fit with mu = mu_int, taken
     from the profile's own half-sphere samples.
-    """
-    from .diagnostics import (compute_profile, default_radii, estimate_mu,
-                              minimal_almgren_constant, minimal_monneau_constant,
-                              monneau_curve)
 
+    A point too near the face edge for `default_radii` keeps its
+    classification and records why it has no profile in
+    metadata["profile_error"], as one with too few usable radii records
+    metadata["mu_error"].
+    """
     classify_point(point, u, v)
-    radii = default_radii(u.grid, [point.x])
+    try:
+        radii = default_radii(u.grid, [point.x])
+    except ValueError as exc:
+        point.metadata["profile_error"] = str(exc)
+        return point
     prof = point.profile = compute_profile(u, v, [point.x], radii, spec)
     point.almgren_constant = minimal_almgren_constant(prof.radii, prof.N)
     try:

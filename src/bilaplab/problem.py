@@ -191,8 +191,10 @@ class ScalarField:
     A read at (x, y) answers at (x, |y|), so the vertical derivative
     vanishes on the face by symmetry rather than by approximation. Values
     and gradients are multilinear interpolants of the ghost-filled value
-    box and of its central-difference gradient boxes; both are built on
-    the first read and kept.
+    box and of its central-difference gradient boxes. The value box is
+    built on the first read; the first gradient read stacks it with the
+    n + 1 gradient boxes, and `with_gradient` reads that stack in one
+    `interp_box` call. Both are kept.
     """
 
     grid: HalfBallGrid
@@ -205,7 +207,7 @@ class ScalarField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
         self._box = None
-        self._gradient_boxes = None
+        self._stack = None
 
     def ghost_box(self) -> np.ndarray:
         """Dense box of values with NaN outside, extrapolated one cell out."""
@@ -214,33 +216,36 @@ class ScalarField:
             self._box = self.grid.fill_extension(box)
         return self._box
 
-    def gradient_boxes(self) -> list[np.ndarray]:
-        """One ghost-filled box per axis of central differences of `ghost_box`;
-        the vertical one is 0 on the face, where the even extension is flat."""
-        if self._gradient_boxes is None:
-            box, g = self.ghost_box(), self.grid
-            self._gradient_boxes = []
-            for ax in range(g.n + 1):
-                d = (_shift(box, ax, -1) - _shift(box, ax, 1)) / (2.0 * g.h)
-                if ax == g.n:
-                    d[..., 0] = 0.0
-                self._gradient_boxes.append(g.fill_extension(d))
-        return self._gradient_boxes
-
     def with_values(self, values) -> "ScalarField":
         return ScalarField(self.grid, values)
 
     def __call__(self, points):
         return self.grid.interp_box(self.ghost_box(), points)
 
-    def gradient(self, points) -> np.ndarray:
-        """Interpolated gradient boxes at the points, shape (N, n+1), with
-        d/dy of the even extension below the face."""
+    def with_gradient(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Values and gradient at the points, the gradient of shape (N, n+1)
+        with d/dy of the even extension below the face. The stack holds
+        `ghost_box` and one ghost-filled box per axis of its central
+        differences; the vertical one is 0 on the face, where the even
+        extension is flat."""
+        g = self.grid
+        if self._stack is None:
+            box = self.ghost_box()
+            boxes = [box]
+            for ax in range(g.n + 1):
+                d = (_shift(box, ax, -1) - _shift(box, ax, 1)) / (2.0 * g.h)
+                if ax == g.n:
+                    d[..., 0] = 0.0
+                boxes.append(g.fill_extension(d))
+            self._stack = np.stack(boxes)
+            self._box = self._stack[0]
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        out = np.empty_like(pts)
-        for ax, b in enumerate(self.gradient_boxes()):
-            out[:, ax] = self.grid.interp_box(b, pts)
-        return _even_gradient(pts, out)
+        vals = g.interp_box(self._stack, pts)
+        return vals[0], _even_gradient(pts, vals[1:].T)
+
+    def gradient(self, points) -> np.ndarray:
+        """The gradient half of `with_gradient`."""
+        return self.with_gradient(points)[1]
 
 
 class AnalyticField:
@@ -275,6 +280,9 @@ class AnalyticField:
             e[ax] = d
             out[:, ax] = (self(pts + e) - self(pts - e)) / (2.0 * d)
         return out
+
+    def with_gradient(self, points) -> tuple[np.ndarray, np.ndarray]:
+        return self(points), self.gradient(points)
 
     def laplacian(self, points) -> np.ndarray:
         """The closed-form Laplacian; TypeError when none was given."""

@@ -13,6 +13,7 @@ import pytest
 
 import bilaplab.config
 import bilaplab.diagnostics
+import bilaplab.freeboundary
 import bilaplab.problem
 import bilaplab.solver
 import bilaplab.verify as verify
@@ -132,6 +133,34 @@ def test_a_failed_solve_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "odd").exists()
 
 
+NEAR_EDGE = "g = trig:freq=1.8\nh = 0.03125\n"
+
+
+def test_a_free_boundary_point_near_the_face_edge_is_skipped_with_a_note(tmp_path, capsys):
+    """trig:freq=1.8 at h = 1/32 puts its free-boundary points at x = +-0.868,
+    where 0.9 (1 - |x|) < 4h leaves no default radii. `blowup` and a run of
+    all three stages exit cleanly: each point keeps its classification,
+    summary.json records why it has no profile, its analysis columns in
+    gamma.csv are empty, and no profile is written for it."""
+    reason = "no admissible radii: 0.9 dist = 0.1188 < 4h = 0.125"
+    cfgfile = tmp_path / "edge.cfg"
+    cfgfile.write_text(NEAR_EDGE + f"output = {tmp_path / 'blowup'}\n")
+    assert main(["blowup", str(cfgfile)]) == 0, capsys.readouterr().err
+    out = run(parse_config(NEAR_EDGE + f"output = {tmp_path / 'run'}\n"))
+    assert sorted(os.listdir(out)) == ["config.txt", "fields.csv", "gamma.csv", "summary.json"]
+    for d in (tmp_path / "blowup", out):
+        points = json.loads((d / "summary.json").read_text())["points"]
+        assert [round(pt["x"], 3) for pt in points] == [-0.868, 0.868]
+        for pt in points:
+            assert pt["classification"] == "REGULAR" and pt["profile_error"] == reason
+            assert pt["mu_hat"] is pt["mu_int"] is pt["dimension"] is pt["fit_residual"] is None
+        rows = (d / "gamma.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[2:] for row in rows] == [["REGULAR", "", "", "", ""]] * 2
+    profiles = json.loads((out / "summary.json").read_text())["profiles"]
+    assert profiles == {f"{pt['x']:+.4f}": {"center": pt["x"], "profile_error": reason}
+                        for pt in points}
+
+
 def test_run_writes_artifact_tree(tmp_path):
     cfg = parse_config(BASE + f"output = {tmp_path / 'art'}\n")
     out = run(cfg)
@@ -185,7 +214,7 @@ def test_each_free_boundary_point_is_profiled_once(tmp_path, monkeypatch):
         calls.append(args[2])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(bilaplab.diagnostics, "compute_profile", counted)
+    monkeypatch.setattr(bilaplab.freeboundary, "compute_profile", counted)
     monkeypatch.setattr(bilaplab.config, "compute_profile", counted)
     cfgfile = tmp_path / "case.cfg"
     cfgfile.write_text(BASE + f"output = {tmp_path / 'blowup'}\n")

@@ -5,8 +5,8 @@ import pytest
 
 from bilaplab import AnalyticField, ProblemSpec, ScalarField, build_grid
 from bilaplab.diagnostics import (
+    DEGENERATE_FACTOR,
     RadialProfile,
-    _PairSampler,
     _sphere_sups,
     compute_profile,
     default_radii,
@@ -22,7 +22,8 @@ from bilaplab.diagnostics import (
     trace_check,
 )
 from bilaplab.freeboundary import FreeBoundaryPoint, blowup_fit, classify_point, nondegeneracy_check
-from bilaplab.grid import HalfBallGrid, sphere_quadrature
+from bilaplab.grid import (HalfBallGrid, _as_thin_center, _even_gradient, _shift,
+                           sphere_quadrature)
 from bilaplab.problem import thin_reaction
 
 FINE = build_grid(1, 1.0 / 256.0)
@@ -95,36 +96,82 @@ def test_sphere_sup_samples_the_quadrature_surface():
         _sphere_sups(w, 0.1, [1e-3])
 
 
-def _per_field_profile(u, v, c, radii, spec, mu, p_mu, q_mu):
-    """H, B, D0, D and M with one read per field and point set."""
-    n = u.grid.n
-    rows = []
-    for r in radii:
-        quad = sphere_quadrature(u.grid, c, float(r))
+def _per_point_set_profile(u, v, center, radii, spec):
+    """`compute_profile` read point set by point set: each field's values and
+    gradient on the surface and on the solid points, its values on the thin
+    points."""
+    g = u.grid
+    c = _as_thin_center(g.n, center)
+    radii = np.sort(np.asarray(radii, dtype=np.float64))
+    H, D0, D, B = (np.zeros(radii.size) for _ in range(4))
+    sup2, surface = 0.0, []
+    for k, r in enumerate(radii):
+        quad = sphere_quadrature(g, c, float(r))
         us, vs = u(quad.surface_points), v(quad.surface_points)
         gu, gv = u.gradient(quad.surface_points), v.gradient(quad.surface_points)
+        surface.append((quad.surface_points - c, quad.surface_weights, us, vs))
+        sup2 = max(sup2, float((us ** 2 + vs ** 2).max()))
+        H[k] = quad.surface_weights @ (us ** 2 + vs ** 2)
+        B[k] = quad.surface_weights @ ((gu ** 2).sum(axis=1) + (gv ** 2).sum(axis=1))
         gus, gvs = u.gradient(quad.solid_points), v.gradient(quad.solid_points)
-        ub, vb = u(quad.solid_points), v(quad.solid_points)
+        D0[k] = quad.solid_weights @ ((gus ** 2).sum(axis=1) + (gvs ** 2).sum(axis=1))
+        cross = quad.solid_weights @ (u(quad.solid_points) * v(quad.solid_points))
         ut, vt = u(quad.thin_points), v(quad.thin_points)
-        D0 = quad.solid_weights @ ((gus ** 2).sum(axis=1) + (gvs ** 2).sum(axis=1))
-        rel = quad.surface_points - c
-        rows.append((
-            quad.surface_weights @ (us ** 2 + vs ** 2),
-            quad.surface_weights @ ((gu ** 2).sum(axis=1) + (gv ** 2).sum(axis=1)),
-            D0,
-            D0 + quad.solid_weights @ (ub * vb)
-            + quad.thin_weights @ (thin_reaction(ut, spec) * vt),
-            (quad.surface_weights @ ((us - p_mu(rel)) ** 2 + (vs - q_mu(rel)) ** 2))
-            / r ** (n + 2 * mu),
-        ))
-    return [np.array(col) for col in zip(*rows)]
+        D[k] = D0[k] + cross + quad.thin_weights @ (thin_reaction(ut, spec) * vt)
+    degenerate = H < DEGENERATE_FACTOR * max(sup2, 1e-300)
+    safeH = np.where(degenerate, np.nan, H)
+    return RadialProfile(center=c, radii=radii, H=H, D0=D0, D=D, B=B, N0=radii * D0 / safeH,
+                         N=radii * D / safeH, phi=H / radii ** g.n, degenerate=degenerate,
+                         surface=surface)
+
+
+@pytest.mark.parametrize("kind", ["grid", "analytic"])
+@pytest.mark.parametrize("n,h,radii", [(1, 1.0 / 32, [0.6, 0.13, 0.3]),
+                                       (2, 1.0 / 16, [0.8, 0.26, 0.5])])
+def test_profile_equals_the_per_point_set_reads(n, h, radii, kind, monkeypatch):
+    """One read of each field per radius, on the surface, solid and thin
+    points together, gives the profile of reading each point set on its own,
+    bit for bit, in every column and every kept surface sample. Both fields
+    vanish inside |z| < 0.25 (n = 1) or 0.45 (n = 2), so the smallest radius is
+    a degenerate row."""
+    g = build_grid(n, h)
+    spec = ProblemSpec(n=n, p=3.0, lambda_plus=2.0, lambda_minus=0.5, g="zero", h=h)
+    a = 0.25 if n == 1 else 0.45
+
+    def fu(z):
+        s = np.maximum(np.linalg.norm(z, axis=1) - a, 0.0)
+        return s ** 3 * (1.0 + z[:, 0] - 0.5 * z[:, -1]) - s ** 2
+
+    def fv(z):
+        return np.maximum(np.linalg.norm(z, axis=1) - a, 0.0) ** 2 * np.cos(2.0 * z[:, 0])
+
+    if kind == "grid":
+        u, v = ScalarField(g, fu(g.nodes)), ScalarField(g, fv(g.nodes))
+    else:
+        u, v = AnalyticField(fu, g), AnalyticField(fv, g)
+    center = [0.05] + [0.0] * (n - 1)
+    reads = []
+    interp_box = HalfBallGrid.interp_box
+    monkeypatch.setattr(HalfBallGrid, "interp_box",
+                        lambda *a, **k: reads.append(1) or interp_box(*a, **k))
+    prof = compute_profile(u, v, center, radii, spec)
+    monkeypatch.undo()
+    assert len(reads) == (2 * len(radii) if kind == "grid" else 0)
+    ref = _per_point_set_profile(u, v, center, radii, spec)
+    assert prof.degenerate.tolist() == [True, False, False]
+    for col in ("center", "radii", "H", "D0", "D", "B", "N0", "N", "phi", "degenerate"):
+        assert np.array_equal(getattr(prof, col), getattr(ref, col),
+                              equal_nan=col in ("N0", "N")), col
+    assert len(prof.surface) == len(ref.surface) == len(radii)
+    for got, want in zip(prof.surface, ref.surface):
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 @pytest.mark.parametrize("n,h", [(1, 1.0 / 16), (2, 1.0 / 8)])
 def test_grid_field_profile_equals_the_per_field_path(n, h, monkeypatch):
-    """The stacked reads of two grid fields change no bit of the profile, of
-    the Monneau curve taken from its samples without reading the fields, or
-    of the blow-up fit, nondegeneracy ratio and classification."""
+    """Reading each grid field once per radius changes no bit of the profile,
+    of the Monneau curve taken from its samples without reading the fields,
+    or of the blow-up fit, nondegeneracy ratio and classification."""
     g = build_grid(n, h)
     spec = ProblemSpec(n=n, p=3.0, lambda_plus=2.0, lambda_minus=0.5, g="zero", h=h)
     z = g.nodes
@@ -135,9 +182,11 @@ def test_grid_field_profile_equals_the_per_field_path(n, h, monkeypatch):
     p_mu = lambda rel: rel[:, 0] ** 2 - rel[:, -1] ** 2
     q_mu = lambda rel: 0.5 * rel[:, 0] * rel[:, -1]
     prof = compute_profile(u, v, c, radii, spec)
-    H, B, D0, D, M = _per_field_profile(u, v, c, prof.radii, spec, 2.0, p_mu, q_mu)
-    assert (prof.H == H).all() and (prof.B == B).all()
-    assert (prof.D0 == D0).all() and (prof.D == D).all()
+    ref = _per_point_set_profile(u, v, c, radii, spec)
+    assert (prof.H == ref.H).all() and (prof.B == ref.B).all()
+    assert (prof.D0 == ref.D0).all() and (prof.D == ref.D).all()
+    M = np.array([(w @ ((us - p_mu(rel)) ** 2 + (vs - q_mu(rel)) ** 2)) / r ** (n + 2 * 2.0)
+                  for r, (rel, w, us, vs) in zip(ref.radii, ref.surface)])
     reads = []
     interp_box = HalfBallGrid.interp_box
     monkeypatch.setattr(HalfBallGrid, "interp_box",
@@ -147,7 +196,7 @@ def test_grid_field_profile_equals_the_per_field_path(n, h, monkeypatch):
     monkeypatch.undo()
     assert np.array_equal(curve, np.where(prof.degenerate, np.nan, M), equal_nan=True)
 
-    # analytic fields wrapping one grid field each: the pair is read field by field
+    # analytic fields wrapping one grid field each read the same values
     fu, fv = AnalyticField(u, grid=g), AnalyticField(v, grid=g)
     fit, ref = blowup_fit(u, v, c, radii, 2), blowup_fit(fu, fv, c, radii, 2)
     assert np.array_equal(fit.residuals, ref.residuals, equal_nan=True)
@@ -299,11 +348,9 @@ def test_analytic_field_probe_uses_supplied_derivatives():
     assert f.laplacian(below)[0] == pytest.approx(0.5, abs=1e-14)
 
 
-@pytest.mark.parametrize("n,h", [(1, 1.0 / 32), (2, 1.0 / 16)])
-def test_gradients_below_the_face_are_those_of_the_even_extension(n, h):
-    """At a mirrored point every gradient reader returns the gradient at the
-    point above with d/dy flipped: both field kinds, and both ways
-    `_PairSampler` reads a pair (stacked and field by field)."""
+def _test_fields(n, h):
+    """x y^2 as a ScalarField, with closed-form and differenced gradients as
+    AnalyticFields, and cos(x) cosh(y) as a ScalarField, on the (n, h) grid."""
     g = build_grid(n, h)
 
     def f(p):
@@ -316,12 +363,24 @@ def test_gradients_below_the_face_are_those_of_the_even_extension(n, h):
 
     u = ScalarField(g, f(g.nodes))
     v = ScalarField(g, np.cos(g.nodes[:, 0]) * np.cosh(g.nodes[:, -1]))
-    closed, differenced = AnalyticField(f, g, gradient=df), AnalyticField(f, g)
+    return df, u, v, AnalyticField(f, g, gradient=df), AnalyticField(f, g)
+
+
+def _above_and_below(n):
     rng = np.random.default_rng(3)
     above = rng.uniform(-0.5, 0.5, size=(40, n + 1))
     above[:, -1] = np.abs(above[:, -1]) + 0.05
     flip = np.append(np.ones(n), -1.0)
-    below = above * flip
+    return above, above * flip, flip
+
+
+@pytest.mark.parametrize("n,h", [(1, 1.0 / 32), (2, 1.0 / 16)])
+def test_gradients_below_the_face_are_those_of_the_even_extension(n, h):
+    """At a mirrored point every gradient reader returns the gradient at the
+    point above with d/dy flipped: both field kinds, through `gradient` and
+    through `with_gradient`."""
+    df, u, v, closed, differenced = _test_fields(n, h)
+    above, below, flip = _above_and_below(n)
     for w in (u, v, closed, differenced):
         assert np.array_equal(w.gradient(below), w.gradient(above) * flip)
     assert np.abs(u.gradient(below) - df(above) * flip).max() < 4.0 * h
@@ -329,14 +388,42 @@ def test_gradients_below_the_face_are_those_of_the_even_extension(n, h):
         assert np.allclose(closed.gradient([[0.3, -0.4]]), [[0.16, -0.24]], atol=1e-15)
         assert np.allclose(u.gradient([[0.3, -0.4]]), [[0.16, -0.24]], atol=5e-3)
 
-    stacked, per_field = _PairSampler(u, v), _PairSampler(closed, v)
-    assert stacked.stack is not None and per_field.stack is None
-    su, sv, sgu, sgv = stacked.with_gradients(below)
+    su, sgu = u.with_gradient(below)
+    sv, sgv = v.with_gradient(below)
     assert np.array_equal(su, u(below)) and np.array_equal(sv, v(below))
     assert np.array_equal(sgu, u.gradient(below)) and np.array_equal(sgv, v.gradient(below))
-    fu, fv, fgu, fgv = per_field.with_gradients(below)
+    fu, fgu = closed.with_gradient(below)
     assert np.array_equal(fgu, closed.gradient(above) * flip)
-    assert np.array_equal(fgv, sgv)
+    assert np.array_equal(v.with_gradient(below)[1], sgv)
+
+
+def _per_axis_gradient(w, pts):
+    """A ScalarField's gradient read box by box: one ghost-filled box of
+    central differences per axis, each interpolated on its own."""
+    g, box = w.grid, w.ghost_box()
+    out = np.empty_like(pts)
+    for ax in range(g.n + 1):
+        d = (_shift(box, ax, -1) - _shift(box, ax, 1)) / (2.0 * g.h)
+        if ax == g.n:
+            d[..., 0] = 0.0
+        out[:, ax] = g.interp_box(g.fill_extension(d), pts)
+    return _even_gradient(pts, out)
+
+
+@pytest.mark.parametrize("n,h", [(1, 1.0 / 32), (2, 1.0 / 16)])
+def test_with_gradient_is_the_value_read_and_the_gradient_read(n, h):
+    """One stacked read gives, bit for bit, the values of `w(pts)` and the
+    gradient of `w.gradient(pts)`, for both field kinds, above and below the
+    face; a ScalarField's gradient is that of its boxes read axis by axis."""
+    _, u, v, closed, differenced = _test_fields(n, h)
+    above, below, _ = _above_and_below(n)
+    for pts in (above, below):
+        for w in (u, v, closed, differenced):
+            values, grad = w.with_gradient(pts)
+            assert np.array_equal(values, w(pts))
+            assert np.array_equal(grad, w.gradient(pts))
+        for w in (u, v):
+            assert np.array_equal(w.with_gradient(pts)[1], _per_axis_gradient(w, pts))
 
 
 def test_instruments_refuse_plain_callables():

@@ -39,11 +39,12 @@ def test_transcribe_keeps_the_extension_outputs(tmp_path):
                  if not name.startswith("verify-")]
     assert [name for name, _ in extension] == [
         "extension-check.txt", "extension-check-modes-1,2,3,5,8-height-16.txt",
-        "demo-extension_identity.txt"]
+        "demo-extension_identity.txt", "demo-free_boundary_tour.txt",
+        "demo-solve_and_profile.txt"]
     same_bytes.transcribe(_PATH.parent.parent, tmp_path, extension)
     codes = json.loads((tmp_path / "transcript_exit_codes.json").read_text())
     # mode 8 reads 1.9559, so the spread across 1, 2, 3, 5, 8 exceeds 2%
-    assert list(codes.values()) == [0, 1, 0]
+    assert list(codes.values()) == [0, 1, 0, 0, 0]
     default = (tmp_path / "extension-check.txt").read_text().splitlines()
     assert [line.split()[0] for line in default[1:4]] == ["1", "2", "3"]
     assert default[-2] == "spread 0.002912 (target <= 0.02): pass"
@@ -53,6 +54,12 @@ def test_transcribe_keeps_the_extension_outputs(tmp_path):
     demo = (tmp_path / "demo-extension_identity.txt").read_text()
     assert demo.startswith("strip resolution: 256 x 490, height 12.0\n")
     assert "calibrated constant: 1.996579 (target 2)" in demo
+    # the demos that profile and analyze free-boundary points, down to h = 1/64
+    tour = (tmp_path / "demo-free_boundary_tour.txt").read_text()
+    assert tour.count("h = 1/64: 1 free-boundary point(s)\n") == 2
+    assert "mu_hat  0.9970  mu_int 1" in tour
+    profile = (tmp_path / "demo-solve_and_profile.txt").read_text()
+    assert "frequency at r -> 0  0.9933 (nearest integer: 1)\n" in profile
 
 
 def test_strip_times_drops_only_the_time_that_ends_a_check_line():

@@ -22,7 +22,8 @@ and writes each run's artifacts, plus the exit code of every run in
 `exit_codes.json`. Then each command of `TRANSCRIPTS` runs in a process of
 its own: `bilaplab verify --level quick` and `--level full`, `bilaplab
 extension-check` with its defaults and with `--modes 1,2,3,5,8 --height 16`,
-and `demos/extension_identity.py`. Each one's stdout is kept in its file,
+and the three demos (`free_boundary_tour.py` profiles and analyzes points
+at h = 1/64, which no run above reaches). Each one's stdout is kept in its file,
 without the wall time that ends each `verify` check line, and the exit codes
 go to `transcript_exit_codes.json`. The command prints every file that
 differs between the two sides, a file present on one side only included,
@@ -56,6 +57,8 @@ TRANSCRIPTS = [
     ("extension-check-modes-1,2,3,5,8-height-16.txt",
      ["-m", "bilaplab.cli", "extension-check", "--modes", "1,2,3,5,8", "--height", "16"]),
     ("demo-extension_identity.txt", ["demos/extension_identity.py"]),
+    ("demo-free_boundary_tour.txt", ["demos/free_boundary_tour.py"]),
+    ("demo-solve_and_profile.txt", ["demos/solve_and_profile.py"]),
 ]
 # the wall time `verify` prints at the end of each check line
 _CHECK_TIME = re.compile(r"  \d+\.\d\d s$", re.MULTILINE)
