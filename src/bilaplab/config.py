@@ -242,8 +242,8 @@ def _check_ladders(config: RunConfig, grid) -> None:
     """A ConfigError naming its key, before the solve, for a ball an instrument
     would refuse: `default_radii` of each configured center ('centers') or of
     the origin ('h'), and `ball_center` of each explicit radius ('radii'). The
-    gamma stage's points are found only by the solve; `analyze_point` skips
-    one too near the face edge for `default_radii` with a note."""
+    gamma stage's points are found only by the solve; `run` skips one that
+    has no admissible ball with a note."""
     def check(key, rule, c, *radius):
         try:
             rule(grid, [c] + [0.0] * (config.spec.n - 1), *radius)
@@ -263,9 +263,10 @@ def _check_ladders(config: RunConfig, grid) -> None:
 def run(config: RunConfig) -> Path:
     """Execute the configured stages, then write the artifact directory. Stage
     inputs that would fail (the gamma stage at n = 2, `_check_ladders`) are a
-    ConfigError before the solve, and a run that fails writes nothing. A
-    free-boundary point that `analyze_point` left without a profile is an
-    auto center whose profile entry holds only the reason, with no CSV."""
+    ConfigError before the solve, and a run that fails writes nothing. An
+    auto center at a free-boundary point with no admissible ball (too near
+    the face edge for `default_radii`, or the sphere for the explicit radii)
+    has a profile entry holding only the reason, and no CSV."""
     if "gamma" in config.stages and config.spec.n != 1:
         raise ConfigError("key 'n': the free boundary (stage gamma, `bilaplab blowup`) "
                           "is extracted at n = 1 only")
@@ -316,9 +317,14 @@ def run(config: RunConfig) -> Path:
         known = {} if config.radii else {pt.x: pt for pt in points}
         for c in centers:
             thin_c = [c] + [0.0] * (spec.n - 1)  # x at n = 1; the face origin at n = 2
-            if c in known and known[c].profile is None:  # too near the face edge
-                summary["profiles"][_center_tag(c)] = {
-                    "center": c, "profile_error": known[c].metadata["profile_error"]}
+            error = known[c].metadata.get("profile_error") if c in known else None
+            if config.radii and config.centers is None:
+                try:  # an auto center may lie too near the sphere for the largest radius
+                    ball_center(grid, thin_c, config.radii[-1])
+                except ValueError as exc:
+                    error = str(exc)
+            if error is not None:
+                summary["profiles"][_center_tag(c)] = {"center": c, "profile_error": error}
                 continue
             if c in known:
                 prof, almgren_c = known[c].profile, known[c].almgren_constant

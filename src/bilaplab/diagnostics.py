@@ -26,7 +26,7 @@ Each field reads itself, one ScalarField read being one `interp_box` call.
 directions, reads u once and v once per radius on the surface, solid and
 thin points together, and keeps copies of its half-sphere samples, from
 which `monneau_curve` reads M_mu; a radius ladder on one direction set is
-`_ladder`.
+`_ladder`, and a quantity's ladder in h (h, h/2, ...) a `refinement` study.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .problem import AnalyticField, ProblemSpec, ScalarField, thin_reaction
 
 DEGENERATE_FACTOR = 1e-14  # H below this times sup(u^2+v^2) is flagged
 FACE_GAUSS_POINTS = 64  # Gauss-Legendre points per half-chord in face_mean_value_term
+SETTLED_CUT = 0.1  # settled: 3+ values, last two Richardson values within this x last step
 
 
 # ---------------------------------------------------------------------------
@@ -413,3 +414,36 @@ def minimal_monneau_constant(radii, M) -> float:
     need = (-(np.diff(f)) - 1e-3) / np.diff(r)
     c = max(0.0, float(need.max()))
     return c if c <= 50.0 else float("nan")
+
+
+# ---------------------------------------------------------------------------
+# refinement in h
+
+
+@dataclass(frozen=True)
+class Refinement:
+    """q at h, h/2, h/4, ...: `errors` (q less its known limit, else the steps
+    q(h) - q(h/2)), `ratios[i]` = errors[i] / errors[i+1] and `orders` their
+    log2, and `extrapolated` = 2 q(h/2) - q(h) of the last pair (order 1)."""
+
+    errors: np.ndarray
+    ratios: np.ndarray
+    orders: np.ndarray
+    extrapolated: float
+    settled: bool
+
+    def shrinks(self, growth: float, floor: float = 0.0) -> bool:
+        """Every |errors[i+1]| <= growth |errors[i]| + floor."""
+        e = np.abs(self.errors)
+        return bool((e[1:] <= growth * e[:-1] + floor).all())
+
+
+def refinement(values, limit=None) -> Refinement:
+    """The `Refinement` of two or more values at h, h/2, ...; `limit`: their known limit or None."""
+    q = np.asarray(values, dtype=np.float64)
+    errors = q[:-1] - q[1:] if limit is None else q - limit
+    rich = 2.0 * q[1:] - q[:-1]
+    settled = q.size >= 3 and abs(rich[-1] - rich[-2]) <= SETTLED_CUT * abs(q[-1] - q[-2])
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 and x/0 read NaN and inf
+        ratios = errors[:-1] / errors[1:]
+        return Refinement(errors, ratios, np.log2(ratios), float(rich[-1]), bool(settled))

@@ -10,7 +10,8 @@ the h = 1/64 refinement studies and the oracle comparisons at h = 1/16
 
 Corpus solves are memoized per process so the suite and the test harness share
 them. The three corpus configurations exercise p = 2 against p = 3 and
-symmetric against asymmetric phase weights.
+symmetric against asymmetric phase weights. Each per-halving rule (checks 4,
+7, 8 and 10) reads one `diagnostics.refinement` study of its h-ladder.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .diagnostics import (
     minimal_monneau_constant,
     monneau_curve,
     poincare_check,
+    refinement,
     rellich_residual,
     trace_check,
 )
@@ -168,9 +170,8 @@ def check_analytic_frequency(level: str = "quick") -> CheckResult:
 def check_almgren_monotonicity(level: str = "quick") -> CheckResult:
     h_list = (32,) if level == "quick" else (32, 64)
     worst_c, ok, notes = 0.0, True, []
-    per_h: dict[str, dict[int, float]] = {}
-    for tag in CORPUS:
-        per_h[tag] = {}
+    per_h: dict[str, dict[int, float]] = {tag: {} for tag in CORPUS}
+    for tag, by_h in per_h.items():
         for h_inv in h_list:
             cs = [pt.almgren_constant for pt in corpus_points(tag, h_inv)]
             if not cs or any(np.isnan(c) for c in cs):
@@ -178,18 +179,17 @@ def check_almgren_monotonicity(level: str = "quick") -> CheckResult:
                 notes.append(f"{tag}@1/{h_inv}: no admissible C")
                 continue
             c = max(cs)
-            per_h[tag][h_inv] = c
+            by_h[h_inv] = c
             worst_c = max(worst_c, c)
             ok &= c <= 50.0
-    if level == "full":
-        for tag, by_h in per_h.items():
-            if 32 in by_h and 64 in by_h:
-                c32, c64 = by_h[32], by_h[64]
-                # 0.01 is one step of the constant scan, the measurement floor
-                stable = abs(c64 - c32) <= 0.2 * max(c32, c64) + 0.01
-                ok &= stable
-                notes.append(f"{tag}: C(1/32)={c32:.2f} C(1/64)={c64:.2f}"
-                             + ("" if stable else " UNSTABLE"))
+    for tag, by_h in per_h.items():
+        if 32 in by_h and 64 in by_h:  # full, with C at both h
+            c32, c64 = by_h[32], by_h[64]
+            # 0.01 is one step of the constant scan, the measurement floor
+            stable = abs(refinement([c32, c64]).errors[0]) <= 0.2 * max(c32, c64) + 0.01
+            ok &= stable
+            notes.append(f"{tag}: C(1/32)={c32:.2f} C(1/64)={c64:.2f}"
+                         + ("" if stable else " UNSTABLE"))
     return CheckResult(
         "Almgren near-monotonicity",
         "fitted C in [0,50], slack 1e-3; stable 1/32->1/64 within 20%",
@@ -301,11 +301,6 @@ def odd_in_x(spec: ProblemSpec) -> bool:
     return bool(np.allclose(gm, -g, rtol=0.0, atol=1e-12 * max(1.0, np.abs(g).max())))
 
 
-def _grows_within_rule(seq) -> bool:
-    """Each entry at most 25% above its predecessor, beyond a 1e-8 floor."""
-    return all(seq[i + 1] <= 1.25 * seq[i] + 1e-8 for i in range(len(seq) - 1))
-
-
 def check_v_vanishes(level: str = "quick") -> CheckResult:
     h_list = (16, 32) if level == "quick" else (16, 32, 64)
     ok, notes, n_forced = True, [], 0
@@ -324,7 +319,7 @@ def check_v_vanishes(level: str = "quick") -> CheckResult:
             # C stable across h: each refinement may not grow the constant by
             # more than 25% beyond an absolute floor for exactly-vanishing cases
             cs = [max(f) * h_inv for f, h_inv in zip(forced, h_list)]
-            stable = _grows_within_rule(cs)
+            stable = refinement(cs, limit=0.0).shrinks(1.25, 1e-8)
             ok &= stable
             notes.append(f"{tag}: forced C_h = " + "/".join(f"{c:.2f}" for c in cs)
                          + ("" if stable else " GROWS"))
@@ -338,8 +333,7 @@ def check_v_vanishes(level: str = "quick") -> CheckResult:
             notes.append(f"{tag}: point count changes across h")
             continue
         for vals in zip(*other):
-            # the limit exists: successive changes across h shrink
-            stable = _grows_within_rule(np.abs(np.diff(vals)))
+            stable = refinement(vals).shrinks(1.25, 1e-8)  # a limit exists: the steps shrink
             ok &= stable
             notes.append(f"{tag}: v(x*) = " + "/".join(f"{v:.4f}" for v in vals)
                          + ("" if stable else " DRIFTS"))
@@ -361,14 +355,10 @@ def check_v_vanishes(level: str = "quick") -> CheckResult:
 def check_weak_residual_refinement(level: str = "quick") -> CheckResult:
     ok, notes = True, []
     for tag in CORPUS:
-        res = []
-        for h_inv in (8, 16, 32):
-            r = weak_residual(corpus_solve(tag, h_inv), corpus_spec(tag, h_inv), seed=0)
-            res.append(r)
-        orders = [float(np.log2(res[i] / res[i + 1])) for i in range(len(res) - 1)]
-        good = all(o >= 1.0 for o in orders)
-        ok &= good
-        notes.append(f"{tag}: orders " + "/".join(f"{o:.2f}" for o in orders))
+        study = refinement([weak_residual(corpus_solve(tag, h_inv), corpus_spec(tag, h_inv), seed=0)
+                            for h_inv in (8, 16, 32)], limit=0.0)
+        ok &= study.shrinks(0.5)  # each halving at least halves the residual: order >= 1
+        notes.append(f"{tag}: orders " + "/".join(f"{o:.2f}" for o in study.orders))
     return CheckResult(
         "weak residual refinement",
         "per-halving order >= 1.0 across h in {1/8,1/16,1/32}",
@@ -494,10 +484,10 @@ def check_integral_identities(level: str = "quick") -> CheckResult:
         fld = AnalyticField(val, grid, grad, lap)
         fine = AnalyticField(val, finer, grad, lap)
         r512 = rellich_residual(fld, [0.0], 0.9)
-        r1024 = rellich_residual(fine, [0.0], 0.9)
+        study = refinement([r512, rellich_residual(fine, [0.0], 0.9)], limit=0.0)
         worst_res = max(worst_res, r512)
-        worst_ratio = min(worst_ratio, r512 / max(r1024, 1e-300))
-        ok &= r512 <= 1e-3 and r1024 <= 0.5 * r512 + 1e-13
+        worst_ratio = min(worst_ratio, study.ratios[0])
+        ok &= r512 <= 1e-3 and study.shrinks(0.5, 1e-13)
         for r in (0.5, 0.9):
             pl, pr = poincare_check(fld, r)
             tl, tr = trace_check(fld, r)

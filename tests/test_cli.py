@@ -161,6 +161,25 @@ def test_a_free_boundary_point_near_the_face_edge_is_skipped_with_a_note(tmp_pat
                         for pt in points}
 
 
+def test_explicit_radii_an_auto_center_cannot_fit_are_skipped_with_a_note(tmp_path):
+    """With explicit radii 1/8 and 1/4 and auto centers, the free-boundary
+    points at x = +-0.868 fit r = 1/8 but not r = 1/4 inside the unit ball:
+    the run exits normally, each point's profile entry holds only the
+    reason, and no profile is written. With r = 1/8 alone both are profiled."""
+    out = run(parse_config(NEAR_EDGE + "radii = 0.125;0.25\n" + f"output = {tmp_path / 'a'}\n"))
+    assert sorted(os.listdir(out)) == ["config.txt", "fields.csv", "gamma.csv", "summary.json"]
+    summary = json.loads((out / "summary.json").read_text())
+    xs = [pt["x"] for pt in summary["points"]]
+    assert [round(x, 3) for x in xs] == [-0.868, 0.868]
+    reason = "ball B_r(center) not contained in the unit ball"
+    assert summary["profiles"] == {f"{x:+.4f}": {"center": x, "profile_error": reason}
+                                   for x in xs}
+    out = run(parse_config(NEAR_EDGE + "radii = 0.125\n" + f"output = {tmp_path / 'b'}\n"))
+    profiles = json.loads((out / "summary.json").read_text())["profiles"]
+    assert [profiles[f"{x:+.4f}"]["radii"] for x in xs] == [[0.125], [0.125]]
+    assert all(f"profile_{x:+.4f}.csv" in os.listdir(out) for x in xs)
+
+
 def test_run_writes_artifact_tree(tmp_path):
     cfg = parse_config(BASE + f"output = {tmp_path / 'art'}\n")
     out = run(cfg)

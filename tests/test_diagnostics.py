@@ -1,4 +1,6 @@
-"""Radial functionals, integral identities, and fitting helpers."""
+"""Radial functionals, integral identities, fitting helpers, and refinement in h."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from bilaplab.diagnostics import (
     minimal_monneau_constant,
     monneau_curve,
     poincare_check,
+    refinement,
     rellich_residual,
     trace_check,
 )
@@ -439,3 +442,88 @@ def test_instruments_refuse_plain_callables():
         growth_fit(w, 0.0, radii)
     with pytest.raises(TypeError):
         AnalyticField(w)
+
+
+def test_refinement_of_a_first_order_ladder_extrapolates_its_limit():
+    """q = L + c 2^-k: every step halves, so each order is 1, the order-1
+    Richardson value is L, and the Richardson values agree: settled."""
+    q = 0.75 + 0.3 * 2.0 ** -np.arange(5)
+    study = refinement(q)
+    assert np.allclose(study.errors, 0.3 * 2.0 ** -np.arange(1, 5))
+    assert np.allclose(study.ratios, 2.0, rtol=1e-12)
+    assert np.allclose(study.orders, 1.0, atol=1e-12)
+    assert study.extrapolated == pytest.approx(0.75, abs=1e-14)
+    assert study.settled
+
+
+def test_refinement_of_a_second_order_ladder():
+    q = 2.0 - 0.5 * 4.0 ** -np.arange(5)
+    study = refinement(q)
+    assert np.allclose(study.orders, 2.0, atol=1e-12)
+    # an order-1 extrapolation of an order-2 ladder keeps moving
+    assert not study.settled
+
+
+def test_refinement_with_a_known_limit_reads_the_values_themselves():
+    q = np.array([3e-2, 7e-3, 2e-3, 4e-4])
+    study = refinement(q, limit=0.0)
+    assert np.array_equal(study.errors, q)
+    assert np.allclose(study.orders, np.log2(q[:-1] / q[1:]), rtol=0, atol=1e-15)
+    assert study.shrinks(0.5) and not study.shrinks(0.2)
+
+
+def test_shrinks_keeps_the_growth_and_floor_arithmetic():
+    """|e[i+1]| <= growth |e[i]| + floor, the floor letting a vanishing
+    quantity through and the sign of an error not counting."""
+    assert refinement([1.0, 1.25], limit=0.0).shrinks(1.25)
+    assert not refinement([1.0, 1.26], limit=0.0).shrinks(1.25)
+    assert refinement([0.0, 5e-9, 1e-8], limit=0.0).shrinks(1.25, 1e-8)
+    assert not refinement([0.0, 5e-9, 2e-8], limit=0.0).shrinks(1.25, 1e-8)
+    assert not refinement([0.0, 0.1, 0.05], limit=0.0).shrinks(2.0)  # no floor, no growth from 0
+    steps = refinement([0.0, -0.1, 0.05])  # steps 0.1 and -0.15
+    assert not steps.shrinks(1.0) and steps.shrinks(2.0)
+
+
+@pytest.mark.parametrize("values, limit", [
+    ([0.0, 0.0, 0.0, 0.0], 0.0),
+    ([1.0, 1.0, 1.0], None),
+    ([1.0, 0.0, 0.0], 0.0),
+    ([0.3, 0.2], None),
+    ([0.3, 0.0], 0.0),
+], ids=["zero errors", "zero steps", "x/0 and 0/0", "one step", "two values"])
+def test_refinement_raises_no_warning_on_zero_errors_or_two_values(values, limit):
+    """Zero errors and two-value ladders raise no RuntimeWarning; a ratio
+    0/0 reads NaN and x/0 reads inf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        study = refinement(values, limit=limit)
+    assert study.ratios.size == study.errors.size - 1
+    e = np.asarray(study.errors)
+    for i, r in enumerate(study.ratios):
+        if e[i] == 0.0 and e[i + 1] == 0.0:
+            assert np.isnan(r)
+        elif e[i + 1] == 0.0:
+            assert np.isinf(r)
+
+
+def test_fewer_than_three_values_never_read_settled():
+    assert not refinement([1.0, 1.0]).settled
+    assert not refinement([0.5, 0.25], limit=0.0).settled
+    assert refinement([1.0, 1.0, 1.0]).settled  # a constant has settled
+
+
+def test_shrinks_decides_like_the_per_entry_growth_rule():
+    """On nonnegative ladders, shrinks(1.25, 1e-8) with limit 0 is the rule
+    seq[i+1] <= 1.25 seq[i] + 1e-8 evaluated entry by entry in Python floats,
+    ladders that meet the bound exactly included."""
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        seq = list(rng.uniform(0.0, 1e-7, size=rng.integers(2, 6)))
+        if rng.random() < 0.5:  # put one entry exactly on the bound
+            i = int(rng.integers(0, len(seq) - 1))
+            seq[i + 1] = 1.25 * seq[i] + 1e-8
+        rule = all(seq[i + 1] <= 1.25 * seq[i] + 1e-8 for i in range(len(seq) - 1))
+        assert refinement(seq, limit=0.0).shrinks(1.25, 1e-8) == rule
+        steps = list(np.abs(np.diff(seq)))
+        rule = all(steps[i + 1] <= 1.25 * steps[i] + 1e-8 for i in range(len(steps) - 1))
+        assert refinement(seq).shrinks(1.25, 1e-8) == rule

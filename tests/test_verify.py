@@ -1,11 +1,14 @@
-"""Negative controls for acceptance checks 6 and 7: the clauses can fail."""
+"""Negative controls for acceptance checks 4, 6, 7 and 8 (the clauses can
+fail), and the refinement study on the corpus energy ladders."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
 
 from bilaplab import verify
+from bilaplab.diagnostics import refinement
 
 
 @pytest.mark.parametrize("h_inv", [16, 32])
@@ -41,3 +44,61 @@ def test_check_v_vanishes_fails_without_forced_point(monkeypatch):
     result = verify.check_v_vanishes("quick")
     assert not result.passed
     assert "no symmetry-forced point" in result.measured
+
+
+def test_corpus_energy_ladders_read_settled_only_where_the_order_has_settled():
+    """asym-p2's order-1 Richardson energies at h = 1/128 and 1/256 agree to
+    1e-5 and its ladder 1/16 ... 1/256 reads settled; sym-p3's ladder
+    1/16 ... 1/64, whose orders are 1.55 and 1.51, does not."""
+    asym = [verify.corpus_solve("asym-p2", k).energy for k in (16, 32, 64, 128, 256)]
+    assert abs(refinement(asym).extrapolated - refinement(asym[:-1]).extrapolated) <= 1e-5
+    assert refinement(asym).settled
+    assert not refinement([verify.corpus_solve("sym-p3", k).energy for k in (16, 32, 64)]).settled
+
+
+def _fabricated_points(monkeypatch, ladder):
+    """`verify.corpus_points(tag, h_inv)` serves the points described by
+    ladder[tag][h_inv], each a dict of attributes, instead of solving. The
+    memoized corpus functions are replaced, not refilled, so no cache sees
+    a fabricated point."""
+    monkeypatch.setattr(verify, "corpus_points", lambda tag, h_inv: tuple(
+        types.SimpleNamespace(**attrs) for attrs in ladder[tag][h_inv]))
+
+
+@pytest.mark.parametrize("c64, passes", [(1.1, True), (1.5, False)], ids=["stable", "moves"])
+def test_check_almgren_monotonicity_fails_when_the_constant_moves(monkeypatch, c64, passes):
+    """C = 1.0 at 1/32 and c64 at 1/64: within 20% (plus 0.01) is stable."""
+    _fabricated_points(monkeypatch, {tag: {32: [{"almgren_constant": 1.0}],
+                                           64: [{"almgren_constant": c64}]}
+                                     for tag in verify.CORPUS})
+    result = verify.check_almgren_monotonicity("full")
+    assert result.passed == passes
+    assert result.measured.count("UNSTABLE") == (0 if passes else 3)
+
+
+@pytest.mark.parametrize("forced_c, v_asym, passes, note", [
+    ((0.01, 0.0125, 0.0125), (0.1196, 0.1245, 0.1278), True, None),
+    ((0.01, 0.02, 0.04), (0.1196, 0.1245, 0.1278), False,
+     "sym-p2: forced C_h = 0.01/0.02/0.04 GROWS"),
+    ((0.01, 0.0125, 0.0125), (0.10, 0.12, 0.16), False,
+     "asym-p2: v(x*) = 0.1000/0.1200/0.1600 DRIFTS"),
+], ids=["holds", "forced C grows", "v drifts"])
+def test_check_v_vanishes_fails_when_the_ladder_breaks_its_rule(monkeypatch, forced_c, v_asym,
+                                                               passes, note):
+    """Check 7 at full, on fabricated points: |v| = C_h h on the axis of the
+    odd configs and v_asym at the regular asym-p2 crossing."""
+    h_list = (16, 32, 64)
+    ladder = {tag: {k: [{"x": 0.0, "value_v": c / k}] for k, c in zip(h_list, forced_c)}
+              for tag in ("sym-p2", "sym-p3")}
+    ladder["asym-p2"] = {k: [{"x": 0.3, "value_v": v}] for k, v in zip(h_list, v_asym)}
+    _fabricated_points(monkeypatch, ladder)
+    result = verify.check_v_vanishes("full")
+    assert result.passed == passes
+    assert passes or note in result.measured
+
+
+def test_check_weak_residual_refinement_fails_on_a_residual_that_does_not_shrink(monkeypatch):
+    monkeypatch.setattr(verify, "weak_residual", lambda res, spec, seed=0: 1e-3)
+    result = verify.check_weak_residual_refinement("quick")
+    assert not result.passed
+    assert result.measured.count("orders 0.00/0.00") == 3
