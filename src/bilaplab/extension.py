@@ -186,8 +186,8 @@ def dtn_compare(trace: FourierTrace, Y: float = 12.0) -> DtnReport:
     Mode by mode, Lap(f_k(y) cos(k x)) = (f_k'' - sigma_k f_k) cos(k x).
     f_k'' is the solve's central second difference in y, with the even
     reflection ghost f_{-1} = f_1 on the face row. sigma_k =
-    (2 - 2 cos(k dx)) / dy^2 is the symbol of the periodic second difference
-    in x, divided by dy^2 rather than dx^2. The one-sided second-order d/dy
+    (2 - 2 cos(k dx)) / dx^2 is the symbol of the periodic second difference
+    in x. The one-sided second-order d/dy
     of that Laplacian on the face gives ratio_k = d/dy Lap_k(0) / (|k|^3 a_k).
     """
     active = trace.active_modes()
@@ -202,7 +202,7 @@ def dtn_compare(trace: FourierTrace, Y: float = 12.0) -> DtnReport:
         f2 = np.array([2 * f[1] - 2 * f[0],  # face row: ghost f_{-1} = f_1
                        f[2] + f[0] - 2 * f[1],
                        f[3] + f[1] - 2 * f[2]]) / d ** 2
-        lap = f2 - (2.0 - 2.0 * np.cos(k * dx)) / d ** 2 * f[:3]
+        lap = f2 - (2.0 - 2.0 * np.cos(k * dx)) / dx ** 2 * f[:3]
         dlap = (-3.0 * lap[0] + 4.0 * lap[1] - lap[2]) / (2.0 * d)
         ratios[int(k)] = float(dlap) / (float(k) ** 3 * float(trace.coeffs[k]))
     mean = float(np.mean(list(ratios.values())))

@@ -11,18 +11,30 @@ gradient, the Armijo test and the stopping rule stay those of the true
 problem. 2 Kff is formed once per solve from `operators(grid).Kff`, and
 each Newton step writes the face diagonal into its thin-node diagonal
 entries (`operators(grid).thin_slots`). CG solves each Newton
-system preconditioned with (2 Kff)^-1, a transposed and a plain solve with
-one LU of L_ff, so its step count stays small at every h and every p. That
+system preconditioned with (2 Kff)^-1, two transposed solves with one LU of
+L_ff, so its step count stays small at every h and every p. That
 LU is factored in SuperLU's symmetric mode (minimum-degree ordering on
 L_ff + L_ff^T, no pivoting), which holds about half the fill of the default
-column ordering. The factor, like 2 Kff's pattern, depends on the grid
-alone: `build_grid` hands every spec with the same (n, h) one grid, and
-`_laplace_factor` keeps the factor of the last grid it was asked for, so
-consecutive solves on one lattice factor L_ff once.
+column ordering. Every solve with it is a transposed solve, SuperLU's
+faster path: D L_ff is symmetric for D = omega / h^(n+1), so
+L_ff^-1 y = D^-1 L_ff^-T (D y). The factor, like 2 Kff's pattern, depends
+on the grid alone: `build_grid` hands every spec with the same (n, h) one
+grid, and `_laplace_factor` keeps the factor of the last grid it was asked
+for, so consecutive solves on one lattice factor L_ff once.
+
+CG stops once its residual's 2-norm is below CG_FLOOR = 0.1 times the
+Newton tolerance: for the quadratic model that residual is the next
+gradient, and a smaller one cannot change the sup-norm stopping test
+(inexact Newton, Dembo-Eisenstat-Steihaug).
 
 Near a p < 2 minimizer a Newton step can predict a decrease below the
 rounding of J, where Armijo compares noise; the unit step is then taken
 when that prediction and the change of J are both within 1e-13 (1 + |J|).
+For p < 2 each step also sets the face nodes of `face_phase` 0 to exactly
+0. A Newton step on c|u|^p maps u to u (1 - 1/(p - 1)), so it never
+shrinks a trace that is 0 up to rounding, as u(0) of an odd problem is,
+and the gradient 2 face_w lambda |u|^(p-1) there stayed above the
+tolerance.
 """
 
 from __future__ import annotations
@@ -48,6 +60,7 @@ from .problem import (
 )
 
 ARMIJO_SLOPE = 1e-4
+CG_FLOOR = 0.1  # CG's residual 2-norm target, as a share of the Newton tolerance
 MAX_BACKTRACKS = 50
 ROUNDING_FLOOR = 1e-13  # relative size of changes of J taken as rounding
 # solid points per chunk of the weak-residual pass
@@ -140,12 +153,19 @@ def _laplace_factor(grid):
 
 
 def _split_preconditioner(grid) -> spla.LinearOperator:
-    """(2 Kff)^-1 = 1/2 L_ff^-1 diag(omega)^-1 L_ff^-T, applied with the LU of L_ff."""
+    """(2 Kff)^-1 = 1/2 L_ff^-1 diag(omega)^-1 L_ff^-T, as two transposed solves.
+
+    With D = omega / h^(n+1) (1, and 1/2 on the thin rows), D L_ff is
+    symmetric, so L_ff^-1 y = D^-1 L_ff^-T (D y) and
+    (2 Kff)^-1 x = 1/2 h^-(n+1) D^-1 L_ff^-T (L_ff^-T x) = L_ff^-T (L_ff^-T x) / (2 omega).
+    SuperLU's transposed solve with the symmetric-mode factor of L_ff is
+    the faster of its two (see the README's cost of the Newton solve).
+    """
     lu, scale = _laplace_factor(grid), 0.5 / operators(grid).omega
     # dtype given, so scipy does not apply the operator to a zero vector to find it
     return spla.LinearOperator(
         (scale.size, scale.size), dtype=np.float64,
-        matvec=lambda x: lu.solve(scale * lu.solve(np.ravel(x), trans="T")))
+        matvec=lambda x: scale * lu.solve(lu.solve(np.ravel(x), trans="T"), trans="T"))
 
 
 def harmonic_extension(spec: ProblemSpec) -> ScalarField:
@@ -154,14 +174,17 @@ def harmonic_extension(spec: ProblemSpec) -> ScalarField:
     Used as the default initial iterate: it already matches the boundary
     values and satisfies the face reflection condition. It solves with
     `_laplace_factor(grid)`, which the Newton preconditioner then reuses; the
-    factor is kept until a solve on another grid.
+    factor is kept until a solve on another grid. Like the preconditioner it
+    takes the transposed solve: L_ff^-1 rhs = D^-1 L_ff^-T (D rhs), with D the
+    symmetrizer omega / h^(n+1) of `_split_preconditioner`.
     """
     grid = spec.grid()
     ops = operators(grid)
     rhs = -(ops.L[:, grid.pinned_ids] @ dirichlet_values(spec))
+    D = ops.omega / grid.h ** (grid.n + 1)
     w = np.zeros(grid.node_count)
     w[grid.pinned_ids] = dirichlet_values(spec)
-    w[grid.free_ids] = _laplace_factor(grid).solve(rhs)
+    w[grid.free_ids] = _laplace_factor(grid).solve(D * rhs, trans="T") / D
     return ScalarField(grid, w)
 
 
@@ -176,6 +199,7 @@ def _newton(spec: ProblemSpec, w: np.ndarray):
     H = 2.0 * ops.Kff
     base = H.data[slots].copy()
     on_thin = grid.node_class[grid.face_ids] == THIN
+    thin = grid.face_ids[on_thin]
     phase = face_phase(grid, w)[on_thin]
     M = _split_preconditioner(grid)
     trace: list[NewtonStep] = []
@@ -189,11 +213,15 @@ def _newton(spec: ProblemSpec, w: np.ndarray):
         return kind(message, ScalarField(grid, w), trace)
 
     for it in range(spec.max_iter + 1):
+        if spec.p < 2.0:
+            # a trace within rounding of 0 is 0: Newton on |u|^p does not shrink it
+            w[thin[phase == 0]] = 0.0
         J = energy_array(grid, w, spec)
         g = gradient_array(grid, w, spec)
         gf = g[free]
         gsup = float(np.abs(gf).max()) if E else 0.0
-        if gsup <= (spec.tol_grad if spec.tol_grad is not None else 1e-8 * (1.0 + abs(J))):
+        tol = spec.tol_grad if spec.tol_grad is not None else 1e-8 * (1.0 + abs(J))
+        if gsup <= tol:
             return w, J, gsup, trace
         if it == spec.max_iter:
             raise failure(ConvergenceError, f"no convergence in {spec.max_iter} Newton "
@@ -201,7 +229,7 @@ def _newton(spec: ProblemSpec, w: np.ndarray):
 
         H.data[slots] = base + face_hessian_diagonal(grid, w, spec, gsup)
         cg_steps = 0
-        d, info = spla.cg(H, -gf, rtol=1e-10, atol=0.0, maxiter=10 * E, M=M,
+        d, info = spla.cg(H, -gf, rtol=1e-10, atol=CG_FLOOR * tol, maxiter=10 * E, M=M,
                           callback=count)
         if info != 0:
             raise failure(LinearSolveError, f"conjugate gradient stalled (info={info})")
@@ -236,8 +264,9 @@ def minimize(spec: ProblemSpec) -> SolveResult:
     whose `u` satisfies sup|grad J| <= tolerance on the free nodes and whose
     `v` is `discrete_laplacian(u)`: the reflected star stencil at free nodes
     and 0 in the pinned band (v = 0 on the sphere). Each Newton step is one
-    CG solve preconditioned by the split Laplacian factor; `trace` records
-    every step and `cg_iterations` sums their CG steps. The factor is
+    CG solve preconditioned by the split Laplacian factor, stopped at
+    CG_FLOOR times the Newton tolerance; `trace` records every step and
+    `cg_iterations` sums their CG steps. The factor is
     `_laplace_factor(grid)`: a solve on the grid of the previous solve
     reuses it, and it is kept after this call returns, failed solves
     included, until a solve on another grid replaces it (at n = 2,

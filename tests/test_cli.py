@@ -124,13 +124,38 @@ def test_a_run_finishes_every_stage_or_writes_nothing(h_inv, tmp_path, capsys):
 
 
 def test_a_failed_solve_writes_nothing(tmp_path, capsys):
-    """The odd p = 1.5 problem does not converge (see CHANGES.md); the run
+    """lambda+- = 1e6 at p = 1.5 does not converge (see CHANGES.md); the run
     exits 1 and leaves no run directory."""
-    cfgfile = tmp_path / "odd.cfg"
-    cfgfile.write_text(f"p = 1.5\ng = harmonic:deg=1\nh = 0.0625\noutput = {tmp_path / 'odd'}\n")
+    cfgfile = tmp_path / "stiff.cfg"
+    cfgfile.write_text(f"p = 1.5\nlambda_plus = 1e6\nlambda_minus = 1e6\ng = harmonic:deg=1\n"
+                       f"h = 0.0625\noutput = {tmp_path / 'stiff'}\n")
     assert main(["solve", str(cfgfile)]) == 1
     assert "no convergence" in capsys.readouterr().err
-    assert not (tmp_path / "odd").exists()
+    assert not (tmp_path / "stiff").exists()
+
+
+# p near 1 and weights at the edges of what parse_config accepts: each of
+# lambda+- is 0 (refused), the default 1, or 1e6 (Newton cannot converge)
+EDGE_WEIGHTS = [(0, 0), (0, 1e6), (1e6, 0), (1e6, 1e6), (1e6, 1), (1, 1e6)]
+
+
+@pytest.mark.parametrize("p", [1.01, 1.1, 1.25])
+def test_every_edge_input_solves_or_fails_with_a_typed_error(p, tmp_path):
+    for lam_plus, lam_minus in EDGE_WEIGHTS:
+        out = tmp_path / f"{lam_plus}-{lam_minus}"
+        text = (BASE + f"p = {p}\nlambda_plus = {lam_plus}\nlambda_minus = {lam_minus}\n"
+                f"stages = solve\noutput = {out}\n")
+        try:
+            cfg = parse_config(text)
+        except ConfigError as exc:
+            assert 0 in (lam_plus, lam_minus) and "must be > 0" in str(exc)
+            continue
+        try:
+            solve = json.loads((run(cfg) / "summary.json").read_text())["solve"]
+            assert solve["grad_sup"] <= 1e-8 * (1.0 + abs(solve["energy"]))
+        except bilaplab.solver.SolverError as exc:
+            assert exc.iterate is not None and exc.trace
+            assert not out.exists()
 
 
 NEAR_EDGE = "g = trig:freq=1.8\nh = 0.03125\n"

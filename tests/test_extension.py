@@ -24,14 +24,15 @@ DTN_TRACES = [
 def _strip_dtn_reference(trace, Y):
     """The DtN ratios by way of the whole strip: sum the mode profiles into
     u[i, j] = u(x_i, y_j), apply the five-point Laplacian (periodic in x, with
-    the x difference divided by dy^2, and the even reflection ghost on the
+    the x difference divided by dx^2, and the even reflection ghost on the
     face row), take the one-sided d/dy on the face and project onto cos(k x)."""
     strip = strip_extension(trace, Y=Y)
     x, d = strip.x, strip.dy
+    dx = x[1] - x[0]
     vals = np.zeros((x.size, strip.y.size))
     for k, f in strip.mode_profiles.items():
         vals += np.cos(k * x)[:, None] * f[None, :]
-    lap = (np.roll(vals, 1, axis=0) + np.roll(vals, -1, axis=0) - 2 * vals) / d ** 2
+    lap = (np.roll(vals, 1, axis=0) + np.roll(vals, -1, axis=0) - 2 * vals) / dx ** 2
     lap[:, 1:-1] += (vals[:, 2:] + vals[:, :-2] - 2 * vals[:, 1:-1]) / d ** 2
     lap[:, 0] += (2 * vals[:, 1] - 2 * vals[:, 0]) / d ** 2
     dlap = (-3.0 * lap[:, 0] + 4.0 * lap[:, 1] - lap[:, 2]) / (2.0 * d)

@@ -47,13 +47,13 @@ def test_transcribe_keeps_the_extension_outputs(tmp_path):
     assert list(codes.values()) == [0, 1, 0, 0, 0]
     default = (tmp_path / "extension-check.txt").read_text().splitlines()
     assert [line.split()[0] for line in default[1:4]] == ["1", "2", "3"]
-    assert default[-2] == "spread 0.002912 (target <= 0.02): pass"
+    assert default[-2] == "spread 0.002913 (target <= 0.02): pass"
     wide = (tmp_path / "extension-check-modes-1,2,3,5,8-height-16.txt").read_text()
     assert [line.split()[0] for line in wide.splitlines()[1:6]] == ["1", "2", "3", "5", "8"]
-    assert "spread 0.021682 (target <= 0.02): FAIL\n" in wide
+    assert "spread 0.021687 (target <= 0.02): FAIL\n" in wide
     demo = (tmp_path / "demo-extension_identity.txt").read_text()
     assert demo.startswith("strip resolution: 256 x 490, height 12.0\n")
-    assert "calibrated constant: 1.996579 (target 2)" in demo
+    assert "calibrated constant: 1.996578 (target 2)" in demo
     # the demos that profile and analyze free-boundary points, down to h = 1/64
     tour = (tmp_path / "demo-free_boundary_tour.txt").read_text()
     assert tour.count("h = 1/64: 1 free-boundary point(s)\n") == 2

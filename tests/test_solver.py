@@ -18,6 +18,7 @@ from bilaplab.problem import energy_array, gradient_array, operators, thin_react
 from bilaplab.solver import (_TRIAL_CHUNK, ConvergenceError, LinearSolveError, SolveResult,
                              _basis_laplacians, _poly_trials, _split_preconditioner,
                              el_crosscheck, weak_residual)
+from bilaplab.verify import corpus_solve
 
 ASYM = dict(p=2.0, lambda_plus=2.0, lambda_minus=0.5, g="harmonic:coeffs=1;0.2")
 
@@ -313,6 +314,25 @@ def test_odd_problems_flip_no_phase(tag, h):
     assert [s.phase_flips for s in result.trace] == [0] * result.iterations
 
 
+# odd problems at p < 2: the trace at x = 0 is 0 in exact arithmetic, and Newton
+# on |u|^p maps a rounding-sized u to u (1 - 1/(p - 1)), which never shrinks it;
+# each step sets the face nodes of phase 0 to 0
+ODD_SUBQUADRATIC = (
+    [(1, h_inv, p, lam, g) for lam in (1.0, 16.0)
+     for g in ("harmonic:deg=1", "trig:freq=3,kind=sin")
+     for p in (1.25, 1.5) for h_inv in (16, 32, 64)]
+    + [(2, h_inv, p, 1.0, "harmonic:deg=1") for p in (1.25, 1.5) for h_inv in (8, 12, 16)])
+
+
+@pytest.mark.parametrize("n,h_inv,p,lam,g", ODD_SUBQUADRATIC)
+def test_odd_problems_below_p_2_solve(n, h_inv, p, lam, g):
+    result = minimize(ProblemSpec(n=n, h=1.0 / h_inv, p=p, lambda_plus=lam,
+                                  lambda_minus=lam, g=g))
+    assert result.grad_sup <= 1e-8 * (1.0 + abs(result.energy))
+    # lambda = 16, trig:freq=3,kind=sin, p = 1.5, h = 1/16 takes 13 steps; the others 2-3
+    assert result.iterations <= 13
+
+
 def test_solver_errors_carry_the_trace(monkeypatch):
     spec = _spec(1.0 / 16, p=1.5, max_iter=1)
     with pytest.raises(ConvergenceError) as caught:
@@ -364,6 +384,52 @@ def test_split_preconditioner_inverts_twice_kff():
 
 def _laplace_matrix(grid):
     return operators(grid).L[:, grid.free_ids].tocsc()
+
+
+@pytest.mark.parametrize("n,h_inv", [(1, 8), (1, 41), (1, 64), (2, 11), (2, 16)])
+def test_the_symmetrizer_makes_the_reflected_laplacian_symmetric(n, h_inv):
+    # D = omega / h^(n+1): 1 off the face and 1/2 on the thin rows
+    grid = ProblemSpec(n=n, h=1.0 / h_inv).grid()
+    D = operators(grid).omega / grid.h ** (grid.n + 1)
+    assert set(np.unique(D)) == {0.5, 1.0}
+    DL = _laplace_matrix(grid).multiply(D[:, None]).tocsr()
+    assert abs(DL - DL.T).max() == 0.0
+
+
+@pytest.mark.parametrize("n,h_inv", [(1, 41), (1, 64), (2, 12)])
+def test_split_preconditioner_is_the_plain_and_transposed_split(n, h_inv):
+    # the two transposed solves against 1/2 L_ff^-1 Omega^-1 L_ff^-T x,
+    # with SuperLU's plain solve for L_ff^-1
+    grid = ProblemSpec(n=n, h=1.0 / h_inv).grid()
+    lu, omega = solver._laplace_factor(grid), operators(grid).omega
+    M = _split_preconditioner(grid)
+    for seed in range(3):
+        x = np.random.default_rng(seed).standard_normal(omega.size)
+        want = 0.5 * lu.solve(lu.solve(x, trans="T") / omega)
+        assert np.linalg.norm(M.matvec(x) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+# corpus energies of the solver before its CG floor and transposed solves
+# (plain solve in the preconditioner and the initial iterate, CG to rtol 1e-10)
+CORPUS_ENERGIES = {
+    ("sym-p2", 32): 0.6622498363311462, ("sym-p2", 64): 0.6615923826345473,
+    ("asym-p2", 32): 0.9863078587567031, ("asym-p2", 64): 0.984327589997906,
+    ("sym-p3", 32): 0.33198957661981904, ("sym-p3", 64): 0.331542921095906,
+}
+
+
+@pytest.mark.parametrize("tag,h_inv", sorted(CORPUS_ENERGIES))
+def test_corpus_energies_are_those_of_the_full_inner_solve(tag, h_inv):
+    energy = corpus_solve(tag, h_inv).energy
+    assert abs(energy - CORPUS_ENERGIES[tag, h_inv]) <= 1e-12 * CORPUS_ENERGIES[tag, h_inv]
+
+
+def test_cg_floor_saves_inner_steps_and_no_newton_step():
+    # before the floor: 2 Newton steps of 5 CG steps each
+    result = corpus_solve("asym-p2", 64)
+    assert result.iterations == 2
+    assert result.cg_iterations < 10
+    assert result.grad_sup <= 1e-8 * (1.0 + abs(result.energy))
 
 
 def test_laplace_factor_fills_less_than_the_column_ordering():
