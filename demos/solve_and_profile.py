@@ -16,9 +16,7 @@ it lands on the integer degree of the blow-up.
 import numpy as np
 
 from bilaplab import ProblemSpec, minimize
-from bilaplab.diagnostics import (compute_profile, default_radii, estimate_mu,
-                                  minimal_almgren_constant)
-from bilaplab.freeboundary import extract_gamma
+from bilaplab.freeboundary import extract_gamma, profile_point
 from bilaplab.solver import el_crosscheck, weak_residual
 
 spec = ProblemSpec(
@@ -42,19 +40,16 @@ print(f"face Neumann defect  {report.neumann_sup:.3e}")
 print(f"reaction defect      {report.natural_sup:.3e}")
 print(f"weak residual        {weak_residual(result, spec):.3e}")
 
-# Radial profile around the extracted free-boundary point: H is the
-# surface mass of the pair (u, v), D0 the Dirichlet mass, and
-# N0 = r D0 / H the frequency.
+# Radial profile around the extracted free-boundary point, on the default
+# ladder of radii: H is the surface mass of the pair (u, v), D0 the
+# Dirichlet mass, and N0 = r D0 / H the frequency.
 point = extract_gamma(result.u)[0]
 print(f"\nfree-boundary point  x* = {point.x:+.5f}")
-radii = default_radii(spec.grid(), point.x)
-profile = compute_profile(result.u, result.v, point.x, radii, spec)
+profile = profile_point(point, result.u, result.v, spec, None).profile
 
 print("\n    r          H             N0         phi")
 for r, H, N0, phi in zip(profile.radii, profile.H, profile.N0, profile.phi):
     print(f"  {r:8.5f}  {H:12.6e}  {N0:9.5f}  {phi:12.6e}")
 
-mu_hat, mu_int = estimate_mu(profile)
-c_mono = minimal_almgren_constant(profile.radii, profile.N)
-print(f"\nfrequency at r -> 0  {mu_hat:.4f} (nearest integer: {mu_int})")
-print(f"monotonicity constant C with e^(Cr)(N+1) nondecreasing: {c_mono:.2f}")
+print(f"\nfrequency at r -> 0  {point.mu_hat:.4f} (nearest integer: {point.mu_int})")
+print(f"monotonicity constant C with e^(Cr)(N+1) nondecreasing: {point.almgren_constant:.2f}")

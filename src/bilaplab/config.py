@@ -2,8 +2,9 @@
 
 A run configuration is plain text, one `key = value` per line, `#` comments.
 Unknown keys are rejected by name; every constraint violation names its key.
-`run` executes solve -> per-center diagnostics -> free-boundary analysis and
-then writes its artifacts into the run directory:
+`run` executes solve -> free-boundary analysis -> per-center profiles (each
+center profiled once, by `freeboundary.profile_point`) and then writes its
+artifacts into the run directory:
 
     summary.json            headline numbers (energies, iterations, per-point
                             frequency/classification/dimension, fitted
@@ -29,9 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import compute_profile, default_radii, estimate_mu, minimal_almgren_constant
-from .freeboundary import analyze_point, extract_gamma
-from .grid import ball_center
+from .diagnostics import profile_radii
+from .freeboundary import FreeBoundaryPoint, analyze_point, extract_gamma, profile_point
 from .problem import ProblemSpec
 from .solver import el_crosscheck, minimize, weak_residual
 
@@ -182,6 +182,9 @@ def parse_config(text: str) -> RunConfig:
             centers.append(c)
         if not centers:
             raise ConfigError("key 'centers': empty list")
+        if len({_center_tag(c) for c in centers}) < len(centers):
+            raise ConfigError(f"key 'centers': centers must differ in the 4 decimals of their "
+                              f"profile_<center>.csv names, got {raw['centers']!r}")
 
     radii = None
     if "radii" in raw and raw["radii"] != "auto":
@@ -239,34 +242,34 @@ def output_root() -> Path:
 
 
 def _check_ladders(config: RunConfig, grid) -> None:
-    """A ConfigError naming its key, before the solve, for a ball an instrument
-    would refuse: `default_radii` of each configured center ('centers') or of
-    the origin ('h'), and `ball_center` of each explicit radius ('radii'). The
-    gamma stage's points are found only by the solve; `run` skips one that
-    has no admissible ball with a note."""
-    def check(key, rule, c, *radius):
+    """A ConfigError naming its key, before the solve, for a center with no
+    admissible ball under `profile_radii`: the origin on the default radii
+    for the gamma stage ('h'), and each configured center, or the origin,
+    on the profile stage's radii ('radii' when explicit, else 'centers' or
+    'h'). The gamma stage's points are found only by the solve; `run`
+    skips one that has no admissible ball with a note."""
+    checks = [("h", 0.0, None)] if "gamma" in config.stages else []
+    if "profile" in config.stages:
+        key = "radii" if config.radii else "centers" if config.centers else "h"
+        checks += [(key, c, config.radii) for c in config.centers or [0.0]]
+    for key, c, radii in checks:
         try:
-            rule(grid, [c] + [0.0] * (config.spec.n - 1), *radius)
+            profile_radii(grid, [c] + [0.0] * (config.spec.n - 1), radii)
         except ValueError as exc:
             raise ConfigError(f"key '{key}': {exc}") from None
-
-    if "gamma" in config.stages:
-        check("h", default_radii, 0.0)
-    if "profile" in config.stages:
-        for c in config.centers or [0.0]:
-            for r in config.radii or []:
-                check("radii", ball_center, c, r)
-            if not config.radii:
-                check("centers" if config.centers else "h", default_radii, c)
 
 
 def run(config: RunConfig) -> Path:
     """Execute the configured stages, then write the artifact directory. Stage
     inputs that would fail (the gamma stage at n = 2, `_check_ladders`) are a
-    ConfigError before the solve, and a run that fails writes nothing. An
-    auto center at a free-boundary point with no admissible ball (too near
-    the face edge for `default_radii`, or the sphere for the explicit radii)
-    has a profile entry holding only the reason, and no CSV."""
+    ConfigError before the solve, and a run that fails writes nothing.
+
+    Every center is profiled by `profile_point`: a free-boundary point that
+    `analyze_point` profiled on the default radii is reused, and any other
+    center is profiled as `FreeBoundaryPoint(x=c)`. An auto center at a
+    free-boundary point with no admissible ball (too near the face edge for
+    the default radii, or the sphere for the explicit radii) has a profile
+    entry holding only the reason, and no CSV."""
     if "gamma" in config.stages and config.spec.n != 1:
         raise ConfigError("key 'n': the free boundary (stage gamma, `bilaplab blowup`) "
                           "is extracted at n = 1 only")
@@ -300,52 +303,32 @@ def run(config: RunConfig) -> Path:
         "weak_residual": weak_residual(result, spec, seed=config.seed),
     }
 
-    points = []
-    if "gamma" in config.stages:
-        points = extract_gamma(result.u)
-        for pt in points:
-            analyze_point(pt, result.u, result.v, spec)
-
-    centers = config.centers
-    if centers is None:
-        centers = [pt.x for pt in points] or [0.0]
+    points = extract_gamma(result.u) if "gamma" in config.stages else []
+    for pt in points:
+        analyze_point(pt, result.u, result.v, spec)
 
     if "profile" in config.stages:
         summary["profiles"] = {}
-        # an analyzed free-boundary point carries its profile on the default
-        # radii and the profile's Almgren constant
+        # an analyzed point carries its profile on the default radii
         known = {} if config.radii else {pt.x: pt for pt in points}
-        for c in centers:
-            thin_c = [c] + [0.0] * (spec.n - 1)  # x at n = 1; the face origin at n = 2
-            error = known[c].metadata.get("profile_error") if c in known else None
-            if config.radii and config.centers is None:
-                try:  # an auto center may lie too near the sphere for the largest radius
-                    ball_center(grid, thin_c, config.radii[-1])
-                except ValueError as exc:
-                    error = str(exc)
-            if error is not None:
-                summary["profiles"][_center_tag(c)] = {"center": c, "profile_error": error}
+        for c in config.centers or [pt.x for pt in points] or [0.0]:
+            pt = known[c] if c in known else profile_point(
+                FreeBoundaryPoint(x=c), result.u, result.v, spec, config.radii)
+            tag = _center_tag(c)
+            if pt.profile is None:
+                summary["profiles"][tag] = {"center": c, "profile_error": pt.profile_error}
                 continue
-            if c in known:
-                prof, almgren_c = known[c].profile, known[c].almgren_constant
-            else:
-                radii = np.asarray(config.radii) if config.radii else default_radii(grid, thin_c)
-                prof = compute_profile(result.u, result.v, thin_c, radii, spec)
-                almgren_c = minimal_almgren_constant(prof.radii, prof.N)
-            entry = {
+            prof = pt.profile
+            summary["profiles"][tag] = {
                 "center": c,
                 "radii": [float(r) for r in prof.radii],
-                "almgren_constant": almgren_c,
+                "almgren_constant": pt.almgren_constant,
+                **({"mu_hat": pt.mu_hat, "mu_int": pt.mu_int} if pt.mu_error is None
+                   else {"mu_error": pt.mu_error}),
             }
-            try:
-                mu_hat, mu_int = estimate_mu(prof)
-                entry["mu_hat"], entry["mu_int"] = mu_hat, mu_int
-            except ValueError as exc:
-                entry["mu_error"] = str(exc)
-            summary["profiles"][_center_tag(c)] = entry
             rows = np.column_stack((prof.radii, prof.H, prof.D, prof.D0, prof.B, prof.N,
                                     prof.N0, prof.phi))
-            files[f"profile_{_center_tag(c)}.csv"] = _csv(
+            files[f"profile_{tag}.csv"] = _csv(
                 digest, ["r", "H", "D", "D0", "B", "N", "N0", "phi"], rows)
 
     if "gamma" in config.stages:
@@ -354,8 +337,7 @@ def run(config: RunConfig) -> Path:
             "mu_hat": pt.mu_hat, "mu_int": pt.mu_int, "dimension": pt.dimension,
             "fit_residual": pt.fit_residual, "value_v": pt.value_v,
             "monneau_constant": pt.monneau_constant,
-            **({"profile_error": pt.metadata["profile_error"]}
-               if "profile_error" in pt.metadata else {}),
+            **({} if pt.profile_error is None else {"profile_error": pt.profile_error}),
         } for pt in points]
         columns = ["x", "side", "classification", "mu_hat", "mu_int", "dimension",
                    "fit_residual"]

@@ -25,8 +25,9 @@ Each field reads itself, one ScalarField read being one `interp_box` call.
 `compute_profile` samples each sphere and ball with `sample_count(r, h)`
 directions, reads u once and v once per radius on the surface, solid and
 thin points together, and keeps copies of its half-sphere samples, from
-which `monneau_curve` reads M_mu; a radius ladder on one direction set is
-`_ladder`, and a quantity's ladder in h (h, h/2, ...) a `refinement` study.
+which `monneau_curve` reads M_mu. A profile's radii come from one rule,
+`profile_radii`; a radius ladder on one direction set is `_ladder`, and a
+quantity's ladder in h (h, h/2, ...) a `refinement` study.
 """
 
 from __future__ import annotations
@@ -101,6 +102,17 @@ def default_radii(grid: HalfBallGrid, center) -> np.ndarray:
         out.append(r)
         r = r_max * 2.0 ** (-(len(out)) / 4.0)
     return np.array(out[::-1])
+
+
+def profile_radii(grid: HalfBallGrid, center, radii) -> np.ndarray:
+    """The radius ladder of a profile around center: the given radii, each
+    checked by `ball_center`, or `default_radii` when radii is None.
+    ValueError when center has no admissible ball."""
+    if radii is None:
+        return default_radii(grid, center)
+    for r in radii:
+        ball_center(grid, center, r)
+    return np.asarray(radii, dtype=np.float64)
 
 
 def compute_profile(u, v, center, radii, spec: ProblemSpec) -> RadialProfile:

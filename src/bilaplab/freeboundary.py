@@ -3,20 +3,21 @@
 The free boundary lives on the thin face: the topological boundary (within
 the face) of the positivity and negativity sets of the trace u(., 0). Points
 are found by scanning the phases of the thin trace, classified by the size
-of the thin gradients of u and v, and analyzed by fitting homogeneous
-harmonic polynomials to the homogeneous rescalings of the pair around the
-point, sampled on the unit half-sphere.
+of the thin gradients of u and v, profiled by `profile_point` (the one
+per-center profiling step), and analyzed by fitting homogeneous harmonic
+polynomials to the homogeneous rescalings of the pair around the point,
+sampled on the unit half-sphere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import (RadialProfile, _field, _ladder, _sphere_sups, compute_profile,
-                          default_radii, estimate_mu, minimal_almgren_constant,
-                          minimal_monneau_constant, monneau_curve)
+                          estimate_mu, minimal_almgren_constant, minimal_monneau_constant,
+                          monneau_curve, profile_radii)
 from .harmonics import HomogeneousHarmonicPoly, harmonic_basis
 from .problem import ProblemSpec, ScalarField, face_phase
 
@@ -25,13 +26,14 @@ MU_CANDIDATES = (1, 2, 3)  # blow-up degrees that analyze_point fits
 
 @dataclass
 class FreeBoundaryPoint:
-    """A point of the free boundary on the thin face (n=1: a single x).
+    """A point of the free boundary on the thin face (n=1: a single x), or
+    another face center that `profile_point` profiles.
 
     Filled progressively: extract_gamma sets x and side labels;
-    classify_point sets classification, the values and thin gradients of
-    u and v, and metadata; analyze_point fills the radial profile it
-    extrapolates, mu_hat, mu_int, fits, residual, dimension, and the
-    point's Almgren and Monneau constants.
+    classify_point the classification and the values and thin gradients of
+    u and v; profile_point the profile, its Almgren constant, mu_hat and
+    mu_int, or profile_error / mu_error; analyze_point the fits,
+    best_fit_degree, residual, dimension and Monneau constant.
     """
 
     x: float
@@ -51,7 +53,9 @@ class FreeBoundaryPoint:
     profile: RadialProfile | None = None
     almgren_constant: float | None = None
     monneau_constant: float | None = None
-    metadata: dict = dc_field(default_factory=dict)
+    profile_error: str | None = None
+    mu_error: str | None = None
+    best_fit_degree: int | None = None
 
     @property
     def side(self) -> str:
@@ -108,9 +112,7 @@ def classify_point(point: FreeBoundaryPoint, u, v) -> str:
     min(|d_x u|, |d_x v|) > tau' = 10 h. Anything else is SINGULAR. Each
     field is read once, at x and x +- step with step = min(h, distance to
     the face edge); the thin gradients are the central differences.
-    A REGULAR verdict records the local smooth-graph conclusion (class
-    C^{3,alpha}) as metadata: it is a classification tag, not a computed
-    fact. The thresholds are calibration choices and are stored alongside.
+    The thresholds are calibration choices.
     """
     u, v = _field(u), _field(v)
     g = u.grid
@@ -124,14 +126,10 @@ def classify_point(point: FreeBoundaryPoint, u, v) -> str:
     point.value_u, point.value_v = float(us[0]), float(vs[0])
     point.grad_u = float((us[1] - us[2]) / (2.0 * step))
     point.grad_v = float((vs[1] - vs[2]) / (2.0 * step))
-    point.metadata["tau"] = tau
-    point.metadata["tau_prime"] = tau_prime
     regular = (abs(point.value_u) <= tau
                and abs(point.grad_u) > tau_prime
                and abs(point.grad_v) > tau_prime)
     point.classification = "REGULAR" if regular else "SINGULAR"
-    if regular:
-        point.metadata["graph_smoothness"] = "C3,alpha"
     return point.classification
 
 
@@ -262,51 +260,57 @@ def singular_dimension(p_mu: HomogeneousHarmonicPoly, q_mu: HomogeneousHarmonicP
 # pipeline
 
 
-def analyze_point(point: FreeBoundaryPoint, u: ScalarField, v: ScalarField,
-                  spec: ProblemSpec) -> FreeBoundaryPoint:
-    """Classification, frequency, blow-up fit, stratum dimension, and constants.
-
-    Runs the full per-point pipeline: thin-gradient classification, the
-    profile on the default radii with its Almgren constant, frequency
-    extrapolation for mu_hat/mu_int, blow-up fits over the degrees
-    MU_CANDIDATES from one read of the pair on the `_ladder` points
-    (recording the best), singular dimension for fitted pairs, and, when
-    mu_int >= 1, the Monneau constant of the fit with mu = mu_int, taken
-    from the profile's own half-sphere samples.
-
-    A point too near the face edge for `default_radii` keeps its
-    classification and records why it has no profile in
-    metadata["profile_error"], as one with too few usable radii records
-    metadata["mu_error"].
-    """
-    classify_point(point, u, v)
+def profile_point(point: FreeBoundaryPoint, u, v, spec: ProblemSpec,
+                  radii) -> FreeBoundaryPoint:
+    """Profile the pair around point.x (the face origin at n = 2) on the
+    `profile_radii` ladder, radii None meaning the default one: set the
+    profile, its Almgren constant and `estimate_mu`'s mu_hat, mu_int, or
+    record why not in profile_error (no admissible ball) or mu_error."""
+    center = [point.x] + [0.0] * (u.grid.n - 1)
     try:
-        radii = default_radii(u.grid, [point.x])
+        radii = profile_radii(u.grid, center, radii)
     except ValueError as exc:
-        point.metadata["profile_error"] = str(exc)
+        point.profile_error = str(exc)
         return point
-    prof = point.profile = compute_profile(u, v, [point.x], radii, spec)
+    prof = point.profile = compute_profile(u, v, center, radii, spec)
     point.almgren_constant = minimal_almgren_constant(prof.radii, prof.N)
     try:
         point.mu_hat, point.mu_int = estimate_mu(prof)
     except ValueError as exc:
-        point.metadata["mu_error"] = str(exc)
-        return point
+        point.mu_error = str(exc)
+    return point
 
-    ladder = _ladder_pair(u, v, [point.x], radii)
+
+def analyze_point(point: FreeBoundaryPoint, u: ScalarField, v: ScalarField,
+                  spec: ProblemSpec) -> FreeBoundaryPoint:
+    """Classification, frequency, blow-up fit, stratum dimension, and constants.
+
+    Runs the full per-point pipeline: thin-gradient classification,
+    `profile_point` on the default radii, blow-up fits over the degrees
+    MU_CANDIDATES from one read of the pair on the `_ladder` points (the
+    best in best_fit_degree), singular dimension for fitted pairs, and, when
+    mu_int >= 1, the Monneau constant of the fit with mu = mu_int, taken
+    from the profile's own half-sphere samples. A point that profile_point
+    gives no frequency keeps its classification and stops there.
+    """
+    classify_point(point, u, v)
+    profile_point(point, u, v, spec, None)
+    if point.mu_hat is None:
+        return point
+    prof = point.profile
+
+    ladder = _ladder_pair(u, v, [point.x], prof.radii)
     fits = {mu: _fit_degree(*ladder, mu) for mu in MU_CANDIDATES}
-    best_mu = min(fits, key=lambda k: np.nanmin(fits[k].residuals))
-    point.metadata["best_fit_degree"] = best_mu
+    best_mu = point.best_fit_degree = min(fits, key=lambda k: np.nanmin(fits[k].residuals))
     pick = point.mu_int if point.mu_int in fits else best_mu
     fit = fits[pick]
     point.p_mu, point.q_mu = fit.p_mu, fit.q_mu
     point.fit_residual = float(fit.residuals[0])
-    point.metadata["fit_no_blowup"] = fit.no_blowup
     if point.mu_int is not None and point.mu_int >= 1:
         M = monneau_curve(prof, float(point.mu_int), fit.p_mu, fit.q_mu)
         point.monneau_constant = minimal_monneau_constant(prof.radii, M)
     try:
         point.dimension = singular_dimension(fit.p_mu, fit.q_mu)
-    except ValueError as exc:
-        point.metadata["dimension_error"] = str(exc)
+    except ValueError:
+        pass  # both fitted polynomials are zero: no dimension
     return point

@@ -216,9 +216,6 @@ class ScalarField:
             self._box = self.grid.fill_extension(box)
         return self._box
 
-    def with_values(self, values) -> "ScalarField":
-        return ScalarField(self.grid, values)
-
     def __call__(self, points):
         return self.grid.interp_box(self.ghost_box(), points)
 

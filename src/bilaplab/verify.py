@@ -39,7 +39,7 @@ from .extension import RATIO_TARGET, RATIO_TOLERANCE, SPREAD_LIMIT, FourierTrace
 from .freeboundary import analyze_point, blowup_fit, extract_gamma, nondegeneracy_check
 from .grid import build_grid, sample_count
 from .oracle import brute_minimize
-from .problem import AnalyticField, ProblemSpec, energy_array, gradient_array
+from .problem import AnalyticField, ProblemSpec, ScalarField, energy_array, gradient_array
 from .solver import minimize, weak_residual
 
 
@@ -249,10 +249,10 @@ def check_mean_value(level: str = "quick") -> CheckResult:
     for tag in CORPUS:
         res = corpus_solve(tag, h_inv)
         parts = {
-            "u+": res.u.with_values(np.maximum(res.u.values, 0.0)),
-            "u-": res.u.with_values(np.maximum(-res.u.values, 0.0)),
-            "v+": res.v.with_values(np.maximum(res.v.values, 0.0)),
-            "v-": res.v.with_values(np.maximum(-res.v.values, 0.0)),
+            "u+": ScalarField(res.u.grid, np.maximum(res.u.values, 0.0)),
+            "u-": ScalarField(res.u.grid, np.maximum(-res.u.values, 0.0)),
+            "v+": ScalarField(res.v.grid, np.maximum(res.v.values, 0.0)),
+            "v-": ScalarField(res.v.grid, np.maximum(-res.v.values, 0.0)),
         }
         for rho in (4 * h, 8 * h):
             for name, fld in parts.items():
@@ -531,7 +531,7 @@ def check_blowup_fitting(level: str = "quick") -> CheckResult:
     for tag in CORPUS:
         for h_inv in h_list:
             for pt in corpus_points(tag, h_inv):
-                best = pt.metadata.get("best_fit_degree")
+                best = pt.best_fit_degree
                 if pt.mu_int is not None and pt.mu_int >= 1:
                     solver_ok &= (best == pt.mu_int)
                     agree += 1

@@ -66,6 +66,8 @@ def test_parse_empty_text_yields_defaults():
     ("h = 1", r"key 'h'.*h <= 1/4"),
     ("h = 0.5", r"key 'h'.*h <= 1/4"),
     (f"h = {1 / 3!r}", r"key 'h'.*h <= 1/4"),
+    ("centers = 0.10001;0.10004", r"key 'centers'.*differ in the 4 decimals"),
+    ("centers = 0.1;0.1", r"key 'centers'.*differ in the 4 decimals"),
 ])
 def test_parse_errors_name_the_offending_key(text, message):
     with pytest.raises(ConfigError, match=message):
@@ -249,8 +251,9 @@ def test_config_txt_parses_back_to_the_run_digest(tmp_path):
 
 
 def test_each_free_boundary_point_is_profiled_once(tmp_path, monkeypatch):
-    """`blowup` and the default stages profile each point once; the Monneau
-    constant equals one computed field by field on the point's radii."""
+    """`blowup` and the default stages profile each point once and estimate
+    its frequency once; the Monneau constant equals one computed field by
+    field on the point's radii."""
     real = bilaplab.diagnostics.compute_profile
     calls = []
 
@@ -259,15 +262,27 @@ def test_each_free_boundary_point_is_profiled_once(tmp_path, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(bilaplab.freeboundary, "compute_profile", counted)
-    monkeypatch.setattr(bilaplab.config, "compute_profile", counted)
+    real_mu = bilaplab.diagnostics.estimate_mu
+    mu_calls = []
+
+    def counted_mu(*args, **kwargs):
+        mu_calls.append(args[0])
+        return real_mu(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "bilaplab" or name.startswith("bilaplab."):
+            for attr, value in list(vars(module).items()):
+                if value is real_mu:
+                    monkeypatch.setattr(module, attr, counted_mu)
     cfgfile = tmp_path / "case.cfg"
     cfgfile.write_text(BASE + f"output = {tmp_path / 'blowup'}\n")
     assert main(["blowup", str(cfgfile)]) == 0
     points = json.loads((tmp_path / "blowup" / "summary.json").read_text())["points"]
-    assert len(calls) == len(points) >= 1
+    assert len(calls) == len(mu_calls) == len(points) >= 1
     calls.clear()
+    mu_calls.clear()
     run(parse_config(BASE + f"output = {tmp_path / 'all'}\n"))
-    assert len(calls) == len(points)
+    assert len(calls) == len(mu_calls) == len(points)
 
     cfg = parse_config(BASE)
     spec = cfg.spec

@@ -157,7 +157,6 @@ def test_classify_transversal_crossing_as_regular():
     assert label == "REGULAR"
     assert point.classification == "REGULAR"
     assert point.grad_u == pytest.approx(1.0, abs=1e-9)
-    assert point.metadata["graph_smoothness"] == "C3,alpha"
 
 
 def test_classify_flat_touch_as_singular():
@@ -212,7 +211,7 @@ def test_analyze_point_reads_the_ladder_once_and_fits_like_blowup_fit(monkeypatc
     assert len(calls) == 1
     radii = default_radii(spec.grid(), [pt.x])
     fits = {mu: blowup_fit(res.u, res.v, [pt.x], radii, mu) for mu in MU_CANDIDATES}
-    assert pt.metadata["best_fit_degree"] == min(fits, key=lambda k: np.nanmin(fits[k].residuals))
+    assert pt.best_fit_degree == min(fits, key=lambda k: np.nanmin(fits[k].residuals))
     fit = fits[pt.p_mu.degree]
     assert np.array_equal(pt.p_mu.coeffs, fit.p_mu.coeffs)
     assert np.array_equal(pt.q_mu.coeffs, fit.q_mu.coeffs)

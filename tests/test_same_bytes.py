@@ -79,12 +79,16 @@ def test_strip_times_drops_only_the_time_that_ends_a_check_line():
 
 def test_runs_take_every_pipeline_config_through_all_three_stages():
     """No command runs solve, profile and gamma together, so each `pipeline-n1`
-    config at h = 1/32 also goes through `config.run` with every stage."""
+    config at h = 1/32 also goes through `config.run` with every stage, and so
+    do the near-edge and explicit-radii cases that reach the profile stage's
+    other branches."""
     from bilaplab.config import parse_config
     from workloads import PIPELINE_CONFIGS
 
     all_stages = [(name, text) for name, command, text in same_bytes.runs() if command == "run"]
-    assert [name for name, _ in all_stages] == [f"{tag}-h32-run" for tag in PIPELINE_CONFIGS]
+    assert [name for name, _ in all_stages] == [f"{tag}-h32-run" for tag in PIPELINE_CONFIGS] + [
+        "near-edge-h32-run", "near-edge-h32-run-radii-2", "near-edge-h32-run-radii-1",
+        "asym-p2-h32-run-explicit-radii"]
     for _, text in all_stages:
         cfg = parse_config(text)
         assert cfg.stages == ("solve", "profile", "gamma") and cfg.spec.h == 1.0 / 32

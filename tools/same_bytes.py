@@ -16,7 +16,8 @@ BLAS thread,
     run(parse_config(text))          all three stages on the same six configs
                                      at h = 1/32 (the profile stage reuses the
                                      analyzed points' profiles; no command
-                                     runs all three)
+                                     runs all three), and on the cases of
+                                     `EXTRA_RUNS`
 
 and writes each run's artifacts, plus the exit code of every run in
 `exit_codes.json`. Then each command of `TRANSCRIPTS` runs in a process of
@@ -48,6 +49,19 @@ from workloads import PIPELINE_CONFIGS  # noqa: E402
 
 CENTERS = "0.1;-0.25"
 RADII = ";".join(repr(0.125 * 2.0 ** (k / 4.0)) for k in range(9))  # 1/8 .. 1/2
+_NEAR_EDGE = f"g = trig:freq=1.8\nh = {1 / 32!r}\n"  # free-boundary points at x = +-0.868
+_ASYM = "".join(f"{k} = {v}\n" for k, v in PIPELINE_CONFIGS["asym-p2"].items())
+
+# (name, config text) of the all-stage runs that take the profile stage's other
+# branches: near-edge points with no default radii, near-edge points whose ball
+# does not fit the largest explicit radius, a one-radius ladder too short for
+# a frequency, and explicit radii with auto centers
+EXTRA_RUNS = [
+    ("near-edge-h32-run", _NEAR_EDGE),
+    ("near-edge-h32-run-radii-2", _NEAR_EDGE + "radii = 0.125;0.25\n"),
+    ("near-edge-h32-run-radii-1", _NEAR_EDGE + "radii = 0.125\n"),
+    ("asym-p2-h32-run-explicit-radii", _ASYM + f"h = {1 / 32!r}\nradii = {RADII}\n"),
+]
 
 # (file, arguments of the interpreter) of each command whose stdout is compared
 TRANSCRIPTS = [
@@ -97,7 +111,7 @@ def runs() -> list[tuple[str, str, str]]:
         if not case["g"].startswith("tabulated"):  # tabulated data is n = 1 only
             for command in ("solve", "diagnose"):
                 out.append((f"{tag}-n2-h8-{command}", command, text + "n = 2\nh = 0.125\n"))
-    return out
+    return out + [(name, "run", text) for name, text in EXTRA_RUNS]
 
 
 def produce(tree: Path, into: Path) -> Path:
