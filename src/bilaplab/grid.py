@@ -142,10 +142,9 @@ class HalfBallGrid:
         self.free_ids = np.flatnonzero((self.node_class == INTERIOR) | (self.node_class == THIN))
         self.pinned_ids = np.flatnonzero((self.node_class == OUTER) | (self.node_class == CORNER))
         # All nodes on the thin face y = 0 (thin + corner), used for the
-        # penalty line quadrature and trace extraction.
+        # penalty line quadrature and trace extraction; ascending in x at
+        # n = 1, as node ids are row-major with x the first axis.
         self.face_ids = np.flatnonzero(self.nodes[:, -1] == 0.0)
-        if n == 1:
-            self.face_ids = self.face_ids[np.argsort(self.nodes[self.face_ids, 0], kind="stable")]
         # `build_grid` hands one grid to every caller with the same (n, h), so
         # a write into one of its arrays would reach them all
         for value in vars(self).values():

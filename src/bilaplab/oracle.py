@@ -1,15 +1,19 @@
 """Brute-force minimizer used to pin the Newton solver's results.
 
-`brute_minimize` shares nothing with the Newton path except the energy and
-its gradient: projected gradient steps of length 0.9 / (a power-iteration
-bound on the Hessian norm), accelerated by Nesterov momentum with the
-gradient restart of O'Donoghue and Candes (2015). The momentum counter
-resets whenever the step x -> x_new makes an acute angle with the gradient
-g at the extrapolated point, g . (x_new - x) > 0, so momentum is dropped as
-soon as it points uphill and no schedule needs tuning. The iteration starts
-from the datum on the pinned nodes and 0 elsewhere, not from the harmonic
-extension, so it never factors the Laplacian that Newton's preconditioner
-uses. It is restricted to coarse grids.
+`brute_minimize` shares nothing with the Newton path except the energy, its
+gradient and the norm of `problem.hessian`, Newton's own generalized
+Hessian. Its iterates and its stopping test read only the energy and the
+gradient; the Hessian only sizes the step, 0.9 / (a power-iteration bound
+on its norm), so it can change how fast the oracle converges but not the
+stationarity test the oracle's answer passes. The gradient steps are
+accelerated by Nesterov momentum with the gradient restart of O'Donoghue
+and Candes (2015). The momentum counter resets whenever the step
+x -> x_new makes an acute angle with the gradient g at the extrapolated
+point, g . (x_new - x) > 0, so momentum is dropped as soon as it points
+uphill and no schedule needs tuning. The iteration starts from the datum on
+the pinned nodes and 0 elsewhere, not from the harmonic extension, so it
+never factors the Laplacian that Newton's preconditioner uses. It is
+restricted to coarse grids.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from .problem import (
     dirichlet_values,
     discrete_laplacian,
     energy_array,
-    energy_hessian_apply,
     gradient_array,
+    hessian,
 )
 from .solver import ConvergenceError, SolveResult
 
@@ -34,16 +38,14 @@ MAX_STEPS = 100_000
 
 
 def _hessian_norm(spec: ProblemSpec, w: np.ndarray) -> float:
-    """60 power-iteration steps for the spectral norm of the free-block Hessian."""
+    """60 power-iteration steps for the spectral norm of `hessian` at w."""
     grid = spec.grid()
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(grid.node_count)
-    x[grid.pinned_ids] = 0.0
+    H = hessian(grid, w, spec, float(np.abs(gradient_array(grid, w, spec)).max()))
+    x = np.random.default_rng(0).standard_normal(grid.node_count)[grid.free_ids]
     x /= np.linalg.norm(x)
-    field = ScalarField(grid, w)
     lam = 1.0
     for _ in range(60):
-        y = energy_hessian_apply(field, x, spec)
+        y = H @ x
         lam = float(np.linalg.norm(y))
         if lam == 0.0:
             return 1.0

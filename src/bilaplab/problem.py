@@ -76,7 +76,9 @@ class BoundaryDatum:
             self._fn = lambda pts: np.zeros(pts.shape[0])
         elif fam == "harmonic":
             if "coeffs" in params:
-                coeffs = [_finite(v) for v in params["coeffs"].split(";")]
+                coeffs = [_finite(v) for v in params.pop("coeffs").split(";")]
+                if params:
+                    raise ValueError(f"unknown harmonic parameters {sorted(params)}")
                 polys = []
                 for k, c in enumerate(coeffs, start=1):
                     vec = np.zeros(basis_size(self.n, k))
@@ -169,8 +171,8 @@ class ProblemSpec:
         if not self.p > 1:
             raise ValueError(f"penalty exponent must satisfy p > 1, got {self.p}")
         if self.lambda_plus < 0 or self.lambda_minus < 0:
-            # the two-phase model has positive weights; 0 is accepted as the
-            # pure-biharmonic limit used by the cross-check examples
+            # the two-phase model has positive weights; 0 is accepted and
+            # turns that phase's penalty off
             raise ValueError("phase weights lambda_plus, lambda_minus must be nonnegative")
         self.g = as_datum(self.g, self.n)
 
@@ -305,26 +307,6 @@ def thin_reaction(t, spec: ProblemSpec):
     return spec.lambda_minus * neg ** e - spec.lambda_plus * pos ** e
 
 
-def thin_reaction_derivative(t, spec: ProblemSpec, clamp: float | None = None):
-    """G(t) = F'(t) = -(p-1)(lambda_minus (t^-)^(p-2) + lambda_plus (t^+)^(p-2)).
-
-    At p = 2 the kink at t = 0 is resolved by G(0) = 0 (the minimal-norm
-    element of the generalized derivative interval). For 1 < p < 2, G blows
-    up at the sign change and is refused unless clamped: with clamp delta,
-    |t| becomes max(|t|, delta) and t = 0 takes the larger weight. That is
-    the Newton model's curvature, not F'. For p >= 2 the clamp is ignored.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    if spec.p < 2:
-        if clamp is None:
-            raise ValueError("thin_reaction_derivative requires p >= 2 or a clamp")
-        mag, at_zero = np.maximum(np.abs(t), clamp), max(spec.lambda_plus, spec.lambda_minus)
-    else:
-        mag, at_zero = np.abs(t), 0.0
-    lam = np.where(t > 0, spec.lambda_plus, np.where(t < 0, spec.lambda_minus, at_zero))
-    return -(spec.p - 1.0) * (lam * mag ** (spec.p - 2.0))
-
-
 # ---------------------------------------------------------------------------
 # discrete operators, cached per grid
 
@@ -340,7 +322,7 @@ def operators(grid: HalfBallGrid) -> SimpleNamespace:
     K      L^T diag(omega) L, the quadratic-part matrix on all nodes.
     Kff    K restricted to the free nodes, rows and columns in free_ids order.
     thin_slots  positions in Kff.data of the thin rows' diagonal entries, in
-           thin_ids order: where the Newton Hessian takes the face curvature.
+           thin_ids order: where `hessian` adds the face curvature.
     free_ids, thin_ids  the grid's, from which those two are derived.
     """
     ops = getattr(grid, "_ops", None)
@@ -398,10 +380,10 @@ def operators(grid: HalfBallGrid) -> SimpleNamespace:
 class _Operators(SimpleNamespace):
     """The record `operators` returns.
 
-    Kff and thin_slots are derived from K when first read, which the solver
-    does after it has factored L_ff. Built before that factor, they raised
-    the peak RSS of a run of n = 1, h = 1/64 solves by 1.5 to 2.4 MB (glibc
-    on x86_64).
+    Kff and thin_slots are derived from K when first read, which `hessian`
+    does; a Newton solve calls it after it has factored L_ff. Built before
+    that factor, they raised the peak RSS of a run of n = 1, h = 1/64
+    solves by 1.5 to 2.4 MB (glibc on x86_64).
     """
 
     @functools.cached_property
@@ -444,7 +426,7 @@ def face_phase(grid: HalfBallGrid, w: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# energy, gradient, Hessian action
+# energy, gradient, Hessian
 
 
 def energy_array(grid: HalfBallGrid, w: np.ndarray, spec: ProblemSpec) -> float:
@@ -477,40 +459,40 @@ def gradient_array(grid: HalfBallGrid, w: np.ndarray, spec: ProblemSpec) -> np.n
 
 
 def face_hessian_diagonal(grid: HalfBallGrid, w: np.ndarray, spec: ProblemSpec,
-                          grad_sup: float | None = None) -> np.ndarray:
-    """2 face_w |G(w)| at the thin nodes: the face part of the generalized Hessian.
+                          grad_sup: float) -> np.ndarray:
+    """2 face_w |F'(w)| at the thin nodes: the face part of `hessian`.
 
-    For p >= 2, G is thin_reaction_derivative. For 1 < p < 2 it is clamped
-    at delta = max(1e-3 sup|grad J(w)|, 1e-14); `grad_sup` passes that sup
-    when the caller has it, else it is computed here.
+    |F'(t)| = (p-1) lambda |t|^(p-2), lambda that of t's phase. At p = 2
+    the kink at t = 0 takes 0, the minimal-norm element of the generalized
+    derivative interval. For 1 < p < 2, F' blows up at the sign change, so
+    |t| becomes max(|t|, delta), delta = max(1e-3 grad_sup, 1e-14) with
+    grad_sup = sup|grad J(w)|, and t = 0 takes the larger weight: the Newton
+    model's curvature, not F'. For p >= 2 grad_sup is not read.
     """
-    thin = grid.thin_ids
-    clamp = None
+    t = w[grid.thin_ids]
     if spec.p < 2.0:
-        if grad_sup is None:
-            grad_sup = float(np.abs(gradient_array(grid, w, spec)).max())
-        clamp = max(1e-3 * grad_sup, 1e-14)
-    gg = thin_reaction_derivative(w[thin], spec, clamp=clamp)
-    return 2.0 * operators(grid).face_w_by_node[thin] * np.abs(gg)
+        mag = np.maximum(np.abs(t), max(1e-3 * grad_sup, 1e-14))
+        at_zero = max(spec.lambda_plus, spec.lambda_minus)
+    else:
+        mag, at_zero = np.abs(t), 0.0
+    lam = np.where(t > 0, spec.lambda_plus, np.where(t < 0, spec.lambda_minus, at_zero))
+    curvature = (spec.p - 1.0) * (lam * mag ** (spec.p - 2.0))
+    return 2.0 * operators(grid).face_w_by_node[grid.thin_ids] * curvature
 
 
-def energy_hessian_apply(w: ScalarField, direction: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """Action of the (generalized) Hessian at w on a free-node direction.
+def hessian(grid: HalfBallGrid, w: np.ndarray, spec: ProblemSpec,
+            grad_sup: float) -> sp.csr_matrix:
+    """The generalized Hessian of the discrete energy at w, on the free block.
 
-    The direction is a full-length vector; pinned entries are ignored and
-    the output is zero there. Positive semidefinite: the quadratic part is
-    2 L^T diag(omega) L and the penalty contributes face_hessian_diagonal
-    (clamped for p < 2) on the face diagonal.
+    2 Kff plus `face_hessian_diagonal` on the thin rows' diagonal
+    (`operators(grid).thin_slots`), rows and columns in free_ids order:
+    symmetric positive semidefinite. Newton solves with it, and the oracle
+    sizes its step by its norm.
     """
-    grid = w.grid
     ops = operators(grid)
-    d = np.asarray(direction, dtype=np.float64).copy()
-    d[grid.pinned_ids] = 0.0
-    out = 2.0 * (ops.K @ d)
-    thin = grid.thin_ids
-    out[thin] += face_hessian_diagonal(grid, w.values, spec) * d[thin]
-    out[grid.pinned_ids] = 0.0
-    return out
+    H = 2.0 * ops.Kff
+    H.data[ops.thin_slots] += face_hessian_diagonal(grid, w, spec, grad_sup)
+    return H
 
 
 def dirichlet_values(spec: ProblemSpec) -> np.ndarray:

@@ -1,26 +1,25 @@
 """Minimization of the discrete energy and Euler-Lagrange diagnostics.
 
 `minimize` runs one damped semismooth Newton method with Armijo
-backtracking for every p > 1. Its generalized Hessian is 2 Kff plus the
-nonnegative face diagonal of `problem.face_hessian_diagonal`, where
+backtracking for every p > 1. Each step solves with `problem.hessian`, the
+one generalized Hessian: a copy of 2 Kff from `operators(grid).Kff` with
+the nonnegative face diagonal of `problem.face_hessian_diagonal` added at
+its thin-node diagonal entries (`operators(grid).thin_slots`), where
 Kff = L_ff^T diag(omega) L_ff and L_ff is the reflected Dirichlet Laplacian
 (the Ciarlet-Raviart splitting into two Poisson operators). For 1 < p < 2
 the reaction derivative is unbounded at the sign change, so that diagonal
 uses max(|u|, delta)^(p-2) with delta = 1e-3 sup|grad J|; the energy, the
 gradient, the Armijo test and the stopping rule stay those of the true
-problem. 2 Kff is formed once per solve from `operators(grid).Kff`, and
-each Newton step writes the face diagonal into its thin-node diagonal
-entries (`operators(grid).thin_slots`). CG solves each Newton
-system preconditioned with (2 Kff)^-1, two transposed solves with one LU of
-L_ff, so its step count stays small at every h and every p. That
-LU is factored in SuperLU's symmetric mode (minimum-degree ordering on
-L_ff + L_ff^T, no pivoting), which holds about half the fill of the default
-column ordering. Every solve with it is a transposed solve, SuperLU's
-faster path: D L_ff is symmetric for D = omega / h^(n+1), so
-L_ff^-1 y = D^-1 L_ff^-T (D y). The factor, like 2 Kff's pattern, depends
-on the grid alone: `build_grid` hands every spec with the same (n, h) one
-grid, and `_laplace_factor` keeps the factor of the last grid it was asked
-for, so consecutive solves on one lattice factor L_ff once.
+problem. CG solves each Newton system preconditioned with (2 Kff)^-1, two
+transposed solves with one LU of L_ff, so its step count stays small at
+every h and every p. That LU is factored in SuperLU's symmetric mode
+(minimum-degree ordering on L_ff + L_ff^T, no pivoting), which holds about
+half the fill of the default column ordering. Every solve with it is a
+transposed solve, SuperLU's faster path: D L_ff is symmetric for
+D = omega / h^(n+1), so L_ff^-1 y = D^-1 L_ff^-T (D y). The factor, like
+Kff, depends on the grid alone: `build_grid` hands every spec with the same
+(n, h) one grid, and `_laplace_factor` keeps the factor of the last grid it
+was asked for, so consecutive solves on one lattice factor L_ff once.
 
 CG stops once its residual's 2-norm is below CG_FLOOR = 0.1 times the
 Newton tolerance: for the quadratic model that residual is the next
@@ -52,9 +51,9 @@ from .problem import (
     dirichlet_values,
     discrete_laplacian,
     energy_array,
-    face_hessian_diagonal,
     face_phase,
     gradient_array,
+    hessian,
     operators,
     thin_reaction,
 )
@@ -190,16 +189,9 @@ def harmonic_extension(spec: ProblemSpec) -> ScalarField:
 
 def _newton(spec: ProblemSpec, w: np.ndarray):
     grid = spec.grid()
-    free = grid.free_ids
-    ops = operators(grid)
-    slots = ops.thin_slots
+    free, thin = grid.free_ids, grid.thin_ids
     E = free.size
-    # 2 Kff once per solve, with the pattern of Kff; each step writes the face
-    # diagonal into the thin rows' diagonal entries
-    H = 2.0 * ops.Kff
-    base = H.data[slots].copy()
     on_thin = grid.node_class[grid.face_ids] == THIN
-    thin = grid.face_ids[on_thin]
     phase = face_phase(grid, w)[on_thin]
     M = _split_preconditioner(grid)
     trace: list[NewtonStep] = []
@@ -227,10 +219,9 @@ def _newton(spec: ProblemSpec, w: np.ndarray):
             raise failure(ConvergenceError, f"no convergence in {spec.max_iter} Newton "
                           f"steps (sup grad {gsup:.3e})")
 
-        H.data[slots] = base + face_hessian_diagonal(grid, w, spec, gsup)
         cg_steps = 0
-        d, info = spla.cg(H, -gf, rtol=1e-10, atol=CG_FLOOR * tol, maxiter=10 * E, M=M,
-                          callback=count)
+        d, info = spla.cg(hessian(grid, w, spec, gsup), -gf, rtol=1e-10, atol=CG_FLOOR * tol,
+                          maxiter=10 * E, M=M, callback=count)
         if info != 0:
             raise failure(LinearSolveError, f"conjugate gradient stalled (info={info})")
 

@@ -62,6 +62,7 @@ def test_parse_empty_text_yields_defaults():
     ("g = trig:freq=1,amp=inf", r"key 'g'.*must be finite.*'inf'"),
     ("g = harmonic:deg=1,coef=nan", r"key 'g'.*must be finite"),
     ("g = harmonic:coeffs=1;nan", r"key 'g'.*must be finite"),
+    ("g = harmonic:coeffs=1,coef=5", r"key 'g'.*unknown harmonic parameters"),
     ("g = tabulated:values=1;-inf", r"key 'g'.*must be finite"),
     ("h = 1", r"key 'h'.*h <= 1/4"),
     ("h = 0.5", r"key 'h'.*h <= 1/4"),

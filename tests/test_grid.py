@@ -77,6 +77,17 @@ def test_shared_grid_arrays_are_read_only():
     assert all(not a.flags.writeable for a in vars(g).values() if isinstance(a, np.ndarray))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_face_ids_list_the_thin_nodes_in_thin_ids_order(n):
+    """`extract_gamma` scans the face in `face_ids` order, ascending in x at
+    n = 1, and the solver reads thin values in that order as `thin_ids`."""
+    for h_inv in (2, 3, 4, 8, 13, 16) + ((32, 64) if n == 1 else ()):
+        g = build_grid(n, 1.0 / h_inv)
+        if n == 1:
+            assert np.all(np.diff(g.nodes[g.face_ids, 0]) > 0)
+        assert np.array_equal(g.face_ids[g.node_class[g.face_ids] == THIN], g.thin_ids)
+
+
 def test_invalid_spacing_rejected():
     with pytest.raises(ValueError, match="does not divide"):
         build_grid(1, 0.3)

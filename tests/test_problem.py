@@ -10,12 +10,11 @@ from bilaplab.problem import (
     dirichlet_values,
     discrete_laplacian,
     energy_array,
-    energy_hessian_apply,
     face_hessian_diagonal,
     gradient_array,
+    hessian,
     operators,
     thin_reaction,
-    thin_reaction_derivative,
 )
 
 
@@ -101,58 +100,56 @@ def test_thin_reaction_cubic_growth():
     assert thin_reaction(-2.0, spec) == pytest.approx(4.0)
 
 
-def test_thin_reaction_derivative_values():
+def _face_curvature(spec, t, grad_sup):
+    """face_hessian_diagonal / (2 face_w) at the first thin nodes, their values t."""
+    grid = spec.grid()
+    thin = grid.thin_ids[:len(t)]
+    vals = np.zeros(grid.node_count)
+    vals[thin] = t
+    diag = face_hessian_diagonal(grid, vals, spec, grad_sup)[:len(t)]
+    return diag / (2.0 * operators(grid).face_w_by_node[thin])
+
+
+def test_face_hessian_diagonal_values():
+    """|F'(t)| = (p - 1) lambda |t|^(p - 2): at p = 2 the phase weight."""
     spec = _spec(lambda_plus=2.0, lambda_minus=0.5)
-    assert thin_reaction_derivative(1.0, spec) == pytest.approx(-2.0)
-    assert thin_reaction_derivative(-1.0, spec) == pytest.approx(-0.5)
+    got = _face_curvature(spec, [1.0, -1.0, 0.0], grad_sup=1.0)
     # minimal-norm selection at the kink
-    assert thin_reaction_derivative(0.0, spec) == pytest.approx(0.0)
-
-
-def test_thin_reaction_derivative_rejects_p_below_two():
-    spec = _spec(p=1.5)
-    with pytest.raises(ValueError, match="p >= 2"):
-        thin_reaction_derivative(0.3, spec)
+    assert np.allclose(got, [2.0, 0.5, 0.0], rtol=1e-15, atol=0.0)
 
 
 def test_clamped_derivative_for_subquadratic_exponent():
     spec = _spec(p=1.5, lambda_plus=2.0, lambda_minus=0.5)
     t = np.array([-0.25, -1e-6, 0.0, 1e-6, 0.25])
-    got = thin_reaction_derivative(t, spec, clamp=1e-2)
+    # grad_sup = 10 clamps |t| at delta = 1e-3 * 10
+    got = _face_curvature(spec, t, grad_sup=10.0)
     # max(|t|, 1e-2)^(-1/2) is 2 at |t| = 0.25 and 10 inside the clamp;
     # t = 0 takes the larger weight
-    want = -0.5 * np.array([0.5 * 2.0, 0.5 * 10.0, 2.0 * 10.0, 2.0 * 10.0, 2.0 * 2.0])
+    want = 0.5 * np.array([0.5 * 2.0, 0.5 * 10.0, 2.0 * 10.0, 2.0 * 10.0, 2.0 * 2.0])
     assert np.allclose(got, want, rtol=1e-15, atol=0.0)
-    # from p = 2 on, the clamp changes nothing
+    # from p = 2 on, grad_sup changes nothing
     quad = _spec(p=3.0, lambda_plus=2.0, lambda_minus=0.5)
-    assert np.array_equal(thin_reaction_derivative(t, quad, clamp=1e-2),
-                          thin_reaction_derivative(t, quad))
+    assert np.array_equal(_face_curvature(quad, t, 10.0), _face_curvature(quad, t, 0.0))
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_face_hessian_diagonal_is_the_face_part_of_the_hessian(p):
+    """`hessian` differs from 2 Kff only on the thin rows' diagonal, by
+    face_hessian_diagonal."""
     spec = _spec(p=p, lambda_plus=2.0, lambda_minus=0.5, g="harmonic:deg=1")
     grid = spec.grid()
     rng = np.random.default_rng(5)
     vals = np.zeros(grid.node_count)
     vals[grid.free_ids] = rng.normal(scale=0.3, size=len(grid.free_ids))
-    w = ScalarField(grid, vals)
-    thin = grid.thin_ids
-    diag = face_hessian_diagonal(grid, vals, spec)
     gsup = float(np.abs(gradient_array(grid, vals, spec)).max())
-    clamp = max(1e-3 * gsup, 1e-14) if p < 2 else None
-    want = 2.0 * operators(grid).face_w_by_node[thin] * np.abs(
-        thin_reaction_derivative(vals[thin], spec, clamp=clamp))
-    assert np.array_equal(diag, want)
-    assert np.array_equal(face_hessian_diagonal(grid, vals, spec, gsup), want)
-    # the Hessian action on one face node picks out its diagonal entry
-    e = np.zeros(grid.node_count)
-    e[thin[3]] = 1.0
-    assert energy_hessian_apply(w, e, spec)[thin[3]] == pytest.approx(
-        2.0 * operators(grid).K[thin[3], thin[3]] + diag[3], rel=1e-12)
-    d = np.zeros(grid.node_count)
-    d[thin] = 1.0
-    assert d @ energy_hessian_apply(w, d, spec) >= 0.0
+    diag = face_hessian_diagonal(grid, vals, spec, gsup)
+    assert np.all(diag > 0.0)
+    H, twice = hessian(grid, vals, spec, gsup), 2.0 * operators(grid).Kff
+    rows = np.searchsorted(grid.free_ids, grid.thin_ids)
+    face = (H - twice).tocoo()
+    face.eliminate_zeros()
+    assert sorted(zip(face.row, face.col)) == [(r, r) for r in rows]
+    assert np.array_equal(H.diagonal()[rows], twice.diagonal()[rows] + diag)
 
 
 # ---------------------------------------------------------------------------
@@ -205,30 +202,30 @@ def test_hessian_apply_is_positive_semidefinite():
     rng = np.random.default_rng(9)
     vals = np.zeros(grid.node_count)
     vals[grid.free_ids] = rng.normal(size=len(grid.free_ids))
-    w = ScalarField(grid, vals)
+    H = hessian(grid, vals, spec, float(np.abs(gradient_array(grid, vals, spec)).max()))
     for _ in range(6):
-        d = np.zeros(grid.node_count)
-        d[grid.free_ids] = rng.normal(size=len(grid.free_ids))
-        assert d @ energy_hessian_apply(w, d, spec) >= -1e-10
+        d = rng.normal(size=len(grid.free_ids))
+        assert d @ (H @ d) >= -1e-10
 
 
 def test_hessian_is_gradient_jacobian():
-    spec = _spec(p=2.0)
-    grid = spec.grid()
-    rng = np.random.default_rng(13)
-    vals = np.zeros(grid.node_count)
-    vals[grid.free_ids] = rng.normal(scale=0.3, size=len(grid.free_ids))
-    w = ScalarField(grid, vals)
-    d = np.zeros(grid.node_count)
-    d[grid.free_ids] = rng.normal(size=len(grid.free_ids))
-    eps = 1e-6
-    gp = gradient_array(grid, vals + eps * d, spec)
-    gm = gradient_array(grid, vals - eps * d, spec)
-    fd = (gp - gm) / (2 * eps)
-    hd = energy_hessian_apply(w, d, spec)
-    mask = np.zeros(grid.node_count, dtype=bool)
-    mask[grid.free_ids] = True
-    assert np.abs((hd - fd)[mask]).max() < 1e-5 * max(1.0, np.abs(hd[mask]).max())
+    """For p >= 2 `hessian` is the Jacobian of the gradient on the free block."""
+    for p in (2.0, 3.0):
+        spec = _spec(p=p)
+        grid = spec.grid()
+        free = grid.free_ids
+        rng = np.random.default_rng(13)
+        vals = np.zeros(grid.node_count)
+        vals[free] = rng.normal(scale=0.3, size=len(free))
+        d = np.zeros(grid.node_count)
+        d[free] = rng.normal(size=len(free))
+        eps = 1e-6
+        gp = gradient_array(grid, vals + eps * d, spec)
+        gm = gradient_array(grid, vals - eps * d, spec)
+        fd = ((gp - gm) / (2 * eps))[free]
+        gsup = float(np.abs(gradient_array(grid, vals, spec)).max())
+        hd = hessian(grid, vals, spec, gsup) @ d[free]
+        assert np.abs(hd - fd).max() < 1e-5 * max(1.0, np.abs(hd).max())
 
 
 # ---------------------------------------------------------------------------

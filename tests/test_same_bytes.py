@@ -31,8 +31,8 @@ def test_differing_lists_changed_and_one_sided_files(tmp_path):
 
 
 def test_transcribe_keeps_the_extension_outputs(tmp_path):
-    """The extension-check and demo transcripts are compared, each with its
-    exit code; they carry no wall time, so `strip_times` leaves them as printed."""
+    """The extension-check, demo and oracle transcripts are compared, each with
+    its exit code; they carry no wall time, so `strip_times` leaves them as printed."""
     names = [name for name, _ in same_bytes.TRANSCRIPTS]
     assert len(set(names)) == len(names)
     extension = [(name, argv) for name, argv in same_bytes.TRANSCRIPTS
@@ -40,11 +40,11 @@ def test_transcribe_keeps_the_extension_outputs(tmp_path):
     assert [name for name, _ in extension] == [
         "extension-check.txt", "extension-check-modes-1,2,3,5,8-height-16.txt",
         "demo-extension_identity.txt", "demo-free_boundary_tour.txt",
-        "demo-solve_and_profile.txt"]
+        "demo-solve_and_profile.txt", "oracle.txt"]
     same_bytes.transcribe(_PATH.parent.parent, tmp_path, extension)
     codes = json.loads((tmp_path / "transcript_exit_codes.json").read_text())
     # mode 8 reads 1.9559, so the spread across 1, 2, 3, 5, 8 exceeds 2%
-    assert list(codes.values()) == [0, 1, 0, 0, 0]
+    assert list(codes.values()) == [0, 1, 0, 0, 0, 0]
     default = (tmp_path / "extension-check.txt").read_text().splitlines()
     assert [line.split()[0] for line in default[1:4]] == ["1", "2", "3"]
     assert default[-2] == "spread 0.002913 (target <= 0.02): pass"
@@ -60,6 +60,13 @@ def test_transcribe_keeps_the_extension_outputs(tmp_path):
     assert "mu_hat  0.9970  mu_int 1" in tour
     profile = (tmp_path / "demo-solve_and_profile.txt").read_text()
     assert "frequency at r -> 0  0.9933 (nearest integer: 1)\n" in profile
+    # the oracle on eight coarse problems, each within check 1's field bound of Newton
+    oracle = [line.rsplit(" ", 4) for line in
+              (tmp_path / "oracle.txt").read_text().splitlines()]
+    assert [row[0] for row in oracle] == [
+        "sym-p2 h=1/8", "sym-p2 h=1/16", "asym-p2 h=1/8", "asym-p2 h=1/16", "sym-p3 h=1/8",
+        "sym-p3 h=1/16", "asym-p2 p=1.5 h=1/8", "asym-p2 p=1.25 h=1/8"]
+    assert all(float(row[3]) <= 1e-10 and float(row[4]) <= 1e-6 for row in oracle)
 
 
 def test_strip_times_drops_only_the_time_that_ends_a_check_line():

@@ -23,12 +23,14 @@ and writes each run's artifacts, plus the exit code of every run in
 `exit_codes.json`. Then each command of `TRANSCRIPTS` runs in a process of
 its own: `bilaplab verify --level quick` and `--level full`, `bilaplab
 extension-check` with its defaults and with `--modes 1,2,3,5,8 --height 16`,
-and the three demos (`free_boundary_tour.py` profiles and analyzes points
-at h = 1/64, which no run above reaches). Each one's stdout is kept in its file,
-without the wall time that ends each `verify` check line, and the exit codes
-go to `transcript_exit_codes.json`. The command prints every file that
-differs between the two sides, a file present on one side only included,
-and exits 1 if any file differs.
+the three demos (`free_boundary_tour.py` profiles and analyzes points at
+h = 1/64, which no run above reaches), and `ORACLE`, which prints the
+brute-force oracle's energy, step count, sup|grad J| and distance to the
+Newton minimizer on eight coarse problems. Each one's stdout is kept in its
+file, without the wall time that ends each `verify` check line, and the
+exit codes go to `transcript_exit_codes.json`. The command prints every
+file that differs between the two sides, a file present on one side only
+included, and exits 1 if any file differs.
 """
 
 from __future__ import annotations
@@ -63,6 +65,25 @@ EXTRA_RUNS = [
     ("asym-p2-h32-run-explicit-radii", _ASYM + f"h = {1 / 32!r}\nradii = {RADII}\n"),
 ]
 
+# the brute-force oracle on the three corpus configs at h = 1/8 and 1/16 and on
+# asym-p2 at p = 1.5 and 1.25, h = 1/8: its energy, step count and sup|grad J|,
+# and its distance to the Newton minimizer
+ORACLE = """
+import numpy as np
+from bilaplab.oracle import brute_minimize
+from bilaplab.problem import ProblemSpec
+from bilaplab.solver import minimize
+from bilaplab.verify import CORPUS, corpus_spec
+
+specs = [(f"{tag} h=1/{k}", corpus_spec(tag, k)) for tag in CORPUS for k in (8, 16)]
+specs += [(f"asym-p2 p={p} h=1/8", ProblemSpec(**{**CORPUS["asym-p2"], "p": p}, h=0.125))
+          for p in (1.5, 1.25)]
+for name, spec in specs:
+    ref = brute_minimize(spec)
+    gap = np.abs(ref.u.values - minimize(spec).u.values).max()
+    print(name, repr(ref.energy), ref.iterations, repr(ref.grad_sup), "%.3e" % gap)
+"""
+
 # (file, arguments of the interpreter) of each command whose stdout is compared
 TRANSCRIPTS = [
     ("verify-quick.txt", ["-m", "bilaplab.cli", "verify", "--level", "quick"]),
@@ -73,6 +94,7 @@ TRANSCRIPTS = [
     ("demo-extension_identity.txt", ["demos/extension_identity.py"]),
     ("demo-free_boundary_tour.txt", ["demos/free_boundary_tour.py"]),
     ("demo-solve_and_profile.txt", ["demos/solve_and_profile.py"]),
+    ("oracle.txt", ["-c", ORACLE]),
 ]
 # the wall time `verify` prints at the end of each check line
 _CHECK_TIME = re.compile(r"  \d+\.\d\d s$", re.MULTILINE)
