@@ -115,10 +115,14 @@ def parse_config(text: str) -> RunConfig:
 
     "auto" keeps the adaptive policy: tol_grad scales with the energy,
     centers follow the extracted free boundary (origin fallback), radii
-    follow the geometric ladder of default_radii. Each violated constraint
+    follow the geometric ladder of default_radii. Explicit radii give a
+    frequency only when there are at least 8 of them spanning a factor of 2
+    (`estimate_mu`); otherwise every profile carries mu_error and no
+    frequency, and the run still succeeds. Each violated constraint
     raises ConfigError naming the key: unknown keys, non-finite numbers,
     p <= 1, lambda <= 0, h whose reciprocal is not an integer or is below 4,
-    centers outside the thin face or at n = 2, non-finite datum parameters.
+    centers outside the thin face or at n = 2, non-finite, unknown or
+    missing datum parameters.
     """
     raw: dict[str, str] = {}
     for ln, line in enumerate(text.splitlines(), start=1):

@@ -24,10 +24,12 @@ with a TypeError.
 Each field reads itself, one ScalarField read being one `interp_box` call.
 `compute_profile` samples each sphere and ball with `sample_count(r, h)`
 directions, reads u once and v once per radius on the surface, solid and
-thin points together, and keeps copies of its half-sphere samples, from
-which `monneau_curve` reads M_mu. A profile's radii come from one rule,
-`profile_radii`; a radius ladder on one direction set is `_ladder`, and a
-quantity's ladder in h (h, h/2, ...) a `refinement` study.
+thin points together, and keeps copies of its half-sphere samples. Those
+samples are the one read of the pair on half-spheres around a center:
+`monneau_curve` and `growth_fit` here, and the blow-up fits and
+nondegeneracy check of `freeboundary`, take their values from them and
+read no field. A profile's radii come from one rule, `profile_radii`, and
+a quantity's ladder in h (h, h/2, ...) is a `refinement` study.
 """
 
 from __future__ import annotations
@@ -276,40 +278,23 @@ def estimate_mu(profile: RadialProfile) -> tuple[float, int | None]:
     return mu_hat, mu_int
 
 
-def _ladder(grid: HalfBallGrid, center, radii):
-    """One half-sphere direction set for a whole radius ladder.
+def _surface_sups(profile: RadialProfile) -> np.ndarray:
+    """sup |u| and sup |v| over each half-sphere of the profile, shape (K, 2)."""
+    return np.array([[np.abs(us).max(), np.abs(vs).max()] for _, _, us, vs in profile.surface])
 
-    Returns the `half_sphere` directions and weights, sized by `sample_count`
-    of the largest radius, and the points center + r d, radius by radius in
-    the order given, shape (K m, n+1). The center and each radius are
-    checked by `ball_center`.
+
+def growth_fit(profile: RadialProfile, r_max: float) -> float:
+    """Least-squares slope of log sup |u| against log r over the profile's
+    half-spheres of radius at most r_max.
+
+    Radii where the sup is exactly zero are dropped from the fit; NaN when
+    fewer than two remain (degenerate).
     """
-    radii = np.atleast_1d(np.asarray(radii, dtype=np.float64))
-    direc, w = half_sphere(grid.n, sample_count(radii.max(), grid.h))
-    for r in radii:
-        c = ball_center(grid, center, r)
-    return direc, w, (c + radii[:, None, None] * direc).reshape(-1, grid.n + 1)
-
-
-def _sphere_sups(w, center, radii) -> np.ndarray:
-    """sup |w| over the upper half-sphere of each radius, sampled along `_ladder`."""
-    _, _, pts = _ladder(_field(w).grid, center, radii)
-    return np.abs(w(pts)).reshape(len(radii), -1).max(axis=1)
-
-
-def growth_fit(w, center, radii) -> float:
-    """Least-squares slope of log sup |w| on half-spheres against log r.
-
-    Returns NaN when the field vanishes on every sampled sphere (degenerate);
-    radii where the sup is exactly zero are dropped from the fit.
-    """
-    radii = np.sort(np.asarray(radii, dtype=np.float64))
-    sups = _sphere_sups(w, center, radii)
-    keep = sups > 0
+    sups = _surface_sups(profile)[:, 0]
+    keep = (profile.radii <= r_max) & (sups > 0)
     if keep.sum() < 2:
         return float("nan")
-    slope = np.polyfit(np.log(radii[keep]), np.log(sups[keep]), 1)[0]
-    return float(slope)
+    return float(np.polyfit(np.log(profile.radii[keep]), np.log(sups[keep]), 1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ the face) of the positivity and negativity sets of the trace u(., 0). Points
 are found by scanning the phases of the thin trace, classified by the size
 of the thin gradients of u and v, profiled by `profile_point` (the one
 per-center profiling step), and analyzed by fitting homogeneous harmonic
-polynomials to the homogeneous rescalings of the pair around the point,
-sampled on the unit half-sphere.
+polynomials to the homogeneous rescalings of the pair around the point.
+The fits and the nondegeneracy check read the profile's half-sphere
+samples, so the profile is the one read of the pair around a center.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import (RadialProfile, _field, _ladder, _sphere_sups, compute_profile,
-                          estimate_mu, minimal_almgren_constant, minimal_monneau_constant,
-                          monneau_curve, profile_radii)
+from .diagnostics import (RadialProfile, _field, _surface_sups, compute_profile, estimate_mu,
+                          minimal_almgren_constant, minimal_monneau_constant, monneau_curve,
+                          profile_radii)
 from .harmonics import HomogeneousHarmonicPoly, harmonic_basis
 from .problem import ProblemSpec, ScalarField, face_phase
 
@@ -157,47 +158,38 @@ class BlowupFit:
     no_blowup: bool
 
 
-def blowup_fit(u, v, center, radii, mu: int) -> BlowupFit:
+def blowup_fit(profile: RadialProfile, mu: int) -> BlowupFit:
     """Least-squares fit of the rescaled pair against the degree-mu basis.
 
-    For each radius r the homogeneous rescaling w(center + r z)/r^mu is
-    sampled on the unit half-sphere and projected onto the even harmonic
-    basis of degree mu in the weighted L2 sense; every radius uses the one
-    direction set of `_ladder`, and the pair is read at all radii at once.
-    The returned polynomials are the fits at the smallest radius; the
-    residual curve should decrease toward 0 (linearly in r when the
-    remainder is one degree higher).
+    For each radius r of the profile, the homogeneous rescaling
+    w(center + r z)/r^mu is taken from the profile's half-sphere samples of
+    that radius and projected onto the even harmonic basis of degree mu in
+    the weighted L2 sense; the directions z are the samples' points relative
+    to the center over r, and the basis is evaluated once per sample count.
+    No field is read. The returned polynomials are the fits at the smallest
+    radius; the residual curve should decrease toward 0 (linearly in r when
+    the remainder is one degree higher).
     """
     if mu != int(mu) or mu < 1:
         raise ValueError(f"blow-up degree must be a positive integer, got {mu}")
-    return _fit_degree(*_ladder_pair(u, v, center, radii), int(mu))
-
-
-def _ladder_pair(u, v, center, radii):
-    """The sorted radii, the `_ladder` directions and weights, and the pair
-    read at every ladder point, (K, m) each: what `_fit_degree` fits."""
-    radii = np.sort(np.asarray(radii, dtype=np.float64))
-    u, v = _field(u), _field(v)
-    direc, w, pts = _ladder(u.grid, center, radii)
-    us, vs = u(pts).reshape(radii.size, -1), v(pts).reshape(radii.size, -1)
-    return radii, direc, w, us, vs
-
-
-def _fit_degree(radii, direc, w, us, vs, mu: int) -> BlowupFit:
-    """The degree-mu fit of `blowup_fit` from the pair read on the ladder."""
-    n = direc.shape[1] - 1
+    mu = int(mu)
+    radii = profile.radii
+    n = profile.center.size - 1
     basis = harmonic_basis(n, mu)
-    A = np.stack([b(direc) for b in basis], axis=1)
-    sw = np.sqrt(w)
-    Aw = A * sw[:, None]
+    by_count: dict[int, np.ndarray] = {}
 
     K = radii.size
     res = np.zeros(K)
     cu = np.zeros((K, len(basis)))
     cv = np.zeros((K, len(basis)))
-    for k, r in enumerate(radii):
-        au = us[k] / r ** mu
-        av = vs[k] / r ** mu
+    for k, (r, (rel, w, us, vs)) in enumerate(zip(radii, profile.surface)):
+        if w.size not in by_count:
+            by_count[w.size] = np.stack([b(rel / r) for b in basis], axis=1)
+        A = by_count[w.size]
+        sw = np.sqrt(w)
+        Aw = A * sw[:, None]
+        au = us / r ** mu
+        av = vs / r ** mu
         solu, *_ = np.linalg.lstsq(Aw, au * sw, rcond=None)
         solv, *_ = np.linalg.lstsq(Aw, av * sw, rcond=None)
         cu[k], cv[k] = solu, solv
@@ -213,16 +205,14 @@ def _fit_degree(radii, direc, w, us, vs, mu: int) -> BlowupFit:
                      coeff_curve_u=cu, coeff_curve_v=cv, no_blowup=nb)
 
 
-def nondegeneracy_check(u, v, center, radii, mu: float) -> float:
-    """min over r of max(sup |u|, sup |v|) / r^mu on half-spheres, each sup
-    taken by `_sphere_sups` along the one direction set of `_ladder`.
+def nondegeneracy_check(profile: RadialProfile, mu: float) -> np.ndarray:
+    """max(sup |u|, sup |v|) / r^mu at each radius of the profile, the sups
+    taken over its half-sphere samples.
 
-    Positive and r-stable certifies nondegeneracy; 0 means the pair decays
-    faster than r^mu (degenerate for the claimed frequency).
+    Positive and r-stable certifies nondegeneracy; a minimum near 0 means
+    the pair decays faster than r^mu (degenerate for the claimed frequency).
     """
-    radii = np.asarray(radii, dtype=np.float64)
-    sups = np.maximum(_sphere_sups(u, center, radii), _sphere_sups(v, center, radii))
-    return float((sups / radii ** mu).min())
+    return _surface_sups(profile).max(axis=1) / profile.radii ** mu
 
 
 def singular_dimension(p_mu: HomogeneousHarmonicPoly, q_mu: HomogeneousHarmonicPoly) -> int:
@@ -287,11 +277,12 @@ def analyze_point(point: FreeBoundaryPoint, u: ScalarField, v: ScalarField,
 
     Runs the full per-point pipeline: thin-gradient classification,
     `profile_point` on the default radii, blow-up fits over the degrees
-    MU_CANDIDATES from one read of the pair on the `_ladder` points (the
-    best in best_fit_degree), singular dimension for fitted pairs, and, when
+    MU_CANDIDATES on the profile's half-sphere samples (the best in
+    best_fit_degree), singular dimension for fitted pairs, and, when
     mu_int >= 1, the Monneau constant of the fit with mu = mu_int, taken
-    from the profile's own half-sphere samples. A point that profile_point
-    gives no frequency keeps its classification and stops there.
+    from the same samples. The fields are read only by `classify_point`
+    and the profile. A point that profile_point gives no frequency keeps
+    its classification and stops there.
     """
     classify_point(point, u, v)
     profile_point(point, u, v, spec, None)
@@ -299,8 +290,7 @@ def analyze_point(point: FreeBoundaryPoint, u: ScalarField, v: ScalarField,
         return point
     prof = point.profile
 
-    ladder = _ladder_pair(u, v, [point.x], prof.radii)
-    fits = {mu: _fit_degree(*ladder, mu) for mu in MU_CANDIDATES}
+    fits = {mu: blowup_fit(prof, mu) for mu in MU_CANDIDATES}
     best_mu = point.best_fit_degree = min(fits, key=lambda k: np.nanmin(fits[k].residuals))
     pick = point.mu_int if point.mu_int in fits else best_mu
     fit = fits[pick]

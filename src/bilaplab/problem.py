@@ -68,6 +68,12 @@ class BoundaryDatum:
                 params[key.strip()] = val.strip()
         self._build(params)
 
+    def _required(self, params, key: str) -> str:
+        """params.pop(key); ValueError naming the parameter when it is missing."""
+        if key not in params:
+            raise ValueError(f"boundary datum family {self.family!r} needs the parameter {key!r}")
+        return params.pop(key)
+
     def _build(self, params):
         fam = self.family
         if fam == "zero":
@@ -86,7 +92,7 @@ class BoundaryDatum:
                     polys.append(HomogeneousHarmonicPoly(self.n, k, vec))
                 self._fn = lambda pts: sum(p(pts) for p in polys)
             else:
-                deg = int(params.pop("deg"))
+                deg = int(self._required(params, "deg"))
                 coef = _finite(params.pop("coef", "1"))
                 if params:
                     raise ValueError(f"unknown harmonic parameters {sorted(params)}")
@@ -95,7 +101,7 @@ class BoundaryDatum:
                 poly = HomogeneousHarmonicPoly(self.n, deg, vec)
                 self._fn = poly
         elif fam == "trig":
-            freq = _finite(params.pop("freq"))
+            freq = _finite(self._required(params, "freq"))
             amp = _finite(params.pop("amp", "1"))
             kind = params.pop("kind", "cos")
             if params:
@@ -109,7 +115,7 @@ class BoundaryDatum:
         elif fam == "tabulated":
             if self.n != 1:
                 raise ValueError("tabulated boundary data is only supported for n = 1")
-            vals = np.array([_finite(v) for v in params.pop("values").split(";")])
+            vals = np.array([_finite(v) for v in self._required(params, "values").split(";")])
             if params:
                 raise ValueError(f"unknown tabulated parameters {sorted(params)}")
             if vals.size < 2:
@@ -132,15 +138,6 @@ class BoundaryDatum:
         return f"BoundaryDatum({self.description!r}, n={self.n})"
 
 
-def as_datum(g, n: int) -> object:
-    """Coerce a string spec or callable into something callable on points."""
-    if isinstance(g, str):
-        return BoundaryDatum(g, n=n)
-    if callable(g):
-        return g
-    raise TypeError("boundary datum must be a family string or a callable")
-
-
 # ---------------------------------------------------------------------------
 # problem record
 
@@ -150,7 +147,8 @@ class ProblemSpec:
     """Everything that pins down one discrete minimization problem.
 
     p is the penalty exponent (p > 1), lambda_plus / lambda_minus the phase
-    weights (both > 0), g the Dirichlet datum on the spherical boundary,
+    weights (both > 0), g the Dirichlet datum on the spherical boundary as a
+    `BoundaryDatum` family string (held as its BoundaryDatum after init),
     h the lattice spacing (1/h a positive integer). tol_grad = None selects
     the default stopping rule  sup|grad J| <= 1e-8 * (1 + |J|).
     """
@@ -159,7 +157,7 @@ class ProblemSpec:
     p: float = 2.0
     lambda_plus: float = 1.0
     lambda_minus: float = 1.0
-    g: object = "zero"
+    g: str = "zero"
     h: float = 1.0 / 16
     tol_grad: float | None = None
     max_iter: int = 200
@@ -174,7 +172,12 @@ class ProblemSpec:
             # the two-phase model has positive weights; 0 is accepted and
             # turns that phase's penalty off
             raise ValueError("phase weights lambda_plus, lambda_minus must be nonnegative")
-        self.g = as_datum(self.g, self.n)
+        # a BoundaryDatum stands for its family string, so that
+        # dataclasses.replace of a spec builds the datum anew for its n
+        g = self.g.description if isinstance(self.g, BoundaryDatum) else self.g
+        if not isinstance(g, str):
+            raise TypeError(f"boundary datum g must be a family string, got {type(g).__name__}")
+        self.g = BoundaryDatum(g, n=self.n)
 
     def grid(self) -> HalfBallGrid:
         if self._grid is None:

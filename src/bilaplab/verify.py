@@ -58,6 +58,10 @@ CORPUS = {
 }
 
 
+# 1/h of the corpus solves whose free-boundary points checks 4, 5, 9 and 12 read
+ANALYZED_H = {"quick": (32,), "full": (32, 64)}
+
+
 @lru_cache(maxsize=None)
 def corpus_spec(tag: str, h_inv: int) -> ProblemSpec:
     return ProblemSpec(n=1, h=1.0 / h_inv, **CORPUS[tag])
@@ -168,7 +172,7 @@ def check_analytic_frequency(level: str = "quick") -> CheckResult:
 
 
 def check_almgren_monotonicity(level: str = "quick") -> CheckResult:
-    h_list = (32,) if level == "quick" else (32, 64)
+    h_list = ANALYZED_H[level]
     worst_c, ok, notes = 0.0, True, []
     per_h: dict[str, dict[int, float]] = {tag: {} for tag in CORPUS}
     for tag, by_h in per_h.items():
@@ -202,19 +206,16 @@ def check_almgren_monotonicity(level: str = "quick") -> CheckResult:
 
 
 def check_growth_estimate(level: str = "quick") -> CheckResult:
-    h_list = (32,) if level == "quick" else (32, 64)
     worst_margin, ok, n_pts = np.inf, True, 0
     for tag in CORPUS:
-        for h_inv in h_list:
-            u = corpus_solve(tag, h_inv).u
+        for h_inv in ANALYZED_H[level]:
             for pt in corpus_points(tag, h_inv):
                 if pt.mu_hat is None:
                     continue  # analyze_point found no frequency here
                 n_pts += 1
                 # sup |u| over the smallest octave of the point's radii
-                radii = pt.profile.radii
-                octave = radii[radii <= 2.0 * radii[0] + 1e-12]
-                margin = growth_fit(u, [pt.x], octave) - (pt.mu_hat - 0.1)
+                top = 2.0 * pt.profile.radii[0] + 1e-12
+                margin = growth_fit(pt.profile, top) - (pt.mu_hat - 0.1)
                 worst_margin = min(worst_margin, margin)
                 ok &= margin >= 0.0
     return CheckResult(
@@ -372,10 +373,11 @@ def check_weak_residual_refinement(level: str = "quick") -> CheckResult:
 
 @lru_cache(maxsize=None)
 def _synthetic_fit():
-    """The synthetic pair u = v = Re z^2 + 1e-3 Re z^3 (sized by `_fine_sizing`),
-    one decade of 13 radii, the pair's degree-2 blow-up fit on them, and the
-    slope of log residual against log r. Checks 9 and 12 read this one fit."""
-    grid, _ = _fine_sizing()
+    """The profile of the synthetic pair u = v = Re z^2 + 1e-3 Re z^3 (sized
+    by `_fine_sizing`) on one decade of 13 radii, the pair's degree-2 blow-up
+    fit on it, and the slope of log residual against log r. Checks 9 and 12
+    read this one profile and fit."""
+    grid, spec = _fine_sizing()
 
     def value(pts):
         z = pts[..., 0] + 1j * pts[..., 1]
@@ -383,16 +385,16 @@ def _synthetic_fit():
 
     f = AnalyticField(value, grid=grid)
     radii = np.geomspace(0.05, 0.5, 13)  # one decade of radii
-    fit = blowup_fit(f, f, [0.0], radii, mu=2)
+    prof = compute_profile(f, f, [0.0], radii, spec)
+    fit = blowup_fit(prof, mu=2)
     slope = float(np.polyfit(np.log(radii), np.log(fit.residuals), 1)[0])
-    return f, radii, fit, slope
+    return prof, fit, slope
 
 
 def check_monneau_nondegeneracy(level: str = "quick") -> CheckResult:
-    h_list = (32,) if level == "quick" else (32, 64)
     seeded = []
     for tag in CORPUS:
-        for h_inv in h_list:
+        for h_inv in ANALYZED_H[level]:
             for pt in corpus_points(tag, h_inv):
                 if (pt.classification == "SINGULAR" and pt.mu_int is not None
                         and pt.mu_int >= 2):
@@ -401,20 +403,17 @@ def check_monneau_nondegeneracy(level: str = "quick") -> CheckResult:
     ok = True
     if seeded:
         for tag, h_inv, pt in seeded:
-            res = corpus_solve(tag, h_inv)
             c = pt.monneau_constant
-            nd = nondegeneracy_check(res.u, res.v, [pt.x], pt.profile.radii, pt.mu_int)
+            nd = nondegeneracy_check(pt.profile, pt.mu_int).min()
             good = np.isfinite(c) and c <= 50.0 and nd > 0.0
             ok &= good
             notes.append(f"{tag}@1/{h_inv} x*={pt.x:+.3f}: C={c:.2f} c_min={nd:.2e}")
     else:
         # no singular candidate arises in the corpus; exercise the synthetic pair
-        _, spec = _fine_sizing()
-        f, radii, fit, slope = _synthetic_fit()
-        prof = compute_profile(f, f, [0.0], radii, spec)
+        prof, fit, slope = _synthetic_fit()
         M = monneau_curve(prof, 2.0, fit.p_mu, fit.q_mu)
         c = minimal_monneau_constant(prof.radii, M)
-        cvals = np.array([nondegeneracy_check(f, f, [0.0], [r], 2) for r in radii])
+        cvals = nondegeneracy_check(prof, 2)
         ok = (np.isfinite(c) and c <= 50.0 and cvals.min() > 0.0
               and cvals.max() / cvals.min() <= 2.0 and abs(slope - 1.0) <= 0.1)
         notes.append(f"synthetic: C={c:.2f} c_min={cvals.min():.4f} "
@@ -522,14 +521,13 @@ def check_extension_dtn(level: str = "quick") -> CheckResult:
 
 
 def check_blowup_fitting(level: str = "quick") -> CheckResult:
-    _, _, fit, slope = _synthetic_fit()
+    _, fit, slope = _synthetic_fit()
     coeff = float(fit.p_mu(np.array([[1.0, 0.0]]))[0])
     synth_ok = abs(coeff - 1.0) <= 1e-3 and abs(slope - 1.0) <= 0.1
 
-    h_list = (32,) if level == "quick" else (32, 64)
     agree, outside, solver_ok = 0, 0, True
     for tag in CORPUS:
-        for h_inv in h_list:
+        for h_inv in ANALYZED_H[level]:
             for pt in corpus_points(tag, h_inv):
                 best = pt.best_fit_degree
                 if pt.mu_int is not None and pt.mu_int >= 1:

@@ -63,6 +63,9 @@ def test_parse_empty_text_yields_defaults():
     ("g = harmonic:deg=1,coef=nan", r"key 'g'.*must be finite"),
     ("g = harmonic:coeffs=1;nan", r"key 'g'.*must be finite"),
     ("g = harmonic:coeffs=1,coef=5", r"key 'g'.*unknown harmonic parameters"),
+    ("g = harmonic", r"key 'g'.*family 'harmonic' needs the parameter 'deg'"),
+    ("g = trig", r"key 'g'.*family 'trig' needs the parameter 'freq'"),
+    ("g = tabulated", r"key 'g'.*family 'tabulated' needs the parameter 'values'"),
     ("g = tabulated:values=1;-inf", r"key 'g'.*must be finite"),
     ("h = 1", r"key 'h'.*h <= 1/4"),
     ("h = 0.5", r"key 'h'.*h <= 1/4"),

@@ -9,7 +9,7 @@ from bilaplab import AnalyticField, ProblemSpec, ScalarField, build_grid
 from bilaplab.diagnostics import (
     DEGENERATE_FACTOR,
     RadialProfile,
-    _sphere_sups,
+    _surface_sups,
     compute_profile,
     default_radii,
     estimate_mu,
@@ -83,20 +83,28 @@ def test_frequency_of_homogeneous_harmonic_pair():
 
 def test_growth_fit_recovers_homogeneity_degree():
     radii = np.geomspace(0.05, 0.5, 9)
-    assert growth_fit(_rez2, 0.0, radii) == pytest.approx(2.0, abs=1e-12)
+    prof = compute_profile(_rez2, _rez2, 0.0, radii, SPEC)
+    # each radius has its own sample count m (128 to 1024 here), and the
+    # sampled sup of |Re z^2| is r^2 cos(pi / m): the slope moves by < 4e-4
+    assert growth_fit(prof, radii.max()) == pytest.approx(2.0, abs=1e-3)
+    # r_max keeps the radii at or below it; one radius gives no slope
+    assert growth_fit(prof, radii[3]) == pytest.approx(2.0, abs=1e-3)
+    assert np.isnan(growth_fit(prof, radii[0]))
 
 
 def test_sphere_sup_radial_field():
     w = AnalyticField(lambda p: (p ** 2).sum(axis=1), grid=FINE)
-    assert _sphere_sups(w, 0.0, [0.3])[0] == pytest.approx(0.09, abs=1e-14)
+    prof = compute_profile(w, w, 0.0, [0.3], SPEC)
+    assert _surface_sups(prof)[0] == pytest.approx([0.09, 0.09], abs=1e-14)
 
 
 def test_sphere_sup_samples_the_quadrature_surface():
     w = AnalyticField(lambda p: p[:, 0] ** 2 - p[:, 1] ** 2 + 0.1 * p[:, 0], grid=FINE)
     quad = sphere_quadrature(FINE, np.array([0.1, 0.0]), 0.3)
-    assert _sphere_sups(w, 0.1, [0.3])[0] == np.abs(w(quad.surface_points)).max()
+    prof = compute_profile(w, _ones, 0.1, [0.3], SPEC)
+    assert _surface_sups(prof)[0, 0] == np.abs(w(quad.surface_points)).max()
     with pytest.raises(ValueError, match="under-resolved"):
-        _sphere_sups(w, 0.1, [1e-3])
+        compute_profile(w, w, 0.1, [1e-3], SPEC)
 
 
 def _per_point_set_profile(u, v, center, radii, spec):
@@ -201,12 +209,12 @@ def test_grid_field_profile_equals_the_per_field_path(n, h, monkeypatch):
 
     # analytic fields wrapping one grid field each read the same values
     fu, fv = AnalyticField(u, grid=g), AnalyticField(v, grid=g)
-    fit, ref = blowup_fit(u, v, c, radii, 2), blowup_fit(fu, fv, c, radii, 2)
+    wrapped = compute_profile(fu, fv, c, radii, spec)
+    fit, ref = blowup_fit(prof, 2), blowup_fit(wrapped, 2)
     assert np.array_equal(fit.residuals, ref.residuals, equal_nan=True)
     assert (fit.coeff_curve_u == ref.coeff_curve_u).all()
     assert (fit.coeff_curve_v == ref.coeff_curve_v).all()
-    assert nondegeneracy_check(u, v, c, radii, 2.0) == nondegeneracy_check(
-        fu, fv, c, radii, 2.0)
+    assert np.array_equal(nondegeneracy_check(prof, 2.0), nondegeneracy_check(wrapped, 2.0))
     if n == 1:  # free-boundary points live on the n = 1 face
         pt, ref_pt = FreeBoundaryPoint(x=0.1), FreeBoundaryPoint(x=0.1)
         classify_point(pt, u, v)
@@ -437,9 +445,7 @@ def test_instruments_refuse_plain_callables():
     with pytest.raises(TypeError, match="ScalarField or an AnalyticField"):
         compute_profile(w, w, 0.0, radii, SPEC)
     with pytest.raises(TypeError, match="ScalarField or an AnalyticField"):
-        blowup_fit(_rez2, w, 0.0, radii, 2)
-    with pytest.raises(TypeError, match="ScalarField or an AnalyticField"):
-        growth_fit(w, 0.0, radii)
+        compute_profile(_rez2, w, 0.0, radii, SPEC)
     with pytest.raises(TypeError):
         AnalyticField(w)
 

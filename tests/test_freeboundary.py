@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from bilaplab import AnalyticField, ProblemSpec, ScalarField, build_grid, freeboundary, minimize
-from bilaplab.diagnostics import default_radii
+from bilaplab import AnalyticField, ProblemSpec, ScalarField, build_grid, minimize
+from bilaplab.diagnostics import compute_profile
 from bilaplab.freeboundary import (
     MU_CANDIDATES,
     FreeBoundaryPoint,
@@ -15,6 +15,7 @@ from bilaplab.freeboundary import (
     nondegeneracy_check,
     singular_dimension,
 )
+from bilaplab.grid import HalfBallGrid
 from bilaplab.harmonics import HomogeneousHarmonicPoly, harmonic_basis
 from bilaplab.problem import face_phase
 
@@ -165,9 +166,14 @@ def test_classify_flat_touch_as_singular():
     assert classify_point(point, flat, flat) == "SINGULAR"
 
 
+def _profile(w, radii):
+    """The profile of the pair (w, w) around the origin on the given radii."""
+    return compute_profile(w, w, 0.0, radii, SPEC)
+
+
 def test_blowup_fit_exact_on_homogeneous_pair():
     radii = np.geomspace(0.1, 0.5, 9)
-    fit = blowup_fit(_rez2, _rez2, 0.0, radii, 2)
+    fit = blowup_fit(_profile(_rez2, radii), 2)
     assert not fit.no_blowup
     assert fit.residuals.max() < 1e-12
     assert np.allclose(fit.coeff_curve_u, 1.0, atol=1e-12)
@@ -181,7 +187,7 @@ def test_blowup_fit_perturbation_residual_linear_in_radius():
     pert = AnalyticField(lambda p: _rez2(p) + eps * (p[:, 0] ** 3 - 3 * p[:, 0] * p[:, 1] ** 2),
                          grid=FINE)
     radii = np.geomspace(0.1, 0.5, 9)
-    fit = blowup_fit(pert, pert, 0.0, radii, 2)
+    fit = blowup_fit(_profile(pert, radii), 2)
     assert not fit.no_blowup
     assert np.allclose(fit.coeff_curve_u, 1.0, atol=2e-3)
     assert np.allclose(fit.residuals, eps * radii, rtol=1e-3)
@@ -190,27 +196,28 @@ def test_blowup_fit_perturbation_residual_linear_in_radius():
 def test_blowup_fit_flags_degree_mismatch():
     lin = AnalyticField(lambda p: p[:, 0], grid=FINE)
     radii = np.geomspace(0.1, 0.5, 9)
-    fit = blowup_fit(lin, lin, 0.0, radii, 3)
+    fit = blowup_fit(_profile(lin, radii), 3)
     assert fit.no_blowup
     assert fit.residuals.min() > 0.5
 
 
-def test_analyze_point_reads_the_ladder_once_and_fits_like_blowup_fit(monkeypatch):
+def test_analyze_point_reads_the_pair_only_for_its_profile_and_fits_like_blowup_fit(
+        monkeypatch):
+    """Each field is read once per profile radius (`compute_profile`) and once
+    by `classify_point`: 2K + 2 `interp_box` calls for K radii. The fits read
+    the profile's samples, so the point's fit is `blowup_fit` on its profile."""
     spec = ProblemSpec(n=1, h=1.0 / 32, p=2.0, lambda_plus=2.0, lambda_minus=0.5,
                        g="harmonic:coeffs=1;0.2")
     res = minimize(spec)
-    calls = []
-    real = freeboundary._ladder
-
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(freeboundary, "_ladder", counted)
+    reads = []
+    interp_box = HalfBallGrid.interp_box
+    monkeypatch.setattr(HalfBallGrid, "interp_box",
+                        lambda *a, **k: reads.append(1) or interp_box(*a, **k))
     pt = analyze_point(extract_gamma(res.u)[0], res.u, res.v, spec)
-    assert len(calls) == 1
-    radii = default_radii(spec.grid(), [pt.x])
-    fits = {mu: blowup_fit(res.u, res.v, [pt.x], radii, mu) for mu in MU_CANDIDATES}
+    monkeypatch.undo()
+    assert pt.mu_hat is not None
+    assert len(reads) == 2 * pt.profile.radii.size + 2
+    fits = {mu: blowup_fit(pt.profile, mu) for mu in MU_CANDIDATES}
     assert pt.best_fit_degree == min(fits, key=lambda k: np.nanmin(fits[k].residuals))
     fit = fits[pt.p_mu.degree]
     assert np.array_equal(pt.p_mu.coeffs, fit.p_mu.coeffs)
@@ -219,12 +226,12 @@ def test_analyze_point_reads_the_ladder_once_and_fits_like_blowup_fit(monkeypatc
 
 
 def test_nondegeneracy_ratio():
-    radii = np.geomspace(0.1, 0.5, 9)
-    at_two = nondegeneracy_check(_rez2, _rez2, 0.0, radii, 2.0)
+    prof = _profile(_rez2, np.geomspace(0.1, 0.5, 9))
+    at_two = nondegeneracy_check(prof, 2.0).min()
     assert 0.99 < at_two <= 1.0
     # Claiming a lower frequency than the truth makes the ratio collapse
     # with the smallest radius.
-    at_one = nondegeneracy_check(_rez2, _rez2, 0.0, radii, 1.0)
+    at_one = nondegeneracy_check(prof, 1.0).min()
     assert at_one == pytest.approx(0.1, rel=1e-3)
 
 

@@ -72,6 +72,9 @@ def test_spec_validation():
         _spec(n=3)
     # a vanishing weight is allowed: it turns that phase off
     assert _spec(lambda_minus=0.0).lambda_minus == 0.0
+    # the datum is a family string; a callable is refused by name
+    with pytest.raises(TypeError, match="datum g must be a family string"):
+        _spec(g=lambda pts: pts[:, 0])
 
 
 def test_dirichlet_values_evaluated_at_nodes():
