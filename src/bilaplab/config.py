@@ -241,6 +241,17 @@ def _csv(digest: str, header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fields_csv(digest: str, grid, u: np.ndarray, v: np.ndarray) -> str:
+    """`_csv` of the node rows (x, y, u, v). A node's x and y are k h for
+    lattice indices k, so they are formatted once per index, as the repr of
+    float(k) * h, and only u and v are formatted node by node."""
+    M = grid.M
+    table = np.array([repr(float(k) * grid.h) for k in range(-M, M + 1)], dtype=object)
+    columns = (table[grid.lattice[:, 0]], table[grid.lattice[:, -1] + M],
+               map(repr, u.tolist()), map(repr, v.tolist()))
+    return "\n".join([f"# config {digest}", "x,y,u,v", *map(",".join, zip(*columns))]) + "\n"
+
+
 def output_root() -> Path:
     return Path(os.environ.get(ENV_OUTPUT_ROOT, os.getcwd()))
 
@@ -295,9 +306,7 @@ def run(config: RunConfig) -> Path:
         "node_count": grid.node_count,
         "h": spec.h,
     }
-    rows = np.column_stack((grid.nodes[:, 0], grid.nodes[:, -1], result.u.values,
-                            result.v.values))
-    files["fields.csv"] = _csv(digest, ["x", "y", "u", "v"], rows)
+    files["fields.csv"] = _fields_csv(digest, grid, result.u.values, result.v.values)
 
     el = el_crosscheck(result, spec)
     summary["stationarity"] = {

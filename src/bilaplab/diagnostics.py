@@ -23,8 +23,9 @@ with a TypeError.
 
 Each field reads itself, one ScalarField read being one `interp_box` call.
 `compute_profile` samples each sphere and ball with `sample_count(r, h)`
-directions, reads u once and v once per radius on the surface, solid and
-thin points together, and keeps copies of its half-sphere samples. Those
+directions, makes one `interp_plan` per radius of the surface, solid and
+thin points together, reads u once and v once through it, and keeps copies
+of its half-sphere samples. Those
 samples are the one read of the pair on half-spheres around a center:
 `monneau_curve` and `growth_fit` here, and the blow-up fits and
 nondegeneracy check of `freeboundary`, take their values from them and
@@ -120,9 +121,10 @@ def profile_radii(grid: HalfBallGrid, center, radii) -> np.ndarray:
 def compute_profile(u, v, center, radii, spec: ProblemSpec) -> RadialProfile:
     """Fill every radial functional but M_mu by quadrature. See module docstring.
 
-    u and v are ScalarFields or AnalyticFields; `spec` supplies the reaction
-    F. M_mu needs a blow-up fit and comes from `monneau_curve` on the
-    profile's half-sphere samples, which the profile keeps.
+    u and v are ScalarFields or AnalyticFields, the ScalarFields on u's
+    lattice; `spec` supplies the reaction F. M_mu needs a blow-up fit and
+    comes from `monneau_curve` on the profile's half-sphere samples, which
+    the profile keeps.
     """
     u, v = _field(u), _field(v)
     g = u.grid
@@ -140,12 +142,14 @@ def compute_profile(u, v, center, radii, spec: ProblemSpec) -> RadialProfile:
     surface = []
     for k, r in enumerate(radii):
         quad = sphere_quadrature(g, c, float(r))
-        # one read of each field per radius: surface [:s], solid [s:b], thin [b:];
-        # the kept surface samples are copies, so that no whole read stays alive
+        # one read of each field per radius through one plan: surface [:s],
+        # solid [s:b], thin [b:]; the kept surface samples are copies, so that
+        # no whole read stays alive
         s = quad.surface_weights.size
         b = s + quad.solid_weights.size
-        pts = np.concatenate([quad.surface_points, quad.solid_points, quad.thin_points])
-        (ua, gu), (va, gv) = u.with_gradient(pts), v.with_gradient(pts)
+        plan = g.interp_plan(np.concatenate([quad.surface_points, quad.solid_points,
+                                             quad.thin_points]))
+        (ua, gu), (va, gv) = u.with_gradient(plan), v.with_gradient(plan)
         us, vs = ua[:s].copy(), va[:s].copy()
         surface.append((quad.surface_points - c, quad.surface_weights, us, vs))
         sup2 = max(sup2, float((us ** 2 + vs ** 2).max()))

@@ -16,9 +16,17 @@ Classification is integer-exact: a lattice point (i, j) is inside iff
 i.i + j^2 <= M^2 with M = 1/h, and the h-band tests compare against (M-1)^2.
 
 Even extension across y = 0 is realized by reflecting query points to
-y >= 0 (`_mirrored`, which `interp_box` and every AnalyticField read go
+y >= 0 (`_mirrored`, which `interp_plan` and every AnalyticField read go
 through); mirrored values are never stored twice. A gradient read at the
 mirror image becomes the extension's gradient by `_even_gradient`.
+
+A read splits into the work fixed by the lattice or the point set and the
+work of each field. `interp_plan` does a point set's part once (mirroring,
+the domain check, corner indices and weights) and `interp_box` applies a
+plan to any box of the grid, so fields read at the same points share one
+plan. `fill_extension` applies a ghost-fill plan that the grid builds once
+per NaN mask of the boxes it fills; the boxes of every field on a grid have
+n + 2 masks (values and one per gradient axis).
 """
 
 from __future__ import annotations
@@ -53,7 +61,10 @@ def _gauss_on(a: float, b: float, m: int):
 
 
 def _mirrored(points) -> tuple[np.ndarray, np.ndarray]:
-    """The points as an (N, d) float array, and a copy with y replaced by |y|."""
+    """The points as an (N, d) float array, and a copy with y replaced by |y|;
+    a plan's own two arrays for an `InterpPlan`."""
+    if isinstance(points, InterpPlan):
+        return points.points, points.mirrored
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     q = pts.copy()
     q[:, -1] = np.abs(q[:, -1])
@@ -80,6 +91,31 @@ def _shift(a: np.ndarray, axis: int, k: int) -> np.ndarray:
         src[axis] = slice(-k, None)
     out[tuple(dst)] = a[tuple(src)]
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class InterpPlan:
+    """A point set's share of a multilinear read on one lattice (`interp_plan`).
+
+    `points` are the query points as an (N, d) array and `mirrored` the same
+    with y replaced by |y|. Row k of `corners` (2^d, N) holds the flat box
+    index of corner k of each mirrored point's cell (bit `ax` of k: the
+    upper end along axis `ax`) and row k of `weights` its multilinear
+    weight. `scalar` marks a plan of one 1-D point, whose reads return one
+    value per field. `lattice` is the (n, M) of the grid it was made on.
+    `np.asarray(plan)` is `points`, so a reader of point sets takes a plan
+    as its points.
+    """
+
+    lattice: tuple[int, int]
+    points: np.ndarray
+    mirrored: np.ndarray
+    corners: np.ndarray
+    weights: np.ndarray
+    scalar: bool
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.points, dtype=dtype, copy=copy)
 
 
 class HalfBallGrid:
@@ -150,6 +186,8 @@ class HalfBallGrid:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
+        # `fill_extension`'s plans, keyed by the bytes of the NaN mask they fill
+        self._fill_plans: dict[bytes, list[tuple[np.ndarray, ...]]] = {}
 
     # -- interpolation -----------------------------------------------------
 
@@ -165,43 +203,81 @@ class HalfBallGrid:
         Cells cut by the curved boundary then have complete corner sets, so
         multilinear interpolation is defined on all of the closed half-ball.
         Extrapolated entries are second-order accurate for smooth fields.
+
+        Entries outside the ball and NaN entries are filled in up to three
+        passes. A pass fills each NaN cell with a non-NaN neighbour at
+        distance 1 along some axis: the mean, over the directions (axis, +-1)
+        in that order, of 2 v1 - v2 where the neighbours v1 at distance 1 and
+        v2 at distance 2 are both known, and of v1 where only v1 is. Which
+        cells a pass fills and from which neighbours depends only on the NaN
+        mask, so the grid plans it once per mask (`_fill_plan`) and each call
+        applies the plan to its values.
         """
         V = np.where(self.inside, box, np.nan)
-        for _ in range(3):
-            nanmask = np.isnan(V)
-            if not nanmask.any():
-                break
-            total = np.zeros_like(V)
-            count = np.zeros(V.shape, dtype=np.int64)
-            for ax in range(V.ndim):
-                for d in (1, -1):
-                    v1 = _shift(V, ax, d)
-                    v2 = _shift(V, ax, 2 * d)
-                    est = 2.0 * v1 - v2
-                    est = np.where(np.isnan(est), v1, est)
-                    ok = ~np.isnan(est)
-                    total[ok] += est[ok]
-                    count += ok
-            have = count > 0
-            fill = nanmask & have
-            V = np.where(fill, np.divide(total, np.maximum(count, 1)), V)
-        return V
+        nan = np.isnan(V)
+        key = nan.tobytes()
+        plan = self._fill_plans.get(key)
+        if plan is None:
+            plan = self._fill_plans[key] = self._fill_plan(nan)
+        # the cell after the box holds the 0.0 that a direction without
+        # an estimate reads
+        flat = np.append(V.ravel(), 0.0)
+        for targets, v1, v2, scale, count in plan:
+            total = 0.0
+            for i1, i2, c in zip(v1, v2, scale):
+                total = total + (c * flat[i1] - flat[i2])
+            flat[targets] = total / count
+        return flat[:-1].reshape(V.shape)
 
-    def interp_box(self, box: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Multilinear interpolation of a dense box field at arbitrary points.
+    def _fill_plan(self, nan: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+        """The passes of `fill_extension` on boxes with this NaN mask.
 
-        `box` must be ghost-filled (see `fill_extension`) if any query point
-        lies in a boundary-cut cell. The even extension is evaluated: points
-        are mirrored to y >= 0 first (`_mirrored`).
-
-        `box` may also be a stack of boxes, shape (F, *box_shape); the result
-        is then (F, N). Cell indices and corner weights are computed once per
-        point set and every field is read through one flat index, with the
-        corner order and weight products of the single-box call, so each
-        field gets exactly the values of its own call.
+        Each pass is (targets, v1, v2, scale, count): the flat indices it
+        fills; per direction (axis, +-1), rows of the flat indices of the
+        neighbours at distance 1 and 2 and a row of scales, so that the
+        direction's estimate is scale * box[v1] - box[v2]: 2 v1 - v2, or v1
+        with v2 read at the zero cell after the box, or 0.0 with both read
+        there; and the number of directions with an estimate. Adding 0.0
+        leaves the sum's bits as they are.
         """
-        scalar_in = np.ndim(points) == 1
-        pts = _mirrored(points)[1]
+        probe = np.where(nan, np.nan, 0.0)
+        zero = probe.size
+        # per direction (axis, d), v1 of flat cell t is t - step and v2 is t - 2 step
+        step = np.array([d * self._strides[ax]
+                         for ax in range(probe.ndim) for d in (1, -1)])[:, None]
+        passes = []
+        for _ in range(3):
+            near, far = [], []
+            for ax in range(probe.ndim):
+                for d in (1, -1):
+                    near.append(~np.isnan(_shift(probe, ax, d)).ravel())
+                    far.append(~np.isnan(_shift(probe, ax, 2 * d)).ravel())
+            near, far = np.array(near), np.array(far)
+            count = near.sum(axis=0)
+            targets = np.flatnonzero(np.isnan(probe).ravel() & (count > 0))
+            if targets.size == 0:
+                break
+            near, far = near[:, targets], near[:, targets] & far[:, targets]
+            v1 = np.where(near, targets - step, zero)
+            v2 = np.where(far, targets - 2 * step, zero)
+            passes.append((targets, v1, v2, np.where(far, 2.0, 1.0),
+                           count[targets].astype(np.float64)))
+            np.put(probe, targets, 0.0)
+        return passes
+
+    def interp_plan(self, points) -> InterpPlan:
+        """The point set's share of `interp_box`, done once: the points are
+        mirrored to y >= 0 (`_mirrored`) and checked against the closed unit
+        ball (OutOfDomainError outside), and each gets the flat indices and
+        multilinear weights of its cell's corners. A plan made on this
+        lattice is returned as it is; one made on another is a ValueError.
+        """
+        if isinstance(points, InterpPlan):
+            if points.lattice != (self.n, self.M):
+                raise ValueError("interpolation plan made on another lattice")
+            return points
+        scalar = np.ndim(points) == 1
+        given, pts = _mirrored(points)
         if pts.shape[-1] != self.n + 1:
             raise ValueError(f"points must have {self.n + 1} coordinates")
         # squared radius column by column: the same bits as (pts ** 2).sum(-1)
@@ -212,36 +288,58 @@ class HalfBallGrid:
         if (np.sqrt(sq) > 1.0 + _TOL).any():
             raise OutOfDomainError("evaluation point outside the closed unit ball")
 
-        stacked = box.ndim == self.n + 2
-        flat = box.reshape(box.shape[0] if stacked else 1, -1)
         dim = self.n + 1
         f = np.empty_like(pts)
         f[:, : self.n] = pts[:, : self.n] / self.h + self.M
         f[:, -1] = pts[:, -1] / self.h
-        strides = self._strides
         cell = np.zeros(pts.shape[0], dtype=np.int64)  # flat index of the base corner
-        frac = np.empty((dim, pts.shape[0]))
+        factors = []  # per axis, the weights of the lower and the upper corner
         for ax in range(dim):
             hi = self.box_shape[ax] - 2
             b = np.clip(np.floor(f[:, ax]).astype(np.int64), 0, max(hi, 0))
-            cell += strides[ax] * b
-            frac[ax] = f[:, ax] - b
+            cell += self._strides[ax] * b
+            frac = f[:, ax] - b
+            factors.append((1.0 - frac, frac))
+        corners = np.empty((1 << dim, pts.shape[0]), dtype=np.int64)
+        weights = np.empty((1 << dim, pts.shape[0]))
+        for corner in range(1 << dim):
+            bits = [(corner >> ax) & 1 for ax in range(dim)]
+            corners[corner] = cell + np.dot(bits, self._strides)
+            w = factors[0][bits[0]]
+            for ax in range(1, dim):
+                w = w * factors[ax][bits[ax]]
+            weights[corner] = w
+        return InterpPlan((self.n, self.M), given, pts, corners, weights, scalar)
 
-        out = np.zeros((flat.shape[0], pts.shape[0]))
-        for lo in range(0, pts.shape[0], _INTERP_CHUNK):
+    def interp_box(self, box: np.ndarray, points) -> np.ndarray:
+        """Multilinear interpolation of a dense box field at arbitrary points.
+
+        `points` are points or their `interp_plan`. `box` must be
+        ghost-filled (see `fill_extension`) if any query point lies in a
+        boundary-cut cell. The even extension is evaluated: points are
+        mirrored to y >= 0 first. OutOfDomainError where a point is outside
+        the closed unit ball or reads a NaN corner.
+
+        `box` may also be a stack of boxes, shape (F, *box_shape); the result
+        is then (F, N). Every field is read through the plan's corner
+        indices and weights, corner by corner in a fixed order, so each
+        field of a stack gets exactly the values of its own call, and a plan
+        exactly the values of its points.
+        """
+        plan = self.interp_plan(points)
+        stacked = box.ndim == self.n + 2
+        flat = box.reshape(box.shape[0] if stacked else 1, -1)
+        N = plan.weights.shape[1]
+        out = np.zeros((flat.shape[0], N))
+        for lo in range(0, N, _INTERP_CHUNK):
             s = slice(lo, lo + _INTERP_CHUNK)
-            factors = [(1.0 - frac[ax, s], frac[ax, s]) for ax in range(dim)]
-            for corner in range(1 << dim):
-                bits = [(corner >> ax) & 1 for ax in range(dim)]
-                w = factors[0][bits[0]]
-                for ax in range(1, dim):
-                    w = w * factors[ax][bits[ax]]
-                vals = np.take(flat, cell[s] + np.dot(bits, strides), axis=1)
-                vals *= w
+            for index, w in zip(plan.corners, plan.weights):
+                vals = np.take(flat, index[s], axis=1)
+                vals *= w[s]
                 out[:, s] += vals
         if np.isnan(out).any():
             raise OutOfDomainError("evaluation point outside grid coverage")
-        if scalar_in:
+        if plan.scalar:
             out = out[:, 0]
         return out if stacked else out[0]
 

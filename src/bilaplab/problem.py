@@ -199,7 +199,9 @@ class ScalarField:
     box and of its central-difference gradient boxes. The value box is
     built on the first read; the first gradient read stacks it with the
     n + 1 gradient boxes, and `with_gradient` reads that stack in one
-    `interp_box` call. Both are kept.
+    `interp_box` call. Both are kept. Every read takes points or a
+    `grid.interp_plan` of them, so fields read at one point set can share
+    the point work; a plan gives the bits of its points.
     """
 
     grid: HalfBallGrid
@@ -241,9 +243,9 @@ class ScalarField:
                 boxes.append(g.fill_extension(d))
             self._stack = np.stack(boxes)
             self._box = self._stack[0]
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        vals = g.interp_box(self._stack, pts)
-        return vals[0], _even_gradient(pts, vals[1:].T)
+        plan = g.interp_plan(points)
+        vals = g.interp_box(self._stack, plan).reshape(g.n + 2, -1)
+        return vals[0], _even_gradient(plan.points, vals[1:].T)
 
     def gradient(self, points) -> np.ndarray:
         """The gradient half of `with_gradient`."""
@@ -260,6 +262,8 @@ class AnalyticField:
     central difference of step 1e-5 on the even extension. `grid` only
     sizes the quadrature of the instruments that read the field
     (`sample_count(r, grid.h)`); the field is never interpolated on it.
+    A read takes points or a `grid.interp_plan` of them, whose mirrored
+    points it evaluates.
     """
 
     def __init__(self, value, grid: HalfBallGrid, gradient=None, laplacian=None):

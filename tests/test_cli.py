@@ -319,6 +319,25 @@ def test_bulk_float_rows_write_the_same_bytes_as_per_value_formatting(tmp_path):
     assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
+@pytest.mark.parametrize("n,h_inv", [(1, 16), (1, 32), (2, 8)])
+def test_fields_csv_is_the_csv_of_the_node_rows(n, h_inv, tmp_path):
+    """fields.csv takes x and y from a table of the lattice's k h, and its
+    bytes are those of `_csv` over the (x, y, u, v) row of every node; so
+    are those of values that only `repr` spells out: nan, -0.0, inf."""
+    cfg = parse_config(f"n = {n}\nh = {1 / h_inv!r}\ng = harmonic:coeffs=1;0.2\n"
+                       f"stages = solve\noutput = {tmp_path / 'run'}\n")
+    out = run(cfg)
+    grid, result = cfg.spec.grid(), bilaplab.solver.minimize(cfg.spec)
+    u, v = result.u.values, result.v.values
+    header = ["x", "y", "u", "v"]
+    rows = np.column_stack((grid.nodes[:, 0], grid.nodes[:, -1], u, v))
+    assert (out / "fields.csv").read_text() == bilaplab.config._csv(cfg.digest, header, rows)
+    special = np.resize([np.nan, -0.0, 0.0, np.inf, -np.inf, 5e-324, -2.5e17], u.size)
+    rows[:, 2] = special
+    assert (bilaplab.config._fields_csv("abc", grid, special, v)
+            == bilaplab.config._csv("abc", header, rows))
+
+
 N2 = "n = 2\nh = 0.125\ng = harmonic:coeffs=1;0.2\n"
 
 

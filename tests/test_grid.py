@@ -10,13 +10,15 @@ from bilaplab.grid import (
     INTERIOR,
     OUTER,
     THIN,
+    HalfBallGrid,
     OutOfDomainError,
+    _shift,
     build_grid,
     half_sphere,
     sample_count,
     sphere_quadrature,
 )
-from bilaplab.problem import ProblemSpec, ScalarField
+from bilaplab.problem import AnalyticField, ProblemSpec, ScalarField
 
 
 def test_nine_node_grid_enumeration():
@@ -219,6 +221,106 @@ def test_stacked_interp_equals_per_field_calls(n, h):
     assert (one == g.interp_box(stack, face[:1])[:, 0]).all()
     with pytest.raises(OutOfDomainError):
         g.interp_box(stack, np.full((1, n + 1), 0.9))
+
+
+@pytest.mark.parametrize("n,h", [(1, 1 / 16), (2, 1 / 8)])
+def test_one_plan_reads_every_field_as_its_points_do(n, h):
+    """A plan shared by two fields, a stack of boxes and both field kinds
+    gives the bits of each field's own read at the points, 1-D points
+    included; the plan is refused where the points are."""
+    g = build_grid(n, h)
+    rng = np.random.default_rng(3 + n)
+    u, v = (ScalarField(g, rng.standard_normal(g.node_count)) for _ in range(2))
+    pts = _ball_points(n, _INTERP_CHUNK + 37, rng)
+    pts[::3, -1] *= -1.0
+    plan = g.interp_plan(pts)
+    assert np.asarray(plan) is plan.points and plan.points.shape == pts.shape
+    stack = np.stack([u.ghost_box(), v.ghost_box()])
+    for w in (u, v):
+        assert np.array_equal(g.interp_box(w.ghost_box(), plan), g.interp_box(w.ghost_box(), pts))
+        assert np.array_equal(w(plan), w(pts))
+        for got, want in zip(w.with_gradient(plan), w.with_gradient(pts)):
+            assert np.array_equal(got, want)
+    assert np.array_equal(g.interp_box(stack, plan), g.interp_box(stack, pts))
+    closed = AnalyticField(lambda z: z[:, 0] * z[:, -1] + z[:, -1] ** 2, g)
+    for got, want in zip(closed.with_gradient(plan), closed.with_gradient(pts)):
+        assert np.array_equal(got, want)
+    one = g.interp_plan(pts[1])
+    assert np.array_equal(g.interp_box(stack, one), g.interp_box(stack, pts[1]))
+    assert g.interp_box(stack, one).shape == (2,) and u(one).shape == ()
+    assert np.array_equal(u.gradient(one), u.gradient(pts[1]))
+    assert g.interp_plan(plan) is plan
+    with pytest.raises(ValueError, match="another lattice"):
+        build_grid(n, h / 2).interp_plan(plan)
+    # outside the closed ball: refused when the plan is made
+    with pytest.raises(OutOfDomainError, match="closed unit ball"):
+        g.interp_plan(np.full((1, n + 1), 0.9))
+    # a corner the box does not cover: refused when the plan is applied
+    edge = g.interp_plan(np.append(np.zeros(n), 1.0 - 0.5 * h)[None, :])
+    assert np.isfinite(g.interp_box(u.ghost_box(), edge)).all()
+    with pytest.raises(OutOfDomainError, match="grid coverage"):
+        g.interp_box(g.to_box(u.values), edge)
+
+
+def _reference_fill(g, box):
+    """`fill_extension` pass by pass on whole boxes: each NaN cell with a
+    known neighbour takes the mean over the directions (axis, +-1) of
+    2 v1 - v2, or v1 where v2 is NaN."""
+    V = np.where(g.inside, box, np.nan)
+    for _ in range(3):
+        nanmask = np.isnan(V)
+        if not nanmask.any():
+            break
+        total = np.zeros_like(V)
+        count = np.zeros(V.shape, dtype=np.int64)
+        for ax in range(V.ndim):
+            for d in (1, -1):
+                v1 = _shift(V, ax, d)
+                v2 = _shift(V, ax, 2 * d)
+                est = 2.0 * v1 - v2
+                est = np.where(np.isnan(est), v1, est)
+                ok = ~np.isnan(est)
+                total[ok] += est[ok]
+                count += ok
+        fill = nanmask & (count > 0)
+        V = np.where(fill, np.divide(total, np.maximum(count, 1)), V)
+    return V
+
+
+@pytest.mark.parametrize("n,h_inv", [(1, 8), (1, 13), (1, 32), (2, 8), (2, 12)])
+def test_fill_plan_is_the_pass_by_pass_fill(n, h_inv, monkeypatch):
+    """The planned fill gives the reference fill's bits on the value box and
+    on each gradient box of a field, on a box with NaN inside the ball and
+    on one of -0.0, signs of zero included; a second fill on a mask builds
+    no new plan."""
+    g = HalfBallGrid(n, 1.0 / h_inv)
+    rng = np.random.default_rng(h_inv)
+    values = rng.standard_normal(g.node_count)
+    values[::5] = -0.0
+    value_box = g.fill_extension(g.to_box(values))
+    boxes = [g.to_box(values)]
+    for ax in range(n + 1):
+        d = (_shift(value_box, ax, -1) - _shift(value_box, ax, 1)) / (2.0 * g.h)
+        if ax == n:
+            d[..., 0] = 0.0
+        boxes.append(d)
+    holes = g.to_box(values)
+    holes[rng.random(g.box_shape) < 0.2] = np.nan
+    boxes += [holes, g.to_box(np.full(g.node_count, -0.0))]
+    for box in boxes:
+        want = _reference_fill(g, box)
+        assert np.array_equal(g.fill_extension(box), want, equal_nan=True)
+        assert np.array_equal(np.signbit(g.fill_extension(box)), np.signbit(want))
+    assert len(g._fill_plans) == n + 3
+    builds = []
+    plan = HalfBallGrid._fill_plan
+    monkeypatch.setattr(HalfBallGrid, "_fill_plan",
+                        lambda *a: builds.append(1) or plan(*a))
+    again = ScalarField(g, rng.standard_normal(g.node_count))
+    again.with_gradient(g.nodes[:3])
+    assert np.array_equal(again.ghost_box(), _reference_fill(g, g.to_box(again.values)),
+                          equal_nan=True)
+    assert builds == [] and len(g._fill_plans) == n + 3
 
 
 def test_half_sphere_weights_sum_to_the_measure():

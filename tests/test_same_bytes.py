@@ -117,3 +117,14 @@ def test_the_run_command_goes_through_config_run(tmp_path):
     assert sorted(os.listdir(tmp_path / "all")) == [
         "config.txt", "fields.csv", "gamma.csv", "profile_+0.0000.csv", "summary.json"]
     assert "profile_+0.0000.csv" not in os.listdir(tmp_path / "blowup")
+
+
+def test_runs_diagnose_two_configs_at_n2_on_the_h16_lattice():
+    """sym-p2 and asym-p2 are also diagnosed at n = 2, h = 1/16, where the
+    ghost fill of every field box covers the most cells of any run."""
+    from bilaplab.config import parse_config
+
+    n2 = [(name, parse_config(text).spec) for name, command, text in same_bytes.runs()
+          if command == "diagnose" and "-n2-h16-" in name]
+    assert [name for name, _ in n2] == ["sym-p2-n2-h16-diagnose", "asym-p2-n2-h16-diagnose"]
+    assert all(spec.n == 2 and spec.h == 1.0 / 16 for _, spec in n2)

@@ -13,6 +13,9 @@ BLAS thread,
                                      explicit centers and radii
     bilaplab solve|diagnose          at n = 2, h = 1/8, on the configs whose
                                      datum is defined at n = 2
+    bilaplab diagnose                at n = 2, h = 1/16 on sym-p2 and asym-p2,
+                                     the lattice where `fill_extension`'s
+                                     plans fill the most cells
     run(parse_config(text))          all three stages on the same six configs
                                      at h = 1/32 (the profile stage reuses the
                                      analyzed points' profiles; no command
@@ -50,6 +53,7 @@ from bench_pairs import ENV, checkout, resolve  # noqa: E402
 from workloads import PIPELINE_CONFIGS  # noqa: E402
 
 CENTERS = "0.1;-0.25"
+N2_H16 = ("sym-p2", "asym-p2")  # the configs also diagnosed at n = 2, h = 1/16
 RADII = ";".join(repr(0.125 * 2.0 ** (k / 4.0)) for k in range(9))  # 1/8 .. 1/2
 _NEAR_EDGE = f"g = trig:freq=1.8\nh = {1 / 32!r}\n"  # free-boundary points at x = +-0.868
 _ASYM = "".join(f"{k} = {v}\n" for k, v in PIPELINE_CONFIGS["asym-p2"].items())
@@ -133,6 +137,8 @@ def runs() -> list[tuple[str, str, str]]:
         if not case["g"].startswith("tabulated"):  # tabulated data is n = 1 only
             for command in ("solve", "diagnose"):
                 out.append((f"{tag}-n2-h8-{command}", command, text + "n = 2\nh = 0.125\n"))
+        if tag in N2_H16:
+            out.append((f"{tag}-n2-h16-diagnose", "diagnose", text + "n = 2\nh = 0.0625\n"))
     return out + [(name, "run", text) for name, text in EXTRA_RUNS]
 
 
