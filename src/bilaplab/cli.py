@@ -15,6 +15,7 @@ The environment variable BILAPLAB_OUTPUT_ROOT relocates run directories.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -77,7 +78,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return run_suite(level=args.level)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: parsing does not change it."""
     ap = argparse.ArgumentParser(prog="bilaplab", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)

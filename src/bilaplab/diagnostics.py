@@ -23,14 +23,16 @@ with a TypeError.
 
 Each field reads itself, one ScalarField read being one `interp_box` call.
 `compute_profile` samples each sphere and ball with `sample_count(r, h)`
-directions, makes one `interp_plan` per radius of the surface, solid and
-thin points together, reads u once and v once through it, and keeps copies
-of its half-sphere samples. Those
-samples are the one read of the pair on half-spheres around a center:
-`monneau_curve` and `growth_fit` here, and the blow-up fits and
-nondegeneracy check of `freeboundary`, take their values from them and
-read no field. A profile's radii come from one rule, `profile_radii`, and
-a quantity's ladder in h (h, h/2, ...) is a `refinement` study.
+directions, reads u once and v once per radius (a field profiled against
+itself once) at the surface, solid and thin points together, through one
+`interp_plan` of them when a ScalarField reads (AnalyticFields read the
+points), and keeps copies of its half-sphere samples. Those samples are the
+one read of the pair on half-spheres around a center: `monneau_curve` and
+`growth_fit` here, and the blow-up fits and nondegeneracy check of
+`freeboundary`, take their values from them and read no field. A profile's
+radii come from one rule, `profile_radii`, and a quantity's ladder in h
+(h, h/2, ...) is a `refinement` study. Sums over the coordinate axis go
+column by column (`grid._row_dot`).
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (_TOL, HalfBallGrid, _as_thin_center, _gauss_on, ball_center, half_sphere,
-                   sample_count, sphere_quadrature)
+from .grid import (_TOL, HalfBallGrid, _as_thin_center, _gauss_on, _row_dot, ball_center,
+                   half_sphere, sample_count, sphere_quadrature)
 from .problem import AnalyticField, ProblemSpec, ScalarField, thin_reaction
 
 DEGENERATE_FACTOR = 1e-14  # H below this times sup(u^2+v^2) is flagged
@@ -140,21 +142,25 @@ def compute_profile(u, v, center, radii, spec: ProblemSpec) -> RadialProfile:
     Bv = np.zeros(K)
     sup2 = 0.0
     surface = []
+    lattice = isinstance(u, ScalarField) or isinstance(v, ScalarField)
     for k, r in enumerate(radii):
         quad = sphere_quadrature(g, c, float(r))
-        # one read of each field per radius through one plan: surface [:s],
-        # solid [s:b], thin [b:]; the kept surface samples are copies, so that
-        # no whole read stays alive
+        # one read of each field per radius (one for both when v is u):
+        # surface [:s], solid [s:b], thin [b:], ScalarFields through one plan
+        # of the points; the kept surface samples are copies, so that no
+        # whole read stays alive
         s = quad.surface_weights.size
         b = s + quad.solid_weights.size
-        plan = g.interp_plan(np.concatenate([quad.surface_points, quad.solid_points,
-                                             quad.thin_points]))
-        (ua, gu), (va, gv) = u.with_gradient(plan), v.with_gradient(plan)
+        pts = np.concatenate([quad.surface_points, quad.solid_points, quad.thin_points])
+        if lattice:
+            pts = g.interp_plan(pts)
+        ua, gu = u.with_gradient(pts)
+        va, gv = (ua, gu) if v is u else v.with_gradient(pts)
         us, vs = ua[:s].copy(), va[:s].copy()
         surface.append((quad.surface_points - c, quad.surface_weights, us, vs))
         sup2 = max(sup2, float((us ** 2 + vs ** 2).max()))
         H[k] = quad.surface_weights @ (us ** 2 + vs ** 2)
-        grad2 = (gu ** 2).sum(axis=1) + (gv ** 2).sum(axis=1)
+        grad2 = _row_dot(gu, gu) + _row_dot(gv, gv)
         Bv[k] = quad.surface_weights @ grad2[:s]
         D0[k] = quad.solid_weights @ grad2[s:b]
         cross = quad.solid_weights @ (ua[s:b] * va[s:b])
@@ -212,47 +218,41 @@ def rellich_residual(w, center, r: float) -> float:
     gs = w.gradient(quad.surface_points)
     rel = quad.surface_points - c
     rad = rel / np.linalg.norm(rel, axis=1, keepdims=True)
-    wr = (gs * rad).sum(axis=1)
-    lhs = r * (quad.surface_weights @ ((gs ** 2).sum(axis=1) - 2.0 * wr ** 2))
+    wr = _row_dot(gs, rad)
+    lhs = r * (quad.surface_weights @ (_row_dot(gs, gs) - 2.0 * wr ** 2))
 
     gb = w.gradient(quad.solid_points)
     relb = quad.solid_points - c
     lap = w.laplacian(quad.solid_points)
-    rhs = (g.n - 1) * (quad.solid_weights @ (gb ** 2).sum(axis=1))
-    rhs -= 2.0 * (quad.solid_weights @ ((relb * gb).sum(axis=1) * lap))
+    rhs = (g.n - 1) * (quad.solid_weights @ _row_dot(gb, gb))
+    rhs -= 2.0 * (quad.solid_weights @ (_row_dot(relb, gb) * lap))
 
     gt = w.gradient(quad.thin_points)
     relt = quad.thin_points - c
-    xdot = (relt[:, :-1] * gt[:, :-1]).sum(axis=1)
+    xdot = _row_dot(relt[:, :-1], gt[:, :-1])
     rhs -= 2.0 * (quad.thin_weights @ (xdot * gt[:, -1]))
     return float(abs(lhs - rhs))
 
 
-def _solid_and_surface(w, r: float):
-    """The quadrature of B_r(0), int_solid |grad w|^2 and int_surf w^2."""
+def poincare_and_trace(w, r: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The Poincare and trace inequalities on B_r(0), from one quadrature and
+    one read of w and its gradient on the solid points.
+
+    Returns ((lhs, rhs), (lhs, bracket)): both sides of
+    (n/r^2) int w^2 <= (1/r) int_surf w^2 + int |grad w|^2, then the
+    thin-ball mass int_thin w^2 and the trace bracket (no constant)
+    r int |grad w|^2 + int_surf w^2; a uniform constant C with
+    lhs <= C * bracket across a corpus certifies the trace inequality
+    numerically.
+    """
     g = _field(w).grid
     quad = sphere_quadrature(g, np.zeros(g.n), float(r))
-    gb = w.gradient(quad.solid_points)
-    return (quad, float(quad.solid_weights @ (gb ** 2).sum(axis=1)),
-            float(quad.surface_weights @ w(quad.surface_points) ** 2))
-
-
-def poincare_check(w, r: float) -> tuple[float, float]:
-    """Both sides of (n/r^2) int w^2 <= (1/r) int_surf w^2 + int |grad w|^2."""
-    quad, grad2, surf2 = _solid_and_surface(w, r)
-    lhs = (w.grid.n / r ** 2) * float(quad.solid_weights @ w(quad.solid_points) ** 2)
-    return lhs, surf2 / r + grad2
-
-
-def trace_check(w, r: float) -> tuple[float, float]:
-    """Thin-ball mass of w^2 and the trace-inequality bracket (no constant).
-
-    Returns (int_thin w^2, r int_solid |grad w|^2 + int_surf w^2); a uniform
-    constant C with lhs <= C * bracket across a corpus certifies the trace
-    inequality numerically.
-    """
-    quad, grad2, surf2 = _solid_and_surface(w, r)
-    return float(quad.thin_weights @ w(quad.thin_points) ** 2), r * grad2 + surf2
+    wb, gb = w.with_gradient(quad.solid_points)
+    grad2 = float(quad.solid_weights @ _row_dot(gb, gb))
+    surf2 = float(quad.surface_weights @ w(quad.surface_points) ** 2)
+    poincare = (g.n / r ** 2) * float(quad.solid_weights @ wb ** 2), surf2 / r + grad2
+    trace = float(quad.thin_weights @ w(quad.thin_points) ** 2), r * grad2 + surf2
+    return poincare, trace
 
 
 # ---------------------------------------------------------------------------

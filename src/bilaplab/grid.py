@@ -71,6 +71,20 @@ def _mirrored(points) -> tuple[np.ndarray, np.ndarray]:
     return pts, q
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (N, d) arrays, summed column by column.
+
+    The bits of (a * b).sum(axis=1) for d <= 3, a sum that starts from 0.0
+    (so a row of -0.0 products sums to 0.0), without the (N, d) temporary and
+    the strided reduction.
+    """
+    out = a[:, 0] * b[:, 0]
+    out += 0.0
+    for ax in range(1, a.shape[1]):
+        out += a[:, ax] * b[:, ax]
+    return out
+
+
 def _even_gradient(points: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """`grad`, read at the mirror images of the (N, d) points, made the gradient
     of the even extension in place: d/dy changes sign below the face."""
@@ -280,12 +294,7 @@ class HalfBallGrid:
         given, pts = _mirrored(points)
         if pts.shape[-1] != self.n + 1:
             raise ValueError(f"points must have {self.n + 1} coordinates")
-        # squared radius column by column: the same bits as (pts ** 2).sum(-1)
-        # for d <= 3, without the (N, d) temporary and strided reduction
-        sq = pts[:, 0] * pts[:, 0]
-        for ax in range(1, self.n + 1):
-            sq += pts[:, ax] * pts[:, ax]
-        if (np.sqrt(sq) > 1.0 + _TOL).any():
+        if (np.sqrt(_row_dot(pts, pts)) > 1.0 + _TOL).any():
             raise OutOfDomainError("evaluation point outside the closed unit ball")
 
         dim = self.n + 1

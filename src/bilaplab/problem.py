@@ -326,6 +326,8 @@ def operators(grid: HalfBallGrid) -> SimpleNamespace:
            reflection, which doubles the upward coupling at face nodes.
     omega  volume weights per free node: h^(n+1), halved on the face.
     face_w face quadrature weights indexed like face_ids (trapezoid for n=1).
+    thin_w2  2 face_w at the thin nodes, in thin_ids order: the weight of F
+           in the gradient's thin rows and of |F'| in the Hessian's.
     K      L^T diag(omega) L, the quadratic-part matrix on all nodes.
     Kff    K restricted to the free nodes, rows and columns in free_ids order.
     thin_slots  positions in Kff.data of the thin rows' diagonal entries, in
@@ -378,8 +380,8 @@ def operators(grid: HalfBallGrid) -> SimpleNamespace:
     K = (L.multiply(omega[:, None])).T @ L
     K = K.tocsr()
 
-    ops = _Operators(L=L, omega=omega, face_w=face_w, face_w_by_node=face_w_by_node, K=K,
-                     free_ids=free, thin_ids=grid.thin_ids)
+    ops = _Operators(L=L, omega=omega, face_w=face_w, thin_w2=2.0 * face_w_by_node[grid.thin_ids],
+                     K=K, free_ids=free, thin_ids=grid.thin_ids)
     grid._ops = ops
     return ops
 
@@ -458,9 +460,10 @@ def gradient_array(grid: HalfBallGrid, w: np.ndarray, spec: ProblemSpec) -> np.n
     rows with the reaction on the face.
     """
     ops = operators(grid)
-    g = 2.0 * (ops.K @ w)
+    g = ops.K @ w
+    g *= 2.0
     thin = grid.thin_ids
-    g[thin] -= 2.0 * ops.face_w_by_node[thin] * thin_reaction(w[thin], spec)
+    g[thin] -= ops.thin_w2 * thin_reaction(w[thin], spec)
     g[grid.pinned_ids] = 0.0
     return g
 
@@ -484,7 +487,7 @@ def face_hessian_diagonal(grid: HalfBallGrid, w: np.ndarray, spec: ProblemSpec,
         mag, at_zero = np.abs(t), 0.0
     lam = np.where(t > 0, spec.lambda_plus, np.where(t < 0, spec.lambda_minus, at_zero))
     curvature = (spec.p - 1.0) * (lam * mag ** (spec.p - 2.0))
-    return 2.0 * operators(grid).face_w_by_node[grid.thin_ids] * curvature
+    return operators(grid).thin_w2 * curvature
 
 
 def hessian(grid: HalfBallGrid, w: np.ndarray, spec: ProblemSpec,

@@ -4,9 +4,9 @@ Each check returns a CheckResult with a human-readable target and the measured
 value; `run_suite` prints one line per check, ending in its wall time, and
 exits nonzero when any check fails. The time is inclusive: a memoized corpus
 solve is charged to the first check that asks for it. Level "quick" runs
-reduced resolutions (about 1.5 s on a 2-core x86_64 machine); "full" adds
-the h = 1/64 refinement studies and the oracle comparisons at h = 1/16
-(about 2.5 s there).
+reduced resolutions (about 1.1 s per process on a 2-core x86_64 machine);
+"full" adds the h = 1/64 refinement studies and the oracle comparisons at
+h = 1/16 (about 1.9 s there).
 
 Corpus solves are memoized per process so the suite and the test harness share
 them. The three corpus configurations exercise p = 2 against p = 3 and
@@ -30,10 +30,9 @@ from .diagnostics import (
     mean_value_defects,
     minimal_monneau_constant,
     monneau_curve,
-    poincare_check,
+    poincare_and_trace,
     refinement,
     rellich_residual,
-    trace_check,
 )
 from .extension import RATIO_TARGET, RATIO_TOLERANCE, SPREAD_LIMIT, FourierTrace, dtn_compare
 from .freeboundary import analyze_point, blowup_fit, extract_gamma, nondegeneracy_check
@@ -149,15 +148,31 @@ def check_gradient_consistency(level: str = "quick") -> CheckResult:
 # 3. frequency of analytic harmonic pairs
 
 
+def _z_power(pts: np.ndarray, k: int) -> np.ndarray:
+    """z^k at the (N, 2) points, z = x + i y, by k multiplications."""
+    z = pts[:, 0] + 1j * pts[:, 1]
+    out = np.ones_like(z)
+    for _ in range(k):
+        out = out * z
+    return out
+
+
+def harmonic_power(mu: int, grid) -> AnalyticField:
+    """Re z^mu (n = 1) with its closed-form gradient: since z^mu is
+    holomorphic, d/dx - i d/dy of Re z^mu is mu z^(mu - 1)."""
+    def gradient(pts):
+        d = mu * _z_power(pts, mu - 1)
+        return np.stack([d.real, -d.imag], axis=-1)
+
+    return AnalyticField(lambda pts: _z_power(pts, mu).real, grid, gradient)
+
+
 def check_analytic_frequency(level: str = "quick") -> CheckResult:
     grid, spec = _fine_sizing()
     radii = np.geomspace(0.05, 0.9, 17)
     worst = 0.0
     for mu in (1, 2, 3):
-        def re_zmu(pts, mu=mu):
-            z = pts[..., 0] + 1j * pts[..., 1]
-            return np.real(z ** mu)
-        f = AnalyticField(re_zmu, grid=grid)
+        f = harmonic_power(mu, grid)
         prof = compute_profile(f, f, [0.0], radii, spec)
         worst = max(worst, float(np.abs(prof.N0 - mu).max()))
     return CheckResult(
@@ -444,23 +459,30 @@ def identity_corpus() -> dict[str, tuple]:
     def cusp_pair(a, ga, b, gb):
         (g1, g1p, g1pp), (g2, g2p, g2pp) = ga, gb
 
+        def kinks(p):
+            """x - c, |x - c| and |x - c|^3 for c = a and c = b."""
+            out = []
+            for c in (a, b):
+                s = p[..., 0] - c
+                t = np.abs(s)
+                out.append((s, t, t * t * t))
+            return out
+
         def val(p):
-            return (np.abs(p[..., 0] - a) ** 3 * g1(p[..., 1])
-                    + np.abs(p[..., 0] - b) ** 3 * g2(p[..., 1]))
+            (_, _, ca), (_, _, cb) = kinks(p)
+            return ca * g1(p[..., 1]) + cb * g2(p[..., 1])
 
         def grad(p):
-            sa, sb = p[..., 0] - a, p[..., 0] - b
+            (sa, ta, ca), (sb, tb, cb) = kinks(p)
             out = np.empty_like(p)
-            out[..., 0] = (3 * sa * np.abs(sa) * g1(p[..., 1])
-                           + 3 * sb * np.abs(sb) * g2(p[..., 1]))
-            out[..., 1] = (np.abs(sa) ** 3 * g1p(p[..., 1])
-                           + np.abs(sb) ** 3 * g2p(p[..., 1]))
+            out[..., 0] = 3 * sa * ta * g1(p[..., 1]) + 3 * sb * tb * g2(p[..., 1])
+            out[..., 1] = ca * g1p(p[..., 1]) + cb * g2p(p[..., 1])
             return out
 
         def lap(p):
-            sa, sb = np.abs(p[..., 0] - a), np.abs(p[..., 0] - b)
-            return (6 * sa * g1(p[..., 1]) + sa ** 3 * g1pp(p[..., 1])
-                    + 6 * sb * g2(p[..., 1]) + sb ** 3 * g2pp(p[..., 1]))
+            (_, ta, ca), (_, tb, cb) = kinks(p)
+            return (6 * ta * g1(p[..., 1]) + ca * g1pp(p[..., 1])
+                    + 6 * tb * g2(p[..., 1]) + cb * g2pp(p[..., 1]))
 
         return val, grad, lap
 
@@ -488,8 +510,7 @@ def check_integral_identities(level: str = "quick") -> CheckResult:
         worst_ratio = min(worst_ratio, study.ratios[0])
         ok &= r512 <= 1e-3 and study.shrinks(0.5, 1e-13)
         for r in (0.5, 0.9):
-            pl, pr = poincare_check(fld, r)
-            tl, tr = trace_check(fld, r)
+            (pl, pr), (tl, tr) = poincare_and_trace(fld, r)
             pt_ok &= (pl <= pr) and (tl <= tr)
     ok &= pt_ok
     return CheckResult(

@@ -448,6 +448,30 @@ def test_cli_rejects_unknown_verify_level():
         main(["verify", "--level", "later"])
 
 
+def test_main_builds_one_parser_for_every_call(monkeypatch, capsys):
+    """The parser is built on the first call and serves the later ones, with
+    the same output, usage errors and exit codes."""
+    import argparse
+
+    import bilaplab.cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(k.get("prog")) or init(self, *a, **k))
+    bilaplab.cli.build_parser.cache_clear()
+    assert main(["extension-check", "--modes", "1"]) == 0
+    first = capsys.readouterr().out
+    assert main(["extension-check", "--modes", "1"]) == 0
+    assert capsys.readouterr().out == first
+    assert main(["extension-check", "--modes", "0"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--level", "later"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'later'" in capsys.readouterr().err
+    assert built.count("bilaplab") == 1
+
+
 def _passing_stub(level="quick"):
     return verify.CheckResult("stub pass", "-", "-", True)
 

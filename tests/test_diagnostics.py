@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import bilaplab.diagnostics
 from bilaplab import AnalyticField, ProblemSpec, ScalarField, build_grid
 from bilaplab.diagnostics import (
     DEGENERATE_FACTOR,
@@ -19,10 +20,9 @@ from bilaplab.diagnostics import (
     minimal_almgren_constant,
     minimal_monneau_constant,
     monneau_curve,
-    poincare_check,
+    poincare_and_trace,
     refinement,
     rellich_residual,
-    trace_check,
 )
 from bilaplab.freeboundary import FreeBoundaryPoint, blowup_fit, classify_point, nondegeneracy_check
 from bilaplab.grid import (HalfBallGrid, _as_thin_center, _even_gradient, _shift,
@@ -40,14 +40,14 @@ _rez2 = AnalyticField(lambda p: p[:, 0] ** 2 - p[:, 1] ** 2, grid=FINE)
 
 def test_poincare_closed_form_for_constants():
     """For w = 1 the two sides are the half-disc and half-circle masses."""
-    lhs, rhs = poincare_check(_ones, 0.5)
+    (lhs, rhs), _ = poincare_and_trace(_ones, 0.5)
     assert lhs == pytest.approx(np.pi / 2, abs=1e-12)
     assert rhs == pytest.approx(np.pi, abs=1e-12)
     assert lhs <= rhs
 
 
 def test_trace_closed_form_for_constants():
-    lhs, bracket = trace_check(_ones, 0.5)
+    _, (lhs, bracket) = poincare_and_trace(_ones, 0.5)
     assert lhs == pytest.approx(1.0, abs=1e-12)
     assert bracket == pytest.approx(np.pi / 2, abs=1e-12)
 
@@ -176,6 +176,71 @@ def test_profile_equals_the_per_point_set_reads(n, h, radii, kind, monkeypatch):
     assert len(prof.surface) == len(ref.surface) == len(radii)
     for got, want in zip(prof.surface, ref.surface):
         assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+@pytest.mark.parametrize("n,h", [(1, 1.0 / 32), (2, 1.0 / 16)])
+def test_only_scalar_fields_are_read_through_a_plan(n, h, monkeypatch):
+    """A profile of two AnalyticFields reads them at the quadrature points
+    themselves, with no `interp_plan` or `interp_box` call. ScalarFields keep
+    one `interp_box` read per field and radius: 2K for two, K with one of
+    each kind, and K for a field profiled against itself, which gives the
+    profile of two fields with its values."""
+    g = build_grid(n, h)
+    spec = ProblemSpec(n=n, p=3.0, lambda_plus=2.0, lambda_minus=0.5, g="zero", h=h)
+
+    def fu(z):
+        return np.cos(z[:, 0]) * np.exp(z[:, -1]) + z[:, 0] ** 3
+
+    def fv(z):
+        return z[:, 0] * z[:, -1] - 0.2
+
+    au, av = AnalyticField(fu, g), AnalyticField(fv, g)
+    su, sv = ScalarField(g, fu(g.nodes)), ScalarField(g, fv(g.nodes))
+    radii = [0.8, 0.55, 0.3]
+    calls = {"interp_plan": 0, "interp_box": 0}
+
+    def counted(name):
+        real = getattr(HalfBallGrid, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    def profile(u, v):
+        calls.update(interp_plan=0, interp_box=0)
+        with monkeypatch.context() as m:
+            for name in calls:
+                m.setattr(HalfBallGrid, name, counted(name))
+            prof = compute_profile(u, v, np.zeros(n), radii, spec)
+        return prof, calls["interp_plan"], calls["interp_box"]
+
+    _, plans, reads = profile(au, av)
+    assert (plans, reads) == (0, 0)
+    assert profile(su, sv)[2] == 2 * len(radii)
+    assert profile(au, sv)[2] == len(radii)
+    itself, _, reads = profile(su, su)
+    assert reads == len(radii)
+    twice = profile(su, ScalarField(g, su.values))[0]
+    for col in ("H", "D0", "D", "B", "N0", "N"):
+        assert np.array_equal(getattr(itself, col), getattr(twice, col)), col
+
+
+def test_poincare_and_trace_take_one_quadrature_and_one_gradient_read(monkeypatch):
+    """One quadrature of B_r(0) and one read of w and its gradient on the
+    solid points serve both inequalities."""
+    w = AnalyticField(lambda p: 1.0 + p[:, 0] * p[:, 1] - p[:, 1] ** 2, grid=FINE)
+    quads, grads = [], []
+    quadrature = bilaplab.diagnostics.sphere_quadrature
+    gradient = AnalyticField.gradient
+    monkeypatch.setattr(bilaplab.diagnostics, "sphere_quadrature",
+                        lambda *a: quads.append(a) or quadrature(*a))
+    monkeypatch.setattr(AnalyticField, "gradient",
+                        lambda self, pts: grads.append(pts) or gradient(self, pts))
+    (pl, pr), (tl, tr) = poincare_and_trace(w, 0.5)
+    assert len(quads) == len(grads) == 1
+    assert pl <= pr and tl <= tr
 
 
 @pytest.mark.parametrize("n,h", [(1, 1.0 / 16), (2, 1.0 / 8)])

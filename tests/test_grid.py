@@ -12,6 +12,7 @@ from bilaplab.grid import (
     THIN,
     HalfBallGrid,
     OutOfDomainError,
+    _row_dot,
     _shift,
     build_grid,
     half_sphere,
@@ -389,3 +390,23 @@ def test_spec_grid_is_cached():
     spec = ProblemSpec(n=1, h=0.25, p=2.0, lambda_plus=1.0, lambda_minus=1.0,
                        g="zero")
     assert spec.grid() is spec.grid()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_row_dot_gives_the_bits_of_the_axis_sum(d):
+    """Column by column, the squares and the products of each row sum to the
+    bits of the reduction over the coordinate axis, the sign of a zero sum
+    included: rows of -0.0 products, zeros, infinities and NaN among them."""
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=(4000, d)) * 10.0 ** rng.integers(-30, 30, size=(4000, d))
+    b = rng.normal(size=(4000, d))
+    a[::7] = -0.0
+    a[1::11, 0] = 0.0
+    b[2::13] = 0.0
+    a[3::17, -1] = np.inf
+    b[4::19, 0] = np.nan
+    with np.errstate(invalid="ignore"):  # inf * 0.0 is NaN on both sides
+        pairs = ((_row_dot(a, a), (a ** 2).sum(axis=1)),
+                 (_row_dot(a, b), (a * b).sum(axis=1)))
+    for got, want in pairs:
+        assert got.tobytes() == want.tobytes()

@@ -110,7 +110,7 @@ def _face_curvature(spec, t, grad_sup):
     vals = np.zeros(grid.node_count)
     vals[thin] = t
     diag = face_hessian_diagonal(grid, vals, spec, grad_sup)[:len(t)]
-    return diag / (2.0 * operators(grid).face_w_by_node[thin])
+    return diag / operators(grid).thin_w2[:len(t)]
 
 
 def test_face_hessian_diagonal_values():

@@ -30,6 +30,26 @@ def test_differing_lists_changed_and_one_sided_files(tmp_path):
     assert same_bytes.differing(base, tmp_path / "base") == (5, [])
 
 
+def test_describe_shows_the_first_differing_line_of_each_side(tmp_path):
+    """A moved figure shows in one run: the first line where a text file
+    differs, as each side has it; a line one side lacks, a file on one side
+    only or a file that is not UTF-8 text get no line or only the name."""
+    quick = "acceptance suite, level=quick\n 3. frequency  max |N0 - mu| = {}  [pass]\n12/12\n"
+    base = _tree(tmp_path / "base", {"verify-quick.txt": quick.format("1.24e-11").encode(),
+                                     "short.txt": b"a\nb\n", "old.csv": b"x\n",
+                                     "blob.bin": b"\xff\x00"})
+    change = _tree(tmp_path / "change", {"verify-quick.txt": quick.format("1.55e-14").encode(),
+                                         "short.txt": b"a\nb\nc\n", "blob.bin": b"\xff\x01"})
+    assert same_bytes.describe(base, change, "verify-quick.txt") == [
+        "differs: verify-quick.txt",
+        "  base   line 2:  3. frequency  max |N0 - mu| = 1.24e-11  [pass]",
+        "  change line 2:  3. frequency  max |N0 - mu| = 1.55e-14  [pass]"]
+    assert same_bytes.describe(base, change, "short.txt") == [
+        "differs: short.txt", "  base   line 3: (no line)", "  change line 3: c"]
+    assert same_bytes.describe(base, change, "old.csv") == ["differs: old.csv"]
+    assert same_bytes.describe(base, change, "blob.bin") == ["differs: blob.bin"]
+
+
 def test_transcribe_keeps_the_extension_outputs(tmp_path):
     """The extension-check, demo and oracle transcripts are compared, each with
     its exit code; they carry no wall time, so `strip_times` leaves them as printed."""

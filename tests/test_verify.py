@@ -1,5 +1,6 @@
 """Negative controls for acceptance checks 4, 6, 7 and 8 (the clauses can
-fail), and the refinement study on the corpus energy ladders."""
+fail), the refinement study on the corpus energy ladders, and check 3's
+closed-form gradient."""
 
 import dataclasses
 import types
@@ -102,3 +103,24 @@ def test_check_weak_residual_refinement_fails_on_a_residual_that_does_not_shrink
     result = verify.check_weak_residual_refinement("quick")
     assert not result.passed
     assert result.measured.count("orders 0.00/0.00") == 3
+
+
+@pytest.mark.parametrize("mu", [1, 2, 3])
+def test_harmonic_power_gradient_is_the_central_difference(mu):
+    """Check 3's closed-form gradient of Re z^mu agrees with the
+    central-difference gradient of the same values to 1e-8 at the
+    quadrature points of its largest and smallest radius, and at their
+    mirror images below the face."""
+    from bilaplab.grid import sphere_quadrature
+    from bilaplab.problem import AnalyticField
+
+    grid, _ = verify._fine_sizing()
+    f = verify.harmonic_power(mu, grid)
+    differenced = AnalyticField(f, grid)
+    for r in (0.05, 0.9):
+        quad = sphere_quadrature(grid, [0.0], r)
+        pts = np.concatenate([quad.surface_points, quad.solid_points, quad.thin_points])
+        below = pts * [1.0, -1.0]
+        pts = np.concatenate([pts, below[below[:, 1] < 0]])
+        assert (pts[:, 1] < 0).any()
+        assert np.abs(f.gradient(pts) - differenced.gradient(pts)).max() <= 1e-8

@@ -33,12 +33,14 @@ Newton minimizer on eight coarse problems. Each one's stdout is kept in its
 file, without the wall time that ends each `verify` check line, and the
 exit codes go to `transcript_exit_codes.json`. The command prints every
 file that differs between the two sides, a file present on one side only
-included, and exits 1 if any file differs.
+included, with the first differing line of each side of a text file, and
+exits 1 if any file differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import shutil
@@ -192,6 +194,25 @@ def differing(base: Path, change: Path) -> tuple[int, list[str]]:
     return len(files), diff
 
 
+def describe(base: Path, change: Path, name: str) -> list[str]:
+    """The lines that report the differing file `name`: its name, then for a
+    text file (UTF-8 on both sides) the first line where the sides differ,
+    as it reads on each side."""
+    out = [f"differs: {name}"]
+    try:
+        sides = [(root / name).read_text(encoding="utf-8").splitlines(keepends=True)
+                 for root in (base, change)]
+    except (FileNotFoundError, UnicodeDecodeError):
+        return out
+    for k, pair in enumerate(itertools.zip_longest(*sides), start=1):
+        if pair[0] != pair[1]:
+            for side, line in zip(("base", "change"), pair):
+                shown = "(no line)" if line is None else line.rstrip("\n")
+                out.append(f"  {side:<6s} line {k}: {shown}")
+            break
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -209,12 +230,13 @@ def main(argv=None) -> int:
         outs = [produce(checkout(commit, workdir / side), workdir / side)
                 for side, commit in commits.items()]
         total, diff = differing(*outs)
+        report = [line for f in diff for line in describe(*outs, f)]
     finally:
         if args.workdir is None:
             shutil.rmtree(workdir, ignore_errors=True)
 
-    for f in diff:
-        print(f"differs: {f}")
+    for line in report:
+        print(line)
     print(f"{len(runs())} runs per side, {total} files, {len(diff)} differ "
           f"(base {commits['base'][:12]} = {args.base}, "
           f"change {commits['change'][:12]} = {args.change})")
