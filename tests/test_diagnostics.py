@@ -1,5 +1,6 @@
 """Radial functionals, integral identities, fitting helpers, and refinement in h."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -60,6 +61,51 @@ def test_rellich_identity_vanishes_on_smooth_field():
         grid=FINE,
     )
     assert rellich_residual(ysq, 0.0, 0.9) < 1e-12
+
+
+def _kinked(grid):
+    """|x - 0.2|^3 cos y: C^2, with a Rellich residual the quadrature can see."""
+    return AnalyticField(
+        value=lambda p: np.abs(p[:, 0] - 0.2) ** 3 * np.cos(p[:, 1]),
+        gradient=lambda p: np.column_stack([
+            3.0 * (p[:, 0] - 0.2) * np.abs(p[:, 0] - 0.2) * np.cos(p[:, 1]),
+            -np.abs(p[:, 0] - 0.2) ** 3 * np.sin(p[:, 1])]),
+        laplacian=lambda p: ((6.0 * np.abs(p[:, 0] - 0.2) - np.abs(p[:, 0] - 0.2) ** 3)
+                             * np.cos(p[:, 1])),
+        grid=grid,
+    )
+
+
+def test_rellich_residual_bits_do_not_depend_on_the_solid_block(monkeypatch):
+    """The solid points (32768 here) are read block by block; any block size,
+    one that does not divide the point count included, gives the bits of one
+    read."""
+    w = _kinked(build_grid(1, 1.0 / 64))
+    monkeypatch.setattr(bilaplab.diagnostics, "SOLID_BLOCK", 10 ** 9)
+    whole = rellich_residual(w, 0.0, 0.9)
+    assert whole > 0.0
+    for block in (1000, 8191, 8192):
+        monkeypatch.setattr(bilaplab.diagnostics, "SOLID_BLOCK", block)
+        assert rellich_residual(w, 0.0, 0.9) == whole, block
+
+
+def test_rellich_residual_holds_a_bounded_share_of_the_solid_reads(monkeypatch):
+    """At h = 1/160, r = 0.9 (131072 solid points) the blocked reads hold at
+    most half the arrays that one whole read holds at its peak."""
+    w = _kinked(build_grid(1, 1.0 / 160))
+    rellich_residual(w, 0.0, 0.9)  # the quadrature's memoized directions and nodes
+
+    def peak():
+        tracemalloc.start()
+        try:
+            rellich_residual(w, 0.0, 0.9)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    blocked = peak()
+    monkeypatch.setattr(bilaplab.diagnostics, "SOLID_BLOCK", 10 ** 9)
+    assert blocked < 0.5 * peak()
 
 
 def test_rellich_residual_needs_an_analytic_field():
