@@ -8,7 +8,8 @@ Subcommands:
     extension-check           half-plane extension DtN ratio check (no config)
     verify [--level quick|full]   run the acceptance suite, table output
 
-Exit codes: 0 success, 1 a check or computation failed, 2 usage or config error.
+Exit codes: 0 success, 1 a check or computation failed, 2 usage or config error;
+for extension-check, 2 also for a mode k > 32 or a height not finite in [8, 64].
 The environment variable BILAPLAB_OUTPUT_ROOT relocates run directories.
 """
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config, run
 from .extension import (RATIO_TARGET, RATIO_TOLERANCE, SPREAD_LIMIT, FourierTrace,
-                        dtn_compare)
+                        check_height, check_modes, dtn_compare)
 
 _STAGE_MAP = {
     "solve": ("solve",),
@@ -59,6 +60,14 @@ def _cmd_extension_check(args: argparse.Namespace) -> int:
     if not modes or any(k < 1 for k in modes):
         print("error: --modes needs at least one positive integer", file=sys.stderr)
         return 2
+    # the strip's own input rules, checked before anything is allocated
+    for option, check, value in (("--height", check_height, args.height),
+                                 ("--modes", check_modes, modes)):
+        try:
+            check(value)
+        except ValueError as exc:
+            print(f"error: {option}: {exc}", file=sys.stderr)
+            return 2
     coeffs = np.zeros(max(modes) + 1)
     coeffs[modes] = 1.0
     report = dtn_compare(FourierTrace(coeffs), Y=args.height)

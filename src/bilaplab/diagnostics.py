@@ -13,13 +13,14 @@ face through quadrature over half-spheres, half-balls, and thin balls:
     M_mu   (1 / r^(n+2mu)) surface integral of (u-p)^2 + (v-q)^2
 
 Every instrument reads a field w in one way: w(pts), w.gradient(pts) or
-w.with_gradient(pts) (both from one read), and w.grid, whose step h sizes
-the quadrature. A field is a ScalarField (interpolated, gradients from
-central-difference boxes) or an AnalyticField (closed forms, or gradients
-by small-step central differences); both read through the even
-extension. Laplacians come only from an AnalyticField. Analytic checks
-want AnalyticFields; solver output ScalarFields; anything else is refused
-with a TypeError.
+w.with_gradient(pts) (both from one read). The two identity instruments
+read the `SphereQuadrature` they are given, which a caller builds once for
+all its fields; the others size their points by the step h of w.grid. A
+field is a ScalarField (interpolated, gradients from central-difference
+boxes) or an AnalyticField (closed forms, or gradients by small-step
+central differences); both read through the even extension. Laplacians come
+only from an AnalyticField. Analytic checks want AnalyticFields; solver
+output ScalarFields; anything else is refused with a TypeError.
 
 Each field reads itself, one ScalarField read being one `interp_box` call.
 `compute_profile` samples each sphere and ball with `sample_count(r, h)`
@@ -29,7 +30,9 @@ itself once) at the surface, solid and thin points together, through one
 points), and keeps copies of its half-sphere samples. Those samples are the
 one read of the pair on half-spheres around a center: `monneau_curve` and
 `growth_fit` here, and the blow-up fits and nondegeneracy check of
-`freeboundary`, take their values from them and read no field. A profile's
+`freeboundary`, take their values from them and read no field.
+`mean_value_defects` reads all the fields it is given through one plan of
+its sample points, and `face_mean_value_term` reads u once. A profile's
 radii come from one rule, `profile_radii`, and a quantity's ladder in h
 (h, h/2, ...) is a `refinement` study. Sums over the coordinate axis go
 column by column (`grid._row_dot`).
@@ -41,18 +44,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (_TOL, HalfBallGrid, _as_thin_center, _gauss_on, _row_dot, ball_center,
-                   half_sphere, sample_count, sphere_quadrature)
+from .grid import (_TOL, SOLID_BLOCK, HalfBallGrid, SphereQuadrature, _as_thin_center,
+                   _gauss_on, _row_dot, ball_center, half_sphere, sample_count,
+                   sphere_quadrature)
 from .problem import AnalyticField, ProblemSpec, ScalarField, thin_reaction
 
 DEGENERATE_FACTOR = 1e-14  # H below this times sup(u^2+v^2) is flagged
 FACE_GAUSS_POINTS = 64  # Gauss-Legendre points per half-chord in face_mean_value_term
 SETTLED_CUT = 0.1  # settled: 3+ values, last two Richardson values within this x last step
-# Solid points per field read in rellich_residual. A read of the 131072 solid
-# points of r = 0.9 at h = 1/160 at once held ~14 MB of temporaries; glibc
-# malloc gave that heap growth back to the system after some calls and not
-# others, so a process paid 0 to 20000 page faults per `verify` run.
-SOLID_BLOCK = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +200,9 @@ def monneau_curve(profile: RadialProfile, mu: float, p_mu, q_mu) -> np.ndarray:
 # identity checks
 
 
-def rellich_residual(w, center, r: float) -> float:
-    """|LHS - RHS| of the half-ball Rellich identity, coordinates centered.
+def rellich_residual(w, quad: SphereQuadrature) -> float:
+    """|LHS - RHS| of the half-ball Rellich identity on the quadrature's ball
+    B_r(c), coordinates centered at c.
 
         r int_surf (|grad w|^2 - 2 w_r^2)
           = (n-1) int_solid |grad w|^2
@@ -216,9 +216,8 @@ def rellich_residual(w, center, r: float) -> float:
     """
     if not isinstance(w, AnalyticField):
         raise TypeError("the Rellich residual needs an AnalyticField with a laplacian")
-    g = w.grid
-    c = _as_thin_center(g.n, center)
-    quad = sphere_quadrature(g, c, float(r))
+    c, r = quad.center, quad.r
+    n = c.size - 1
 
     gs = w.gradient(quad.surface_points)
     rel = quad.surface_points - c
@@ -226,7 +225,7 @@ def rellich_residual(w, center, r: float) -> float:
     wr = _row_dot(gs, rad)
     lhs = r * (quad.surface_weights @ (_row_dot(gs, gs) - 2.0 * wr ** 2))
 
-    # the solid integrands block by block (see SOLID_BLOCK); each is one
+    # the solid integrands block by block (see grid.SOLID_BLOCK); each is one
     # array, so the weighted sums keep the bits of a whole-array read
     size = quad.solid_weights.size
     grad2, zlap = np.empty(size), np.empty(size)
@@ -236,7 +235,7 @@ def rellich_residual(w, center, r: float) -> float:
         gb = w.gradient(pts)
         grad2[block] = _row_dot(gb, gb)
         zlap[block] = _row_dot(pts - c, gb) * w.laplacian(pts)
-    rhs = (g.n - 1) * (quad.solid_weights @ grad2)
+    rhs = (n - 1) * (quad.solid_weights @ grad2)
     rhs -= 2.0 * (quad.solid_weights @ zlap)
 
     gt = w.gradient(quad.thin_points)
@@ -246,9 +245,10 @@ def rellich_residual(w, center, r: float) -> float:
     return float(abs(lhs - rhs))
 
 
-def poincare_and_trace(w, r: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    """The Poincare and trace inequalities on B_r(0), from one quadrature and
-    one read of w and its gradient on the solid points.
+def poincare_and_trace(w, quad: SphereQuadrature
+                       ) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The Poincare and trace inequalities on the quadrature's ball B_r(0),
+    from one read of w and its gradient on the solid points.
 
     Returns ((lhs, rhs), (lhs, bracket)): both sides of
     (n/r^2) int w^2 <= (1/r) int_surf w^2 + int |grad w|^2, then the
@@ -257,12 +257,11 @@ def poincare_and_trace(w, r: float) -> tuple[tuple[float, float], tuple[float, f
     lhs <= C * bracket across a corpus certifies the trace inequality
     numerically.
     """
-    g = _field(w).grid
-    quad = sphere_quadrature(g, np.zeros(g.n), float(r))
-    wb, gb = w.with_gradient(quad.solid_points)
+    r, n = quad.r, quad.center.size - 1
+    wb, gb = _field(w).with_gradient(quad.solid_points)
     grad2 = float(quad.solid_weights @ _row_dot(gb, gb))
     surf2 = float(quad.surface_weights @ w(quad.surface_points) ** 2)
-    poincare = (g.n / r ** 2) * float(quad.solid_weights @ wb ** 2), surf2 / r + grad2
+    poincare = (n / r ** 2) * float(quad.solid_weights @ wb ** 2), surf2 / r + grad2
     trace = float(quad.thin_weights @ w(quad.thin_points) ** 2), r * grad2 + surf2
     return poincare, trace
 
@@ -317,15 +316,17 @@ def growth_fit(profile: RadialProfile, r_max: float) -> float:
 # mean-value (subharmonicity) check
 
 
-def mean_value_defects(w: ScalarField, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-centre defect w(z) minus the sphere average of w at radius rho.
+def mean_value_defects(fields: list[ScalarField], rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-centre defect w(z) minus the sphere average of w at radius rho, for
+    each ScalarField w of `fields`, all on one lattice.
 
     Centres are the interior nodes whose whole ball B_rho(z) lies inside the
-    unit ball; returns (centres, defects) with centres of shape (N, n+1).
+    unit ball; returns (centres, defects), shapes (N, n+1) and (fields, N).
     The average is over the full sphere around z inside the even extension
     (queries below the face are mirrored), vectorised over all centres, on
     the `half_sphere(n, sample_count(rho, h) // 2)` directions and their
-    mirror images.
+    mirror images, which every field reads through one `interp_plan`: a
+    field's row has the bits of a call with that field alone.
 
     A field subharmonic in the open half-ball has nonpositive defect only on
     balls that miss the face, up to interpolation error O(h^2). Balls that
@@ -335,22 +336,17 @@ def mean_value_defects(w: ScalarField, rho: float) -> tuple[np.ndarray, np.ndarr
     For v = Lap u that measure is 2 F(u) delta_face; see
     `face_mean_value_term`.
     """
-    g = w.grid
+    g = fields[0].grid
     ids = g.interior_ids
+    ids = ids[np.linalg.norm(g.nodes[ids], axis=1) + rho <= 1.0 + _TOL]
     pts = g.nodes[ids]
-    ok = np.linalg.norm(pts, axis=1) + rho <= 1.0 + _TOL
-    pts = pts[ok]
-    vals = w.values[ids[ok]]
-    if pts.shape[0] == 0:
-        return pts, vals
     upper, w_half = half_sphere(g.n, sample_count(rho, g.h) // 2)
     lower = upper * np.append(np.ones(g.n), -1.0)
     direc = np.concatenate([upper, lower])
     wgt = np.concatenate([w_half, w_half]) / (2.0 * w_half.sum())
-    samples = pts[:, None, :] + rho * direc[None, :, :]
-    flat = samples.reshape(-1, g.n + 1)
-    svals = w(flat).reshape(pts.shape[0], -1)
-    return pts, vals - svals @ wgt
+    plan = g.interp_plan((pts[:, None, :] + rho * direc[None, :, :]).reshape(-1, g.n + 1))
+    return pts, np.array([w.values[ids] - w(plan).reshape(ids.size, direc.shape[0]) @ wgt
+                          for w in fields])
 
 
 def face_mean_value_term(u, spec: ProblemSpec, centres, rho: float) -> np.ndarray:
@@ -365,8 +361,8 @@ def face_mean_value_term(u, spec: ProblemSpec, centres, rho: float) -> np.ndarra
 
     and this returns the right-hand side per centre (0 for balls that miss
     the face). The face chord is split at the foot of z, with
-    FACE_GAUSS_POINTS Gauss points on each half; u is read along the face
-    through its interpolant.
+    FACE_GAUSS_POINTS Gauss points on each half; u is read once, at the
+    points of both halves, through its interpolant.
     """
     if u.grid.n != 1:
         raise ValueError("the face mean-value term is implemented for n=1 only")
@@ -375,13 +371,9 @@ def face_mean_value_term(u, spec: ProblemSpec, centres, rho: float) -> np.ndarra
     half = np.sqrt(np.maximum(rho ** 2 - y ** 2, 0.0))
     s, ws = _gauss_on(0.0, half, FACE_GAUSS_POINTS)
     kernel = ws * np.log(rho / np.sqrt(s ** 2 + y ** 2))
-    out = np.zeros(z.shape[0])
-    for side in (-1.0, 1.0):
-        zeta = (z[:, :1] + side * s).ravel()
-        pts = np.stack([zeta, np.zeros_like(zeta)], axis=-1)
-        F = thin_reaction(u(pts), spec).reshape(s.shape)
-        out += (kernel * F).sum(axis=1)
-    return out / np.pi
+    zeta = np.concatenate([(z[:, :1] + side * s).ravel() for side in (-1.0, 1.0)])
+    halves = thin_reaction(u(np.stack([zeta, np.zeros_like(zeta)], axis=-1)), spec)
+    return sum((kernel * F).sum(axis=1) for F in halves.reshape(2, *s.shape)) / np.pi
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 import scipy.linalg
 
 STRIP_SAMPLES = 256  # x samples of the strip on [0, 2pi)
+MAX_HEIGHT = 64.0  # (1 + kY) e^(-kY) is below double rounding there for every k >= 1
 
 # the acceptance rule of the identity: every ratio within 5% of 2, and a
 # spread across modes of at most 2%
@@ -99,21 +100,31 @@ def _mode_profile(k: int, a_k: float, y: np.ndarray) -> np.ndarray:
     return f
 
 
+def check_height(Y: float) -> None:
+    """ValueError unless 8 <= Y <= MAX_HEIGHT, which no NaN passes."""
+    if not 8.0 <= Y <= MAX_HEIGHT:
+        raise ValueError(
+            f"strip height Y={Y}: need Y >= 8 for decay, finite and <= {MAX_HEIGHT:g}")
+
+
+def check_modes(modes) -> None:
+    """ValueError unless every mode k keeps 8 samples per wavelength (STRIP_SAMPLES / k >= 8)."""
+    for k in modes:
+        if STRIP_SAMPLES / k < 8:
+            raise ValueError(f"mode k={k} under-resolved: {STRIP_SAMPLES / k:.1f} "
+                             "points per wavelength, need >= 8")
+
+
 def strip_extension(trace: FourierTrace, Y: float = 12.0) -> StripField:
     """Solve the clamped biharmonic extension of a cosine trace, mode by mode.
 
     STRIP_SAMPLES x samples cover [0, 2pi); the vertical step uses the same
-    spacing. Every active mode k must keep at least 8 samples per wavelength
-    (STRIP_SAMPLES / k >= 8), else the mode is under-resolved.
+    spacing. The height and the active modes must pass `check_height` and
+    `check_modes` (checked before anything is allocated).
     """
-    if Y < 8.0:
-        raise ValueError(f"strip height Y={Y} too small: need Y >= 8 for decay")
+    check_height(Y)
     active = trace.active_modes()
-    for k in active:
-        if STRIP_SAMPLES / k < 8:
-            raise ValueError(
-                f"mode k={k} under-resolved: {STRIP_SAMPLES / k:.1f} "
-                "points per wavelength, need >= 8")
+    check_modes(active)
     dx = 2.0 * np.pi / STRIP_SAMPLES
     x = np.arange(STRIP_SAMPLES) * dx
     J = int(np.ceil(Y / dx))

@@ -428,6 +428,11 @@ def ball_center(grid: HalfBallGrid, center, r: float) -> np.ndarray:
     return c
 
 
+# solid points per pass of `weak_residual` and `rellich_residual`: one pass over all
+# 131072 of r = 0.9, h = 1/160 held ~14 MB, which glibc gave back to the OS only at times
+SOLID_BLOCK = 8192
+
+
 def sphere_quadrature(grid: HalfBallGrid, center, r: float) -> SphereQuadrature:
     """Quadrature over the half-sphere, half-ball, and thin ball of radius r.
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .grid import THIN, sphere_quadrature
+from .grid import SOLID_BLOCK, THIN, sphere_quadrature
 from .problem import (
     ProblemSpec,
     ScalarField,
@@ -62,8 +62,6 @@ ARMIJO_SLOPE = 1e-4
 CG_FLOOR = 0.1  # CG's residual 2-norm target, as a share of the Newton tolerance
 MAX_BACKTRACKS = 50
 ROUNDING_FLOOR = 1e-13  # relative size of changes of J taken as rounding
-# solid points per chunk of the weak-residual pass
-_TRIAL_CHUNK = 8192
 _TRIALS = 12  # random test fields of the weak residual
 
 
@@ -433,7 +431,7 @@ def weak_residual(result: SolveResult, spec: ProblemSpec, seed: int = 0) -> floa
     The test fields are phi = (1 - |z|^2)^2 P(x, y^2) with random cubic P,
     and their Laplacians are taken in closed form (`_basis_laplacians`), with
     no finite differences. The solid integrals are reduced in one pass over
-    chunks of `_TRIAL_CHUNK` points, reading v on each chunk only, so no
+    blocks of `grid.SOLID_BLOCK` points, reading v on each block only, so no
     array of trials by solid points and no v over all solid points is held.
     """
     grid = spec.grid()
@@ -442,9 +440,9 @@ def weak_residual(result: SolveResult, spec: ProblemSpec, seed: int = 0) -> floa
     pts, wts = quad.solid_points, quad.solid_weights
     lhs = np.zeros(_TRIALS)
     norm2 = np.zeros(_TRIALS)
-    for lo in range(0, pts.shape[0], _TRIAL_CHUNK):
-        chunk = pts[lo:lo + _TRIAL_CHUNK]
-        w = wts[lo:lo + _TRIAL_CHUNK]
+    for lo in range(0, pts.shape[0], SOLID_BLOCK):
+        chunk = pts[lo:lo + SOLID_BLOCK]
+        w = wts[lo:lo + SOLID_BLOCK]
         lap = coef @ _basis_laplacians(monos, chunk, grid.n)
         lhs += lap @ (w * result.v(chunk))
         norm2 += (lap * lap) @ w

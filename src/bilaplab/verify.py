@@ -6,7 +6,7 @@ exits nonzero when any check fails. The time is inclusive: a memoized corpus
 solve is charged to the first check that asks for it. Level "quick" runs
 reduced resolutions (about 1.1 s per process on a 2-core x86_64 machine);
 "full" adds the h = 1/64 refinement studies and the oracle comparisons at
-h = 1/16 (about 1.9 s there).
+h = 1/16 (about 1.6 s there).
 
 Corpus solves are memoized per process so the suite and the test harness share
 them. The three corpus configurations exercise p = 2 against p = 3 and
@@ -36,7 +36,7 @@ from .diagnostics import (
 )
 from .extension import RATIO_TARGET, RATIO_TOLERANCE, SPREAD_LIMIT, FourierTrace, dtn_compare
 from .freeboundary import analyze_point, blowup_fit, extract_gamma, nondegeneracy_check
-from .grid import build_grid, sample_count
+from .grid import build_grid, sphere_quadrature
 from .oracle import brute_minimize
 from .problem import AnalyticField, ProblemSpec, ScalarField, energy_array, gradient_array
 from .solver import minimize, weak_residual
@@ -84,15 +84,17 @@ def corpus_points(tag: str, h_inv: int):
     return tuple(analyze_point(pt, res.u, res.v, spec) for pt in extract_gamma(res.u))
 
 
-def _fine_sizing():
-    """Sizing grid for analytic-field quadrature and a spec that supplies F.
+def analyzed_points(level: str):
+    """(tag, h_inv, point) over the free-boundary points that checks 5, 9 and 12 read."""
+    return ((tag, h_inv, pt) for tag in CORPUS for h_inv in ANALYZED_H[level]
+            for pt in corpus_points(tag, h_inv))
 
-    At h = 1/80 the smallest radius the checks use, 0.05, is 4h.
-    """
-    grid = build_grid(1, 1.0 / 80)
-    spec = ProblemSpec(n=1, h=1.0 / 80, p=2.0, lambda_plus=1.0,
-                       lambda_minus=1.0, g="harmonic:deg=1")
-    return grid, spec
+
+def _fine_sizing():
+    """Sizing grid for analytic-field quadrature, h = 1/80, where the least radius
+    the checks use, 0.05, is 4h; and sym-p2's spec on it, which supplies F."""
+    spec = corpus_spec("sym-p2", 80)
+    return spec.grid(), spec
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +159,15 @@ def _z_power(pts: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def harmonic_power(mu: int, grid) -> AnalyticField:
-    """Re z^mu (n = 1) with its closed-form gradient: since z^mu is
-    holomorphic, d/dx - i d/dy of Re z^mu is mu z^(mu - 1)."""
+def harmonic_power(coeffs: dict[int, float], grid) -> AnalyticField:
+    """The sum of c Re z^k over the (k, c) of coeffs (n = 1) with its closed-form
+    gradient: since z^k is holomorphic, d/dx - i d/dy of Re z^k is k z^(k - 1)."""
     def gradient(pts):
-        d = mu * _z_power(pts, mu - 1)
+        d = sum(c * k * _z_power(pts, k - 1) for k, c in coeffs.items())
         return np.stack([d.real, -d.imag], axis=-1)
 
-    return AnalyticField(lambda pts: _z_power(pts, mu).real, grid, gradient)
+    return AnalyticField(lambda pts: sum(c * _z_power(pts, k).real for k, c in coeffs.items()),
+                         grid, gradient)
 
 
 def check_analytic_frequency(level: str = "quick") -> CheckResult:
@@ -172,7 +175,7 @@ def check_analytic_frequency(level: str = "quick") -> CheckResult:
     radii = np.geomspace(0.05, 0.9, 17)
     worst = 0.0
     for mu in (1, 2, 3):
-        f = harmonic_power(mu, grid)
+        f = harmonic_power({mu: 1.0}, grid)
         prof = compute_profile(f, f, [0.0], radii, spec)
         worst = max(worst, float(np.abs(prof.N0 - mu).max()))
     return CheckResult(
@@ -222,17 +225,15 @@ def check_almgren_monotonicity(level: str = "quick") -> CheckResult:
 
 def check_growth_estimate(level: str = "quick") -> CheckResult:
     worst_margin, ok, n_pts = np.inf, True, 0
-    for tag in CORPUS:
-        for h_inv in ANALYZED_H[level]:
-            for pt in corpus_points(tag, h_inv):
-                if pt.mu_hat is None:
-                    continue  # analyze_point found no frequency here
-                n_pts += 1
-                # sup |u| over the smallest octave of the point's radii
-                top = 2.0 * pt.profile.radii[0] + 1e-12
-                margin = growth_fit(pt.profile, top) - (pt.mu_hat - 0.1)
-                worst_margin = min(worst_margin, margin)
-                ok &= margin >= 0.0
+    for _, _, pt in analyzed_points(level):
+        if pt.mu_hat is None:
+            continue  # analyze_point found no frequency here
+        n_pts += 1
+        # sup |u| over the smallest octave of the point's radii
+        top = 2.0 * pt.profile.radii[0] + 1e-12
+        margin = growth_fit(pt.profile, top) - (pt.mu_hat - 0.1)
+        worst_margin = min(worst_margin, margin)
+        ok &= margin >= 0.0
     return CheckResult(
         "growth estimate",
         "log-log slope of sup|u| >= mu_hat - 0.1 at each FB point",
@@ -244,16 +245,16 @@ def check_growth_estimate(level: str = "quick") -> CheckResult:
 # 6. mean-value inequality off the face, Riesz identity on it
 
 
-def face_identity_residual(res, spec: ProblemSpec, rho: float) -> np.ndarray:
+def face_identity_residual(u, spec: ProblemSpec, z, defect, rho: float) -> np.ndarray:
     """Residual of the Riesz mean-value formula for v on balls meeting the face.
 
-    Per centre z with z_y < rho: v(z) - mean_{dB_rho(z)} v + the face term
-    of `face_mean_value_term`, with F read from `spec`. Zero up to
+    z and defect are the centres and v's defects of `mean_value_defects` at
+    rho. Per centre with z_y < rho: v(z) - mean_{dB_rho(z)} v + the face term
+    of `face_mean_value_term` of u, with F read from `spec`. Zero up to
     discretization when v = Lap u and v_y = F(u) on the face.
     """
-    z, defect = mean_value_defects(res.v, rho)
     meets = z[:, -1] < rho - 1e-12
-    return defect[meets] + face_mean_value_term(res.u, spec, z[meets], rho)
+    return defect[meets] + face_mean_value_term(u, spec, z[meets], rho)
 
 
 def check_mean_value(level: str = "quick") -> CheckResult:
@@ -264,22 +265,19 @@ def check_mean_value(level: str = "quick") -> CheckResult:
     raw = {"v+": 0.0, "v-": 0.0}
     for tag in CORPUS:
         res = corpus_solve(tag, h_inv)
-        parts = {
-            "u+": ScalarField(res.u.grid, np.maximum(res.u.values, 0.0)),
-            "u-": ScalarField(res.u.grid, np.maximum(-res.u.values, 0.0)),
-            "v+": ScalarField(res.v.grid, np.maximum(res.v.values, 0.0)),
-            "v-": ScalarField(res.v.grid, np.maximum(-res.v.values, 0.0)),
-        }
+        # u+, u-, v+, v- and v itself, whose defects the face identity reads
+        fields = [ScalarField(w.grid, np.maximum(sign * w.values, 0.0))
+                  for w in (res.u, res.v) for sign in (1.0, -1.0)] + [res.v]
         for rho in (4 * h, 8 * h):
-            for name, fld in parts.items():
-                z, defect = mean_value_defects(fld, rho)
+            z, defects = mean_value_defects(fields, rho)
+            for name, defect in zip(("u+", "u-", "v+", "v-"), defects):
                 if name in raw:
                     # the even extension of v carries 2 F(u) delta_face, so
                     # v+- are sub-mean-value only on balls that miss the face
                     raw[name] = max(raw[name], defect.max(initial=0.0))
                     defect = defect[z[:, -1] >= rho - 1e-12]
                 worst[name] = max(worst[name], defect.max(initial=0.0))
-            ident = face_identity_residual(res, corpus_spec(tag, h_inv), rho)
+            ident = face_identity_residual(res.u, corpus_spec(tag, h_inv), z, defects[-1], rho)
             worst["face identity"] = max(worst["face identity"],
                                          np.abs(ident).max(initial=0.0))
     ok = all(v <= slack for v in worst.values())
@@ -389,16 +387,11 @@ def check_weak_residual_refinement(level: str = "quick") -> CheckResult:
 @lru_cache(maxsize=None)
 def _synthetic_fit():
     """The profile of the synthetic pair u = v = Re z^2 + 1e-3 Re z^3 (sized
-    by `_fine_sizing`) on one decade of 13 radii, the pair's degree-2 blow-up
-    fit on it, and the slope of log residual against log r. Checks 9 and 12
-    read this one profile and fit."""
+    by `_fine_sizing`, gradient in closed form) on one decade of 13 radii,
+    the pair's degree-2 blow-up fit on it, and the slope of log residual
+    against log r. Checks 9 and 12 read this one profile and fit."""
     grid, spec = _fine_sizing()
-
-    def value(pts):
-        z = pts[..., 0] + 1j * pts[..., 1]
-        return np.real(z ** 2) + 1e-3 * np.real(z ** 3)
-
-    f = AnalyticField(value, grid=grid)
+    f = harmonic_power({2: 1.0, 3: 1e-3}, grid)
     radii = np.geomspace(0.05, 0.5, 13)  # one decade of radii
     prof = compute_profile(f, f, [0.0], radii, spec)
     fit = blowup_fit(prof, mu=2)
@@ -407,15 +400,9 @@ def _synthetic_fit():
 
 
 def check_monneau_nondegeneracy(level: str = "quick") -> CheckResult:
-    seeded = []
-    for tag in CORPUS:
-        for h_inv in ANALYZED_H[level]:
-            for pt in corpus_points(tag, h_inv):
-                if (pt.classification == "SINGULAR" and pt.mu_int is not None
-                        and pt.mu_int >= 2):
-                    seeded.append((tag, h_inv, pt))
-    notes = []
-    ok = True
+    seeded = [(tag, h_inv, pt) for tag, h_inv, pt in analyzed_points(level)
+              if pt.classification == "SINGULAR" and pt.mu_int is not None and pt.mu_int >= 2]
+    notes, ok = [], True
     if seeded:
         for tag, h_inv, pt in seeded:
             c = pt.monneau_constant
@@ -450,8 +437,7 @@ def identity_corpus() -> dict[str, tuple]:
     quadrature error measurable (the identity superconverges on smooth
     fields), so the halving clause of the check is a real statement about
     the rules rather than noise."""
-    one = (lambda y: np.ones_like(y), lambda y: np.zeros_like(y),
-           lambda y: np.zeros_like(y))
+    one = (np.ones_like, np.zeros_like, np.zeros_like)
     cosy = (np.cos, lambda y: -np.sin(y), lambda y: -np.cos(y))
     coshy = (np.cosh, np.sinh, np.cosh)
     ysq = (lambda y: 1 + y ** 2, lambda y: 2 * y, lambda y: 2 * np.ones_like(y))
@@ -497,26 +483,26 @@ def identity_corpus() -> dict[str, tuple]:
 
 def check_integral_identities(level: str = "quick") -> CheckResult:
     grid, _ = _fine_sizing()
-    finer = build_grid(1, 1.0 / 160)  # twice the samples of `grid` at r = 0.9
-    ok = True
-    worst_res, worst_ratio = 0.0, np.inf
-    pt_ok = True
+    # B_0.9(0) for h = 1/80 and (twice the samples) 1/160, and B_0.5(0) for 1/80
+    coarse = sphere_quadrature(grid, [0.0], 0.9)
+    fine = sphere_quadrature(build_grid(1, 1.0 / 160), [0.0], 0.9)
+    small = sphere_quadrature(grid, [0.0], 0.5)
+    ok, pt_ok, worst_res, worst_ratio = True, True, 0.0, np.inf
     for val, grad, lap in identity_corpus().values():
         fld = AnalyticField(val, grid, grad, lap)
-        fine = AnalyticField(val, finer, grad, lap)
-        r512 = rellich_residual(fld, [0.0], 0.9)
-        study = refinement([r512, rellich_residual(fine, [0.0], 0.9)], limit=0.0)
+        r512 = rellich_residual(fld, coarse)
+        study = refinement([r512, rellich_residual(fld, fine)], limit=0.0)
         worst_res = max(worst_res, r512)
         worst_ratio = min(worst_ratio, study.ratios[0])
         ok &= r512 <= 1e-3 and study.shrinks(0.5, 1e-13)
-        for r in (0.5, 0.9):
-            (pl, pr), (tl, tr) = poincare_and_trace(fld, r)
+        for quad in (small, coarse):
+            (pl, pr), (tl, tr) = poincare_and_trace(fld, quad)
             pt_ok &= (pl <= pr) and (tl <= tr)
     ok &= pt_ok
     return CheckResult(
         "integral identities",
-        f"Rellich <= 1e-3 at m={sample_count(0.9, grid.h)}, halves at "
-        f"m={sample_count(0.9, finer.h)}; Poincare/trace hold",
+        f"Rellich <= 1e-3 at m={coarse.surface_weights.size}, halves at "
+        f"m={fine.surface_weights.size}; Poincare/trace hold",
         f"max res {worst_res:.2e}, min halving ratio {worst_ratio:.1f}, "
         f"Poincare/trace {'ok' if pt_ok else 'VIOLATED'}",
         ok)
@@ -547,15 +533,12 @@ def check_blowup_fitting(level: str = "quick") -> CheckResult:
     synth_ok = abs(coeff - 1.0) <= 1e-3 and abs(slope - 1.0) <= 0.1
 
     agree, outside, solver_ok = 0, 0, True
-    for tag in CORPUS:
-        for h_inv in ANALYZED_H[level]:
-            for pt in corpus_points(tag, h_inv):
-                best = pt.best_fit_degree
-                if pt.mu_int is not None and pt.mu_int >= 1:
-                    solver_ok &= (best == pt.mu_int)
-                    agree += 1
-                else:
-                    outside += 1  # frequency gate outside the positive-integer domain
+    for _, _, pt in analyzed_points(level):
+        if pt.mu_int is not None and pt.mu_int >= 1:
+            solver_ok &= (pt.best_fit_degree == pt.mu_int)
+            agree += 1
+        else:
+            outside += 1  # frequency gate outside the positive-integer domain
     ok = synth_ok and solver_ok and agree > 0
     return CheckResult(
         "blow-up fitting",

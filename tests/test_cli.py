@@ -441,6 +441,13 @@ def test_cli_extension_check(capsys):
     assert "spread" in out
     assert main(["extension-check", "--modes", "1,x"]) == 2
     assert main(["extension-check", "--modes", "0"]) == 2
+    # the strip's input rules are usage errors naming the option; 65 is the
+    # least whole height over the cap, and no huge height is ever run
+    for option, value in [("--height", "nan"), ("--height", "inf"), ("--height", "4"),
+                          ("--height", "65"), ("--modes", "40")]:
+        capsys.readouterr()
+        assert main(["extension-check", option, value]) == 2, value
+        assert f"error: {option}: " in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_verify_level():

@@ -41,14 +41,14 @@ _rez2 = AnalyticField(lambda p: p[:, 0] ** 2 - p[:, 1] ** 2, grid=FINE)
 
 def test_poincare_closed_form_for_constants():
     """For w = 1 the two sides are the half-disc and half-circle masses."""
-    (lhs, rhs), _ = poincare_and_trace(_ones, 0.5)
+    (lhs, rhs), _ = poincare_and_trace(_ones, sphere_quadrature(FINE, 0.0, 0.5))
     assert lhs == pytest.approx(np.pi / 2, abs=1e-12)
     assert rhs == pytest.approx(np.pi, abs=1e-12)
     assert lhs <= rhs
 
 
 def test_trace_closed_form_for_constants():
-    _, (lhs, bracket) = poincare_and_trace(_ones, 0.5)
+    _, (lhs, bracket) = poincare_and_trace(_ones, sphere_quadrature(FINE, 0.0, 0.5))
     assert lhs == pytest.approx(1.0, abs=1e-12)
     assert bracket == pytest.approx(np.pi / 2, abs=1e-12)
 
@@ -60,7 +60,7 @@ def test_rellich_identity_vanishes_on_smooth_field():
         laplacian=lambda p: np.full(len(p), 2.0),
         grid=FINE,
     )
-    assert rellich_residual(ysq, 0.0, 0.9) < 1e-12
+    assert rellich_residual(ysq, sphere_quadrature(FINE, 0.0, 0.9)) < 1e-12
 
 
 def _kinked(grid):
@@ -81,24 +81,25 @@ def test_rellich_residual_bits_do_not_depend_on_the_solid_block(monkeypatch):
     one that does not divide the point count included, gives the bits of one
     read."""
     w = _kinked(build_grid(1, 1.0 / 64))
+    quad = sphere_quadrature(w.grid, 0.0, 0.9)
     monkeypatch.setattr(bilaplab.diagnostics, "SOLID_BLOCK", 10 ** 9)
-    whole = rellich_residual(w, 0.0, 0.9)
+    whole = rellich_residual(w, quad)
     assert whole > 0.0
     for block in (1000, 8191, 8192):
         monkeypatch.setattr(bilaplab.diagnostics, "SOLID_BLOCK", block)
-        assert rellich_residual(w, 0.0, 0.9) == whole, block
+        assert rellich_residual(w, quad) == whole, block
 
 
 def test_rellich_residual_holds_a_bounded_share_of_the_solid_reads(monkeypatch):
     """At h = 1/160, r = 0.9 (131072 solid points) the blocked reads hold at
     most half the arrays that one whole read holds at its peak."""
     w = _kinked(build_grid(1, 1.0 / 160))
-    rellich_residual(w, 0.0, 0.9)  # the quadrature's memoized directions and nodes
+    quad = sphere_quadrature(w.grid, 0.0, 0.9)
 
     def peak():
         tracemalloc.start()
         try:
-            rellich_residual(w, 0.0, 0.9)
+            rellich_residual(w, quad)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -111,7 +112,7 @@ def test_rellich_residual_holds_a_bounded_share_of_the_solid_reads(monkeypatch):
 def test_rellich_residual_needs_an_analytic_field():
     w = ScalarField(FINE, FINE.nodes[:, 1] ** 2)
     with pytest.raises(TypeError, match="AnalyticField"):
-        rellich_residual(w, 0.0, 0.9)
+        rellich_residual(w, sphere_quadrature(build_grid(1, 1.0 / 16), 0.0, 0.9))
 
 
 def test_frequency_of_homogeneous_harmonic_pair():
@@ -274,8 +275,8 @@ def test_only_scalar_fields_are_read_through_a_plan(n, h, monkeypatch):
 
 
 def test_poincare_and_trace_take_one_quadrature_and_one_gradient_read(monkeypatch):
-    """One quadrature of B_r(0) and one read of w and its gradient on the
-    solid points serve both inequalities."""
+    """One quadrature of B_r(0), the caller's, and one read of w and its
+    gradient on the solid points serve both inequalities."""
     w = AnalyticField(lambda p: 1.0 + p[:, 0] * p[:, 1] - p[:, 1] ** 2, grid=FINE)
     quads, grads = [], []
     quadrature = bilaplab.diagnostics.sphere_quadrature
@@ -284,7 +285,8 @@ def test_poincare_and_trace_take_one_quadrature_and_one_gradient_read(monkeypatc
                         lambda *a: quads.append(a) or quadrature(*a))
     monkeypatch.setattr(AnalyticField, "gradient",
                         lambda self, pts: grads.append(pts) or gradient(self, pts))
-    (pl, pr), (tl, tr) = poincare_and_trace(w, 0.5)
+    quad = bilaplab.diagnostics.sphere_quadrature(FINE, 0.0, 0.5)
+    (pl, pr), (tl, tr) = poincare_and_trace(w, quad)
     assert len(quads) == len(grads) == 1
     assert pl <= pr and tl <= tr
 
@@ -348,7 +350,7 @@ def test_default_radii_ladder():
 
 
 def _worst_defect(w, rho):
-    return mean_value_defects(w, rho)[1].max()
+    return mean_value_defects([w], rho)[1].max()
 
 
 def test_mean_value_violation_signs():
@@ -365,7 +367,7 @@ def test_mean_value_violation_signs():
 def test_mean_value_defects_per_centre():
     g = build_grid(1, 1.0 / 16.0)
     rsq = ScalarField(g, (g.nodes ** 2).sum(axis=1))
-    centres, defects = mean_value_defects(rsq, 0.25)
+    centres, (defects,) = mean_value_defects([rsq], 0.25)
     assert centres.shape == (defects.size, 2)
     assert np.all(np.linalg.norm(centres, axis=1) + 0.25 <= 1.0 + 1e-12)
     # Laplacian 4: every centre falls short of its circle mean by rho^2,
@@ -376,13 +378,31 @@ def test_mean_value_defects_per_centre():
 def test_mean_value_defects_at_n2():
     g = build_grid(2, 1.0 / 8.0)
     rsq = ScalarField(g, (g.nodes ** 2).sum(axis=1))
-    centres, defects = mean_value_defects(rsq, 0.25)
+    centres, (defects,) = mean_value_defects([rsq], 0.25)
     assert centres.shape == (defects.size, 3) and defects.size > 0
     assert np.all(np.linalg.norm(centres, axis=1) + 0.25 <= 1.0 + 1e-12)
     # Laplacian 6: every centre falls short of its sphere mean by rho^2; the
     # trilinear interpolant of |z|^2 exceeds it by at most 3 h^2 / 4
     err = defects + 0.25 ** 2
     assert np.all(err <= 0.0) and np.all(err >= -0.75 * g.h ** 2)
+
+
+@pytest.mark.parametrize("n,h", [(1, 1.0 / 16), (2, 1.0 / 8)])
+def test_mean_value_defects_of_several_fields_are_each_fields_own(n, h):
+    """One call on several fields of a lattice gives each field the bytes of
+    a call on that field alone, and the same centres."""
+    g = build_grid(n, h)
+    z = g.nodes
+    fields = [ScalarField(g, (z ** 2).sum(axis=1)),
+              ScalarField(g, np.cos(3.0 * z[:, 0]) * np.exp(z[:, -1]) - 0.2),
+              ScalarField(g, np.maximum(z[:, 0] - z[:, -1] ** 2, 0.0))]
+    for rho in (4 * h, 0.3):
+        centres, defects = mean_value_defects(fields, rho)
+        assert defects.shape == (len(fields), centres.shape[0]) and centres.shape[0] > 0
+        for w, row in zip(fields, defects):
+            alone_centres, alone = mean_value_defects([w], rho)
+            assert alone_centres.tobytes() == centres.tobytes()
+            assert alone[0].tobytes() == row.tobytes()
 
 
 def test_face_mean_value_term_closed_form():

@@ -135,3 +135,6 @@ def test_extension_guards():
         strip_extension(FourierTrace(high), Y=12.0)
     with pytest.raises(ValueError, match="no active modes"):
         dtn_compare(FourierTrace([1.0]), Y=12.0)
+    for Y in (float("nan"), float("inf"), np.nextafter(64.0, 65.0)):
+        with pytest.raises(ValueError, match="finite and <= 64"):
+            strip_extension(FourierTrace([0.0, 1.0]), Y=Y)

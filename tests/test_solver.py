@@ -13,9 +13,9 @@ import scipy.sparse.linalg as spla
 import bilaplab
 from bilaplab import ProblemSpec, minimize, harmonic_extension, solver
 from bilaplab.oracle import brute_minimize
-from bilaplab.grid import build_grid, sphere_quadrature
+from bilaplab.grid import SOLID_BLOCK, build_grid, sphere_quadrature
 from bilaplab.problem import energy_array, gradient_array, operators, thin_reaction
-from bilaplab.solver import (_TRIAL_CHUNK, ConvergenceError, LinearSolveError, SolveResult,
+from bilaplab.solver import (ConvergenceError, LinearSolveError, SolveResult,
                              _basis_laplacians, _poly_trials, _split_preconditioner,
                              el_crosscheck, weak_residual)
 from bilaplab.verify import corpus_solve
@@ -176,7 +176,7 @@ def test_weak_residual_matches_the_per_trial_evaluation_exactly(n, h):
     # each h is the coarsest whose quadrature takes more than one chunk)
     spec = ProblemSpec(n=n, h=h, **ASYM)
     result = minimize(spec)
-    assert sphere_quadrature(spec.grid(), np.zeros(n), 1.0).solid_points.shape[0] > _TRIAL_CHUNK
+    assert sphere_quadrature(spec.grid(), np.zeros(n), 1.0).solid_points.shape[0] > SOLID_BLOCK
     value = weak_residual(result, spec, seed=7)
     assert value == pytest.approx(_reference_weak_residual(result, spec, seed=7),
                                   rel=1e-12, abs=0.0)

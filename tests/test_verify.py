@@ -1,6 +1,6 @@
 """Negative controls for acceptance checks 4, 6, 7 and 8 (the clauses can
-fail), the refinement study on the corpus energy ladders, and check 3's
-closed-form gradient."""
+fail), the refinement study on the corpus energy ladders, the closed-form
+gradient of checks 3, 9 and 12, and the point sets checks 6 and 10 build."""
 
 import dataclasses
 import types
@@ -8,8 +8,11 @@ import types
 import numpy as np
 import pytest
 
+import bilaplab.diagnostics
+import bilaplab.grid
 from bilaplab import verify
-from bilaplab.diagnostics import refinement
+from bilaplab.diagnostics import mean_value_defects, refinement
+from bilaplab.grid import HalfBallGrid, InterpPlan
 
 
 @pytest.mark.parametrize("h_inv", [16, 32])
@@ -21,10 +24,11 @@ def test_face_identity_fails_with_swapped_phase_weights(h_inv):
     spec = verify.corpus_spec("asym-p2", h_inv)
     swapped = dataclasses.replace(spec, lambda_plus=spec.lambda_minus,
                                   lambda_minus=spec.lambda_plus)
+    v_defects = {rho: mean_value_defects([res.v], rho) for rho in (4 * h, 8 * h)}
 
     def worst(s):
-        return max(np.abs(verify.face_identity_residual(res, s, rho)).max()
-                   for rho in (4 * h, 8 * h))
+        return max(np.abs(verify.face_identity_residual(res.u, s, z, d[0], rho)).max()
+                   for rho, (z, d) in v_defects.items())
 
     assert worst(spec) <= slack
     assert worst(swapped) > slack
@@ -105,17 +109,19 @@ def test_check_weak_residual_refinement_fails_on_a_residual_that_does_not_shrink
     assert result.measured.count("orders 0.00/0.00") == 3
 
 
-@pytest.mark.parametrize("mu", [1, 2, 3])
-def test_harmonic_power_gradient_is_the_central_difference(mu):
-    """Check 3's closed-form gradient of Re z^mu agrees with the
+@pytest.mark.parametrize("coeffs", [{1: 1.0}, {2: 1.0}, {3: 1.0}, {2: 1.0, 3: 1e-3}],
+                         ids=["1", "2", "3", "synthetic"])
+def test_harmonic_power_gradient_is_the_central_difference(coeffs):
+    """The closed-form gradient of check 3's Re z^mu, and of the synthetic
+    Re z^2 + 1e-3 Re z^3 of checks 9 and 12, agrees with the
     central-difference gradient of the same values to 1e-8 at the
-    quadrature points of its largest and smallest radius, and at their
-    mirror images below the face."""
+    quadrature points of the largest and smallest radius of check 3, and at
+    their mirror images below the face."""
     from bilaplab.grid import sphere_quadrature
     from bilaplab.problem import AnalyticField
 
     grid, _ = verify._fine_sizing()
-    f = verify.harmonic_power(mu, grid)
+    f = verify.harmonic_power(coeffs, grid)
     differenced = AnalyticField(f, grid)
     for r in (0.05, 0.9):
         quad = sphere_quadrature(grid, [0.0], r)
@@ -124,3 +130,34 @@ def test_harmonic_power_gradient_is_the_central_difference(mu):
         pts = np.concatenate([pts, below[below[:, 1] < 0]])
         assert (pts[:, 1] < 0).any()
         assert np.abs(f.gradient(pts) - differenced.gradient(pts)).max() <= 1e-8
+
+
+@pytest.mark.parametrize("level", ["quick", "full"])
+def test_check_integral_identities_builds_three_quadratures(monkeypatch, level):
+    """Check 10 builds B_0.9(0) for h = 1/80 and 1/160 and B_0.5(0) for
+    h = 1/80 once per call, and every field of its corpus reads them."""
+    built = []
+    quadrature = bilaplab.grid.sphere_quadrature
+    for module in (verify, bilaplab.diagnostics):
+        monkeypatch.setattr(module, "sphere_quadrature",
+                            lambda *a: built.append(a) or quadrature(*a), raising=False)
+    assert verify.check_integral_identities(level).passed
+    assert len(built) == 3
+
+
+@pytest.mark.parametrize("level", ["quick", "full"])
+def test_check_mean_value_builds_at_most_twelve_interpolation_plans(monkeypatch, level):
+    """Per corpus config and radius, check 6 builds one plan of its sample
+    points, which u+-, v+- and v read, and one of the face chords, which u
+    reads: 3 x 2 x 2 plans."""
+    verify.check_mean_value(level)  # the memoized corpus solves
+    built = []
+    interp_plan = HalfBallGrid.interp_plan
+
+    def counting(self, points):
+        built.append(not isinstance(points, InterpPlan))
+        return interp_plan(self, points)
+
+    monkeypatch.setattr(HalfBallGrid, "interp_plan", counting)
+    assert verify.check_mean_value(level).passed
+    assert 0 < sum(built) <= 12
