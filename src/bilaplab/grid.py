@@ -353,14 +353,18 @@ class HalfBallGrid:
         return out if stacked else out[0]
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def build_grid(n: int, h: float) -> HalfBallGrid:
     """The classified half-ball grid of (n, h). See `HalfBallGrid`.
 
-    The last grid built is kept, and a call with the same (n, h) returns that
-    same object, so consecutive problems on one lattice share its operators
-    (`problem.operators`) and the solver's Laplace factor. Its arrays are
-    read-only.
+    The grids of the two most recently asked lattices are kept, and a call
+    with one of their (n, h) returns that same object, so problems on one
+    lattice share its operators (`problem.operators`), its fill plans and the
+    solver's Laplace factor, also across one detour to another lattice. This
+    is the one place that decides which lattices stay alive: what is derived
+    from a grid lives as long as the grid. A third lattice drops the least
+    recent grid when it is built, and once no caller holds that grid it is
+    freed with everything derived from it. Its arrays are read-only.
     """
     return HalfBallGrid(n, h)
 

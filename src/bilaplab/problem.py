@@ -330,9 +330,12 @@ def operators(grid: HalfBallGrid) -> SimpleNamespace:
            in the gradient's thin rows and of |F'| in the Hessian's.
     K      L^T diag(omega) L, the quadratic-part matrix on all nodes.
     Kff    K restricted to the free nodes, rows and columns in free_ids order.
+    L_pinned  L's columns of the pinned nodes, in pinned_ids order: what the
+           Dirichlet datum adds to L w.
     thin_slots  positions in Kff.data of the thin rows' diagonal entries, in
            thin_ids order: where `hessian` adds the face curvature.
-    free_ids, thin_ids  the grid's, from which those two are derived.
+    free_ids, thin_ids, pinned_ids  the grid's, from which those three are
+           derived.
     """
     ops = getattr(grid, "_ops", None)
     if ops is not None:
@@ -381,7 +384,7 @@ def operators(grid: HalfBallGrid) -> SimpleNamespace:
     K = K.tocsr()
 
     ops = _Operators(L=L, omega=omega, face_w=face_w, thin_w2=2.0 * face_w_by_node[grid.thin_ids],
-                     K=K, free_ids=free, thin_ids=grid.thin_ids)
+                     K=K, free_ids=free, thin_ids=grid.thin_ids, pinned_ids=grid.pinned_ids)
     grid._ops = ops
     return ops
 
@@ -389,10 +392,10 @@ def operators(grid: HalfBallGrid) -> SimpleNamespace:
 class _Operators(SimpleNamespace):
     """The record `operators` returns.
 
-    Kff and thin_slots are derived from K when first read, which `hessian`
-    does; a Newton solve calls it after it has factored L_ff. Built before
-    that factor, they raised the peak RSS of a run of n = 1, h = 1/64
-    solves by 1.5 to 2.4 MB (glibc on x86_64).
+    Kff and thin_slots are derived from K, and L_pinned from L, when first
+    read. `hessian` reads the first two; a Newton solve calls it after it
+    has factored L_ff. Built before that factor, they raised the peak RSS of
+    a run of n = 1, h = 1/64 solves by 1.5 to 2.4 MB (glibc on x86_64).
     """
 
     @functools.cached_property
@@ -405,6 +408,10 @@ class _Operators(SimpleNamespace):
         Kff = self.Kff
         rows = np.repeat(np.arange(Kff.shape[0]), np.diff(Kff.indptr))
         return np.flatnonzero(rows == Kff.indices)[np.searchsorted(self.free_ids, self.thin_ids)]
+
+    @functools.cached_property
+    def L_pinned(self):
+        return self.L[:, self.pinned_ids]
 
 
 def discrete_laplacian(w: ScalarField) -> ScalarField:
@@ -497,10 +504,12 @@ def hessian(grid: HalfBallGrid, w: np.ndarray, spec: ProblemSpec,
     2 Kff plus `face_hessian_diagonal` on the thin rows' diagonal
     (`operators(grid).thin_slots`), rows and columns in free_ids order:
     symmetric positive semidefinite. Newton solves with it, and the oracle
-    sizes its step by its norm.
+    sizes its step by its norm. H shares Kff's index arrays and owns only its
+    values, so no caller may change its sparsity structure.
     """
     ops = operators(grid)
-    H = 2.0 * ops.Kff
+    Kff = ops.Kff
+    H = sp.csr_matrix((2.0 * Kff.data, Kff.indices, Kff.indptr), shape=Kff.shape)
     H.data[ops.thin_slots] += face_hessian_diagonal(grid, w, spec, grad_sup)
     return H
 

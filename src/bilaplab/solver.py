@@ -2,8 +2,8 @@
 
 `minimize` runs one damped semismooth Newton method with Armijo
 backtracking for every p > 1. Each step solves with `problem.hessian`, the
-one generalized Hessian: a copy of 2 Kff from `operators(grid).Kff` with
-the nonnegative face diagonal of `problem.face_hessian_diagonal` added at
+one generalized Hessian: 2 Kff on the index arrays of `operators(grid).Kff`
+with the nonnegative face diagonal of `problem.face_hessian_diagonal` added at
 its thin-node diagonal entries (`operators(grid).thin_slots`), where
 Kff = L_ff^T diag(omega) L_ff and L_ff is the reflected Dirichlet Laplacian
 (the Ciarlet-Raviart splitting into two Poisson operators). For 1 < p < 2
@@ -17,9 +17,11 @@ every h and every p. That LU is factored in SuperLU's symmetric mode
 half the fill of the default column ordering. Every solve with it is a
 transposed solve, SuperLU's faster path: D L_ff is symmetric for
 D = omega / h^(n+1), so L_ff^-1 y = D^-1 L_ff^-T (D y). The factor, like
-Kff, depends on the grid alone: `build_grid` hands every spec with the same
-(n, h) one grid, and `_laplace_factor` keeps the factor of the last grid it
-was asked for, so consecutive solves on one lattice factor L_ff once.
+Kff, depends on the grid alone and lives exactly as long as its grid:
+`build_grid` hands every spec with the same (n, h) one grid and keeps the
+two most recent lattices, and `_laplace_factor` keys the factor by that
+grid, so L_ff is factored once per lattice while the lattice stays alive,
+also across one solve on another lattice.
 
 CG stops once its residual's 2-norm is below CG_FLOOR = 0.1 times the
 Newton tolerance: for the quadratic model that residual is the next
@@ -39,6 +41,7 @@ tolerance.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,19 +117,24 @@ class SolveResult:
     trace: list[NewtonStep] = field(default_factory=list)  # one record per Newton step
 
 
-_factors: dict = {}  # at most one entry: the last grid asked for, and the LU of its L_ff
+_factors = weakref.WeakKeyDictionary()  # grid -> the LU of its L_ff, while the grid lives
 
 
 def _laplace_factor(grid):
-    """Sparse LU of the reflected Dirichlet Laplacian L_ff of the last grid asked for.
+    """Sparse LU of the reflected Dirichlet Laplacian L_ff of `grid`.
 
-    One factor is kept in total, in `_factors`, and it stays until a call on
-    another grid replaces it: 216k nonzeros at n = 1, h = 1/64, and 1.46M at
-    n = 2, h = 1/16. The old factor is dropped before the new one is
-    factored: SuperLU sizes its storage from a fill estimate (about 24 MB of
-    heap at n = 1, h = 1/64, for 2.5 MB of L and U), and factoring while the
-    old factor is still held, as `functools.lru_cache` would, raised the
-    peak RSS of a `sweep-n1` benchmark run from 73 to 79 MB.
+    The factor is kept in `_factors` for as long as the grid lives, and goes
+    with it: 216k nonzeros at n = 1, h = 1/64, and 1.46M at n = 2, h = 1/16.
+    `build_grid` decides which lattices stay alive. It keeps the two most
+    recent, and a third lattice drops the least recent grid when it is
+    built, before anything is factored on it; a grid holds no reference
+    cycle, so it is freed, factor included, at once. So unless a caller
+    still holds an older grid, SuperLU factors beside at most one other
+    factor. That matters: SuperLU sizes its storage from a fill estimate
+    (about 24 MB of heap at n = 1, h = 1/64, for 2.5 MB of L and U), and
+    factoring while the factor of the grid being replaced was still held,
+    as a `functools.lru_cache` over factors would, raised the peak RSS of
+    a `sweep-n1` benchmark run from 73 to 79 MB.
 
     L_ff has a symmetric pattern, and its rows are weakly diagonally dominant,
     so elimination needs no pivoting. SuperLU therefore runs in its
@@ -139,7 +147,6 @@ def _laplace_factor(grid):
     """
     lu = _factors.get(grid)
     if lu is None:
-        _factors.clear()
         # pass no relax= or panel_size=: they do not reduce the fill of L_ff, and
         # changing them between factorizations in one process has crashed
         # SuperLU with a corrupted heap (exit 139)
@@ -171,16 +178,17 @@ def harmonic_extension(spec: ProblemSpec) -> ScalarField:
     Used as the default initial iterate: it already matches the boundary
     values and satisfies the face reflection condition. It solves with
     `_laplace_factor(grid)`, which the Newton preconditioner then reuses; the
-    factor is kept until a solve on another grid. Like the preconditioner it
-    takes the transposed solve: L_ff^-1 rhs = D^-1 L_ff^-T (D rhs), with D the
+    factor lives as long as the grid. Like the preconditioner it takes the
+    transposed solve: L_ff^-1 rhs = D^-1 L_ff^-T (D rhs), with D the
     symmetrizer omega / h^(n+1) of `_split_preconditioner`.
     """
     grid = spec.grid()
     ops = operators(grid)
-    rhs = -(ops.L[:, grid.pinned_ids] @ dirichlet_values(spec))
+    g = dirichlet_values(spec)
+    rhs = -(ops.L_pinned @ g)
     D = ops.omega / grid.h ** (grid.n + 1)
     w = np.zeros(grid.node_count)
-    w[grid.pinned_ids] = dirichlet_values(spec)
+    w[grid.pinned_ids] = g
     w[grid.free_ids] = _laplace_factor(grid).solve(D * rhs, trans="T") / D
     return ScalarField(grid, w)
 
@@ -256,10 +264,11 @@ def minimize(spec: ProblemSpec) -> SolveResult:
     CG solve preconditioned by the split Laplacian factor, stopped at
     CG_FLOOR times the Newton tolerance; `trace` records every step and
     `cg_iterations` sums their CG steps. The factor is
-    `_laplace_factor(grid)`: a solve on the grid of the previous solve
-    reuses it, and it is kept after this call returns, failed solves
-    included, until a solve on another grid replaces it (at n = 2,
-    h = 1/16 that is 1.46M nonzeros).
+    `_laplace_factor(grid)`: every later solve on the same grid reuses it,
+    and it is kept after this call returns, failed solves included, for as
+    long as the grid lives (at n = 2, h = 1/16 that is 1.46M nonzeros).
+    `build_grid` keeps the two most recent lattices, so a solve that returns
+    to a lattice after one solve on another keeps its grid and factor.
     """
     grid = spec.grid()
     if grid.M < 2:

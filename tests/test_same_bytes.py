@@ -80,13 +80,15 @@ def test_transcribe_keeps_the_extension_outputs(tmp_path):
     assert "mu_hat  0.9970  mu_int 1" in tour
     profile = (tmp_path / "demo-solve_and_profile.txt").read_text()
     assert "frequency at r -> 0  0.9933 (nearest integer: 1)\n" in profile
-    # the oracle on eight coarse problems, each within check 1's field bound of Newton
-    oracle = [line.rsplit(" ", 4) for line in
+    # the oracle on eight coarse problems, each within check 1's bounds of Newton
+    oracle = [line.rsplit(" ", 5) for line in
               (tmp_path / "oracle.txt").read_text().splitlines()]
     assert [row[0] for row in oracle] == [
         "sym-p2 h=1/8", "sym-p2 h=1/16", "asym-p2 h=1/8", "asym-p2 h=1/16", "sym-p3 h=1/8",
         "sym-p3 h=1/16", "asym-p2 p=1.5 h=1/8", "asym-p2 p=1.25 h=1/8"]
     assert all(float(row[3]) <= 1e-10 and float(row[4]) <= 1e-6 for row in oracle)
+    assert all(abs(float(row[5]) - float(row[1])) <= 1e-8 * abs(float(row[1]))
+               for row in oracle)
 
 
 def test_strip_times_drops_only_the_time_that_ends_a_check_line():

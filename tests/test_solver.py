@@ -1,9 +1,11 @@
 """Solver behavior: exact special cases, symmetry, oracle agreement, refinement."""
 
+import gc
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -455,42 +457,69 @@ def test_specs_on_one_lattice_share_one_grid():
     assert second.grid() is first.grid()
 
 
-def test_second_solve_on_a_grid_reuses_its_laplace_factor(monkeypatch):
-    minimize(ProblemSpec(n=1, h=1.0 / 16, **ASYM))
-    factors_held = []  # factors kept at each call of splu
+def _counting_splu(monkeypatch):
+    """Patch the solver's `splu`; returns the list of the number of Laplace
+    factors alive at each call."""
+    alive = []
     real = spla.splu
 
     def counted(*args, **kwargs):
-        factors_held.append(len(solver._factors))
+        alive.append(len(solver._factors))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solver.spla, "splu", counted)
-    minimize(_spec(1.0 / 16, p=3.0))
-    assert factors_held == []
-    minimize(_spec(1.0 / 8, p=3.0))  # another grid: the old factor goes first
-    assert factors_held == [0]
+    return alive
 
 
-def test_one_laplace_factor_is_kept_across_grids():
-    minimize(ProblemSpec(n=1, h=1.0 / 16, **ASYM))
-    last = ProblemSpec(n=1, h=1.0 / 8, **ASYM)
-    minimize(last)
-    assert list(solver._factors) == [last.grid()]
-    failing = _spec(1.0 / 16, p=3.0, max_iter=1)  # needs two Newton steps
+def test_second_solve_on_a_grid_reuses_its_laplace_factor(monkeypatch):
+    # A, B, A: one detour keeps A's grid, and with it A's operators and factor
+    alive = _counting_splu(monkeypatch)
+    first = minimize(_spec(1.0 / 10))
+    minimize(_spec(1.0 / 12))
+    again = minimize(_spec(1.0 / 10, p=3.0))
+    minimize(_spec(1.0 / 12, p=3.0))
+    assert again.u.grid is first.u.grid
+    assert len(alive) == 2  # once for A and once for B
+
+
+def test_one_laplace_factor_is_kept_across_grids(monkeypatch):
+    # A, B, C with no caller holding A: building C's grid drops A's, which
+    # refcounting frees with its factor before C is factored
+    solver._factors.clear()  # the factors of grids that other tests still hold
+    alive = _counting_splu(monkeypatch)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        grid_a = weakref.ref(minimize(_spec(1.0 / 14)).u.grid)
+        minimize(_spec(1.0 / 18))
+        assert grid_a() is not None
+        minimize(_spec(1.0 / 20))
+        assert grid_a() is None
+    finally:
+        if collecting:
+            gc.enable()
+    assert alive == [0, 1, 1]
+    failing = _spec(1.0 / 20, p=3.0, max_iter=1)  # needs two Newton steps
+    lu = solver._laplace_factor(failing.grid())
     with pytest.raises(ConvergenceError):
         minimize(failing)
-    assert list(solver._factors) == [failing.grid()]
+    assert solver._factors[failing.grid()] is lu
+    assert len(alive) == 3
 
 
 def test_a_reused_factor_solves_to_the_same_bits():
     spec = ProblemSpec(n=1, h=1.0 / 32, **ASYM)
     minimize(_spec(1.0 / 32, p=3.0))  # leaves the factor of this grid
     reused = minimize(spec)
+    minimize(_spec(1.0 / 16, p=3.0))  # one detour to another lattice
+    returned = minimize(ProblemSpec(n=1, h=1.0 / 32, **ASYM))
+    assert returned.u.grid is reused.u.grid
     solver._factors.clear()
     fresh = minimize(ProblemSpec(n=1, h=1.0 / 32, **ASYM))
-    assert np.array_equal(reused.u.values, fresh.u.values)
-    assert reused.energy == fresh.energy
-    assert reused.cg_iterations == fresh.cg_iterations
+    for result in (reused, returned):
+        assert np.array_equal(result.u.values, fresh.u.values)
+        assert result.energy == fresh.energy
+        assert result.cg_iterations == fresh.cg_iterations
 
 
 @pytest.mark.parametrize("h", [1.0 / 8, 1.0 / 16])

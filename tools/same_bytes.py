@@ -29,12 +29,12 @@ extension-check` with its defaults and with `--modes 1,2,3,5,8 --height 16`,
 the three demos (`free_boundary_tour.py` profiles and analyzes points at
 h = 1/64, which no run above reaches), and `ORACLE`, which prints the
 brute-force oracle's energy, step count, sup|grad J| and distance to the
-Newton minimizer on eight coarse problems. Each one's stdout is kept in its
-file, without the wall time that ends each `verify` check line, and the
-exit codes go to `transcript_exit_codes.json`. The command prints every
-file that differs between the two sides, a file present on one side only
-included, with the first differing line of each side of a text file, and
-exits 1 if any file differs.
+Newton minimizer, and the Newton energy, on eight coarse problems. Each
+one's stdout is kept in its file, without the wall time that ends each
+`verify` check line, and the exit codes go to `transcript_exit_codes.json`.
+The command prints every file that differs between the two sides, a file
+present on one side only included, with the first differing line of each
+side of a text file, and exits 1 if any file differs.
 """
 
 from __future__ import annotations
@@ -73,7 +73,9 @@ EXTRA_RUNS = [
 
 # the brute-force oracle on the three corpus configs at h = 1/8 and 1/16 and on
 # asym-p2 at p = 1.5 and 1.25, h = 1/8: its energy, step count and sup|grad J|,
-# and its distance to the Newton minimizer
+# its distance to the Newton minimizer, and Newton's energy. The lattices
+# alternate (1/8, 1/16, 1/8, ...), so each Newton solve after the first two
+# returns to a lattice after one solve on another.
 ORACLE = """
 import numpy as np
 from bilaplab.oracle import brute_minimize
@@ -85,9 +87,10 @@ specs = [(f"{tag} h=1/{k}", corpus_spec(tag, k)) for tag in CORPUS for k in (8, 
 specs += [(f"asym-p2 p={p} h=1/8", ProblemSpec(**{**CORPUS["asym-p2"], "p": p}, h=0.125))
           for p in (1.5, 1.25)]
 for name, spec in specs:
-    ref = brute_minimize(spec)
-    gap = np.abs(ref.u.values - minimize(spec).u.values).max()
-    print(name, repr(ref.energy), ref.iterations, repr(ref.grad_sup), "%.3e" % gap)
+    ref, newton = brute_minimize(spec), minimize(spec)
+    gap = np.abs(ref.u.values - newton.u.values).max()
+    print(name, repr(ref.energy), ref.iterations, repr(ref.grad_sup), "%.3e" % gap,
+          repr(newton.energy))
 """
 
 # (file, arguments of the interpreter) of each command whose stdout is compared
