@@ -25,14 +25,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .diagnostics import profile_radii
 from .freeboundary import FreeBoundaryPoint, analyze_point, extract_gamma, profile_point
-from .problem import ProblemSpec
+from .grid import cells_per_unit
+from .problem import ProblemSpec, SpecError
 from .solver import el_crosscheck, minimize, weak_residual
 
 ENV_OUTPUT_ROOT = "BILAPLAB_OUTPUT_ROOT"
@@ -56,17 +57,11 @@ class RunConfig:
     stages: tuple[str, ...] = _STAGES
 
     def echo(self) -> str:
-        """Canonical effective-config text (the hash input)."""
-        s = self.spec
-        lines = [
-            f"n = {s.n}",
-            f"p = {s.p!r}",
-            f"lambda_plus = {s.lambda_plus!r}",
-            f"lambda_minus = {s.lambda_minus!r}",
-            f"h = {s.h!r}",
-            f"g = {s.g.description}",
-            f"tol_grad = {'auto' if s.tol_grad is None else repr(s.tol_grad)}",
-            f"max_iter = {s.max_iter}",
+        """Canonical effective-config text (the hash input): the spec's init
+        fields in their order, None as 'auto', then the run's keys."""
+        values = [(key, getattr(self.spec, key)) for key in _SPEC_KEYS]
+        lines = [f"{key} = {'auto' if v is None else getattr(v, 'description', repr(v))}"
+                 for key, v in values] + [
             f"centers = {'auto' if self.centers is None else ';'.join(repr(c) for c in self.centers)}",
             f"radii = {'auto' if self.radii is None else ';'.join(repr(r) for r in self.radii)}",
             f"seed = {self.seed}",
@@ -79,10 +74,9 @@ class RunConfig:
         return hashlib.sha256(self.echo().encode()).hexdigest()[:12]
 
 
-_KEYS = {
-    "n", "p", "lambda_plus", "lambda_minus", "g", "h", "tol_grad", "max_iter",
-    "centers", "radii", "output", "seed", "stages",
-}
+# the problem keys: the spec's init fields, each with its type
+_SPEC_KEYS = {f.name: f.type for f in fields(ProblemSpec) if f.init}
+_KEYS = {*_SPEC_KEYS, "centers", "radii", "output", "seed", "stages"}
 
 
 def _float(key: str, raw: str) -> float:
@@ -102,16 +96,18 @@ def _int(key: str, raw: str) -> int:
         raise ConfigError(f"key '{key}': expected an integer, got {raw!r}") from None
 
 
+# the value of a spec field's text, by the field's type
+_CONVERT = {"int": _int, "float": _float, "str": lambda key, raw: raw,
+            "float | None": lambda key, raw: None if raw == "auto" else _float(key, raw)}
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse `key = value` lines into a validated RunConfig.
 
-    Empty text yields the all-defaults config. Defaults:
-
-        n = 1               p = 2.0            lambda_plus = 1.0
-        lambda_minus = 1.0  h = 0.0625         g = zero
-        tol_grad = auto     max_iter = 200     centers = auto
-        radii = auto        output = (unset)   seed = 0
-        stages = solve,profile,gamma
+    Empty text yields the all-defaults config. The problem keys are the init
+    fields of `ProblemSpec`, which holds their defaults and their rules; the
+    run's keys default to centers = auto, radii = auto, output unset, seed = 0
+    and stages = solve,profile,gamma.
 
     "auto" keeps the adaptive policy: tol_grad scales with the energy,
     centers follow the extracted free boundary (origin fallback), radii
@@ -119,10 +115,10 @@ def parse_config(text: str) -> RunConfig:
     frequency only when there are at least 8 of them spanning a factor of 2
     (`estimate_mu`); otherwise every profile carries mu_error and no
     frequency, and the run still succeeds. Each violated constraint
-    raises ConfigError naming the key: unknown keys, non-finite numbers,
-    p <= 1, lambda <= 0, h whose reciprocal is not an integer or is below 4,
-    centers outside the thin face or at n = 2, non-finite, unknown or
-    missing datum parameters.
+    raises ConfigError naming the key: unknown keys, text that is not a
+    finite number, a `ProblemSpec` field that the spec refuses, and the two
+    rules of a run on top of the spec's: lambda_plus, lambda_minus > 0 and
+    h <= 1/4; centers outside the thin face or at n = 2.
     """
     raw: dict[str, str] = {}
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -139,43 +135,23 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"key '{key}' given twice (line {ln})")
         raw[key] = val
 
-    n = _int("n", raw["n"]) if "n" in raw else 1
-    if n not in (1, 2):
-        raise ConfigError(f"key 'n': thin-face dimension must be 1 or 2, got {n}")
-    p = _float("p", raw["p"]) if "p" in raw else 2.0
-    if not p > 1.0:
-        raise ConfigError(f"key 'p': the phase exponent requires p > 1, got {p}")
-    lam_p = _float("lambda_plus", raw["lambda_plus"]) if "lambda_plus" in raw else 1.0
-    lam_m = _float("lambda_minus", raw["lambda_minus"]) if "lambda_minus" in raw else 1.0
-    if not lam_p > 0.0:
-        raise ConfigError(f"key 'lambda_plus': weight must be > 0, got {lam_p}")
-    if not lam_m > 0.0:
-        raise ConfigError(f"key 'lambda_minus': weight must be > 0, got {lam_m}")
-    h = _float("h", raw["h"]) if "h" in raw else 1.0 / 16
-    if h <= 0 or abs(round(1.0 / h) - 1.0 / h) > 1e-9:
-        raise ConfigError(f"key 'h': grid step must divide 1 exactly, got {h}")
-    if round(1.0 / h) < 4:
-        raise ConfigError(f"key 'h': a run samples the unit ball, which needs 1 >= 4h, "
-                          f"so h <= 1/4; got {h}")
-    g = raw.get("g", "zero")
-    tol_grad = None
-    if "tol_grad" in raw and raw["tol_grad"] != "auto":
-        tol_grad = _float("tol_grad", raw["tol_grad"])
-        if tol_grad <= 0:
-            raise ConfigError(f"key 'tol_grad': tolerance must be > 0, got {tol_grad}")
-    max_iter = _int("max_iter", raw["max_iter"]) if "max_iter" in raw else 200
-    if max_iter < 1:
-        raise ConfigError(f"key 'max_iter': need at least 1, got {max_iter}")
-
+    spec_args = {key: _CONVERT[kind](key, raw[key]) for key, kind in _SPEC_KEYS.items()
+                 if key in raw}
+    for key in ("lambda_plus", "lambda_minus"):
+        # a run's weights are positive; the spec also takes 0, which turns a phase off
+        if key in spec_args and not spec_args[key] > 0.0:
+            raise ConfigError(f"key '{key}': weight must be > 0, got {spec_args[key]}")
     try:
-        spec = ProblemSpec(n=n, p=p, lambda_plus=lam_p, lambda_minus=lam_m,
-                           g=g, h=h, tol_grad=tol_grad, max_iter=max_iter)
-    except ValueError as exc:
-        raise ConfigError(f"key 'g': {exc}") from None
+        spec = ProblemSpec(**spec_args)
+    except SpecError as exc:
+        raise ConfigError(f"key '{exc.field}': {exc.reason}") from None
+    if cells_per_unit(spec.h) < 4:
+        raise ConfigError(f"key 'h': a run samples the unit ball, which needs 1 >= 4h, "
+                          f"so h <= 1/4; got {spec.h}")
 
     centers = None
     if "centers" in raw and raw["centers"] != "auto":
-        if n == 2:
+        if spec.n == 2:
             raise ConfigError("key 'centers': n = 2 profiles the origin of the face only")
         centers = []
         for part in raw["centers"].split(";"):

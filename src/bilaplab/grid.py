@@ -32,6 +32,7 @@ n + 2 masks (values and one per gradient axis).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,15 @@ _INTERP_CHUNK = 4096
 
 class OutOfDomainError(ValueError):
     """Raised when an evaluation point lies outside the grid coverage."""
+
+
+def cells_per_unit(h: float) -> int:
+    """1/h, the number of lattice cells per unit length; ValueError unless it
+    is an integer M >= 1 with M h = 1 to 1e-9."""
+    M = round(1.0 / h) if h > 0 and math.isfinite(1.0 / h) else 0
+    if M < 1 or abs(M * h - 1.0) > _TOL:
+        raise ValueError(f"grid step h does not divide 1 exactly, got {h}")
+    return M
 
 
 @functools.lru_cache(maxsize=64)
@@ -140,19 +150,15 @@ class HalfBallGrid:
     n : int
         Thin-space dimension, 1 or 2.
     h : float
-        Grid spacing; 1/h must be a positive integer. Solving requires
+        Grid spacing that passes `cells_per_unit`. Solving requires
         h <= 1/2; h = 1 is accepted for enumeration-only use.
     """
 
     def __init__(self, n: int, h: float):
         if n not in (1, 2):
             raise ValueError(f"thin dimension n must be 1 or 2, got {n}")
-        M = int(round(1.0 / h))
-        if M < 1 or abs(M * h - 1.0) > 1e-9:
-            raise ValueError(f"spacing h={h} does not divide 1 into an integer number of cells")
-        self.n = n
-        self.h = float(h)
-        self.M = M
+        self.M = M = cells_per_unit(h)
+        self.n, self.h = n, float(h)
 
         axes = [np.arange(-M, M + 1)] * n + [np.arange(0, M + 1)]
         lat = np.meshgrid(*axes, indexing="ij")

@@ -18,18 +18,24 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import THIN, HalfBallGrid, _even_gradient, _mirrored, _shift, build_grid
+from .grid import (THIN, HalfBallGrid, _even_gradient, _mirrored, _shift, build_grid,
+                   cells_per_unit)
 from .harmonics import HomogeneousHarmonicPoly, basis_size
 
 
 # ---------------------------------------------------------------------------
 # boundary data
+
+# the highest harmonic degree: Re((x+iy)^K) summed from its monomials is off by
+# 4.6e-11 on the unit half-circle at K = 40, 1.2e-9 at 50 and 3.5e-5 at 80
+MAX_DEGREE = 40
 
 
 def _finite(raw: str) -> float:
@@ -48,7 +54,7 @@ class BoundaryDatum:
       harmonic:deg=K[,coef=c]       c * (degree-K even harmonic polynomial,
                                     first basis element; n=1 gives Re((x+iy)^K))
       harmonic:coeffs=c1;c2;...     sum_k c_k * (first basis element of degree k),
-                                    k = 1, 2, ...
+                                    k = 1, 2, ...; K, k <= MAX_DEGREE
       trig:freq=a[,amp=c][,kind=cos|sin]   c*cos(a x1)*cosh(a y) or the sin variant
       tabulated:values=v0;v1;...;vK  n=1 only: linear interpolation in the polar
                                     angle over [0, pi], sample i at i*pi/K
@@ -81,37 +87,30 @@ class BoundaryDatum:
                 raise ValueError("family 'zero' takes no parameters")
             self._fn = lambda pts: np.zeros(pts.shape[0])
         elif fam == "harmonic":
-            if "coeffs" in params:
-                coeffs = [_finite(v) for v in params.pop("coeffs").split(";")]
-                if params:
-                    raise ValueError(f"unknown harmonic parameters {sorted(params)}")
-                polys = []
-                for k, c in enumerate(coeffs, start=1):
-                    vec = np.zeros(basis_size(self.n, k))
-                    vec[0] = c
-                    polys.append(HomogeneousHarmonicPoly(self.n, k, vec))
-                self._fn = lambda pts: sum(p(pts) for p in polys)
+            # (degree, coefficient) of each term; deg=K[,coef=c] is the one term (K, c)
+            spelling = "coeffs" if "coeffs" in params else "deg"
+            if spelling == "coeffs":
+                terms = list(enumerate(map(_finite, params.pop("coeffs").split(";")), start=1))
             else:
-                deg = int(self._required(params, "deg"))
-                coef = _finite(params.pop("coef", "1"))
-                if params:
-                    raise ValueError(f"unknown harmonic parameters {sorted(params)}")
-                vec = np.zeros(basis_size(self.n, deg))
-                vec[0] = coef
-                poly = HomogeneousHarmonicPoly(self.n, deg, vec)
-                self._fn = poly
+                terms = [(int(self._required(params, "deg")), _finite(params.pop("coef", "1")))]
+            if params:
+                raise ValueError(f"unknown harmonic parameters {sorted(params)}")
+            if terms[-1][0] > MAX_DEGREE:
+                raise ValueError(f"harmonic parameter {spelling!r} reaches degree {terms[-1][0]}, "
+                                 f"above the cap {MAX_DEGREE}")
+            polys = [HomogeneousHarmonicPoly(self.n, k, np.pad([c], (0, basis_size(self.n, k) - 1)))
+                     for k, c in terms]
+            self._fn = lambda pts: sum(p(pts) for p in polys)
         elif fam == "trig":
             freq = _finite(self._required(params, "freq"))
             amp = _finite(params.pop("amp", "1"))
             kind = params.pop("kind", "cos")
             if params:
                 raise ValueError(f"unknown trig parameters {sorted(params)}")
-            if kind == "cos":
-                self._fn = lambda pts: amp * np.cos(freq * pts[:, 0]) * np.cosh(freq * pts[:, -1])
-            elif kind == "sin":
-                self._fn = lambda pts: amp * np.sin(freq * pts[:, 0]) * np.cosh(freq * pts[:, -1])
-            else:
+            if kind not in ("cos", "sin"):
                 raise ValueError(f"trig kind must be cos or sin, got {kind!r}")
+            wave = np.cos if kind == "cos" else np.sin
+            self._fn = lambda pts: amp * wave(freq * pts[:, 0]) * np.cosh(freq * pts[:, -1])
         elif fam == "tabulated":
             if self.n != 1:
                 raise ValueError("tabulated boundary data is only supported for n = 1")
@@ -142,46 +141,65 @@ class BoundaryDatum:
 # problem record
 
 
-@dataclass
+class SpecError(ValueError):
+    """An invalid `ProblemSpec` field, named by `field`; `reason` says why."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"field '{field}': {reason}")
+        self.field, self.reason = field, reason
+
+
+@dataclass(frozen=True)
 class ProblemSpec:
     """Everything that pins down one discrete minimization problem.
 
-    p is the penalty exponent (p > 1), lambda_plus / lambda_minus the phase
-    weights (both > 0), g the Dirichlet datum on the spherical boundary as a
-    `BoundaryDatum` family string (held as its BoundaryDatum after init),
-    h the lattice spacing (1/h a positive integer). tol_grad = None selects
-    the default stopping rule  sup|grad J| <= 1e-8 * (1 + |J|).
+    The init fields and defaults are a run config's problem keys, in its echo's
+    order. Construction checks each, raising a `SpecError` that names it: n is
+    1 or 2; p is finite and > 1; lambda_plus, lambda_minus are finite and >= 0;
+    h passes `grid.cells_per_unit`; g is a `BoundaryDatum` family string (held
+    as its BoundaryDatum after init); tol_grad is finite and > 0, or None for
+    sup|grad J| <= 1e-8 (1 + |J|); max_iter is an integer >= 1.
     """
 
     n: int = 1
     p: float = 2.0
     lambda_plus: float = 1.0
     lambda_minus: float = 1.0
-    g: str = "zero"
     h: float = 1.0 / 16
+    g: str = "zero"
     tol_grad: float | None = None
     max_iter: int = 200
-    _grid: HalfBallGrid | None = field(default=None, repr=False, compare=False)
+    _grid: HalfBallGrid | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n not in (1, 2):
-            raise ValueError(f"thin dimension n must be 1 or 2, got {self.n}")
-        if not self.p > 1:
-            raise ValueError(f"penalty exponent must satisfy p > 1, got {self.p}")
-        if self.lambda_plus < 0 or self.lambda_minus < 0:
-            # the two-phase model has positive weights; 0 is accepted and
-            # turns that phase's penalty off
-            raise ValueError("phase weights lambda_plus, lambda_minus must be nonnegative")
+        weights = ("lambda_plus", "lambda_minus")
+        for name, ok, rule in (
+                ("n", self.n in (1, 2) and isinstance(self.n, numbers.Integral),
+                 "thin-face dimension must be 1 or 2"),
+                *((k, getattr(self, k) is None or math.isfinite(getattr(self, k)),
+                   "expected a finite number") for k in ("p", *weights, "tol_grad")),
+                ("p", self.p > 1, "the phase exponent requires p > 1"),
+                *((k, getattr(self, k) >= 0, "weight must be nonnegative") for k in weights),
+                ("tol_grad", self.tol_grad is None or self.tol_grad > 0, "tolerance must be > 0"),
+                ("max_iter", isinstance(self.max_iter, numbers.Integral), "expected an integer"),
+                ("max_iter", self.max_iter >= 1, "need at least 1")):
+            if not ok:
+                raise SpecError(name, f"{rule}, got {getattr(self, name)}")
         # a BoundaryDatum stands for its family string, so that
         # dataclasses.replace of a spec builds the datum anew for its n
         g = self.g.description if isinstance(self.g, BoundaryDatum) else self.g
         if not isinstance(g, str):
             raise TypeError(f"boundary datum g must be a family string, got {type(g).__name__}")
-        self.g = BoundaryDatum(g, n=self.n)
+        for name, make in (("h", lambda: cells_per_unit(self.h)),
+                           ("g", lambda: object.__setattr__(self, "g", BoundaryDatum(g, self.n)))):
+            try:
+                make()
+            except ValueError as exc:
+                raise SpecError(name, str(exc)) from None
 
     def grid(self) -> HalfBallGrid:
         if self._grid is None:
-            self._grid = build_grid(self.n, self.h)
+            object.__setattr__(self, "_grid", build_grid(self.n, self.h))
         return self._grid
 
 

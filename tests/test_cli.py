@@ -1,5 +1,6 @@
 """Config parsing, run artifacts, command exit codes, and the sign-flip trap."""
 
+import dataclasses
 import io
 import json
 import os
@@ -22,6 +23,7 @@ from bilaplab.config import ConfigError, output_root, parse_config, run
 from bilaplab.diagnostics import default_radii, minimal_monneau_constant
 from bilaplab.freeboundary import analyze_point, extract_gamma
 from bilaplab.grid import sphere_quadrature
+from bilaplab.problem import ProblemSpec
 
 BASE = "h = 0.0625\ng = harmonic:deg=1\n"
 
@@ -76,6 +78,34 @@ def test_parse_empty_text_yields_defaults():
 def test_parse_errors_name_the_offending_key(text, message):
     with pytest.raises(ConfigError, match=message):
         parse_config(text)
+
+
+# per init field of ProblemSpec: a value it accepts, as the echo writes it, and one it refuses
+SPEC_KEYS = {
+    "n": ("2", "3"), "p": ("3.0", "1.0"), "lambda_plus": ("2.5", "-1"),
+    "lambda_minus": ("0.5", "0"), "h": ("0.125", "0.3"), "g": ("harmonic:deg=2", "harmonic:deg=41"),
+    "tol_grad": ("1e-09", "0"), "max_iter": ("7", "2.5"),
+}
+
+
+def test_every_spec_field_is_a_config_key():
+    """The problem keys of a config are the spec's init fields, in the order
+    of its echo: each is accepted, echoed, and refused by a ConfigError naming it."""
+    assert list(SPEC_KEYS) == [f.name for f in dataclasses.fields(ProblemSpec) if f.init]
+    assert [line.split(" = ")[0] for line in parse_config("").echo().splitlines()] == [
+        *SPEC_KEYS, "centers", "radii", "seed", "stages"]
+    for key, (good, bad) in SPEC_KEYS.items():
+        assert f"\n{key} = {good}\n" in "\n" + parse_config(f"{key} = {good}").echo()
+        with pytest.raises(ConfigError, match=f"^key '{key}': "):
+            parse_config(f"{key} = {bad}")
+
+
+def test_a_harmonic_degree_above_the_cap_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "steep.cfg"
+    cfgfile.write_text(f"g = harmonic:deg=200\noutput = {tmp_path / 'steep'}\n")
+    assert main(["solve", str(cfgfile)]) == 2
+    assert "key 'g': harmonic parameter 'deg' reaches degree 200" in capsys.readouterr().err
+    assert not (tmp_path / "steep").exists()
 
 
 def test_coarsest_accepted_grid_solves(tmp_path):

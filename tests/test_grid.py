@@ -15,11 +15,13 @@ from bilaplab.grid import (
     _row_dot,
     _shift,
     build_grid,
+    cells_per_unit,
     half_sphere,
     sample_count,
     sphere_quadrature,
 )
-from bilaplab.problem import AnalyticField, ProblemSpec, ScalarField
+from bilaplab.config import ConfigError, parse_config
+from bilaplab.problem import AnalyticField, ProblemSpec, ScalarField, SpecError
 
 
 def test_nine_node_grid_enumeration():
@@ -94,6 +96,28 @@ def test_face_ids_list_the_thin_nodes_in_thin_ids_order(n):
 def test_invalid_spacing_rejected():
     with pytest.raises(ValueError, match="does not divide"):
         build_grid(1, 0.3)
+
+
+@pytest.mark.parametrize("h,cells", [
+    (0.015625000001, 64), (1.0 / 64, 64), (0.015625001, None), (0.3, None), (0.0, None),
+    (-0.5, None), (float("nan"), None), (float("inf"), None), (5e-324, None),
+])
+def test_one_spacing_rule_for_the_grid_the_spec_and_the_config(h, cells):
+    """`cells_per_unit` is the one rule of h: the grid, the spec and the
+    config accept the same steps and refuse the rest by it."""
+    if cells is not None:
+        assert cells_per_unit(h) == cells
+        assert ProblemSpec(h=h).h == h
+        assert parse_config(f"h = {h!r}").spec.h == h
+        return
+    for refuse in (cells_per_unit, lambda h: build_grid(1, h)):
+        with pytest.raises(ValueError, match="^grid step h does not divide 1 exactly"):
+            refuse(h)
+    with pytest.raises(SpecError, match="^field 'h': grid step h does not divide 1"):
+        ProblemSpec(h=h)
+    if np.isfinite(h):
+        with pytest.raises(ConfigError, match="^key 'h': grid step h does not divide 1"):
+            parse_config(f"h = {h!r}")
 
 
 def test_invalid_dimension_rejected():

@@ -1,12 +1,18 @@
 """Problem description: boundary data, energy, gradient, thin reaction."""
 
+import math
+
 import numpy as np
 import pytest
 
+import bilaplab.problem
+from bilaplab.harmonics import HomogeneousHarmonicPoly, basis_size
 from bilaplab.problem import (
+    MAX_DEGREE,
     BoundaryDatum,
     ProblemSpec,
     ScalarField,
+    SpecError,
     dirichlet_values,
     discrete_laplacian,
     energy_array,
@@ -75,6 +81,70 @@ def test_spec_validation():
     # the datum is a family string; a callable is refused by name
     with pytest.raises(TypeError, match="datum g must be a family string"):
         _spec(g=lambda pts: pts[:, 0])
+
+
+# inputs that a spec used to accept and that a solve then failed on, late and
+# without naming the field
+SPEC_HOLES = [
+    ("lambda_plus", math.nan), ("lambda_plus", math.inf), ("lambda_minus", -math.inf),
+    ("p", math.inf), ("tol_grad", 0.0), ("tol_grad", -1.0), ("tol_grad", math.nan),
+    ("max_iter", 0), ("max_iter", -5), ("max_iter", 2.5),
+    ("h", math.nan), ("h", 0.0), ("h", -0.5), ("h", 0.3), ("n", 1.0),
+]
+
+
+@pytest.mark.parametrize("name,value", SPEC_HOLES)
+def test_spec_refuses_each_invalid_field_at_construction(name, value, monkeypatch):
+    def refuse(n, h):
+        raise AssertionError("a refused spec built a grid")
+
+    monkeypatch.setattr(bilaplab.problem, "build_grid", refuse)
+    with pytest.raises(SpecError, match=f"^field '{name}': ") as caught:
+        _spec(g="harmonic:deg=1", **{name: value})
+    assert caught.value.field == name
+    assert isinstance(caught.value, ValueError)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_datum_spellings_give_the_bits_of_their_formulas(n):
+    """deg=K,coef=c and coeffs= read the bits of the degree-K polynomial times
+    c, at points with +-0.0 coordinates too; trig reads those of its formula."""
+    coords = [-0.0, 0.0, 0.6, -0.8, 0.25, 1.0]
+    pts = np.array([[a] + [b] * (n - 1) + [abs(c)] for a in coords for b in coords[:3]
+                    for c in coords])
+    for K in range(5):
+        vec = np.zeros(basis_size(n, K))
+        vec[0] = -0.7
+        poly = HomogeneousHarmonicPoly(n, K, vec)(pts)
+        assert _bits(BoundaryDatum(f"harmonic:deg={K},coef=-0.7", n=n)(pts)) == _bits(poly)
+        if K:
+            coeffs = ";".join(["0"] * (K - 1) + ["-0.7"])
+            assert _bits(BoundaryDatum(f"harmonic:coeffs={coeffs}", n=n)(pts)) == _bits(poly)
+    for kind, wave in (("cos", np.cos), ("sin", np.sin)):
+        datum = BoundaryDatum(f"trig:freq=1.5,amp=-2,kind={kind}", n=n)
+        expected = -2.0 * wave(1.5 * pts[:, 0]) * np.cosh(1.5 * pts[:, -1])
+        assert _bits(datum(pts)) == _bits(expected)
+
+
+def test_harmonic_degrees_above_the_cap_are_refused():
+    """Re((x+iy)^K) from its monomials is within 1e-9 of cos(K theta) on the
+    unit half-circle up to the cap; a higher degree, by either spelling, is a
+    ValueError naming the parameter."""
+    theta = np.linspace(0.0, np.pi, 257)
+    circle = np.column_stack((np.cos(theta), np.sin(theta)))
+    top = BoundaryDatum(f"harmonic:deg={MAX_DEGREE}")(circle)
+    assert np.abs(top - np.cos(MAX_DEGREE * theta)).max() <= 1e-9
+    BoundaryDatum("harmonic:coeffs=" + ";".join(["1"] * MAX_DEGREE))
+    with pytest.raises(ValueError, match="parameter 'deg' reaches degree 200, above the cap"):
+        BoundaryDatum("harmonic:deg=200")
+    with pytest.raises(ValueError, match=f"parameter 'coeffs' reaches degree {MAX_DEGREE + 1}"):
+        BoundaryDatum("harmonic:coeffs=" + ";".join(["1"] * (MAX_DEGREE + 1)), n=2)
+    with pytest.raises(SpecError, match="^field 'g': harmonic parameter 'deg'"):
+        _spec(g=f"harmonic:deg={MAX_DEGREE + 1}")
 
 
 def test_dirichlet_values_evaluated_at_nodes():

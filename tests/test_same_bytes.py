@@ -51,8 +51,9 @@ def test_describe_shows_the_first_differing_line_of_each_side(tmp_path):
 
 
 def test_transcribe_keeps_the_extension_outputs(tmp_path):
-    """The extension-check, demo and oracle transcripts are compared, each with
-    its exit code; they carry no wall time, so `strip_times` leaves them as printed."""
+    """The extension-check, demo, oracle and config-error transcripts are
+    compared, each with its exit code; they carry no wall time, so
+    `strip_times` leaves them as printed."""
     names = [name for name, _ in same_bytes.TRANSCRIPTS]
     assert len(set(names)) == len(names)
     extension = [(name, argv) for name, argv in same_bytes.TRANSCRIPTS
@@ -60,11 +61,11 @@ def test_transcribe_keeps_the_extension_outputs(tmp_path):
     assert [name for name, _ in extension] == [
         "extension-check.txt", "extension-check-modes-1,2,3,5,8-height-16.txt",
         "demo-extension_identity.txt", "demo-free_boundary_tour.txt",
-        "demo-solve_and_profile.txt", "oracle.txt"]
+        "demo-solve_and_profile.txt", "oracle.txt", "config-errors.txt"]
     same_bytes.transcribe(_PATH.parent.parent, tmp_path, extension)
     codes = json.loads((tmp_path / "transcript_exit_codes.json").read_text())
     # mode 8 reads 1.9559, so the spread across 1, 2, 3, 5, 8 exceeds 2%
-    assert list(codes.values()) == [0, 1, 0, 0, 0, 0]
+    assert list(codes.values()) == [0, 1, 0, 0, 0, 0, 0]
     default = (tmp_path / "extension-check.txt").read_text().splitlines()
     assert [line.split()[0] for line in default[1:4]] == ["1", "2", "3"]
     assert default[-2] == "spread 0.002913 (target <= 0.02): pass"
@@ -89,6 +90,12 @@ def test_transcribe_keeps_the_extension_outputs(tmp_path):
     assert all(float(row[3]) <= 1e-10 and float(row[4]) <= 1e-6 for row in oracle)
     assert all(abs(float(row[5]) - float(row[1])) <= 1e-8 * abs(float(row[1]))
                for row in oracle)
+    # every config of the list is refused by a ConfigError, the steep datum by its key
+    errors = (tmp_path / "config-errors.txt").read_text().splitlines()
+    assert [line.split(" ConfigError: ")[0] for line in errors] == [
+        repr(text) for text in same_bytes.CONFIG_TEXTS]
+    assert errors[-1].endswith("key 'g': harmonic parameter 'deg' reaches degree 200, "
+                               "above the cap 40")
 
 
 def test_strip_times_drops_only_the_time_that_ends_a_check_line():

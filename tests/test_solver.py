@@ -1,5 +1,6 @@
 """Solver behavior: exact special cases, symmetry, oracle agreement, refinement."""
 
+import dataclasses
 import gc
 import os
 import subprocess
@@ -455,6 +456,22 @@ def test_specs_on_one_lattice_share_one_grid():
     first = ProblemSpec(n=1, h=1.0 / 16, **ASYM)
     second = _spec(1.0 / 16, p=3.0)
     assert second.grid() is first.grid()
+
+
+@pytest.mark.parametrize("change", [dict(h=1.0 / 32), dict(n=2)])
+def test_a_replaced_spec_solves_on_its_own_lattice(change):
+    """The grid a spec keeps is not an init field: `dataclasses.replace` of a
+    spec that built its grid gets the grid of its own (n, h), and no caller
+    can hand a spec a grid."""
+    spec = _spec(1.0 / 16)
+    spec.grid()
+    other = dataclasses.replace(spec, **change)
+    result = minimize(other)
+    assert (result.u.grid.n, result.u.grid.h) == (other.n, other.h)
+    assert result.u.grid is build_grid(other.n, other.h)
+    assert spec.grid().h == 1.0 / 16 and spec.grid().n == 1
+    with pytest.raises(TypeError, match="_grid"):
+        ProblemSpec(_grid=spec.grid())
 
 
 def _counting_splu(monkeypatch):

@@ -29,9 +29,11 @@ extension-check` with its defaults and with `--modes 1,2,3,5,8 --height 16`,
 the three demos (`free_boundary_tour.py` profiles and analyzes points at
 h = 1/64, which no run above reaches), and `ORACLE`, which prints the
 brute-force oracle's energy, step count, sup|grad J| and distance to the
-Newton minimizer, and the Newton energy, on eight coarse problems. Each
-one's stdout is kept in its file, without the wall time that ends each
-`verify` check line, and the exit codes go to `transcript_exit_codes.json`.
+Newton minimizer, and the Newton energy, on eight coarse problems, and
+`CONFIG_ERRORS`, which prints what `parse_config` raises on each config of
+`CONFIG_TEXTS`, or that it accepts it. Each one's stdout is kept in its
+file, without the wall time that ends each `verify` check line, and the
+exit codes go to `transcript_exit_codes.json`.
 The command prints every file that differs between the two sides, a file
 present on one side only included, with the first differing line of each
 side of a text file, and exits 1 if any file differs.
@@ -93,6 +95,31 @@ for name, spec in specs:
           repr(newton.energy))
 """
 
+# the configs whose parse outcome is compared: the cases of test_cli's
+# `test_parse_errors_name_the_offending_key`, then four more rules of the spec
+CONFIG_TEXTS = [
+    "flux = 3", "p = 0.5", "lambda_plus = 0", "lambda_minus = -2", "h = 0.3",
+    "centers = 1.5", "m = 512", "stages = solve,fly", "p = 2\np = 3", "p", "h = nan", "h = inf",
+    "tol_grad = nan", "lambda_plus = inf", "lambda_minus = -inf", "centers = nan",
+    "radii = 0.5;inf", "p = inf", "g = trig:freq=nan", "g = trig:freq=1,amp=inf",
+    "g = harmonic:deg=1,coef=nan", "g = harmonic:coeffs=1;nan", "g = harmonic:coeffs=1,coef=5",
+    "g = harmonic", "g = trig", "g = tabulated", "g = tabulated:values=1;-inf", "h = 1",
+    "h = 0.5", f"h = {1 / 3!r}", "centers = 0.10001;0.10004", "centers = 0.1;0.1",
+    "n = 3", "tol_grad = -1", "max_iter = 0", "g = harmonic:deg=200",
+]
+# each config of CONFIG_TEXTS and the type and message of what `parse_config`
+# raises on it, or "accepted"
+CONFIG_ERRORS = f"""
+from bilaplab.config import parse_config
+for text in {CONFIG_TEXTS!r}:
+    try:
+        parse_config(text)
+        outcome = "accepted"
+    except Exception as exc:
+        outcome = f"{{type(exc).__name__}}: {{exc}}"
+    print(repr(text), outcome)
+"""
+
 # (file, arguments of the interpreter) of each command whose stdout is compared
 TRANSCRIPTS = [
     ("verify-quick.txt", ["-m", "bilaplab.cli", "verify", "--level", "quick"]),
@@ -104,6 +131,7 @@ TRANSCRIPTS = [
     ("demo-free_boundary_tour.txt", ["demos/free_boundary_tour.py"]),
     ("demo-solve_and_profile.txt", ["demos/solve_and_profile.py"]),
     ("oracle.txt", ["-c", ORACLE]),
+    ("config-errors.txt", ["-c", CONFIG_ERRORS]),
 ]
 # the wall time `verify` prints at the end of each check line
 _CHECK_TIME = re.compile(r"  \d+\.\d\d s$", re.MULTILINE)
