@@ -334,23 +334,12 @@ def run(config: RunConfig) -> Path:
             digest, ["x", "side", "class", "mu_hat", "mu_int", "d", "fit_residual"],
             [[row[k] for k in columns] for row in summary["points"]])
 
-    files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True, allow_nan=True,
-                                       default=_json_default) + "\n"
+    files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True, allow_nan=True) + "\n"
     out = Path(config.output) if config.output else output_root() / "runs" / digest
     out.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         (out / name).write_text(text)
     return out
-
-
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _center_tag(c: float) -> str:

@@ -12,10 +12,12 @@ face through quadrature over half-spheres, half-balls, and thin balls:
     phi    H / r^n
     M_mu   (1 / r^(n+2mu)) surface integral of (u-p)^2 + (v-q)^2
 
-Every instrument reads a field w in one way: w(pts), w.gradient(pts) or
-w.with_gradient(pts) (both from one read). The two identity instruments
-read the `SphereQuadrature` they are given, which a caller builds once for
-all its fields; the others size their points by the step h of w.grid. A
+Every instrument reads a field w in one way: w(pts) or w.with_gradient(pts)
+(both from one read), one value and one gradient row per point;
+`rellich_residual`, which takes only AnalyticFields, reads w.gradient(pts).
+The two identity instruments read the `SphereQuadrature` they are given,
+which a caller builds once for all its fields; the others size their
+points by the step h of w.grid. A
 field is a ScalarField (interpolated, gradients from central-difference
 boxes) or an AnalyticField (closed forms, or gradients by small-step
 central differences); both read through the even extension. Laplacians come

@@ -19,6 +19,7 @@ import numpy as np
 import scipy.linalg
 
 STRIP_SAMPLES = 256  # x samples of the strip on [0, 2pi)
+_DX = 2.0 * np.pi / STRIP_SAMPLES  # their spacing
 MAX_HEIGHT = 64.0  # (1 + kY) e^(-kY) is below double rounding there for every k >= 1
 
 # the acceptance rule of the identity: every ratio within 5% of 2, and a
@@ -115,6 +116,14 @@ def check_modes(modes) -> None:
                              "points per wavelength, need >= 8")
 
 
+def _mode_heights(k: int, Y: float) -> np.ndarray:
+    """Heights 0..Y on which mode k is solved, in the fewest equal steps of at
+    most dx min(1, 3/k), dx the strip's x step: every mode's decay length 1/k
+    spans at least as many steps as mode 3's. Modes k <= 3 share the step dx.
+    """
+    return np.linspace(0.0, Y, int(np.ceil(Y / (_DX * min(1.0, 3.0 / k)))) + 1)
+
+
 def strip_extension(trace: FourierTrace, Y: float = 12.0) -> StripField:
     """Solve the clamped biharmonic extension of a cosine trace, mode by mode.
 
@@ -125,10 +134,8 @@ def strip_extension(trace: FourierTrace, Y: float = 12.0) -> StripField:
     check_height(Y)
     active = trace.active_modes()
     check_modes(active)
-    dx = 2.0 * np.pi / STRIP_SAMPLES
-    x = np.arange(STRIP_SAMPLES) * dx
-    J = int(np.ceil(Y / dx))
-    yg = np.linspace(0.0, Y, J + 1)
+    x = np.arange(STRIP_SAMPLES) * _DX
+    yg = _mode_heights(1, Y)
 
     profiles: dict[int, np.ndarray] = {}
     if trace.coeffs[0] != 0.0:
@@ -194,26 +201,29 @@ class DtnReport:
 def dtn_compare(trace: FourierTrace, Y: float = 12.0) -> DtnReport:
     """Measure d/dy Lap(extension) at the face against the |k|^3 multiplier.
 
-    Mode by mode, Lap(f_k(y) cos(k x)) = (f_k'' - sigma_k f_k) cos(k x).
-    f_k'' is the solve's central second difference in y, with the even
-    reflection ghost f_{-1} = f_1 on the face row. sigma_k =
+    Mode by mode, on the mode's own heights (`_mode_heights`, those of
+    `strip_extension` for k <= 3), Lap(f_k(y) cos(k x)) = (f_k'' - sigma_k f_k)
+    cos(k x). f_k'' is the solve's central second difference in y, with the
+    even reflection ghost f_{-1} = f_1 on the face row. sigma_k =
     (2 - 2 cos(k dx)) / dx^2 is the symbol of the periodic second difference
     in x. The one-sided second-order d/dy
     of that Laplacian on the face gives ratio_k = d/dy Lap_k(0) / (|k|^3 a_k).
+    The height and the modes must pass `check_height` and `check_modes`.
     """
     active = trace.active_modes()
     if active.size == 0:
         raise ValueError("trace has no active modes k >= 1")
-    strip = strip_extension(trace, Y=Y)
-    d = strip.dy
-    dx = float(strip.x[1] - strip.x[0])
+    check_height(Y)
+    check_modes(active)
     ratios = {}
     for k in active:
-        f = strip.mode_profiles[int(k)]
+        y = _mode_heights(int(k), Y)
+        f = _mode_profile(int(k), float(trace.coeffs[k]), y)
+        d = float(y[1] - y[0])
         f2 = np.array([2 * f[1] - 2 * f[0],  # face row: ghost f_{-1} = f_1
                        f[2] + f[0] - 2 * f[1],
                        f[3] + f[1] - 2 * f[2]]) / d ** 2
-        lap = f2 - (2.0 - 2.0 * np.cos(k * dx)) / dx ** 2 * f[:3]
+        lap = f2 - (2.0 - 2.0 * np.cos(k * _DX)) / _DX ** 2 * f[:3]
         dlap = (-3.0 * lap[0] + 4.0 * lap[1] - lap[2]) / (2.0 * d)
         ratios[int(k)] = float(dlap) / (float(k) ** 3 * float(trace.coeffs[k]))
     mean = float(np.mean(list(ratios.values())))

@@ -23,6 +23,7 @@ from .harmonics import HomogeneousHarmonicPoly, harmonic_basis
 from .problem import ProblemSpec, ScalarField, face_phase
 
 MU_CANDIDATES = (1, 2, 3)  # blow-up degrees that analyze_point fits
+MERGE_RESOLUTION = 1e-6  # in units of h: extract_gamma merges points this close
 
 
 @dataclass
@@ -75,7 +76,8 @@ def extract_gamma(u: ScalarField) -> list[FreeBoundaryPoint]:
     nothing there (the free boundary is open in the face).
 
     A node counts as zero when its `face_phase` is 0, that is when |u| is
-    within the rounding floor eps h^-4 max(1, sup|u|) of the solve.
+    within the rounding floor eps h^-4 max(1, sup|u|) of the solve. Points
+    in one bin of width MERGE_RESOLUTION h are one point.
     """
     g = u.grid
     if g.n != 1:
@@ -90,7 +92,7 @@ def extract_gamma(u: ScalarField) -> list[FreeBoundaryPoint]:
     def add(xs: float, plus: bool, minus: bool) -> None:
         if abs(xs) >= 1.0 - 1e-12:
             return
-        pt = points.setdefault(round(xs / (g.h * 1e-6)), FreeBoundaryPoint(x=float(xs)))
+        pt = points.setdefault(round(xs / (g.h * MERGE_RESOLUTION)), FreeBoundaryPoint(x=float(xs)))
         pt.in_plus |= plus
         pt.in_minus |= minus
 
@@ -143,19 +145,15 @@ class BlowupFit:
     """Result of fitting degree-mu homogeneous harmonic polynomials to the
     homogeneous rescalings of (u, v) on the unit half-sphere.
 
-    residuals[k] is the relative surface-L2 misfit of the pair at radii[k]
-    (0 = perfect fit, 1 = orthogonal). no_blowup flags residual > 0.5 at
-    every radius: the pair does not look like a degree-mu blow-up at all.
+    p_mu and q_mu are the fits at the profile's smallest radius.
+    residuals[k] is the relative surface-L2 misfit of the pair at the
+    profile's k-th radius (0 = perfect fit, 1 = orthogonal).
     """
 
     mu: int
-    radii: np.ndarray
     p_mu: HomogeneousHarmonicPoly
     q_mu: HomogeneousHarmonicPoly
     residuals: np.ndarray
-    coeff_curve_u: np.ndarray
-    coeff_curve_v: np.ndarray
-    no_blowup: bool
 
 
 def blowup_fit(profile: RadialProfile, mu: int) -> BlowupFit:
@@ -173,16 +171,12 @@ def blowup_fit(profile: RadialProfile, mu: int) -> BlowupFit:
     if mu != int(mu) or mu < 1:
         raise ValueError(f"blow-up degree must be a positive integer, got {mu}")
     mu = int(mu)
-    radii = profile.radii
     n = profile.center.size - 1
     basis = harmonic_basis(n, mu)
     by_count: dict[int, np.ndarray] = {}
 
-    K = radii.size
-    res = np.zeros(K)
-    cu = np.zeros((K, len(basis)))
-    cv = np.zeros((K, len(basis)))
-    for k, (r, (rel, w, us, vs)) in enumerate(zip(radii, profile.surface)):
+    res = np.zeros(profile.radii.size)
+    for k, (r, (rel, w, us, vs)) in enumerate(zip(profile.radii, profile.surface)):
         if w.size not in by_count:
             by_count[w.size] = np.stack([b(rel / r) for b in basis], axis=1)
         A = by_count[w.size]
@@ -192,17 +186,13 @@ def blowup_fit(profile: RadialProfile, mu: int) -> BlowupFit:
         av = vs / r ** mu
         solu, *_ = np.linalg.lstsq(Aw, au * sw, rcond=None)
         solv, *_ = np.linalg.lstsq(Aw, av * sw, rcond=None)
-        cu[k], cv[k] = solu, solv
+        if k == 0:
+            p, q = HomogeneousHarmonicPoly(n, mu, solu), HomogeneousHarmonicPoly(n, mu, solv)
         mis = (w @ (au - A @ solu) ** 2) + (w @ (av - A @ solv) ** 2)
         norm = (w @ au ** 2) + (w @ av ** 2)
         res[k] = np.sqrt(mis / norm) if norm > 0 else float("nan")
 
-    p = HomogeneousHarmonicPoly(n, mu, cu[0])
-    q = HomogeneousHarmonicPoly(n, mu, cv[0])
-    finite = res[np.isfinite(res)]
-    nb = bool(finite.size > 0 and (finite > 0.5).all())
-    return BlowupFit(mu=mu, radii=radii, p_mu=p, q_mu=q, residuals=res,
-                     coeff_curve_u=cu, coeff_curve_v=cv, no_blowup=nb)
+    return BlowupFit(mu=mu, p_mu=p, q_mu=q, residuals=res)
 
 
 def nondegeneracy_check(profile: RadialProfile, mu: float) -> np.ndarray:

@@ -125,8 +125,7 @@ class InterpPlan:
     with y replaced by |y|. Row k of `corners` (2^d, N) holds the flat box
     index of corner k of each mirrored point's cell (bit `ax` of k: the
     upper end along axis `ax`) and row k of `weights` its multilinear
-    weight. `scalar` marks a plan of one 1-D point, whose reads return one
-    value per field. `lattice` is the (n, M) of the grid it was made on.
+    weight. `lattice` is the (n, M) of the grid it was made on.
     `np.asarray(plan)` is `points`, so a reader of point sets takes a plan
     as its points.
     """
@@ -136,7 +135,6 @@ class InterpPlan:
     mirrored: np.ndarray
     corners: np.ndarray
     weights: np.ndarray
-    scalar: bool
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.points, dtype=dtype, copy=copy)
@@ -191,9 +189,7 @@ class HalfBallGrid:
         self.node_class = cls[inside]
 
         self.interior_ids = np.flatnonzero(self.node_class == INTERIOR)
-        self.outer_ids = np.flatnonzero(self.node_class == OUTER)
         self.thin_ids = np.flatnonzero(self.node_class == THIN)
-        self.corner_ids = np.flatnonzero(self.node_class == CORNER)
         # Free unknowns: interior + thin. Pinned: outer + corner (Dirichlet).
         self.free_ids = np.flatnonzero((self.node_class == INTERIOR) | (self.node_class == THIN))
         self.pinned_ids = np.flatnonzero((self.node_class == OUTER) | (self.node_class == CORNER))
@@ -208,6 +204,20 @@ class HalfBallGrid:
                 value.flags.writeable = False
         # `fill_extension`'s plans, keyed by the bytes of the NaN mask they fill
         self._fill_plans: dict[bytes, list[tuple[np.ndarray, ...]]] = {}
+
+    def neighbours(self, ids: np.ndarray, axis: int, step: int) -> np.ndarray:
+        """Ids of the nodes `step` cells from the nodes `ids` along `axis`. A
+        vertical step below the face lands on its mirror image, the node of
+        the even extension. ValueError where a neighbour is not a node."""
+        lat = self.lattice[ids]
+        lat[:, axis] += step
+        if axis == self.n:
+            np.abs(lat[:, axis], out=lat[:, axis])  # even reflection across the face
+        off_box = ((lat < 0) | (lat >= self.box_shape)).any()
+        nb = np.full(len(lat), -1) if off_box else self.box_ids[tuple(lat.T)]
+        if (nb < 0).any():
+            raise ValueError(f"a lattice neighbour {step} cells along axis {axis} is not a node")
+        return nb
 
     # -- interpolation -----------------------------------------------------
 
@@ -296,7 +306,6 @@ class HalfBallGrid:
             if points.lattice != (self.n, self.M):
                 raise ValueError("interpolation plan made on another lattice")
             return points
-        scalar = np.ndim(points) == 1
         given, pts = _mirrored(points)
         if pts.shape[-1] != self.n + 1:
             raise ValueError(f"points must have {self.n + 1} coordinates")
@@ -324,7 +333,7 @@ class HalfBallGrid:
             for ax in range(1, dim):
                 w = w * factors[ax][bits[ax]]
             weights[corner] = w
-        return InterpPlan((self.n, self.M), given, pts, corners, weights, scalar)
+        return InterpPlan((self.n, self.M), given, pts, corners, weights)
 
     def interp_box(self, box: np.ndarray, points) -> np.ndarray:
         """Multilinear interpolation of a dense box field at arbitrary points.
@@ -354,8 +363,6 @@ class HalfBallGrid:
                 out[:, s] += vals
         if np.isnan(out).any():
             raise OutOfDomainError("evaluation point outside grid coverage")
-        if plan.scalar:
-            out = out[:, 0]
         return out if stacked else out[0]
 
 

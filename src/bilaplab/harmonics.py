@@ -22,15 +22,21 @@ import numpy as np
 Terms = dict  # exponent tuple (a_1..a_n, b) -> Fraction
 
 
+def _derivative(terms: Terms, ax: int) -> Terms:
+    """Exact d/dz_ax of a term dictionary, term by term in its order. Distinct
+    monomials have distinct derivatives, so no two terms merge."""
+    return {expo[:ax] + (expo[ax] - 1,) + expo[ax + 1:]: c * expo[ax]
+            for expo, c in terms.items() if expo[ax]}
+
+
 def _laplacian(terms: Terms, axes: int) -> Terms:
-    """Exact Laplacian in the first `axes` coordinates (n + 1: all; n: thin)."""
+    """Exact Laplacian in the first `axes` coordinates (n + 1: all; n: thin),
+    collected term by term in the order of `terms`."""
     out: Terms = {}
     for expo, c in terms.items():
         for ax in range(axes):
-            e = expo[ax]
-            if e >= 2:
-                key = tuple(v - 2 if i == ax else v for i, v in enumerate(expo))
-                out[key] = out.get(key, Fraction(0)) + c * e * (e - 1)
+            for key, v in _derivative(_derivative({expo: c}, ax), ax).items():
+                out[key] = out.get(key, Fraction(0)) + v
     return {k: v for k, v in out.items() if v != 0}
 
 
@@ -125,16 +131,13 @@ class HomogeneousHarmonicPoly:
         The kernel of this matrix (as a map zeta -> zeta . grad_x P(., 0))
         is the space of thin directions annihilating the trace gradient.
         """
-        trace = {expo[:-1]: c for expo, c in self.terms().items() if expo[-1] == 0}
-        monos = sorted({tuple(e - (1 if i == ax else 0) for i, e in enumerate(expo))
-                        for expo in trace for ax in range(self.n) if expo[ax] >= 1})
-        col = {m: j for j, m in enumerate(monos)}
-        A = np.zeros((self.n, max(len(monos), 1)))
-        for expo, c in trace.items():
-            for ax in range(self.n):
-                if expo[ax] >= 1:
-                    m = tuple(e - (1 if i == ax else 0) for i, e in enumerate(expo))
-                    A[ax, col[m]] += c * expo[ax]
+        trace = {expo: c for expo, c in self.terms().items() if expo[-1] == 0}
+        rows = [_derivative(trace, ax) for ax in range(self.n)]
+        col = {m: j for j, m in enumerate(sorted({m for row in rows for m in row}))}
+        A = np.zeros((self.n, max(len(col), 1)))
+        for ax, row in enumerate(rows):
+            for m, c in row.items():
+                A[ax, col[m]] = c
         return A
 
 

@@ -18,8 +18,6 @@ restricted to coarse grids.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .problem import (
@@ -35,6 +33,7 @@ from .solver import ConvergenceError, SolveResult
 
 STEP_REFRESH = 1000  # gradient steps between re-estimates of the Hessian norm
 MAX_STEPS = 100_000
+GRAD_TOL = 1e-10  # the sup|grad J| over the free nodes at which the iteration stops
 
 
 def _hessian_norm(spec: ProblemSpec, w: np.ndarray) -> float:
@@ -53,11 +52,11 @@ def _hessian_norm(spec: ProblemSpec, w: np.ndarray) -> float:
     return lam
 
 
-def brute_minimize(spec: ProblemSpec, tol: float = 1e-10) -> SolveResult:
-    """Restarted accelerated projected gradient descent to sup|grad J| <= tol.
+def brute_minimize(spec: ProblemSpec) -> SolveResult:
+    """Restarted accelerated projected gradient descent to sup|grad J| <= GRAD_TOL.
 
     Restricted to coarse problems (h >= 1/16 and at most 2000 nodes). The
-    returned `u` is the iterate whose free-node gradient met `tol`, and `v`
+    returned `u` is the iterate whose free-node gradient met GRAD_TOL, and `v`
     is `discrete_laplacian(u)`, as for `minimize`. Raises ConvergenceError
     after MAX_STEPS gradient steps.
     """
@@ -68,7 +67,6 @@ def brute_minimize(spec: ProblemSpec, tol: float = 1e-10) -> SolveResult:
         raise ValueError(f"brute_minimize limited to 2000 nodes, grid has {grid.node_count}")
     if grid.M < 2:
         raise ValueError("solving requires h <= 1/2")
-    t0 = time.perf_counter()
     free = grid.free_ids
     x = np.zeros(grid.node_count)
     x[grid.pinned_ids] = dirichlet_values(spec)
@@ -78,7 +76,7 @@ def brute_minimize(spec: ProblemSpec, tol: float = 1e-10) -> SolveResult:
     for it in range(MAX_STEPS):
         g = gradient_array(grid, y, spec)
         gsup = float(np.abs(g[free]).max())
-        if gsup <= tol:
+        if gsup <= GRAD_TOL:
             break
         x_new = y - step * g  # gradient vanishes at pinned nodes, so this projects
         if g @ (x_new - x) > 0.0:
@@ -94,5 +92,4 @@ def brute_minimize(spec: ProblemSpec, tol: float = 1e-10) -> SolveResult:
             ScalarField(grid, y))
     u = ScalarField(grid, y)
     return SolveResult(u=u, v=discrete_laplacian(u), energy=energy_array(grid, y, spec),
-                       grad_sup=gsup, iterations=it, cg_iterations=0,
-                       wall_time=time.perf_counter() - t0, spec=spec)
+                       grad_sup=gsup, iterations=it, spec=spec)

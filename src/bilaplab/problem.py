@@ -27,7 +27,7 @@ import scipy.sparse as sp
 
 from .grid import (THIN, HalfBallGrid, _even_gradient, _mirrored, _shift, build_grid,
                    cells_per_unit)
-from .harmonics import HomogeneousHarmonicPoly, basis_size
+from .harmonics import HomogeneousHarmonicPoly, _basis_terms, basis_size
 
 
 # ---------------------------------------------------------------------------
@@ -46,10 +46,22 @@ def _finite(raw: str) -> float:
     return val
 
 
+def _bounded(bound) -> None:
+    """ValueError unless bound(), a bound of a datum on the closed unit
+    half-ball, is finite, so that no value of the datum there overflows."""
+    try:
+        finite = math.isfinite(bound())
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError("boundary datum overflows on the closed unit half-ball")
+
+
 class BoundaryDatum:
     """Dirichlet datum on the spherical boundary, from a small family registry.
 
-    Families (all extend evenly across y = 0 by construction):
+    Families (all extend evenly across y = 0 by construction), each refused
+    (ValueError) when its bound on the closed unit half-ball overflows:
       zero                          g = 0
       harmonic:deg=K[,coef=c]       c * (degree-K even harmonic polynomial,
                                     first basis element; n=1 gives Re((x+iy)^K))
@@ -98,6 +110,9 @@ class BoundaryDatum:
             if terms[-1][0] > MAX_DEGREE:
                 raise ValueError(f"harmonic parameter {spelling!r} reaches degree {terms[-1][0]}, "
                                  f"above the cap {MAX_DEGREE}")
+            # no monomial exceeds 1 on the unit ball: sum_k |c_k| l1(element k)
+            _bounded(lambda: sum(abs(c) * float(sum(map(abs, _basis_terms(self.n, k)[0].values())))
+                                 for k, c in terms))
             polys = [HomogeneousHarmonicPoly(self.n, k, np.pad([c], (0, basis_size(self.n, k) - 1)))
                      for k, c in terms]
             self._fn = lambda pts: sum(p(pts) for p in polys)
@@ -109,16 +124,20 @@ class BoundaryDatum:
                 raise ValueError(f"unknown trig parameters {sorted(params)}")
             if kind not in ("cos", "sin"):
                 raise ValueError(f"trig kind must be cos or sin, got {kind!r}")
+            _bounded(lambda: abs(amp) * math.cosh(freq))
             wave = np.cos if kind == "cos" else np.sin
             self._fn = lambda pts: amp * wave(freq * pts[:, 0]) * np.cosh(freq * pts[:, -1])
         elif fam == "tabulated":
             if self.n != 1:
                 raise ValueError("tabulated boundary data is only supported for n = 1")
-            vals = np.array([_finite(v) for v in self._required(params, "values").split(";")])
+            vals = [_finite(v) for v in self._required(params, "values").split(";")]
             if params:
                 raise ValueError(f"unknown tabulated parameters {sorted(params)}")
-            if vals.size < 2:
+            if len(vals) < 2:
                 raise ValueError("tabulated datum needs at least two samples")
+            # np.interp divides the differences of the samples
+            _bounded(lambda: max(abs(b - a) for a, b in zip(vals, vals[1:])))
+            vals = np.array(vals)
             thetas = np.linspace(0.0, math.pi, vals.size)
 
             def fn(pts):
@@ -265,10 +284,6 @@ class ScalarField:
         vals = g.interp_box(self._stack, plan).reshape(g.n + 2, -1)
         return vals[0], _even_gradient(plan.points, vals[1:].T)
 
-    def gradient(self, points) -> np.ndarray:
-        """The gradient half of `with_gradient`."""
-        return self.with_gradient(points)[1]
-
 
 class AnalyticField:
     """A field given by functions on points, read through the even extension.
@@ -362,28 +377,11 @@ def operators(grid: HalfBallGrid) -> SimpleNamespace:
     h = grid.h
     free = grid.free_ids
     E = free.size
-    lat = grid.lattice[free]
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    base = np.arange(E)
-    add(base, grid.box_ids[tuple(lat.T)], np.full(E, -2.0 * dim))
-    for ax in range(dim):
-        for d in (1, -1):
-            nb = lat.copy()
-            nb[:, ax] += d
-            if ax == dim - 1:
-                nb[nb[:, ax] < 0, ax] = 1  # even reflection across the face
-            cid = grid.box_ids[tuple(nb.T)]
-            if np.any(cid < 0):
-                raise AssertionError("free-node stencil neighbor missing")
-            add(base, cid, np.ones(E))
+    # the centre, then the arms (axis, +-1), the face's lower arm reflected
+    cols = [free] + [grid.neighbours(free, ax, d) for ax in range(dim) for d in (1, -1)]
+    vals = np.concatenate([np.full(E, -2.0 * dim)] + [np.ones(E)] * (2 * dim))
     L = sp.coo_matrix(
-        (np.concatenate(vals) / h ** 2, (np.concatenate(rows), np.concatenate(cols))),
+        (vals / h ** 2, (np.tile(np.arange(E), 2 * dim + 1), np.concatenate(cols))),
         shape=(E, grid.node_count),
     ).tocsr()
 

@@ -40,7 +40,6 @@ tolerance.
 
 from __future__ import annotations
 
-import time
 import weakref
 from dataclasses import dataclass, field
 
@@ -111,10 +110,13 @@ class SolveResult:
     energy: float
     grad_sup: float
     iterations: int
-    cg_iterations: int  # inner CG steps summed over the Newton steps; 0 otherwise
-    wall_time: float
     spec: ProblemSpec
     trace: list[NewtonStep] = field(default_factory=list)  # one record per Newton step
+
+    @property
+    def cg_iterations(self) -> int:
+        """Inner CG steps summed over `trace`; 0 for an empty trace."""
+        return sum(step.cg_steps for step in self.trace)
 
 
 _factors = weakref.WeakKeyDictionary()  # grid -> the LU of its L_ff, while the grid lives
@@ -218,6 +220,8 @@ def _newton(spec: ProblemSpec, w: np.ndarray):
         g = gradient_array(grid, w, spec)
         gf = g[free]
         gsup = float(np.abs(gf).max()) if E else 0.0
+        if not (np.isfinite(J) and np.isfinite(gsup)):
+            raise failure(SolverError, f"energy {J:.3e} or sup grad {gsup:.3e} is not finite")
         tol = spec.tol_grad if spec.tol_grad is not None else 1e-8 * (1.0 + abs(J))
         if gsup <= tol:
             return w, J, gsup, trace
@@ -268,17 +272,17 @@ def minimize(spec: ProblemSpec) -> SolveResult:
     and it is kept after this call returns, failed solves included, for as
     long as the grid lives (at n = 2, h = 1/16 that is 1.46M nonzeros).
     `build_grid` keeps the two most recent lattices, so a solve that returns
-    to a lattice after one solve on another keeps its grid and factor.
+    to a lattice after one solve on another keeps its grid and factor. An
+    energy or sup|grad J| that is not finite, as a datum near overflow
+    gives, ends the solve in a SolverError.
     """
     grid = spec.grid()
     if grid.M < 2:
         raise ValueError("solving requires h <= 1/2")
-    t0 = time.perf_counter()
     w, J, gsup, trace = _newton(spec, harmonic_extension(spec).values)
     u = ScalarField(grid, w)
     return SolveResult(u=u, v=discrete_laplacian(u), energy=J, grad_sup=gsup,
-                       iterations=len(trace), cg_iterations=sum(s.cg_steps for s in trace),
-                       wall_time=time.perf_counter() - t0, spec=spec, trace=trace)
+                       iterations=len(trace), spec=spec, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +339,9 @@ def el_crosscheck(result: SolveResult, spec: ProblemSpec) -> ELReport:
     sel = grid.free_ids[deep]
     if sel.size:
         acc = -2.0 * (grid.n + 1) * v[sel]
-        lat_d = grid.lattice[sel]
         for ax in range(grid.n + 1):
             for d in (2, -2):
-                nb = lat_d.copy()
-                nb[:, ax] += d
-                acc = acc + v[grid.box_ids[tuple(nb.T)]]
+                acc = acc + v[grid.neighbours(sel, ax, d)]
         harmonic_sup = float(np.abs(acc).max()) / (2.0 * grid.h) ** 2
     else:
         harmonic_sup = 0.0
@@ -348,13 +349,7 @@ def el_crosscheck(result: SolveResult, spec: ProblemSpec) -> ELReport:
     thin = grid.thin_ids
     xnorm = np.linalg.norm(grid.nodes[thin, :-1], axis=1)
     thin = thin[xnorm <= 0.75 + 1e-12]  # 1/4 away from the corners
-    lat_t = grid.lattice[thin]
-    up1 = lat_t.copy()
-    up1[:, -1] = 1
-    up2 = lat_t.copy()
-    up2[:, -1] = 2
-    i1 = grid.box_ids[tuple(up1.T)]
-    i2 = grid.box_ids[tuple(up2.T)]
+    i1, i2 = (grid.neighbours(thin, grid.n, k) for k in (1, 2))  # the rows y = h, 2h
     dyv = (-3.0 * v[thin] + 4.0 * v[i1] - v[i2]) / (2.0 * grid.h)
     neumann_sup = float(np.abs(dyv - thin_reaction(u[thin], spec)).max()) if thin.size else 0.0
 

@@ -35,7 +35,8 @@ from .diagnostics import (
     rellich_residual,
 )
 from .extension import RATIO_TARGET, RATIO_TOLERANCE, SPREAD_LIMIT, FourierTrace, dtn_compare
-from .freeboundary import analyze_point, blowup_fit, extract_gamma, nondegeneracy_check
+from .freeboundary import (MERGE_RESOLUTION, analyze_point, blowup_fit, extract_gamma,
+                           nondegeneracy_check)
 from .grid import build_grid, sphere_quadrature
 from .oracle import brute_minimize
 from .problem import AnalyticField, ProblemSpec, ScalarField, energy_array, gradient_array
@@ -323,9 +324,9 @@ def check_v_vanishes(level: str = "quick") -> CheckResult:
         forced, other = [], []
         for h_inv in h_list:
             pts = corpus_points(tag, h_inv)
-            # symmetry forces v = 0 only on the axis x1 = 0 of an odd problem;
-            # 1e-6 h is the resolution at which extract_gamma merges points
-            on_axis = [odd and abs(pt.x) <= 1e-6 / h_inv for pt in pts]
+            # symmetry forces v = 0 only on the axis x1 = 0 of an odd problem,
+            # to the resolution at which extract_gamma merges points
+            on_axis = [odd and abs(pt.x) <= MERGE_RESOLUTION / h_inv for pt in pts]
             forced.append([abs(pt.value_v) for pt, f in zip(pts, on_axis) if f])
             other.append([pt.value_v for pt, f in zip(pts, on_axis) if not f])
         if all(forced):

@@ -170,6 +170,40 @@ def test_a_failed_solve_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "stiff").exists()
 
 
+# data whose bound on the closed unit half-ball overflows (refused as key 'g'),
+# and data near overflow whose energy overflows (the solve fails)
+OVERFLOWING_DATA = ["trig:freq=1000", "harmonic:coeffs=1e308;1e308",
+                    "tabulated:values=1e308;-1e308"]
+INFINITE_ENERGY_DATA = ["trig:freq=700", "harmonic:coeffs=1e300", "trig:freq=1,amp=1e300"]
+
+
+@pytest.mark.parametrize("datum", OVERFLOWING_DATA + INFINITE_ENERGY_DATA)
+def test_a_huge_datum_ends_in_a_typed_error(datum, tmp_path, capsys):
+    """A datum that overflows on the half-ball is a `SpecError` on 'g' and
+    exits 2; one whose energy is not finite ends the solve in a `SolverError`
+    carrying the iterate and the trace, and exits 1. Neither writes a run."""
+    text = f"g = {datum}\nh = 0.125\n"
+    cfgfile = tmp_path / "huge.cfg"
+    cfgfile.write_text(text + f"output = {tmp_path / 'huge'}\n")
+    if datum in OVERFLOWING_DATA:
+        with pytest.raises(bilaplab.problem.SpecError) as exc:
+            ProblemSpec(g=datum, h=0.125)
+        assert exc.value.field == "g"
+        with pytest.raises(ConfigError, match="key 'g': boundary datum overflows"):
+            parse_config(text)
+        code, message = 2, "config error: key 'g': boundary datum overflows"
+    else:
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                bilaplab.solver.SolverError, match="not finite") as exc:
+            bilaplab.solver.minimize(ProblemSpec(g=datum, h=0.125))
+        assert exc.value.trace == [] and np.isfinite(exc.value.iterate.values).all()
+        code, message = 1, "error: energy inf or sup grad"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["blowup", str(cfgfile)]) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "huge").exists()
+
+
 # p near 1 and weights at the edges of what parse_config accepts: each of
 # lambda+- is 0 (refused), the default 1, or 1e6 (Newton cannot converge)
 EDGE_WEIGHTS = [(0, 0), (0, 1e6), (1e6, 0), (1e6, 1e6), (1e6, 1), (1, 1e6)]

@@ -154,6 +154,11 @@ def test_sphere_sup_samples_the_quadrature_surface():
         compute_profile(w, w, 0.1, [1e-3], SPEC)
 
 
+def _gradient(w, pts):
+    """The gradient half of `w.with_gradient(pts)`, read on its own."""
+    return w.with_gradient(pts)[1]
+
+
 def _per_point_set_profile(u, v, center, radii, spec):
     """`compute_profile` read point set by point set: each field's values and
     gradient on the surface and on the solid points, its values on the thin
@@ -166,12 +171,12 @@ def _per_point_set_profile(u, v, center, radii, spec):
     for k, r in enumerate(radii):
         quad = sphere_quadrature(g, c, float(r))
         us, vs = u(quad.surface_points), v(quad.surface_points)
-        gu, gv = u.gradient(quad.surface_points), v.gradient(quad.surface_points)
+        gu, gv = _gradient(u, quad.surface_points), _gradient(v, quad.surface_points)
         surface.append((quad.surface_points - c, quad.surface_weights, us, vs))
         sup2 = max(sup2, float((us ** 2 + vs ** 2).max()))
         H[k] = quad.surface_weights @ (us ** 2 + vs ** 2)
         B[k] = quad.surface_weights @ ((gu ** 2).sum(axis=1) + (gv ** 2).sum(axis=1))
-        gus, gvs = u.gradient(quad.solid_points), v.gradient(quad.solid_points)
+        gus, gvs = _gradient(u, quad.solid_points), _gradient(v, quad.solid_points)
         D0[k] = quad.solid_weights @ ((gus ** 2).sum(axis=1) + (gvs ** 2).sum(axis=1))
         cross = quad.solid_weights @ (u(quad.solid_points) * v(quad.solid_points))
         ut, vt = u(quad.thin_points), v(quad.thin_points)
@@ -325,8 +330,8 @@ def test_grid_field_profile_equals_the_per_field_path(n, h, monkeypatch):
     wrapped = compute_profile(fu, fv, c, radii, spec)
     fit, ref = blowup_fit(prof, 2), blowup_fit(wrapped, 2)
     assert np.array_equal(fit.residuals, ref.residuals, equal_nan=True)
-    assert (fit.coeff_curve_u == ref.coeff_curve_u).all()
-    assert (fit.coeff_curve_v == ref.coeff_curve_v).all()
+    assert (fit.p_mu.coeffs == ref.p_mu.coeffs).all()
+    assert (fit.q_mu.coeffs == ref.q_mu.coeffs).all()
     assert np.array_equal(nondegeneracy_check(prof, 2.0), nondegeneracy_check(wrapped, 2.0))
     if n == 1:  # free-boundary points live on the n = 1 face
         pt, ref_pt = FreeBoundaryPoint(x=0.1), FreeBoundaryPoint(x=0.1)
@@ -519,21 +524,24 @@ def _above_and_below(n):
 @pytest.mark.parametrize("n,h", [(1, 1.0 / 32), (2, 1.0 / 16)])
 def test_gradients_below_the_face_are_those_of_the_even_extension(n, h):
     """At a mirrored point every gradient reader returns the gradient at the
-    point above with d/dy flipped: both field kinds, through `gradient` and
-    through `with_gradient`."""
+    point above with d/dy flipped: both field kinds through `with_gradient`,
+    and an AnalyticField also through `gradient`."""
     df, u, v, closed, differenced = _test_fields(n, h)
     above, below, flip = _above_and_below(n)
     for w in (u, v, closed, differenced):
+        assert np.array_equal(_gradient(w, below), _gradient(w, above) * flip)
+    for w in (closed, differenced):
         assert np.array_equal(w.gradient(below), w.gradient(above) * flip)
-    assert np.abs(u.gradient(below) - df(above) * flip).max() < 4.0 * h
+    assert np.abs(_gradient(u, below) - df(above) * flip).max() < 4.0 * h
     if n == 1:
         assert np.allclose(closed.gradient([[0.3, -0.4]]), [[0.16, -0.24]], atol=1e-15)
-        assert np.allclose(u.gradient([[0.3, -0.4]]), [[0.16, -0.24]], atol=5e-3)
+        assert np.allclose(_gradient(u, [[0.3, -0.4]]), [[0.16, -0.24]], atol=5e-3)
 
     su, sgu = u.with_gradient(below)
     sv, sgv = v.with_gradient(below)
     assert np.array_equal(su, u(below)) and np.array_equal(sv, v(below))
-    assert np.array_equal(sgu, u.gradient(below)) and np.array_equal(sgv, v.gradient(below))
+    assert np.array_equal(sgu, _per_axis_gradient(u, below))
+    assert np.array_equal(sgv, _per_axis_gradient(v, below))
     fu, fgu = closed.with_gradient(below)
     assert np.array_equal(fgu, closed.gradient(above) * flip)
     assert np.array_equal(v.with_gradient(below)[1], sgv)
@@ -554,16 +562,17 @@ def _per_axis_gradient(w, pts):
 
 @pytest.mark.parametrize("n,h", [(1, 1.0 / 32), (2, 1.0 / 16)])
 def test_with_gradient_is_the_value_read_and_the_gradient_read(n, h):
-    """One stacked read gives, bit for bit, the values of `w(pts)` and the
-    gradient of `w.gradient(pts)`, for both field kinds, above and below the
-    face; a ScalarField's gradient is that of its boxes read axis by axis."""
+    """One stacked read gives, bit for bit, the values of `w(pts)`, for both
+    field kinds, above and below the face, and the gradient of
+    `w.gradient(pts)` for an AnalyticField; a ScalarField's gradient is that
+    of its boxes read axis by axis."""
     _, u, v, closed, differenced = _test_fields(n, h)
     above, below, _ = _above_and_below(n)
     for pts in (above, below):
         for w in (u, v, closed, differenced):
-            values, grad = w.with_gradient(pts)
-            assert np.array_equal(values, w(pts))
-            assert np.array_equal(grad, w.gradient(pts))
+            assert np.array_equal(w.with_gradient(pts)[0], w(pts))
+        for w in (closed, differenced):
+            assert np.array_equal(w.with_gradient(pts)[1], w.gradient(pts))
         for w in (u, v):
             assert np.array_equal(w.with_gradient(pts)[1], _per_axis_gradient(w, pts))
 

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from bilaplab.cli import main
 from bilaplab.extension import (
     DtnReport,
     FourierTrace,
+    _mode_heights,
+    _mode_profile,
     dtn_compare,
     strip_biharmonic_residual,
     strip_extension,
@@ -22,23 +25,27 @@ DTN_TRACES = [
 
 
 def _strip_dtn_reference(trace, Y):
-    """The DtN ratios by way of the whole strip: sum the mode profiles into
-    u[i, j] = u(x_i, y_j), apply the five-point Laplacian (periodic in x, with
-    the x difference divided by dx^2, and the even reflection ghost on the
-    face row), take the one-sided d/dy on the face and project onto cos(k x)."""
-    strip = strip_extension(trace, Y=Y)
-    x, d = strip.x, strip.dy
+    """The DtN ratios by way of two-dimensional fields: per active mode k, on
+    the strip's x samples and the mode's heights, u[i, j] = f_k(y_j) cos(k x_i)
+    plus the constant mode, then the five-point Laplacian (periodic in x,
+    with the x difference divided by dx^2, and the even reflection ghost on
+    the face row), the one-sided d/dy on the face and the projection onto
+    cos(k x)."""
+    x = strip_extension(trace, Y=Y).x
     dx = x[1] - x[0]
-    vals = np.zeros((x.size, strip.y.size))
-    for k, f in strip.mode_profiles.items():
-        vals += np.cos(k * x)[:, None] * f[None, :]
-    lap = (np.roll(vals, 1, axis=0) + np.roll(vals, -1, axis=0) - 2 * vals) / dx ** 2
-    lap[:, 1:-1] += (vals[:, 2:] + vals[:, :-2] - 2 * vals[:, 1:-1]) / d ** 2
-    lap[:, 0] += (2 * vals[:, 1] - 2 * vals[:, 0]) / d ** 2
-    dlap = (-3.0 * lap[:, 0] + 4.0 * lap[:, 1] - lap[:, 2]) / (2.0 * d)
-    return {int(k): 2.0 / x.size * float(dlap @ np.cos(k * x))
-            / (float(k) ** 3 * float(trace.coeffs[k]))
-            for k in trace.active_modes()}
+    ratios = {}
+    for k in trace.active_modes():
+        y = _mode_heights(int(k), Y)
+        d = y[1] - y[0]
+        f = _mode_profile(int(k), float(trace.coeffs[k]), y)
+        vals = trace.coeffs[0] + np.cos(k * x)[:, None] * f[None, :]
+        lap = (np.roll(vals, 1, axis=0) + np.roll(vals, -1, axis=0) - 2 * vals) / dx ** 2
+        lap[:, 1:-1] += (vals[:, 2:] + vals[:, :-2] - 2 * vals[:, 1:-1]) / d ** 2
+        lap[:, 0] += (2 * vals[:, 1] - 2 * vals[:, 0]) / d ** 2
+        dlap = (-3.0 * lap[:, 0] + 4.0 * lap[:, 1] - lap[:, 2]) / (2.0 * d)
+        ratios[int(k)] = (2.0 / x.size * float(dlap @ np.cos(k * x))
+                          / (float(k) ** 3 * float(trace.coeffs[k])))
+    return ratios
 
 
 def test_fourier_trace_validation():
@@ -116,6 +123,24 @@ def test_dtn_ratios_equal_the_two_dimensional_route(coeffs):
     assert list(report.ratios) == list(reference)
     for k, ratio in reference.items():
         assert report.ratios[k] == pytest.approx(ratio, rel=1e-10, abs=0.0)
+
+
+def test_each_mode_is_measured_on_its_own_heights(capsys):
+    """Modes k <= 3 are measured on the strip's own profiles; a higher mode
+    on heights whose step shrinks like 3/k, so that modes 1, 2, 3, 5 and 8 at
+    Y = 16 pass the acceptance rule and `extension-check` exits 0."""
+    trace = FourierTrace([0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
+    strip = strip_extension(trace, Y=16.0)
+    for k in (1, 2, 3):
+        assert np.array_equal(_mode_heights(k, 16.0), strip.y)
+        assert np.array_equal(_mode_profile(k, 1.0, strip.y), strip.mode_profiles[k])
+    for k in (5, 8):  # the fewest equal steps of at most dx 3/k
+        y, step = _mode_heights(k, 16.0), strip.x[1] * 3.0 / k
+        assert y[-1] == 16.0 and y[1] <= step < 16.0 / (y.size - 2)
+    report = dtn_compare(trace, Y=16.0)
+    assert report.ok and report.spread < 0.003
+    assert main(["extension-check", "--modes", "1,2,3,5,8", "--height", "16"]) == 0
+    assert "spread 0.002919 (target <= 0.02): pass" in capsys.readouterr().out
 
 
 def test_acceptance_rule_reads_each_mode_and_the_spread():

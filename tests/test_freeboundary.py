@@ -6,6 +6,7 @@ import pytest
 from bilaplab import AnalyticField, ProblemSpec, ScalarField, build_grid, minimize
 from bilaplab.diagnostics import compute_profile
 from bilaplab.freeboundary import (
+    MERGE_RESOLUTION,
     MU_CANDIDATES,
     FreeBoundaryPoint,
     analyze_point,
@@ -73,7 +74,7 @@ def _two_pass_gamma(u):
     def add(xs, plus, minus):
         if abs(xs) >= 1.0 - 1e-12:
             return
-        key = round(xs / (g.h * 1e-6))
+        key = round(xs / (g.h * MERGE_RESOLUTION))
         pt = points.get(key)
         if pt is None:
             pt = FreeBoundaryPoint(x=float(xs))
@@ -174,10 +175,9 @@ def _profile(w, radii):
 def test_blowup_fit_exact_on_homogeneous_pair():
     radii = np.geomspace(0.1, 0.5, 9)
     fit = blowup_fit(_profile(_rez2, radii), 2)
-    assert not fit.no_blowup
     assert fit.residuals.max() < 1e-12
-    assert np.allclose(fit.coeff_curve_u, 1.0, atol=1e-12)
     assert np.allclose(fit.p_mu.coeffs, [1.0], atol=1e-12)
+    assert np.allclose(fit.q_mu.coeffs, [1.0], atol=1e-12)
 
 
 def test_blowup_fit_perturbation_residual_linear_in_radius():
@@ -188,8 +188,7 @@ def test_blowup_fit_perturbation_residual_linear_in_radius():
                          grid=FINE)
     radii = np.geomspace(0.1, 0.5, 9)
     fit = blowup_fit(_profile(pert, radii), 2)
-    assert not fit.no_blowup
-    assert np.allclose(fit.coeff_curve_u, 1.0, atol=2e-3)
+    assert np.allclose(fit.p_mu.coeffs, 1.0, atol=2e-3)
     assert np.allclose(fit.residuals, eps * radii, rtol=1e-3)
 
 
@@ -197,7 +196,6 @@ def test_blowup_fit_flags_degree_mismatch():
     lin = AnalyticField(lambda p: p[:, 0], grid=FINE)
     radii = np.geomspace(0.1, 0.5, 9)
     fit = blowup_fit(_profile(lin, radii), 3)
-    assert fit.no_blowup
     assert fit.residuals.min() > 0.5
 
 

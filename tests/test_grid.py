@@ -45,9 +45,9 @@ def test_nine_node_grid_enumeration():
 def test_nine_node_grid_classes():
     g = build_grid(1, 0.5)
     assert len(g.interior_ids) == 1
-    assert len(g.outer_ids) == 3
+    assert (g.node_class == OUTER).sum() == 3
     assert len(g.thin_ids) == 1
-    assert len(g.corner_ids) == 4
+    assert (g.node_class == CORNER).sum() == 4
     # the lone thin node is the origin and the lone interior node sits above it
     assert tuple(g.nodes[g.thin_ids[0]]) == (0.0, 0.0)
     assert tuple(g.nodes[g.interior_ids[0]]) == (0.0, 0.5)
@@ -58,9 +58,33 @@ def test_twentynine_node_grid_counts():
     g = build_grid(1, 0.25)
     assert g.node_count == 29
     assert len(g.interior_ids) == 11
-    assert len(g.outer_ids) == 9
+    assert (g.node_class == OUTER).sum() == 9
     assert len(g.thin_ids) == 5
-    assert len(g.corner_ids) == 4
+    assert (g.node_class == CORNER).sum() == 4
+
+
+@pytest.mark.parametrize("n,h", [(1, 1 / 8), (2, 1 / 4)])
+def test_neighbours_reflect_across_the_face_and_refuse_missing_nodes(n, h):
+    """One step along an axis from a free node lands h away, except that a
+    thin node's -1 step along y is its +1 neighbour, the even reflection. A
+    neighbour off the box or outside the ball raises."""
+    g = build_grid(n, h)
+    free, thin = g.free_ids, g.thin_ids
+    for ax in range(n + 1):
+        e = np.eye(n + 1)[ax] * h
+        assert np.array_equal(g.nodes[g.neighbours(free, ax, 1)], g.nodes[free] + e)
+        below = g.nodes[free] - e
+        below[:, -1] = np.abs(below[:, -1])
+        assert np.array_equal(g.nodes[g.neighbours(free, ax, -1)], below)
+    assert np.array_equal(g.neighbours(thin, n, -1), g.neighbours(thin, n, 1))
+    # a step +1 in x1 leaves the box from the corner x1 = 1, and the ball from
+    # the node x1 = 1 - h, y = h (other thin coordinates 0)
+    corner = g.face_ids[[-1]]
+    rim = g.box_ids[(2 * g.M - 1,) + (g.M,) * (n - 1) + (1,)]
+    assert rim >= 0
+    for ids in (corner, np.array([rim])):
+        with pytest.raises(ValueError, match="not a node"):
+            g.neighbours(ids, 0, 1)
 
 
 def test_node_count_matches_independent_enumeration():
@@ -242,8 +266,8 @@ def test_stacked_interp_equals_per_field_calls(n, h):
             assert (got[k] == single).all()
             assert (single == _reference_interp(g, box, up)).all()
     one = g.interp_box(stack, face[0])
-    assert one.shape == (3,)
-    assert (one == g.interp_box(stack, face[:1])[:, 0]).all()
+    assert one.shape == (3, 1)
+    assert (one == g.interp_box(stack, face[:1])).all()
     with pytest.raises(OutOfDomainError):
         g.interp_box(stack, np.full((1, n + 1), 0.9))
 
@@ -272,8 +296,8 @@ def test_one_plan_reads_every_field_as_its_points_do(n, h):
         assert np.array_equal(got, want)
     one = g.interp_plan(pts[1])
     assert np.array_equal(g.interp_box(stack, one), g.interp_box(stack, pts[1]))
-    assert g.interp_box(stack, one).shape == (2,) and u(one).shape == ()
-    assert np.array_equal(u.gradient(one), u.gradient(pts[1]))
+    assert g.interp_box(stack, one).shape == (2, 1) and u(one).shape == (1,)
+    assert np.array_equal(u.with_gradient(one)[1], u.with_gradient(pts[1:2])[1])
     assert g.interp_plan(plan) is plan
     with pytest.raises(ValueError, match="another lattice"):
         build_grid(n, h / 2).interp_plan(plan)

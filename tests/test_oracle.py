@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bilaplab import ProblemSpec, solver, verify
-from bilaplab.oracle import brute_minimize
+from bilaplab.oracle import GRAD_TOL, brute_minimize
 from bilaplab.problem import discrete_laplacian
 
 
@@ -19,9 +19,10 @@ def test_brute_minimizer_rejects_fine_grids():
 
 
 def test_brute_minimizer_converges_on_coarse_grid():
-    result = brute_minimize(_spec(0.125), tol=1e-8)
-    assert result.grad_sup <= 1e-8
+    result = brute_minimize(_spec(0.125))
+    assert result.grad_sup <= GRAD_TOL == 1e-10
     assert np.isfinite(result.energy)
+    assert result.trace == [] and result.cg_iterations == 0
 
 
 def test_brute_minimizer_needs_no_laplace_factor(monkeypatch):

@@ -64,14 +64,14 @@ def test_transcribe_keeps_the_extension_outputs(tmp_path):
         "demo-solve_and_profile.txt", "oracle.txt", "config-errors.txt"]
     same_bytes.transcribe(_PATH.parent.parent, tmp_path, extension)
     codes = json.loads((tmp_path / "transcript_exit_codes.json").read_text())
-    # mode 8 reads 1.9559, so the spread across 1, 2, 3, 5, 8 exceeds 2%
-    assert list(codes.values()) == [0, 1, 0, 0, 0, 0, 0]
+    assert list(codes.values()) == [0, 0, 0, 0, 0, 0, 0]
     default = (tmp_path / "extension-check.txt").read_text().splitlines()
     assert [line.split()[0] for line in default[1:4]] == ["1", "2", "3"]
     assert default[-2] == "spread 0.002913 (target <= 0.02): pass"
     wide = (tmp_path / "extension-check-modes-1,2,3,5,8-height-16.txt").read_text()
     assert [line.split()[0] for line in wide.splitlines()[1:6]] == ["1", "2", "3", "5", "8"]
-    assert "spread 0.021687 (target <= 0.02): FAIL\n" in wide
+    # modes 5 and 8 are solved on finer heights than 1, 2 and 3
+    assert "spread 0.002919 (target <= 0.02): pass\n" in wide
     demo = (tmp_path / "demo-extension_identity.txt").read_text()
     assert demo.startswith("strip resolution: 256 x 490, height 12.0\n")
     assert "calibrated constant: 1.996578 (target 2)" in demo
@@ -94,8 +94,10 @@ def test_transcribe_keeps_the_extension_outputs(tmp_path):
     errors = (tmp_path / "config-errors.txt").read_text().splitlines()
     assert [line.split(" ConfigError: ")[0] for line in errors] == [
         repr(text) for text in same_bytes.CONFIG_TEXTS]
-    assert errors[-1].endswith("key 'g': harmonic parameter 'deg' reaches degree 200, "
+    assert errors[-4].endswith("key 'g': harmonic parameter 'deg' reaches degree 200, "
                                "above the cap 40")
+    assert all(line.endswith("key 'g': boundary datum overflows on the closed unit half-ball")
+               for line in errors[-3:])
 
 
 def test_strip_times_drops_only_the_time_that_ends_a_check_line():

@@ -96,7 +96,8 @@ for name, spec in specs:
 """
 
 # the configs whose parse outcome is compared: the cases of test_cli's
-# `test_parse_errors_name_the_offending_key`, then four more rules of the spec
+# `test_parse_errors_name_the_offending_key`, then four more rules of the spec,
+# then three data whose bound on the closed half-ball overflows
 CONFIG_TEXTS = [
     "flux = 3", "p = 0.5", "lambda_plus = 0", "lambda_minus = -2", "h = 0.3",
     "centers = 1.5", "m = 512", "stages = solve,fly", "p = 2\np = 3", "p", "h = nan", "h = inf",
@@ -106,6 +107,8 @@ CONFIG_TEXTS = [
     "g = harmonic", "g = trig", "g = tabulated", "g = tabulated:values=1;-inf", "h = 1",
     "h = 0.5", f"h = {1 / 3!r}", "centers = 0.10001;0.10004", "centers = 0.1;0.1",
     "n = 3", "tol_grad = -1", "max_iter = 0", "g = harmonic:deg=200",
+    "g = trig:freq=1000", "g = harmonic:coeffs=1e308;1e308",
+    "g = tabulated:values=1e308;-1e308",
 ]
 # each config of CONFIG_TEXTS and the type and message of what `parse_config`
 # raises on it, or "accepted"
