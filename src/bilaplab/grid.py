@@ -36,6 +36,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import legendre
+from scipy.linalg import eigvalsh_tridiagonal
 
 INTERIOR, OUTER, THIN, CORNER = 0, 1, 2, 3
 
@@ -60,7 +62,33 @@ def cells_per_unit(h: float) -> int:
 
 @functools.lru_cache(maxsize=64)
 def _leggauss(m: int):
-    return np.polynomial.legendre.leggauss(m)
+    """The m-point Gauss-Legendre nodes and weights on [-1, 1], bit for bit
+    those of `np.polynomial.legendre.leggauss(m)`, in O(m^2) time and O(m)
+    memory.
+
+    NumPy takes the eigenvalues of the dense m x m scaled companion matrix
+    (`legcompanion`), which is tridiagonal with a zero diagonal, with
+    `eigvalsh`. LAPACK's dsyevd reduces a matrix to tridiagonal form with
+    dsytrd, whose reflectors are the identity on a tridiagonal matrix, and
+    then calls dsterf; here dsterf gets the same diagonal and off-diagonal
+    directly (Golub and Welsch, Math. Comp. 1969). NumPy's one Newton step,
+    weight formula and symmetrization follow as it writes them.
+    """
+    c = np.array([0] * m + [1])
+    scl = 1. / np.sqrt(2 * np.arange(m) + 1)
+    x = eigvalsh_tridiagonal(np.zeros(m), np.arange(1, m) * scl[:m - 1] * scl[1:m],
+                             lapack_driver="sterf")
+    dy = legendre.legval(x, c)
+    df = legendre.legval(x, legendre.legder(c))
+    x -= dy / df
+    fm = legendre.legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
+    return x, w
 
 
 def _gauss_on(a: float, b: float, m: int):
@@ -436,7 +464,8 @@ def sample_count(r: float, h: float) -> int:
 
 def ball_center(grid: HalfBallGrid, center, r: float) -> np.ndarray:
     """Normalized center of a sampled ball B_r(center); ValueError unless
-    r >= 4h and the ball lies in the unit ball."""
+    r >= 4h and the ball lies in the unit ball. Reads only `grid.n` and
+    `grid.h`."""
     c = _as_thin_center(grid.n, center)
     if r < 4.0 * grid.h - _TOL:
         raise ValueError(f"radius r={r} under-resolved: need r >= 4h = {4 * grid.h}")
@@ -459,6 +488,8 @@ def sphere_quadrature(grid: HalfBallGrid, center, r: float) -> SphereQuadrature:
     exact; thin samples are Gauss points on the thin ball.
 
     Preconditions (see `ball_center`): B_r(center)+ inside B_1+, r >= 4h.
+    Only `grid.n` and `grid.h` are read: a plain (n, h) record gives a
+    lattice's rule without building the lattice.
     """
     c = ball_center(grid, center, r)
     m = sample_count(r, grid.h)

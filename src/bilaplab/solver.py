@@ -216,8 +216,10 @@ def _newton(spec: ProblemSpec, w: np.ndarray):
         if spec.p < 2.0:
             # a trace within rounding of 0 is 0: Newton on |u|^p does not shrink it
             w[thin[phase == 0]] = 0.0
-        J = energy_array(grid, w, spec)
-        g = gradient_array(grid, w, spec)
+        # near-overflow data: the finiteness test below is the one report
+        with np.errstate(over="ignore", invalid="ignore"):
+            J = energy_array(grid, w, spec)
+            g = gradient_array(grid, w, spec)
         gf = g[free]
         gsup = float(np.abs(gf).max()) if E else 0.0
         if not (np.isfinite(J) and np.isfinite(gsup)):
@@ -245,7 +247,8 @@ def _newton(spec: ProblemSpec, w: np.ndarray):
         for backtracks in range(MAX_BACKTRACKS):
             w_try = w.copy()
             w_try[free] += t * d
-            E_try = energy_array(grid, w_try, spec)
+            with np.errstate(over="ignore", invalid="ignore"):
+                E_try = energy_array(grid, w_try, spec)
             if E_try <= J + ARMIJO_SLOPE * t * slope or (
                     backtracks == 0 and -slope <= floor and E_try - J <= floor):
                 break

@@ -4,9 +4,9 @@ Each check returns a CheckResult with a human-readable target and the measured
 value; `run_suite` prints one line per check, ending in its wall time, and
 exits nonzero when any check fails. The time is inclusive: a memoized corpus
 solve is charged to the first check that asks for it. Level "quick" runs
-reduced resolutions (about 1.1 s per process on a 2-core x86_64 machine);
-"full" adds the h = 1/64 refinement studies and the oracle comparisons at
-h = 1/16 (about 1.6 s there).
+reduced resolutions (about 0.9 s per process on a 2-core x86_64 machine
+with one BLAS thread); "full" adds the h = 1/64 refinement studies and the
+oracle comparisons at h = 1/16 (about 1.7 s there).
 
 Corpus solves are memoized per process so the suite and the test harness share
 them. The three corpus configurations exercise p = 2 against p = 3 and
@@ -20,6 +20,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .diagnostics import (
 from .extension import RATIO_TARGET, RATIO_TOLERANCE, SPREAD_LIMIT, FourierTrace, dtn_compare
 from .freeboundary import (MERGE_RESOLUTION, analyze_point, blowup_fit, extract_gamma,
                            nondegeneracy_check)
-from .grid import build_grid, sphere_quadrature
+from .grid import sphere_quadrature
 from .oracle import brute_minimize
 from .problem import AnalyticField, ProblemSpec, ScalarField, energy_array, gradient_array
 from .solver import minimize, weak_residual
@@ -484,9 +485,10 @@ def identity_corpus() -> dict[str, tuple]:
 
 def check_integral_identities(level: str = "quick") -> CheckResult:
     grid, _ = _fine_sizing()
-    # B_0.9(0) for h = 1/80 and (twice the samples) 1/160, and B_0.5(0) for 1/80
+    # B_0.9(0) for h = 1/80 and (twice the samples) 1/160, and B_0.5(0) for 1/80;
+    # the fields live on the 1/80 grid, so 1/160 only sizes its rule
     coarse = sphere_quadrature(grid, [0.0], 0.9)
-    fine = sphere_quadrature(build_grid(1, 1.0 / 160), [0.0], 0.9)
+    fine = sphere_quadrature(SimpleNamespace(n=1, h=1.0 / 160), [0.0], 0.9)
     small = sphere_quadrature(grid, [0.0], 0.5)
     ok, pt_ok, worst_res, worst_ratio = True, True, 0.0, np.inf
     for val, grad, lap in identity_corpus().values():

@@ -177,11 +177,13 @@ OVERFLOWING_DATA = ["trig:freq=1000", "harmonic:coeffs=1e308;1e308",
 INFINITE_ENERGY_DATA = ["trig:freq=700", "harmonic:coeffs=1e300", "trig:freq=1,amp=1e300"]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("datum", OVERFLOWING_DATA + INFINITE_ENERGY_DATA)
 def test_a_huge_datum_ends_in_a_typed_error(datum, tmp_path, capsys):
     """A datum that overflows on the half-ball is a `SpecError` on 'g' and
     exits 2; one whose energy is not finite ends the solve in a `SolverError`
-    carrying the iterate and the trace, and exits 1. Neither writes a run."""
+    carrying the iterate and the trace, and exits 1. Neither writes a run,
+    and the typed error is the only report: no NumPy warning precedes it."""
     text = f"g = {datum}\nh = 0.125\n"
     cfgfile = tmp_path / "huge.cfg"
     cfgfile.write_text(text + f"output = {tmp_path / 'huge'}\n")
@@ -193,13 +195,11 @@ def test_a_huge_datum_ends_in_a_typed_error(datum, tmp_path, capsys):
             parse_config(text)
         code, message = 2, "config error: key 'g': boundary datum overflows"
     else:
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                bilaplab.solver.SolverError, match="not finite") as exc:
+        with pytest.raises(bilaplab.solver.SolverError, match="not finite") as exc:
             bilaplab.solver.minimize(ProblemSpec(g=datum, h=0.125))
         assert exc.value.trace == [] and np.isfinite(exc.value.iterate.values).all()
         code, message = 1, "error: energy inf or sup grad"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["blowup", str(cfgfile)]) == code
+    assert main(["blowup", str(cfgfile)]) == code
     assert message in capsys.readouterr().err
     assert not (tmp_path / "huge").exists()
 

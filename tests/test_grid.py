@@ -1,5 +1,7 @@
 """Grid construction, classification, interpolation, and quadrature."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from bilaplab.grid import (
     THIN,
     HalfBallGrid,
     OutOfDomainError,
+    _leggauss,
     _row_dot,
     _shift,
     build_grid,
@@ -422,6 +425,25 @@ def test_sample_count_gives_the_two_rellich_sample_sets():
     assert sample_count(0.9, 1 / 80) == 512
     assert sample_count(0.9, 1 / 160) == 1024
     assert sphere_quadrature(build_grid(1, 1 / 80), np.zeros(1), 0.9).surface_points.shape == (512, 2)
+
+
+@pytest.mark.parametrize("m", list(range(1, 65)) + [128, 256, 512, 1024])
+def test_gauss_legendre_rule_is_numpys_bit_for_bit(m):
+    nodes, weights = _leggauss(m)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(m)
+    assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+
+
+def test_gauss_legendre_rule_builds_no_square_matrix():
+    """The 1024-point rule, which the integral-identity check asks for, peaks
+    under 1 MB; NumPy's 1024 x 1024 companion matrix alone is 8 MB."""
+    tracemalloc.start()
+    try:
+        _leggauss.__wrapped__(1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_three_dimensional_grid_smoke():

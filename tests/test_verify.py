@@ -135,14 +135,25 @@ def test_harmonic_power_gradient_is_the_central_difference(coeffs):
 @pytest.mark.parametrize("level", ["quick", "full"])
 def test_check_integral_identities_builds_three_quadratures(monkeypatch, level):
     """Check 10 builds B_0.9(0) for h = 1/80 and 1/160 and B_0.5(0) for
-    h = 1/80 once per call, and every field of its corpus reads them."""
+    h = 1/80 once per call, and every field of its corpus reads them. The
+    h = 1/160 rule is sized without building that lattice."""
     built = []
     quadrature = bilaplab.grid.sphere_quadrature
     for module in (verify, bilaplab.diagnostics):
         monkeypatch.setattr(module, "sphere_quadrature",
                             lambda *a: built.append(a) or quadrature(*a), raising=False)
+    lattices = []
+    init = HalfBallGrid.__init__
+
+    def counting(self, n, h):
+        lattices.append(h)
+        init(self, n, h)
+
+    monkeypatch.setattr(HalfBallGrid, "__init__", counting)
+    bilaplab.grid.build_grid.cache_clear()
     assert verify.check_integral_identities(level).passed
     assert len(built) == 3
+    assert all(round(1.0 / h) != 160 for h in lattices)
 
 
 @pytest.mark.parametrize("level", ["quick", "full"])

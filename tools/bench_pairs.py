@@ -94,15 +94,16 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(base_runs: list[dict], change_runs: list[dict]) -> dict:
-    """Per side the runs and their quartiles; per metric the pairs the change wins."""
+def summarize(base_runs: list[dict], change_runs: list[dict], metrics: dict = METRICS) -> dict:
+    """Per side the runs and their quartiles; per metric of `metrics` (name:
+    "lower" or "higher", the better direction) the pairs the change wins."""
     out = {}
     for side, runs in (("parent", base_runs), ("change", change_runs)):
         out[side] = {"runs": runs}
-        for metric in METRICS:
+        for metric in metrics:
             out[side][metric] = quartiles([r["metrics"][metric] for r in runs])
     wins = {}
-    for metric, better in METRICS.items():
+    for metric, better in metrics.items():
         sign = 1.0 if better == "higher" else -1.0
         wins[metric] = sum(
             sign * (c["metrics"][metric] - b["metrics"][metric]) > 0.0
