@@ -5,9 +5,10 @@ Extend a cosine trace a_k cos(k x) into the periodic strip by solving the
 biharmonic equation with a clamped face (zero vertical derivative) and a
 decaying lid. Mode by mode the vertical profile is (1 + k y) e^(-k y), and
 the vertical derivative of the Laplacian back on the face returns the
-trace filtered by |k|^3, up to a universal constant. The script prints the
-per-mode profile accuracy, certifies the discrete solution is biharmonic,
-and measures the constant.
+trace filtered by |k|^3, up to a universal constant. Each mode is solved
+on heights of its own; modes 1, 2 and 3 share the step of the x samples.
+The script prints the per-mode profile accuracy, certifies the discrete
+solution is biharmonic, and measures the constant.
 """
 
 import numpy as np
@@ -22,13 +23,13 @@ coeffs[1:] = 1.0
 trace = FourierTrace(coeffs)
 
 strip = strip_extension(trace, Y=HEIGHT)
-print(f"strip resolution: {strip.x.size} x {strip.y.size}, height {HEIGHT}")
+print(f"strip resolution: {strip.x.size} x {strip.mode_profiles[1][0].size}, height {HEIGHT}")
 print(f"discrete biharmonic residual: {strip_biharmonic_residual(strip):.2e}")
 
 print("\nmode  sup |f_k - (1 + k y) e^(-k y)|")
 for k in (1, 2, 3):
-    exact = (1.0 + k * strip.y) * np.exp(-k * strip.y)
-    err = np.abs(strip.mode_profiles[k] - exact).max()
+    y, f = strip.mode_profiles[k]
+    err = np.abs(f - (1.0 + k * y) * np.exp(-k * y)).max()
     print(f"  {k}     {err:.3e}")
 
 report = dtn_compare(trace, Y=HEIGHT)

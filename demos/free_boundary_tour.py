@@ -29,7 +29,7 @@ for label, kw in CONFIGS.items():
         points = extract_gamma(result.u)
         print(f"h = 1/{h_inv}: {len(points)} free-boundary point(s)")
         for pt in points:
-            analyze_point(pt, result.u, result.v, spec)
+            analyze_point(pt, result)
             mu = "-" if pt.mu_hat is None else f"{pt.mu_hat:7.4f}"
             mi = "-" if pt.mu_int is None else str(pt.mu_int)
             res = "-" if pt.fit_residual is None else f"{pt.fit_residual:.2e}"

@@ -34,18 +34,18 @@ print(f"energy               {result.energy:.10f}")
 print(f"sup |grad J|         {result.grad_sup:.3e}")
 print(f"Newton iterations    {result.iterations}")
 
-report = el_crosscheck(result, spec)
+report = el_crosscheck(result)
 print(f"harmonicity defect   {report.harmonic_sup:.3e}")
 print(f"face Neumann defect  {report.neumann_sup:.3e}")
 print(f"reaction defect      {report.natural_sup:.3e}")
-print(f"weak residual        {weak_residual(result, spec):.3e}")
+print(f"weak residual        {weak_residual(result):.3e}")
 
 # Radial profile around the extracted free-boundary point, on the default
 # ladder of radii: H is the surface mass of the pair (u, v), D0 the
 # Dirichlet mass, and N0 = r D0 / H the frequency.
 point = extract_gamma(result.u)[0]
 print(f"\nfree-boundary point  x* = {point.x:+.5f}")
-profile = profile_point(point, result.u, result.v, spec, None).profile
+profile = profile_point(point, result, None).profile
 
 print("\n    r          H             N0         phi")
 for r, H, N0, phi in zip(profile.radii, profile.H, profile.N0, profile.phi):

@@ -116,9 +116,9 @@ def parse_config(text: str) -> RunConfig:
     (`estimate_mu`); otherwise every profile carries mu_error and no
     frequency, and the run still succeeds. Each violated constraint
     raises ConfigError naming the key: unknown keys, text that is not a
-    finite number, a `ProblemSpec` field that the spec refuses, and the two
-    rules of a run on top of the spec's: lambda_plus, lambda_minus > 0 and
-    h <= 1/4; centers outside the thin face or at n = 2.
+    finite number, a `ProblemSpec` field that the spec refuses, the rules of
+    a run on top of the spec's: lambda_plus, lambda_minus > 0 and h <= 1/4,
+    a negative seed, and centers outside the thin face or at n = 2.
     """
     raw: dict[str, str] = {}
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -173,6 +173,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("key 'radii': radii must be positive")
 
     seed = _int("seed", raw["seed"]) if "seed" in raw else 0
+    if seed < 0:
+        raise ConfigError(f"key 'seed': expected a non-negative integer, got {seed}")
 
     stages: tuple[str, ...] = _STAGES
     if "stages" in raw:
@@ -284,17 +286,17 @@ def run(config: RunConfig) -> Path:
     }
     files["fields.csv"] = _fields_csv(digest, grid, result.u.values, result.v.values)
 
-    el = el_crosscheck(result, spec)
+    el = el_crosscheck(result)
     summary["stationarity"] = {
         "harmonic_sup": el.harmonic_sup,
         "neumann_sup": el.neumann_sup,
         "natural_sup": el.natural_sup,
-        "weak_residual": weak_residual(result, spec, seed=config.seed),
+        "weak_residual": weak_residual(result, seed=config.seed),
     }
 
     points = extract_gamma(result.u) if "gamma" in config.stages else []
     for pt in points:
-        analyze_point(pt, result.u, result.v, spec)
+        analyze_point(pt, result)
 
     if "profile" in config.stages:
         summary["profiles"] = {}
@@ -302,7 +304,7 @@ def run(config: RunConfig) -> Path:
         known = {} if config.radii else {pt.x: pt for pt in points}
         for c in config.centers or [pt.x for pt in points] or [0.0]:
             pt = known[c] if c in known else profile_point(
-                FreeBoundaryPoint(x=c), result.u, result.v, spec, config.radii)
+                FreeBoundaryPoint(x=c), result, config.radii)
             tag = _center_tag(c)
             if pt.profile is None:
                 summary["profiles"][tag] = {"center": c, "profile_error": pt.profile_error}

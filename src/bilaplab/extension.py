@@ -8,7 +8,9 @@ proportional to |k|^3 times the mode coefficient. The proportionality
 constant is mode-independent; we measure it per mode and calibrate it
 empirically (closed form: the decaying biharmonic mode is
 (1 + |k| y) a_k e^{-|k| y}, whose Laplacian is -2 k^2 a_k e^{-|k| y}, giving
-d/dy Lap at 0 equal to 2 |k|^3 a_k, hence ratio 2).
+d/dy Lap at 0 equal to 2 |k|^3 a_k, hence ratio 2). `strip_extension` is
+the one solve: each mode on its own heights, kept with its profile, which
+`dtn_compare` and `strip_biharmonic_residual` measure.
 """
 
 from __future__ import annotations
@@ -51,17 +53,13 @@ class FourierTrace:
 class StripField:
     """Biharmonic extension on the periodic strip [0, 2pi) x [0, Y].
 
-    mode_profiles[k] is the vertical profile f_k on the nodes y, with
-    u(x, y) = sum_k f_k(y) cos(k x); x holds the strip's x samples.
+    mode_profiles[k] is (y_k, f_k): the mode's heights `_mode_heights(k, Y)`
+    and its vertical profile on them, with u(x, y) = sum_k f_k(y) cos(k x);
+    x holds the strip's x samples.
     """
 
     x: np.ndarray
-    y: np.ndarray
-    mode_profiles: dict[int, np.ndarray]
-
-    @property
-    def dy(self) -> float:
-        return float(self.y[1] - self.y[0])
+    mode_profiles: dict[int, tuple[np.ndarray, np.ndarray]]
 
 
 def _mode_profile(k: int, a_k: float, y: np.ndarray) -> np.ndarray:
@@ -119,47 +117,48 @@ def check_modes(modes) -> None:
 def _mode_heights(k: int, Y: float) -> np.ndarray:
     """Heights 0..Y on which mode k is solved, in the fewest equal steps of at
     most dx min(1, 3/k), dx the strip's x step: every mode's decay length 1/k
-    spans at least as many steps as mode 3's. Modes k <= 3 share the step dx.
+    spans at least as many steps as mode 3's. Modes k <= 3, and the constant
+    k = 0, share the step dx.
     """
-    return np.linspace(0.0, Y, int(np.ceil(Y / (_DX * min(1.0, 3.0 / k)))) + 1)
+    return np.linspace(0.0, Y, int(np.ceil(Y / (_DX * (3.0 / max(k, 3))))) + 1)
 
 
 def strip_extension(trace: FourierTrace, Y: float = 12.0) -> StripField:
-    """Solve the clamped biharmonic extension of a cosine trace, mode by mode.
+    """Solve the clamped biharmonic extension of a cosine trace, mode by mode,
+    each on its own heights `_mode_heights(k, Y)`.
 
-    STRIP_SAMPLES x samples cover [0, 2pi); the vertical step uses the same
-    spacing. The height and the active modes must pass `check_height` and
-    `check_modes` (checked before anything is allocated).
+    STRIP_SAMPLES x samples cover [0, 2pi). The height and the active modes
+    must pass `check_height` and `check_modes` (checked before anything is
+    allocated).
     """
     check_height(Y)
     active = trace.active_modes()
     check_modes(active)
-    x = np.arange(STRIP_SAMPLES) * _DX
-    yg = _mode_heights(1, Y)
-
-    profiles: dict[int, np.ndarray] = {}
+    profiles: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     if trace.coeffs[0] != 0.0:
         # k = 0: a constant is biharmonic with zero vertical derivative but cannot
         # decay, so it is carried through unchanged (no fractional multiplier)
-        profiles[0] = np.full(yg.size, trace.coeffs[0])
-    for k in active:
-        profiles[int(k)] = _mode_profile(int(k), float(trace.coeffs[k]), yg)
-    return StripField(x=x, y=yg, mode_profiles=profiles)
+        y = _mode_heights(0, Y)
+        profiles[0] = y, np.full(y.size, trace.coeffs[0])
+    for k in map(int, active):
+        y = _mode_heights(k, Y)
+        profiles[k] = y, _mode_profile(k, float(trace.coeffs[k]), y)
+    return StripField(x=np.arange(STRIP_SAMPLES) * _DX, mode_profiles=profiles)
 
 
 def strip_biharmonic_residual(strip: StripField) -> float:
     """Max per-mode defect of the fourth-order interior collocation stencil.
 
     Evaluates f'''' - 2 k^2 f'' + k^4 f with the same central stencils used
-    by the solve, over interior collocation nodes; machine-level for the
+    by the solve, over each mode's interior heights; machine-level for the
     banded solution (this is the honest consistency statement: each mode
     profile solves the discrete biharmonic strip problem exactly).
     """
     worst = 0.0
-    d = strip.dy
-    for k, f in strip.mode_profiles.items():
+    for k, (y, f) in strip.mode_profiles.items():
         if k == 0:
             continue
+        d = float(y[1] - y[0])
         J = f.size - 1
         g = np.empty(J + 3)
         g[1:-1] = f
@@ -201,30 +200,26 @@ class DtnReport:
 def dtn_compare(trace: FourierTrace, Y: float = 12.0) -> DtnReport:
     """Measure d/dy Lap(extension) at the face against the |k|^3 multiplier.
 
-    Mode by mode, on the mode's own heights (`_mode_heights`, those of
-    `strip_extension` for k <= 3), Lap(f_k(y) cos(k x)) = (f_k'' - sigma_k f_k)
-    cos(k x). f_k'' is the solve's central second difference in y, with the
-    even reflection ghost f_{-1} = f_1 on the face row. sigma_k =
-    (2 - 2 cos(k dx)) / dx^2 is the symbol of the periodic second difference
-    in x. The one-sided second-order d/dy
-    of that Laplacian on the face gives ratio_k = d/dy Lap_k(0) / (|k|^3 a_k).
-    The height and the modes must pass `check_height` and `check_modes`.
+    Mode by mode, on the profiles of `strip_extension(trace, Y)`,
+    Lap(f_k(y) cos(k x)) = (f_k'' - sigma_k f_k) cos(k x). f_k'' is the
+    solve's central second difference in y, with the even reflection ghost
+    f_{-1} = f_1 on the face row. sigma_k = (2 - 2 cos(k dx)) / dx^2 is the
+    symbol of the periodic second difference in x. The one-sided
+    second-order d/dy of that Laplacian on the face gives
+    ratio_k = d/dy Lap_k(0) / (|k|^3 a_k).
     """
-    active = trace.active_modes()
-    if active.size == 0:
+    if trace.active_modes().size == 0:
         raise ValueError("trace has no active modes k >= 1")
-    check_height(Y)
-    check_modes(active)
     ratios = {}
-    for k in active:
-        y = _mode_heights(int(k), Y)
-        f = _mode_profile(int(k), float(trace.coeffs[k]), y)
+    for k, (y, f) in strip_extension(trace, Y).mode_profiles.items():
+        if k == 0:
+            continue
         d = float(y[1] - y[0])
         f2 = np.array([2 * f[1] - 2 * f[0],  # face row: ghost f_{-1} = f_1
                        f[2] + f[0] - 2 * f[1],
                        f[3] + f[1] - 2 * f[2]]) / d ** 2
         lap = f2 - (2.0 - 2.0 * np.cos(k * _DX)) / _DX ** 2 * f[:3]
         dlap = (-3.0 * lap[0] + 4.0 * lap[1] - lap[2]) / (2.0 * d)
-        ratios[int(k)] = float(dlap) / (float(k) ** 3 * float(trace.coeffs[k]))
+        ratios[k] = float(dlap) / (float(k) ** 3 * float(trace.coeffs[k]))
     mean = float(np.mean(list(ratios.values())))
     return DtnReport(ratios=ratios, calibrated_inverse_constant=mean)

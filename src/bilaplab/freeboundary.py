@@ -20,7 +20,8 @@ from .diagnostics import (RadialProfile, _field, _surface_sups, compute_profile,
                           minimal_almgren_constant, minimal_monneau_constant, monneau_curve,
                           profile_radii)
 from .harmonics import HomogeneousHarmonicPoly, harmonic_basis
-from .problem import ProblemSpec, ScalarField, face_phase
+from .problem import ScalarField, face_phase
+from .solver import SolveResult
 
 MU_CANDIDATES = (1, 2, 3)  # blow-up degrees that analyze_point fits
 MERGE_RESOLUTION = 1e-6  # in units of h: extract_gamma merges points this close
@@ -240,19 +241,19 @@ def singular_dimension(p_mu: HomogeneousHarmonicPoly, q_mu: HomogeneousHarmonicP
 # pipeline
 
 
-def profile_point(point: FreeBoundaryPoint, u, v, spec: ProblemSpec,
-                  radii) -> FreeBoundaryPoint:
-    """Profile the pair around point.x (the face origin at n = 2) on the
-    `profile_radii` ladder, radii None meaning the default one: set the
+def profile_point(point: FreeBoundaryPoint, result: SolveResult, radii) -> FreeBoundaryPoint:
+    """Profile the solve's pair around point.x (the face origin at n = 2) on
+    the `profile_radii` ladder, radii None meaning the default one: set the
     profile, its Almgren constant and `estimate_mu`'s mu_hat, mu_int, or
     record why not in profile_error (no admissible ball) or mu_error."""
-    center = [point.x] + [0.0] * (u.grid.n - 1)
+    grid = result.spec.grid()
+    center = [point.x] + [0.0] * (grid.n - 1)
     try:
-        radii = profile_radii(u.grid, center, radii)
+        radii = profile_radii(grid, center, radii)
     except ValueError as exc:
         point.profile_error = str(exc)
         return point
-    prof = point.profile = compute_profile(u, v, center, radii, spec)
+    prof = point.profile = compute_profile(result.u, result.v, center, radii, result.spec)
     point.almgren_constant = minimal_almgren_constant(prof.radii, prof.N)
     try:
         point.mu_hat, point.mu_int = estimate_mu(prof)
@@ -261,8 +262,7 @@ def profile_point(point: FreeBoundaryPoint, u, v, spec: ProblemSpec,
     return point
 
 
-def analyze_point(point: FreeBoundaryPoint, u: ScalarField, v: ScalarField,
-                  spec: ProblemSpec) -> FreeBoundaryPoint:
+def analyze_point(point: FreeBoundaryPoint, result: SolveResult) -> FreeBoundaryPoint:
     """Classification, frequency, blow-up fit, stratum dimension, and constants.
 
     Runs the full per-point pipeline: thin-gradient classification,
@@ -270,12 +270,12 @@ def analyze_point(point: FreeBoundaryPoint, u: ScalarField, v: ScalarField,
     MU_CANDIDATES on the profile's half-sphere samples (the best in
     best_fit_degree), singular dimension for fitted pairs, and, when
     mu_int >= 1, the Monneau constant of the fit with mu = mu_int, taken
-    from the same samples. The fields are read only by `classify_point`
-    and the profile. A point that profile_point gives no frequency keeps
-    its classification and stops there.
+    from the same samples. The solve's u and v are read only by
+    `classify_point` and the profile. A point that profile_point gives no
+    frequency keeps its classification and stops there.
     """
-    classify_point(point, u, v)
-    profile_point(point, u, v, spec, None)
+    classify_point(point, result.u, result.v)
+    profile_point(point, result, None)
     if point.mu_hat is None:
         return point
     prof = point.profile

@@ -39,7 +39,7 @@ GRAD_TOL = 1e-10  # the sup|grad J| over the free nodes at which the iteration s
 def _hessian_norm(spec: ProblemSpec, w: np.ndarray) -> float:
     """60 power-iteration steps for the spectral norm of `hessian` at w."""
     grid = spec.grid()
-    H = hessian(grid, w, spec, float(np.abs(gradient_array(grid, w, spec)).max()))
+    H = hessian(w, spec, float(np.abs(gradient_array(w, spec)).max()))
     x = np.random.default_rng(0).standard_normal(grid.node_count)[grid.free_ids]
     x /= np.linalg.norm(x)
     lam = 1.0
@@ -74,7 +74,7 @@ def brute_minimize(spec: ProblemSpec) -> SolveResult:
     step = 0.9 / _hessian_norm(spec, x)
     k = 0  # steps since the last restart
     for it in range(MAX_STEPS):
-        g = gradient_array(grid, y, spec)
+        g = gradient_array(y, spec)
         gsup = float(np.abs(g[free]).max())
         if gsup <= GRAD_TOL:
             break
@@ -91,5 +91,5 @@ def brute_minimize(spec: ProblemSpec) -> SolveResult:
             f"{MAX_STEPS} gradient steps exhausted (sup grad {gsup:.3e})",
             ScalarField(grid, y))
     u = ScalarField(grid, y)
-    return SolveResult(u=u, v=discrete_laplacian(u), energy=energy_array(grid, y, spec),
+    return SolveResult(u=u, v=discrete_laplacian(u), energy=energy_array(y, spec),
                        grad_sup=gsup, iterations=it, spec=spec)

@@ -11,7 +11,8 @@ face. This module discretizes J on the lattice half-ball: the Laplacian is
 the standard (2n+3)-point star with the ghost row below the face eliminated
 by even reflection, the volume term uses cell weights (half cells on the
 face), and the face penalty uses trapezoid weights for n = 1 and full cell
-weights for n = 2.
+weights for n = 2. The energy, its gradient and its Hessian read the lattice
+from their spec, `spec.grid()`, so no grid of another lattice can reach them.
 """
 
 from __future__ import annotations
@@ -292,11 +293,10 @@ class AnalyticField:
     (N, d) array) and `laplacian` are optional closed forms that replace
     finite differences wherever given, which removes the finite-difference
     floor from identity checks. Without `gradient` the gradient is the
-    central difference of step 1e-5 on the even extension. `grid` only
-    sizes the quadrature of the instruments that read the field
-    (`sample_count(r, grid.h)`); the field is never interpolated on it.
-    A read takes points or a `grid.interp_plan` of them, whose mirrored
-    points it evaluates.
+    central difference of step 1e-5 on the even extension. `grid`, a lattice
+    or a plain (n, h) record, only sizes the quadrature of the instruments
+    that read the field (`sample_count(r, grid.h)`). A read takes points or
+    a `grid.interp_plan` of them, whose mirrored points it evaluates.
     """
 
     def __init__(self, value, grid: HalfBallGrid, gradient=None, laplacian=None):
@@ -461,8 +461,9 @@ def face_phase(grid: HalfBallGrid, w: np.ndarray) -> np.ndarray:
 # energy, gradient, Hessian
 
 
-def energy_array(grid: HalfBallGrid, w: np.ndarray, spec: ProblemSpec) -> float:
+def energy_array(w: np.ndarray, spec: ProblemSpec) -> float:
     """Discrete J[w]: volume-weighted squared Laplacian plus face penalty."""
+    grid = spec.grid()
     ops = operators(grid)
     Lw = ops.L @ w
     quad = float(ops.omega @ (Lw * Lw))
@@ -475,13 +476,14 @@ def energy_array(grid: HalfBallGrid, w: np.ndarray, spec: ProblemSpec) -> float:
     return quad + pen
 
 
-def gradient_array(grid: HalfBallGrid, w: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+def gradient_array(w: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """Gradient of the discrete energy; zero at pinned (Dirichlet) nodes.
 
     d/dw_i of the face penalty is -2 face_w_i F(w_i) by the sign convention
     of thin_reaction, so the stationarity system couples the bi-Laplacian
     rows with the reaction on the face.
     """
+    grid = spec.grid()
     ops = operators(grid)
     g = ops.K @ w
     g *= 2.0
@@ -491,8 +493,7 @@ def gradient_array(grid: HalfBallGrid, w: np.ndarray, spec: ProblemSpec) -> np.n
     return g
 
 
-def face_hessian_diagonal(grid: HalfBallGrid, w: np.ndarray, spec: ProblemSpec,
-                          grad_sup: float) -> np.ndarray:
+def face_hessian_diagonal(w: np.ndarray, spec: ProblemSpec, grad_sup: float) -> np.ndarray:
     """2 face_w |F'(w)| at the thin nodes: the face part of `hessian`.
 
     |F'(t)| = (p-1) lambda |t|^(p-2), lambda that of t's phase. At p = 2
@@ -502,7 +503,7 @@ def face_hessian_diagonal(grid: HalfBallGrid, w: np.ndarray, spec: ProblemSpec,
     grad_sup = sup|grad J(w)|, and t = 0 takes the larger weight: the Newton
     model's curvature, not F'. For p >= 2 grad_sup is not read.
     """
-    t = w[grid.thin_ids]
+    t = w[spec.grid().thin_ids]
     if spec.p < 2.0:
         mag = np.maximum(np.abs(t), max(1e-3 * grad_sup, 1e-14))
         at_zero = max(spec.lambda_plus, spec.lambda_minus)
@@ -510,11 +511,10 @@ def face_hessian_diagonal(grid: HalfBallGrid, w: np.ndarray, spec: ProblemSpec,
         mag, at_zero = np.abs(t), 0.0
     lam = np.where(t > 0, spec.lambda_plus, np.where(t < 0, spec.lambda_minus, at_zero))
     curvature = (spec.p - 1.0) * (lam * mag ** (spec.p - 2.0))
-    return operators(grid).thin_w2 * curvature
+    return operators(spec.grid()).thin_w2 * curvature
 
 
-def hessian(grid: HalfBallGrid, w: np.ndarray, spec: ProblemSpec,
-            grad_sup: float) -> sp.csr_matrix:
+def hessian(w: np.ndarray, spec: ProblemSpec, grad_sup: float) -> sp.csr_matrix:
     """The generalized Hessian of the discrete energy at w, on the free block.
 
     2 Kff plus `face_hessian_diagonal` on the thin rows' diagonal
@@ -523,10 +523,10 @@ def hessian(grid: HalfBallGrid, w: np.ndarray, spec: ProblemSpec,
     sizes its step by its norm. H shares Kff's index arrays and owns only its
     values, so no caller may change its sparsity structure.
     """
-    ops = operators(grid)
+    ops = operators(spec.grid())
     Kff = ops.Kff
     H = sp.csr_matrix((2.0 * Kff.data, Kff.indices, Kff.indptr), shape=Kff.shape)
-    H.data[ops.thin_slots] += face_hessian_diagonal(grid, w, spec, grad_sup)
+    H.data[ops.thin_slots] += face_hessian_diagonal(w, spec, grad_sup)
     return H
 
 

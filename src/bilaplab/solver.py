@@ -103,7 +103,8 @@ class ConvergenceError(SolverError):
 
 @dataclass
 class SolveResult:
-    """Converged minimizer u, its lattice Laplacian v, and solve metadata."""
+    """Converged minimizer u of `spec`, its lattice Laplacian v, and solve
+    metadata. The instruments of a solve read its problem from `spec`."""
 
     u: ScalarField
     v: ScalarField
@@ -218,8 +219,8 @@ def _newton(spec: ProblemSpec, w: np.ndarray):
             w[thin[phase == 0]] = 0.0
         # near-overflow data: the finiteness test below is the one report
         with np.errstate(over="ignore", invalid="ignore"):
-            J = energy_array(grid, w, spec)
-            g = gradient_array(grid, w, spec)
+            J = energy_array(w, spec)
+            g = gradient_array(w, spec)
         gf = g[free]
         gsup = float(np.abs(gf).max()) if E else 0.0
         if not (np.isfinite(J) and np.isfinite(gsup)):
@@ -232,7 +233,7 @@ def _newton(spec: ProblemSpec, w: np.ndarray):
                           f"steps (sup grad {gsup:.3e})")
 
         cg_steps = 0
-        d, info = spla.cg(hessian(grid, w, spec, gsup), -gf, rtol=1e-10, atol=CG_FLOOR * tol,
+        d, info = spla.cg(hessian(w, spec, gsup), -gf, rtol=1e-10, atol=CG_FLOOR * tol,
                           maxiter=10 * E, M=M, callback=count)
         if info != 0:
             raise failure(LinearSolveError, f"conjugate gradient stalled (info={info})")
@@ -248,7 +249,7 @@ def _newton(spec: ProblemSpec, w: np.ndarray):
             w_try = w.copy()
             w_try[free] += t * d
             with np.errstate(over="ignore", invalid="ignore"):
-                E_try = energy_array(grid, w_try, spec)
+                E_try = energy_array(w_try, spec)
             if E_try <= J + ARMIJO_SLOPE * t * slope or (
                     backtracks == 0 and -slope <= floor and E_try - J <= floor):
                 break
@@ -325,8 +326,9 @@ class ELReport:
     natural_sup: float
 
 
-def el_crosscheck(result: SolveResult, spec: ProblemSpec) -> ELReport:
-    """Strong-form Euler-Lagrange residuals of a converged solve."""
+def el_crosscheck(result: SolveResult) -> ELReport:
+    """Strong-form Euler-Lagrange residuals of a converged solve of `result.spec`."""
+    spec = result.spec
     grid = spec.grid()
     u, v = result.u.values, result.v.values
     M = grid.M
@@ -425,7 +427,7 @@ def _basis_laplacians(monos, pts: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def weak_residual(result: SolveResult, spec: ProblemSpec, seed: int = 0) -> float:
+def weak_residual(result: SolveResult, seed: int = 0) -> float:
     """Max normalized weak-form defect of a solve over _TRIALS random test fields.
 
     For test fields phi vanishing to second order on the sphere and even in
@@ -441,7 +443,7 @@ def weak_residual(result: SolveResult, spec: ProblemSpec, seed: int = 0) -> floa
     blocks of `grid.SOLID_BLOCK` points, reading v on each block only, so no
     array of trials by solid points and no v over all solid points is held.
     """
-    grid = spec.grid()
+    grid = result.spec.grid()
     quad = sphere_quadrature(grid, np.zeros(grid.n), 1.0)
     monos, coef = _poly_trials(grid.n, seed)
     pts, wts = quad.solid_points, quad.solid_weights
@@ -454,7 +456,7 @@ def weak_residual(result: SolveResult, spec: ProblemSpec, seed: int = 0) -> floa
         lhs += lap @ (w * result.v(chunk))
         norm2 += (lap * lap) @ w
     phi = coef @ _basis_values(monos, quad.thin_points, grid.n)
-    Fu = thin_reaction(result.u(quad.thin_points), spec)
+    Fu = thin_reaction(result.u(quad.thin_points), result.spec)
     rhs = phi @ (quad.thin_weights * Fu)
     norm = np.sqrt(norm2 + (phi * phi) @ quad.thin_weights)
     return float((np.abs(lhs - rhs) / norm).max(initial=0.0))

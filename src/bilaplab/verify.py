@@ -81,9 +81,8 @@ def corpus_oracle(tag: str, h_inv: int):
 @lru_cache(maxsize=None)
 def corpus_points(tag: str, h_inv: int):
     """Free-boundary points of a corpus solve, each set by `analyze_point`."""
-    spec = corpus_spec(tag, h_inv)
     res = corpus_solve(tag, h_inv)
-    return tuple(analyze_point(pt, res.u, res.v, spec) for pt in extract_gamma(res.u))
+    return tuple(analyze_point(pt, res) for pt in extract_gamma(res.u))
 
 
 def analyzed_points(level: str):
@@ -93,10 +92,11 @@ def analyzed_points(level: str):
 
 
 def _fine_sizing():
-    """Sizing grid for analytic-field quadrature, h = 1/80, where the least radius
-    the checks use, 0.05, is 4h; and sym-p2's spec on it, which supplies F."""
-    spec = corpus_spec("sym-p2", 80)
-    return spec.grid(), spec
+    """Sizing record (n, h) for analytic-field quadrature, h = 1/80, where the
+    least radius the checks use, 0.05, is 4h, and sym-p2's spec at that h,
+    which supplies F. `sphere_quadrature` reads only n and h, so no lattice
+    is built."""
+    return SimpleNamespace(n=1, h=1.0 / 80), corpus_spec("sym-p2", 80)
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +134,12 @@ def check_gradient_consistency(level: str = "quick") -> CheckResult:
     for _ in range(5):
         w = np.zeros(grid.node_count)
         w[free] = rng.normal(scale=0.5, size=int(free.sum()))
-        g = gradient_array(grid, w, spec)
+        g = gradient_array(w, spec)
         for i in rng.choice(np.flatnonzero(free), size=20, replace=False):
             d = 1e-6 * max(1.0, abs(w[i]))
             wp = w.copy(); wp[i] += d
             wm = w.copy(); wm[i] -= d
-            fd = (energy_array(grid, wp, spec) - energy_array(grid, wm, spec)) / (2 * d)
+            fd = (energy_array(wp, spec) - energy_array(wm, spec)) / (2 * d)
             worst = max(worst, abs(g[i] - fd) / max(abs(fd), 1e-12))
     return CheckResult(
         "gradient consistency",
@@ -279,7 +279,7 @@ def check_mean_value(level: str = "quick") -> CheckResult:
                     raw[name] = max(raw[name], defect.max(initial=0.0))
                     defect = defect[z[:, -1] >= rho - 1e-12]
                 worst[name] = max(worst[name], defect.max(initial=0.0))
-            ident = face_identity_residual(res.u, corpus_spec(tag, h_inv), z, defects[-1], rho)
+            ident = face_identity_residual(res.u, res.spec, z, defects[-1], rho)
             worst["face identity"] = max(worst["face identity"],
                                          np.abs(ident).max(initial=0.0))
     ok = all(v <= slack for v in worst.values())
@@ -371,7 +371,7 @@ def check_v_vanishes(level: str = "quick") -> CheckResult:
 def check_weak_residual_refinement(level: str = "quick") -> CheckResult:
     ok, notes = True, []
     for tag in CORPUS:
-        study = refinement([weak_residual(corpus_solve(tag, h_inv), corpus_spec(tag, h_inv), seed=0)
+        study = refinement([weak_residual(corpus_solve(tag, h_inv), seed=0)
                             for h_inv in (8, 16, 32)], limit=0.0)
         ok &= study.shrinks(0.5)  # each halving at least halves the residual: order >= 1
         notes.append(f"{tag}: orders " + "/".join(f"{o:.2f}" for o in study.orders))
@@ -486,7 +486,7 @@ def identity_corpus() -> dict[str, tuple]:
 def check_integral_identities(level: str = "quick") -> CheckResult:
     grid, _ = _fine_sizing()
     # B_0.9(0) for h = 1/80 and (twice the samples) 1/160, and B_0.5(0) for 1/80;
-    # the fields live on the 1/80 grid, so 1/160 only sizes its rule
+    # each sized from a plain (n, h) record, so no lattice is built
     coarse = sphere_quadrature(grid, [0.0], 0.9)
     fine = sphere_quadrature(SimpleNamespace(n=1, h=1.0 / 160), [0.0], 0.9)
     small = sphere_quadrature(grid, [0.0], 0.5)

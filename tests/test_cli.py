@@ -74,6 +74,7 @@ def test_parse_empty_text_yields_defaults():
     (f"h = {1 / 3!r}", r"key 'h'.*h <= 1/4"),
     ("centers = 0.10001;0.10004", r"key 'centers'.*differ in the 4 decimals"),
     ("centers = 0.1;0.1", r"key 'centers'.*differ in the 4 decimals"),
+    ("seed = -1", r"key 'seed'.*non-negative integer.*-1"),
 ])
 def test_parse_errors_name_the_offending_key(text, message):
     with pytest.raises(ConfigError, match=message):
@@ -356,7 +357,7 @@ def test_each_free_boundary_point_is_profiled_once(tmp_path, monkeypatch):
     spec = cfg.spec
     result = bilaplab.solver.minimize(spec)
     for pt, row in zip(extract_gamma(result.u), points):
-        analyze_point(pt, result.u, result.v, spec)
+        analyze_point(pt, result)
         assert pt.mu_int is not None and pt.mu_int >= 1
         radii = default_radii(spec.grid(), [pt.x])
         mu, c = float(pt.mu_int), np.array([pt.x, 0.0])

@@ -63,10 +63,10 @@ def test_fourier_trace_evaluation():
     assert list(trace.active_modes()) == [1, 3]
     strip = strip_extension(trace, Y=12.0)
     assert sorted(strip.mode_profiles) == [0, 1, 3]
-    for k, f in strip.mode_profiles.items():
+    for k, (_, f) in strip.mode_profiles.items():
         assert f[0] == trace.coeffs[k]
     x = strip.x
-    face = sum(np.cos(k * x) * f[0] for k, f in strip.mode_profiles.items())
+    face = sum(np.cos(k * x) * f[0] for k, (_, f) in strip.mode_profiles.items())
     expected = 0.5 + np.cos(x) + 2.0 * np.cos(3 * x)
     assert np.allclose(face, expected, rtol=0.0, atol=1e-14)
 
@@ -75,10 +75,10 @@ def test_mode_profiles_match_clamped_decay():
     # The continuum vertical profile with f(0) = a, f'(0) = 0 and decay
     # is a (1 + k y) e^(-k y); the banded solve is second order in dy.
     strip = strip_extension(FourierTrace([0.0, 1.0, 0.5]), Y=12.0)
-    y = strip.y
     for k, coef in ((1, 1.0), (2, 0.5)):
+        y, f = strip.mode_profiles[k]
         exact = coef * (1.0 + k * y) * np.exp(-k * y)
-        assert np.abs(strip.mode_profiles[k] - exact).max() < 1e-3
+        assert np.abs(f - exact).max() < 1e-3
 
 
 def test_strip_solution_is_discretely_biharmonic():
@@ -91,16 +91,16 @@ def test_extension_is_linear_in_the_trace():
     s2 = strip_extension(FourierTrace([0.0, 0.0, 1.0]), Y=12.0)
     combo = strip_extension(FourierTrace([0.0, 2.0, -3.0]), Y=12.0)
     assert sorted(combo.mode_profiles) == [1, 2]
-    f1, f2 = combo.mode_profiles[1], combo.mode_profiles[2]
-    assert np.abs(f1 - 2.0 * s1.mode_profiles[1]).max() < 1e-12
-    assert np.abs(f2 + 3.0 * s2.mode_profiles[2]).max() < 1e-12
+    f1, f2 = combo.mode_profiles[1][1], combo.mode_profiles[2][1]
+    assert np.abs(f1 - 2.0 * s1.mode_profiles[1][1]).max() < 1e-12
+    assert np.abs(f2 + 3.0 * s2.mode_profiles[2][1]).max() < 1e-12
 
 
 def test_constant_mode_passes_through():
     strip = strip_extension(FourierTrace([2.0]), Y=12.0)
     assert list(strip.mode_profiles) == [0]
-    f = strip.mode_profiles[0]
-    assert f.shape == strip.y.shape
+    y, f = strip.mode_profiles[0]
+    assert np.array_equal(y, _mode_heights(1, 12.0)) and f.shape == y.shape
     assert f.min() == f.max() == 2.0
 
 
@@ -126,19 +126,31 @@ def test_dtn_ratios_equal_the_two_dimensional_route(coeffs):
 
 
 def test_each_mode_is_measured_on_its_own_heights(capsys):
-    """Modes k <= 3 are measured on the strip's own profiles; a higher mode
-    on heights whose step shrinks like 3/k, so that modes 1, 2, 3, 5 and 8 at
-    Y = 16 pass the acceptance rule and `extension-check` exits 0."""
+    """Each mode is solved once, by `strip_extension`, on its own heights:
+    modes k <= 3 share the step of the x samples, and a higher mode's step
+    shrinks like 3/k, so that modes 1, 2, 3, 5 and 8 at Y = 16 pass the
+    acceptance rule and `extension-check` exits 0. `dtn_compare` measures
+    exactly the profiles of that solve."""
     trace = FourierTrace([0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
     strip = strip_extension(trace, Y=16.0)
     for k in (1, 2, 3):
-        assert np.array_equal(_mode_heights(k, 16.0), strip.y)
-        assert np.array_equal(_mode_profile(k, 1.0, strip.y), strip.mode_profiles[k])
+        y, f = strip.mode_profiles[k]
+        assert np.array_equal(y, _mode_heights(1, 16.0))
+        assert np.array_equal(_mode_profile(k, 1.0, y), f)
     for k in (5, 8):  # the fewest equal steps of at most dx 3/k
-        y, step = _mode_heights(k, 16.0), strip.x[1] * 3.0 / k
+        y, f = strip.mode_profiles[k]
+        step = strip.x[1] * 3.0 / k
+        assert np.array_equal(y, _mode_heights(k, 16.0))
+        assert np.array_equal(_mode_profile(k, 1.0, y), f)
         assert y[-1] == 16.0 and y[1] <= step < 16.0 / (y.size - 2)
     report = dtn_compare(trace, Y=16.0)
     assert report.ok and report.spread < 0.003
+    for k, (y, f) in strip.mode_profiles.items():  # the ratio of each profile
+        d = y[1] - y[0]
+        f2 = np.array([2 * f[1] - 2 * f[0], f[2] + f[0] - 2 * f[1], f[3] + f[1] - 2 * f[2]])
+        lap = f2 / d ** 2 - (2.0 - 2.0 * np.cos(k * strip.x[1])) / strip.x[1] ** 2 * f[:3]
+        dlap = (-3.0 * lap[0] + 4.0 * lap[1] - lap[2]) / (2.0 * d)
+        assert report.ratios[k] == float(dlap) / float(k) ** 3
     assert main(["extension-check", "--modes", "1,2,3,5,8", "--height", "16"]) == 0
     assert "spread 0.002919 (target <= 0.02): pass" in capsys.readouterr().out
 

@@ -211,7 +211,7 @@ def test_analyze_point_reads_the_pair_only_for_its_profile_and_fits_like_blowup_
     interp_box = HalfBallGrid.interp_box
     monkeypatch.setattr(HalfBallGrid, "interp_box",
                         lambda *a, **k: reads.append(1) or interp_box(*a, **k))
-    pt = analyze_point(extract_gamma(res.u)[0], res.u, res.v, spec)
+    pt = analyze_point(extract_gamma(res.u)[0], res)
     monkeypatch.undo()
     assert pt.mu_hat is not None
     assert len(reads) == 2 * pt.profile.radii.size + 2

@@ -179,7 +179,7 @@ def _face_curvature(spec, t, grad_sup):
     thin = grid.thin_ids[:len(t)]
     vals = np.zeros(grid.node_count)
     vals[thin] = t
-    diag = face_hessian_diagonal(grid, vals, spec, grad_sup)[:len(t)]
+    diag = face_hessian_diagonal(vals, spec, grad_sup)[:len(t)]
     return diag / operators(grid).thin_w2[:len(t)]
 
 
@@ -214,10 +214,10 @@ def test_face_hessian_diagonal_is_the_face_part_of_the_hessian(p):
     rng = np.random.default_rng(5)
     vals = np.zeros(grid.node_count)
     vals[grid.free_ids] = rng.normal(scale=0.3, size=len(grid.free_ids))
-    gsup = float(np.abs(gradient_array(grid, vals, spec)).max())
-    diag = face_hessian_diagonal(grid, vals, spec, gsup)
+    gsup = float(np.abs(gradient_array(vals, spec)).max())
+    diag = face_hessian_diagonal(vals, spec, gsup)
     assert np.all(diag > 0.0)
-    H, twice = hessian(grid, vals, spec, gsup), 2.0 * operators(grid).Kff
+    H, twice = hessian(vals, spec, gsup), 2.0 * operators(grid).Kff
     rows = np.searchsorted(grid.free_ids, grid.thin_ids)
     face = (H - twice).tocoo()
     face.eliminate_zeros()
@@ -232,7 +232,7 @@ def test_face_hessian_diagonal_is_the_face_part_of_the_hessian(p):
 def test_energy_of_zero_field_is_zero():
     spec = _spec()
     w = ScalarField(spec.grid(), np.zeros(spec.grid().node_count))
-    assert energy_array(w.grid, w.values, spec) == pytest.approx(0.0, abs=1e-15)
+    assert energy_array(w.values, spec) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_gradient_matches_finite_differences():
@@ -242,13 +242,13 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     vals = np.zeros(grid.node_count)
     vals[grid.free_ids] = rng.normal(scale=0.4, size=len(grid.free_ids))
-    g = gradient_array(grid, vals, spec)
+    g = gradient_array(vals, spec)
     for i in rng.choice(grid.free_ids, size=12, replace=False):
         d = 1e-6
         up, dn = vals.copy(), vals.copy()
         up[i] += d
         dn[i] -= d
-        fd = (energy_array(grid, up, spec) - energy_array(grid, dn, spec)) / (2 * d)
+        fd = (energy_array(up, spec) - energy_array(dn, spec)) / (2 * d)
         assert g[i] == pytest.approx(fd, rel=1e-6, abs=1e-10)
 
 
@@ -258,13 +258,13 @@ def test_gradient_matches_finite_differences_cubic():
     rng = np.random.default_rng(7)
     vals = np.zeros(grid.node_count)
     vals[grid.free_ids] = rng.normal(scale=0.4, size=len(grid.free_ids))
-    g = gradient_array(grid, vals, spec)
+    g = gradient_array(vals, spec)
     for i in rng.choice(grid.free_ids, size=8, replace=False):
         d = 1e-6
         up, dn = vals.copy(), vals.copy()
         up[i] += d
         dn[i] -= d
-        fd = (energy_array(grid, up, spec) - energy_array(grid, dn, spec)) / (2 * d)
+        fd = (energy_array(up, spec) - energy_array(dn, spec)) / (2 * d)
         assert g[i] == pytest.approx(fd, rel=1e-6, abs=1e-10)
 
 
@@ -275,7 +275,7 @@ def test_hessian_apply_is_positive_semidefinite():
     rng = np.random.default_rng(9)
     vals = np.zeros(grid.node_count)
     vals[grid.free_ids] = rng.normal(size=len(grid.free_ids))
-    H = hessian(grid, vals, spec, float(np.abs(gradient_array(grid, vals, spec)).max()))
+    H = hessian(vals, spec, float(np.abs(gradient_array(vals, spec)).max()))
     for _ in range(6):
         d = rng.normal(size=len(grid.free_ids))
         assert d @ (H @ d) >= -1e-10
@@ -293,11 +293,11 @@ def test_hessian_is_gradient_jacobian():
         d = np.zeros(grid.node_count)
         d[free] = rng.normal(size=len(free))
         eps = 1e-6
-        gp = gradient_array(grid, vals + eps * d, spec)
-        gm = gradient_array(grid, vals - eps * d, spec)
+        gp = gradient_array(vals + eps * d, spec)
+        gm = gradient_array(vals - eps * d, spec)
         fd = ((gp - gm) / (2 * eps))[free]
-        gsup = float(np.abs(gradient_array(grid, vals, spec)).max())
-        hd = hessian(grid, vals, spec, gsup) @ d[free]
+        gsup = float(np.abs(gradient_array(vals, spec)).max())
+        hd = hessian(vals, spec, gsup) @ d[free]
         assert np.abs(hd - fd).max() < 1e-5 * max(1.0, np.abs(hd).max())
 
 

@@ -51,8 +51,7 @@ def test_solve_result_metadata():
     assert isinstance(result, SolveResult)
     assert result.iterations >= 1
     assert result.grad_sup <= 1e-8 * (1.0 + abs(result.energy))
-    assert energy_array(spec.grid(), result.u.values, spec) == pytest.approx(result.energy,
-                                                                          abs=1e-14)
+    assert energy_array(result.u.values, spec) == pytest.approx(result.energy, abs=1e-14)
     assert result.u.values.shape == (spec.grid().node_count,)
     assert result.v.values.shape == result.u.values.shape
 
@@ -90,7 +89,7 @@ def test_stationarity_residuals_shrink_under_refinement():
     for h in (0.125, 0.0625):
         spec = _spec(h)
         result = minimize(spec)
-        reports.append((el_crosscheck(result, spec), weak_residual(result, spec)))
+        reports.append((el_crosscheck(result), weak_residual(result)))
     (el1, wr1), (el2, wr2) = reports
     assert el2.harmonic_sup < 0.6 * el1.harmonic_sup
     assert el2.neumann_sup < 0.6 * el1.neumann_sup
@@ -121,13 +120,14 @@ def _monomial_laplacian(pts, expo):
     return out
 
 
-def _reference_weak_residual(result, spec, seed=0, fd_delta=None):
+def _reference_weak_residual(result, seed=0, fd_delta=None):
     """The weak residual from per-monomial tables over all solid points at
     once: each monomial's trial value c^2 m and its Laplacian are evaluated
     once per point set, then combined with the coefficient rows. The
     Laplacian is the product rule Lap(c^2 m) = c^2 Lap(m) + 2 grad(c^2) . grad(m)
     + m Lap(c^2), c = 1 - |z|^2, or, with `fd_delta`, the centred finite
     difference of that step size."""
+    spec = result.spec
     n = spec.n
     monos, table = _poly_trials(n, seed)
 
@@ -179,11 +179,11 @@ def test_weak_residual_matches_the_per_trial_evaluation_exactly(n, h):
     spec = ProblemSpec(n=n, h=h, **ASYM)
     result = minimize(spec)
     assert sphere_quadrature(spec.grid(), np.zeros(n), 1.0).solid_points.shape[0] > SOLID_BLOCK
-    value = weak_residual(result, spec, seed=7)
-    assert value == pytest.approx(_reference_weak_residual(result, spec, seed=7),
+    value = weak_residual(result, seed=7)
+    assert value == pytest.approx(_reference_weak_residual(result, seed=7),
                                   rel=1e-12, abs=0.0)
     assert value == pytest.approx(
-        _reference_weak_residual(result, spec, seed=7, fd_delta=1e-4), rel=1e-5, abs=0.0)
+        _reference_weak_residual(result, seed=7, fd_delta=1e-4), rel=1e-5, abs=0.0)
 
 
 @pytest.mark.parametrize("n,h", [(1, 1.0 / 41), (2, 1.0 / 11)])
@@ -206,7 +206,7 @@ def test_weak_residual_holds_no_trial_by_point_array():
     assert N == 131072
     tracemalloc.start()
     try:
-        weak_residual(result, spec)
+        weak_residual(result)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -226,7 +226,7 @@ def _assert_local_minimum(spec, result, seed=11, step=1e-6):
         assert np.all(phi[grid.pinned_ids] == 0.0)
         phi /= np.abs(phi).max()
         for sign in (1.0, -1.0):
-            assert energy_array(grid, result.u.values + sign * step * phi, spec) >= result.energy
+            assert energy_array(result.u.values + sign * step * phi, spec) >= result.energy
 
 
 SUBQUADRATIC = [(p, lp, lm) for p in (1.25, 1.5, 1.75) for lp, lm in ((1.0, 1.0), (2.0, 0.5))]
@@ -285,8 +285,8 @@ def test_trace_records_every_newton_step(p):
     trace = result.trace
     assert len(trace) == result.iterations >= 1
     assert sum(s.cg_steps for s in trace) == result.cg_iterations
-    assert trace[0].energy == energy_array(spec.grid(), start, spec)
-    assert trace[0].grad_sup == np.abs(gradient_array(spec.grid(), start, spec)).max()
+    assert trace[0].energy == energy_array(start, spec)
+    assert trace[0].grad_sup == np.abs(gradient_array(start, spec)).max()
     energies = [s.energy for s in trace] + [result.energy]
     assert all(b <= a for a, b in zip(energies, energies[1:]))
     for s in trace:

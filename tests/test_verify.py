@@ -1,8 +1,10 @@
 """Negative controls for acceptance checks 4, 6, 7 and 8 (the clauses can
 fail), the refinement study on the corpus energy ladders, the closed-form
-gradient of checks 3, 9 and 12, and the point sets checks 6 and 10 build."""
+gradient of checks 3, 9 and 12, the point sets checks 6 and 10 build, and
+the lattices the quick suite builds."""
 
 import dataclasses
+import io
 import types
 
 import numpy as np
@@ -103,7 +105,7 @@ def test_check_v_vanishes_fails_when_the_ladder_breaks_its_rule(monkeypatch, for
 
 
 def test_check_weak_residual_refinement_fails_on_a_residual_that_does_not_shrink(monkeypatch):
-    monkeypatch.setattr(verify, "weak_residual", lambda res, spec, seed=0: 1e-3)
+    monkeypatch.setattr(verify, "weak_residual", lambda res, seed=0: 1e-3)
     result = verify.check_weak_residual_refinement("quick")
     assert not result.passed
     assert result.measured.count("orders 0.00/0.00") == 3
@@ -154,6 +156,25 @@ def test_check_integral_identities_builds_three_quadratures(monkeypatch, level):
     assert verify.check_integral_identities(level).passed
     assert len(built) == 3
     assert all(round(1.0 / h) != 160 for h in lattices)
+
+
+def test_quick_suite_builds_only_the_lattices_of_its_solves(monkeypatch):
+    """From empty memos, `verify --level quick` builds the lattices of its
+    corpus solves, 1/h in {8, 16, 32}, and no other: the analytic fields
+    and rules of checks 3, 9, 10 and 12 are sized from plain (n, h) records."""
+    lattices = []
+    init = HalfBallGrid.__init__
+
+    def counting(self, n, h):
+        lattices.append(round(1.0 / h))
+        init(self, n, h)
+
+    for fn in (verify.corpus_spec, verify.corpus_solve, verify.corpus_oracle,
+               verify.corpus_points, verify._synthetic_fit, bilaplab.grid.build_grid):
+        fn.cache_clear()
+    monkeypatch.setattr(HalfBallGrid, "__init__", counting)
+    assert verify.run_suite("quick", stream=io.StringIO()) == 0
+    assert set(lattices) == {8, 16, 32}
 
 
 @pytest.mark.parametrize("level", ["quick", "full"])

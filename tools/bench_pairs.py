@@ -23,6 +23,7 @@ number of pairs in which the change is better. Progress goes to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -112,75 +113,106 @@ def summarize(base_runs: list[dict], change_runs: list[dict], metrics: dict = ME
     return out
 
 
-def run_pairs(trees: dict, workloads: list[str], pairs: int) -> dict:
-    """Pair k runs each workload once per side with seed k, alternating the order."""
-    runs = {w: {"parent": [], "change": []} for w in workloads}
+def run_pairs(trees: dict, names: list[str], pairs: int, run) -> dict:
+    """Pair k calls run(tree, name, k) once per side for each name, alternating
+    the order; progress, and each run that failed, goes to stderr."""
+    runs = {name: {"parent": [], "change": []} for name in names}
     t_start = time.monotonic()
     for k in range(1, pairs + 1):
         order = ("parent", "change") if k % 2 else ("change", "parent")
-        for w in workloads:
+        for name in names:
             for side in order:
-                run = run_once(trees[side], w, k, 0)
-                runs[w][side].append(run)
-                print(f"[{time.monotonic() - t_start:7.0f} s] pair {k} {w} {side}: "
-                      + " ".join(f"{m}={v:.4g}" for m, v in run["metrics"].items())
-                      + f" failed={run['failed']}/{run['attempted']}"
-                      + ("" if run["correct"] else " WRONG"), file=sys.stderr, flush=True)
+                result = run(trees[side], name, k)
+                runs[name][side].append(result)
+                print(f"[{time.monotonic() - t_start:7.0f} s] pair {k} {name} {side}: "
+                      + " ".join(f"{m}={v:.4g}" for m, v in result["metrics"].items())
+                      + "".join(f" {key}={result[key]}" for key in ("failed", "exit_code")
+                                if key in result)
+                      + ("" if result.get("correct", True) else " WRONG"),
+                      file=sys.stderr, flush=True)
     return runs
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__,
+def parser(doc: str) -> argparse.ArgumentParser:
+    """The options every pairs runner takes: --base, --change, --pairs, --out."""
+    ap = argparse.ArgumentParser(description=doc,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", default="HEAD~1", help="revision of the parent side")
     ap.add_argument("--change", default="HEAD",
                     help="revision of the change side, or WORKTREE")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--workloads", default="sweep-n1,pipeline-n1,verify-quick")
-    ap.add_argument("--traced", default="", help="workloads to run once traced per side")
-    ap.add_argument("--workdir", type=Path, default=None,
-                    help="where the checkouts go (default: a new temporary directory)")
     ap.add_argument("--out", type=Path, required=True)
+    return ap
+
+
+def parse(ap: argparse.ArgumentParser, argv) -> argparse.Namespace:
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 for quartiles")
+    return args
 
-    workloads = [w for w in args.workloads.split(",") if w]
-    traced = [w for w in args.traced.split(",") if w]
+
+@contextlib.contextmanager
+def checkouts(args, workdir: Path | None = None):
+    """(commits, trees) of the two sides of `args`, the trees unpacked under
+    `workdir`, or under a temporary directory removed afterwards."""
     commits = {"parent": resolve(args.base), "change": resolve(args.change)}
-    workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    workdir.mkdir(parents=True, exist_ok=True)
+    root = workdir or Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    root.mkdir(parents=True, exist_ok=True)
     try:
-        trees = {side: checkout(commit, workdir / side) for side, commit in commits.items()}
-        runs = run_pairs(trees, workloads, args.pairs)
-        traced_runs = {w: {side: run_once(trees[side], w, 1, 1) for side in commits}
-                       for w in traced}
+        yield commits, {side: checkout(commit, root / side) for side, commit in commits.items()}
     finally:
-        if args.workdir is None:
-            shutil.rmtree(workdir, ignore_errors=True)
+        if workdir is None:
+            shutil.rmtree(root, ignore_errors=True)
 
-    report = {
+
+def report_head(args, commits: dict, lines: list[str], command: str) -> dict:
+    """The method, machine and pairs entries that open a report: the
+    checkouts, the runner's own `lines`, the statistics, and `command`, the
+    runner's command line up to --out."""
+    return {
         "method": [
             f"Two checkouts made with `git archive`: parent {commits['parent']} "
-            f"({args.base}) and change {commits['change']} ({args.change}); "
-            "each run with one BLAS thread.",
-            f"Pair k, for k = 1..{args.pairs} and each of {', '.join(workloads)}: "
-            "`python3 perfbench/run.py --workload W --seed k --trace 0` once in each "
-            "checkout, the parent first when k is odd and the change first when k is even.",
+            f"({args.base}) and change {commits['change']} ({args.change}).",
+            *lines,
+            f"Pair k, for k = 1..{args.pairs}, runs each of them once in each checkout, "
+            "the parent first when k is odd and the change first when k is even.",
             "Medians and quartiles are statistics.quantiles(n=4, method='inclusive') over "
             "the runs of a side; change_wins counts the pairs in which the change is better "
             "(lower, or higher for ops_per_s).",
-            f"Produced by `python3 tools/bench_pairs.py --base {args.base} --change "
-            f"{args.change} --pairs {args.pairs} --workloads {','.join(workloads)}"
-            + (f" --traced {','.join(traced)}" if traced else "")
-            + f" --out {args.out.name}`.",
+            f"Produced by `{command} --base {args.base} --change {args.change} "
+            f"--pairs {args.pairs} --out {args.out.name}`.",
         ],
         "machine": {"system": platform.system(), "machine": platform.machine(),
                     "cpus": os.cpu_count(), "python": platform.python_version(),
                     "blas_threads": 1},
         "pairs": args.pairs,
-        "workloads": {w: summarize(runs[w]["parent"], runs[w]["change"]) for w in workloads},
     }
+
+
+def main(argv=None) -> int:
+    ap = parser(__doc__)
+    ap.add_argument("--workloads", default="sweep-n1,pipeline-n1,verify-quick")
+    ap.add_argument("--traced", default="", help="workloads to run once traced per side")
+    ap.add_argument("--workdir", type=Path, default=None,
+                    help="where the checkouts go (default: a new temporary directory)")
+    args = parse(ap, argv)
+
+    workloads = [w for w in args.workloads.split(",") if w]
+    traced = [w for w in args.traced.split(",") if w]
+    with checkouts(args, args.workdir) as (commits, trees):
+        runs = run_pairs(trees, workloads, args.pairs,
+                         lambda tree, w, k: run_once(tree, w, k, 0))
+        traced_runs = {w: {side: run_once(trees[side], w, 1, 1) for side in commits}
+                       for w in traced}
+
+    report = report_head(args, commits, [
+        f"The workloads {', '.join(workloads)}, each run as `python3 perfbench/run.py "
+        "--workload W --seed k --trace 0` with one BLAS thread."],
+        f"python3 tools/bench_pairs.py --workloads {','.join(workloads)}"
+        + (f" --traced {','.join(traced)}" if traced else ""))
+    report["workloads"] = {w: summarize(runs[w]["parent"], runs[w]["change"])
+                           for w in workloads}
     if traced:
         report["traced"] = traced_runs
     args.out.write_text(json.dumps(report, indent=1) + "\n")

@@ -105,7 +105,7 @@ CONFIG_TEXTS = [
     "radii = 0.5;inf", "p = inf", "g = trig:freq=nan", "g = trig:freq=1,amp=inf",
     "g = harmonic:deg=1,coef=nan", "g = harmonic:coeffs=1;nan", "g = harmonic:coeffs=1,coef=5",
     "g = harmonic", "g = trig", "g = tabulated", "g = tabulated:values=1;-inf", "h = 1",
-    "h = 0.5", f"h = {1 / 3!r}", "centers = 0.10001;0.10004", "centers = 0.1;0.1",
+    "h = 0.5", f"h = {1 / 3!r}", "centers = 0.10001;0.10004", "centers = 0.1;0.1", "seed = -1",
     "n = 3", "tol_grad = -1", "max_iter = 0", "g = harmonic:deg=200",
     "g = trig:freq=1000", "g = harmonic:coeffs=1e308;1e308",
     "g = tabulated:values=1e308;-1e308",
