@@ -17,22 +17,19 @@ every h and every p. That LU is factored in SuperLU's symmetric mode
 half the fill of the default column ordering. Every solve with it is a
 transposed solve, SuperLU's faster path: D L_ff is symmetric for
 D = omega / h^(n+1), so L_ff^-1 y = D^-1 L_ff^-T (D y). The factor, like
-Kff, depends on the grid alone and lives exactly as long as its grid:
-`build_grid` hands every spec with the same (n, h) one grid and keeps the
-two most recent lattices, and `_laplace_factor` keys the factor by that
-grid, so L_ff is factored once per lattice while the lattice stays alive,
-also across one solve on another lattice.
+Kff, depends on the grid alone; it is kept on the grid, in the lattice's
+`_LatticeSolve` record with the coarse space below.
 
 H = 2 Kff + P^T D P differs from 2 Kff only by the face diagonal D on
 the m thin nodes (P restricts to them), and through (2 Kff)^-1 that
 perturbation acts by the lattice's face Green's function, a discrete
 (-Delta)^(-3/2) whose eigenvalues fall like k^-3. So a handful of smooth
 face modes carry all of the split preconditioner's outlying eigenvalues,
-and CG deflates them: `_coarse_space` builds, once per lattice, k smooth
-face polynomials Phi (k = 8 at n = 1, 10 at n = 2, at most m) and
-Z = (2 Kff)^-1 P^T Phi, 2k more transposed solves kept as long as the
-grid, and each Newton step wraps the split preconditioner in the
-two-level (BNN) preconditioner of `_two_level_preconditioner` on span Z.
+and CG deflates them: the record holds k smooth face polynomials Phi
+(k = 8 at n = 1, 10 at n = 2, at most m) and Z = (2 Kff)^-1 P^T Phi, 2k
+more transposed solves, and each Newton step wraps the split
+preconditioner in the two-level (BNN) preconditioner of
+`_two_level_preconditioner` on span Z.
 That halves the CG steps at every h (asym-p2 at n = 1, h = 1/64: 4
 instead of 7 over 2 Newton steps) for a k x k Cholesky factor per Newton
 step and two products with Z per CG step.
@@ -54,7 +51,6 @@ tolerance.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,83 +131,48 @@ class SolveResult:
         return sum(step.cg_steps for step in self.trace)
 
 
-_factors = weakref.WeakKeyDictionary()  # grid -> the LU of its L_ff, while the grid lives
-
-
-def _laplace_factor(grid):
-    """Sparse LU of the reflected Dirichlet Laplacian L_ff of `grid`.
-
-    The factor is kept in `_factors` for as long as the grid lives, and goes
-    with it: 216k nonzeros at n = 1, h = 1/64, and 1.46M at n = 2, h = 1/16.
-    The coarse space that `_coarse_space` solves for with it lives and
-    goes the same way, in `_coarse`.
-    `build_grid` decides which lattices stay alive. It keeps the two most
-    recent, and a third lattice drops the least recent grid when it is
-    built, before anything is factored on it; a grid holds no reference
-    cycle, so it is freed, factor included, at once. So unless a caller
-    still holds an older grid, SuperLU factors beside at most one other
-    factor. That matters: SuperLU sizes its storage from a fill estimate
+class _LatticeSolve:
+    """What the Newton solve derives from a lattice alone, built once per grid
+    by `_lattice_solve` on first use and kept on the grid, so it lives as long
+    as its grid (`build_grid` decides how long). It holds no reference to the
+    grid, so refcounting frees it with the grid, before the next lattice is
+    factored. That matters: SuperLU sizes its storage from a fill estimate
     (about 24 MB of heap at n = 1, h = 1/64, for 2.5 MB of L and U), and
-    factoring while the factor of the grid being replaced was still held,
-    as a `functools.lru_cache` over factors would, raised the peak RSS of
-    a `sweep-n1` benchmark run from 73 to 79 MB.
+    factoring while the factor of the grid being replaced was still held, as
+    a `functools.lru_cache` over factors would, raised the peak RSS of a
+    `sweep-n1` benchmark run from 73 to 79 MB.
 
-    L_ff has a symmetric pattern, and its rows are weakly diagonally dominant,
-    so elimination needs no pivoting. SuperLU therefore runs in its
-    symmetric mode: minimum-degree ordering on A + A^T, the same permutation
-    for rows and columns, and no partial pivoting. The default
-    COLAMD ordering ignores the symmetric pattern; it filled the factor with
-    about twice as many nonzeros (366k -> 216k at n = 1, h = 1/64, and
-    2.97M -> 1.46M at n = 2, h = 1/16), and every preconditioner
-    application solves with both triangles.
+    lu    the sparse LU of the reflected Dirichlet Laplacian L_ff: 216k
+          nonzeros at n = 1, h = 1/64, and 1.46M at n = 2, h = 1/16. L_ff
+          has a symmetric pattern, and its rows are weakly diagonally
+          dominant, so elimination needs no pivoting. SuperLU therefore runs
+          in its symmetric mode: minimum-degree ordering on A + A^T, the
+          same permutation for rows and columns, and no partial pivoting.
+          The default COLAMD ordering ignores the symmetric pattern; it
+          filled the factor with about twice as many nonzeros (366k -> 216k
+          at n = 1, h = 1/64, and 2.97M -> 1.46M at n = 2, h = 1/16), and
+          every preconditioner application solves with both triangles.
+    half  1 / (2 omega) per free node.
+    Phi   (m x k) orthonormal smooth face modes on the m thin nodes: the
+          Chebyshev polynomials of the face coordinates scaled by the
+          largest |x| to [-1, 1], T_0 ... T_7 at n = 1 and T_a(x_1) T_b(x_2),
+          a + b <= 3, at n = 2, orthonormalized by a thin SVD that keeps the
+          columns whose singular value exceeds 1e-10 of the largest, so
+          k <= m (k = 1 at h = 1/2, one thin node).
+    rows  the thin nodes' positions in free_ids order.
+    Z     (2 Kff)^-1 P^T Phi, P^T the prolongation by zero from the thin
+          rows: one blocked `kff_solve`, 0.4 MB at n = 1, h = 1/64, 1.6 MB at
+          h = 1/128 and 0.6 MB at n = 2, h = 1/16.
     """
-    lu = _factors.get(grid)
-    if lu is None:
+
+    def __init__(self, grid):
+        ops = operators(grid)
         # pass no relax= or panel_size=: they do not reduce the fill of L_ff, and
         # changing them between factorizations in one process has crashed
         # SuperLU with a corrupted heap (exit 139)
-        lu = _factors[grid] = spla.splu(operators(grid).L[:, grid.free_ids].tocsc(),
-                                        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                        options=dict(SymmetricMode=True))
-    return lu
-
-
-def _split_preconditioner(grid) -> spla.LinearOperator:
-    """(2 Kff)^-1 = 1/2 L_ff^-1 diag(omega)^-1 L_ff^-T, as two transposed solves.
-
-    With D = omega / h^(n+1) (1, and 1/2 on the thin rows), D L_ff is
-    symmetric, so L_ff^-1 y = D^-1 L_ff^-T (D y) and
-    (2 Kff)^-1 x = 1/2 h^-(n+1) D^-1 L_ff^-T (L_ff^-T x) = L_ff^-T (L_ff^-T x) / (2 omega).
-    SuperLU's transposed solve with the symmetric-mode factor of L_ff is
-    the faster of its two (see the README's cost of the Newton solve).
-    """
-    lu, scale = _laplace_factor(grid), 0.5 / operators(grid).omega
-    # dtype given, so scipy does not apply the operator to a zero vector to find it
-    return spla.LinearOperator(
-        (scale.size, scale.size), dtype=np.float64,
-        matvec=lambda x: scale * lu.solve(lu.solve(np.ravel(x), trans="T"), trans="T"))
-
-
-_coarse = weakref.WeakKeyDictionary()  # grid -> its (Z, Phi, rows), while the grid lives
-
-
-def _coarse_space(grid):
-    """The deflation space of the Newton CG on `grid`: (Z, Phi, rows).
-
-    Phi (m x k) holds orthonormal smooth face modes on the m thin nodes:
-    the Chebyshev polynomials of the face coordinates scaled by the largest
-    |x| to [-1, 1], T_0 ... T_7 at n = 1 and T_a(x_1) T_b(x_2), a + b <= 3,
-    at n = 2, orthonormalized by a thin SVD that keeps the columns whose
-    singular value exceeds 1e-10 of the largest, so k <= m (k = 1 at
-    h = 1/2, one thin node). rows are the thin nodes' positions in free_ids
-    order, and Z = (2 Kff)^-1 P^T Phi with P^T the prolongation by zero from
-    the thin rows: 2k transposed solves with the split factor, column by
-    column. Like `_laplace_factor`'s factor, the space depends on the grid
-    alone and lives as long as it: 0.4 MB at n = 1, h = 1/64, 1.6 MB at
-    h = 1/128 and 0.6 MB at n = 2, h = 1/16.
-    """
-    space = _coarse.get(grid)
-    if space is None:
+        self.lu = spla.splu(ops.L[:, grid.free_ids].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                            diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+        self.half = 0.5 / ops.omega
         x = grid.nodes[grid.thin_ids, :-1]
         x = x / (np.abs(x).max() or 1.0)
         if grid.n == 1:
@@ -221,23 +182,40 @@ def _coarse_space(grid):
             Phi = np.column_stack([T1[:, a] * T2[:, b]
                                    for a in range(4) for b in range(4 - a)])
         U, sing, _ = np.linalg.svd(Phi, full_matrices=False)
-        Phi = U[:, sing > 1e-10 * sing[0]]
-        rows = np.searchsorted(grid.free_ids, grid.thin_ids)
-        M = _split_preconditioner(grid)
-        Z = np.empty((grid.free_ids.size, Phi.shape[1]), order="F")
-        e = np.zeros(grid.free_ids.size)
-        for j in range(Phi.shape[1]):
-            e[rows] = Phi[:, j]
-            Z[:, j] = M.matvec(e)
-        space = _coarse[grid] = (Z, Phi, rows)
-    return space
+        self.Phi = U[:, sing > 1e-10 * sing[0]]
+        self.rows = np.searchsorted(grid.free_ids, grid.thin_ids)
+        prolonged = np.zeros((grid.free_ids.size, self.Phi.shape[1]))
+        prolonged[self.rows] = self.Phi
+        self.Z = self.kff_solve(prolonged)
+
+    def kff_solve(self, X: np.ndarray) -> np.ndarray:
+        """(2 Kff)^-1 X, for one right-hand side or a block of them as columns.
+
+        (2 Kff)^-1 = 1/2 L_ff^-1 diag(omega)^-1 L_ff^-T. With D = omega / h^(n+1)
+        (1, and 1/2 on the thin rows), D L_ff is symmetric, so
+        L_ff^-1 y = D^-1 L_ff^-T (D y) and
+        (2 Kff)^-1 x = 1/2 h^-(n+1) D^-1 L_ff^-T (L_ff^-T x) = L_ff^-T (L_ff^-T x) / (2 omega):
+        two transposed solves, SuperLU's faster path with the symmetric-mode
+        factor (see the README's cost of the Newton solve). A block comes
+        back in Fortran order, each column bit for bit its own solve.
+        """
+        Y = self.lu.solve(self.lu.solve(X, trans="T"), trans="T")
+        return (self.half if Y.ndim == 1 else self.half[:, None]) * Y
+
+
+def _lattice_solve(grid) -> _LatticeSolve:
+    """The `_LatticeSolve` record of `grid`, built on first use."""
+    record = getattr(grid, "_lattice_solve", None)
+    if record is None:
+        record = grid._lattice_solve = _LatticeSolve(grid)
+    return record
 
 
 def _two_level_preconditioner(grid, face_diagonal: np.ndarray) -> spla.LinearOperator:
     """The BNN preconditioner of H = 2 Kff + P^T diag(face_diagonal) P on `grid`.
 
-    M is `_split_preconditioner(grid)` and (Z, Phi, rows) is
-    `_coarse_space(grid)`. Since 2 Kff Z = P^T Phi, H Z lives on the thin rows:
+    M is `kff_solve` and (Z, Phi, rows) are those of `_lattice_solve(grid)`.
+    Since 2 Kff Z = P^T Phi, H Z lives on the thin rows:
     (H Z)_T = Phi + diag(face_diagonal) Z_T. With the coarse matrix
     C = Z_T^T (H Z)_T = Z^T H Z (k x k, symmetric positive definite) it
     applies
@@ -248,10 +226,10 @@ def _two_level_preconditioner(grid, face_diagonal: np.ndarray) -> spla.LinearOpe
     application costs one M application plus a product with Z^T and one
     with Z, 2k multiply-adds per free node.
     """
-    M = _split_preconditioner(grid)
-    Z, Phi, rows = _coarse_space(grid)
+    lattice = _lattice_solve(grid)
+    Z, rows = lattice.Z, lattice.rows
     Z_T = Z[rows]
-    HZ = Phi + face_diagonal[:, None] * Z_T
+    HZ = lattice.Phi + face_diagonal[:, None] * Z_T
     C = Z_T.T @ HZ
     # C^-1 from the Cholesky factor, as a k x k matrix: SciPy's cho_solve
     # costs more per call than the coarse products of a CG step
@@ -263,21 +241,21 @@ def _two_level_preconditioner(grid, face_diagonal: np.ndarray) -> spla.LinearOpe
         c = Cinv @ (Z.T @ r)
         s = r.copy()
         s[rows] -= HZ @ c
-        y = M.matvec(s)
+        y = lattice.kff_solve(s)
         return y + Z @ (c - Cinv @ (HZ.T @ y[rows]))
 
-    return spla.LinearOperator(M.shape, dtype=np.float64, matvec=matvec)
+    # dtype given, so scipy does not apply the operator to a zero vector to find it
+    return spla.LinearOperator((Z.shape[0],) * 2, dtype=np.float64, matvec=matvec)
 
 
 def harmonic_extension(spec: ProblemSpec) -> ScalarField:
     """Solve the lattice Laplace equation with the problem's Dirichlet data.
 
     Used as the default initial iterate: it already matches the boundary
-    values and satisfies the face reflection condition. It solves with
-    `_laplace_factor(grid)`, which the Newton preconditioner then reuses; the
-    factor lives as long as the grid. Like the preconditioner it takes the
-    transposed solve: L_ff^-1 rhs = D^-1 L_ff^-T (D rhs), with D the
-    symmetrizer omega / h^(n+1) of `_split_preconditioner`.
+    values and satisfies the face reflection condition. It solves with the
+    factor of `_lattice_solve(grid)`, which the Newton preconditioner then
+    reuses, and like `kff_solve` it takes the transposed solve:
+    L_ff^-1 rhs = D^-1 L_ff^-T (D rhs), with D the symmetrizer omega / h^(n+1).
     """
     grid = spec.grid()
     ops = operators(grid)
@@ -286,10 +264,13 @@ def harmonic_extension(spec: ProblemSpec) -> ScalarField:
     D = ops.omega / grid.h ** (grid.n + 1)
     w = np.zeros(grid.node_count)
     w[grid.pinned_ids] = g
-    w[grid.free_ids] = _laplace_factor(grid).solve(D * rhs, trans="T") / D
+    w[grid.free_ids] = _lattice_solve(grid).lu.solve(D * rhs, trans="T") / D
     return ScalarField(grid, w)
 
 
+# near-overflow data or weights: the typed SolverError is the one report, with
+# no NumPy warning from J, its gradient, M2's Cholesky factor, CG or the line search
+@np.errstate(over="ignore", invalid="ignore")
 def _newton(spec: ProblemSpec, w: np.ndarray):
     grid = spec.grid()
     free, thin = grid.free_ids, grid.thin_ids
@@ -310,10 +291,8 @@ def _newton(spec: ProblemSpec, w: np.ndarray):
         if spec.p < 2.0:
             # a trace within rounding of 0 is 0: Newton on |u|^p does not shrink it
             w[thin[phase == 0]] = 0.0
-        # near-overflow data: the finiteness test below is the one report
-        with np.errstate(over="ignore", invalid="ignore"):
-            J = energy_array(w, spec)
-            g = gradient_array(w, spec)
+        J = energy_array(w, spec)
+        g = gradient_array(w, spec)
         gf = g[free]
         gsup = float(np.abs(gf).max()) if E else 0.0
         if not (np.isfinite(J) and np.isfinite(gsup)):
@@ -342,8 +321,7 @@ def _newton(spec: ProblemSpec, w: np.ndarray):
         for backtracks in range(MAX_BACKTRACKS):
             w_try = w.copy()
             w_try[free] += t * d
-            with np.errstate(over="ignore", invalid="ignore"):
-                E_try = energy_array(w_try, spec)
+            E_try = energy_array(w_try, spec)
             if E_try <= J + ARMIJO_SLOPE * t * slope or (
                     backtracks == 0 and -slope <= floor and E_try - J <= floor):
                 break
@@ -366,15 +344,11 @@ def minimize(spec: ProblemSpec) -> SolveResult:
     CG solve preconditioned by the split Laplacian factor deflated on the
     lattice's smooth face modes (`_two_level_preconditioner`), stopped at
     CG_FLOOR times the Newton tolerance; `trace` records every step and
-    `cg_iterations` sums their CG steps. The factor is
-    `_laplace_factor(grid)` and the coarse space `_coarse_space(grid)`:
-    every later solve on the same grid reuses both, and they are kept
-    after this call returns, failed solves included, for as long as the
-    grid lives (at n = 2, h = 1/16 that is 1.46M nonzeros and 0.6 MB).
-    `build_grid` keeps the two most recent lattices, so a solve that returns
-    to a lattice after one solve on another keeps its grid and factor. An
-    energy or sup|grad J| that is not finite, as a datum near overflow
-    gives, ends the solve in a SolverError.
+    `cg_iterations` sums their CG steps. The factor and the coarse space
+    are the lattice's `_lattice_solve` record, which every later solve on
+    the grid reuses, failed solves included. An energy or sup|grad J| that
+    is not finite, as a datum near overflow gives, ends the solve in a
+    SolverError.
     """
     grid = spec.grid()
     if grid.M < 2:

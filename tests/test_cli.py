@@ -205,6 +205,20 @@ def test_a_huge_datum_ends_in_a_typed_error(datum, tmp_path, capsys):
     assert not (tmp_path / "huge").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("weight", [1e150, 1e300])
+def test_a_huge_phase_weight_ends_in_a_typed_error(weight, tmp_path, capsys):
+    """Phase weights near overflow make the Newton system's products overflow: CG
+    runs to its step limit and the solve exits 1 with a `LinearSolveError`,
+    the only report, and writes no run."""
+    cfgfile = tmp_path / "heavy.cfg"
+    cfgfile.write_text(f"p = 2\nlambda_plus = {weight!r}\nlambda_minus = {weight!r}\n"
+                       f"g = harmonic:coeffs=1;0.2\nh = 0.125\noutput = {tmp_path / 'heavy'}\n")
+    assert main(["solve", str(cfgfile)]) == 1
+    assert "error: conjugate gradient stalled" in capsys.readouterr().err
+    assert not (tmp_path / "heavy").exists()
+
+
 # p near 1 and weights at the edges of what parse_config accepts: each of
 # lambda+- is 0 (refused), the default 1, or 1e6 (Newton cannot converge)
 EDGE_WEIGHTS = [(0, 0), (0, 1e6), (1e6, 0), (1e6, 1e6), (1e6, 1), (1, 1e6)]

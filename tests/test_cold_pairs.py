@@ -16,11 +16,14 @@ def _run(wall_s, peak_rss_mb):
 def test_commands_are_verify_and_asym_p2_diagnose_and_blowup_at_three_steps():
     names = [name for name, _, _ in cold_pairs.commands()]
     assert names == ["verify-quick"] + [f"{c}-asym-p2-h{k}" for c in ("diagnose", "blowup")
-                                        for k in (32, 64, 128)]
-    for name, args, config in cold_pairs.commands()[1:]:
+                                        for k in (32, 64, 128)] + ["solve-asym-p2-n2-h16"]
+    for name, args, config in cold_pairs.commands()[1:-1]:
         assert args == [name.split("-")[0]]
         assert "g = harmonic:coeffs=1;0.2\n" in config
         assert config.endswith(f"h = {1 / int(name.rsplit('h', 1)[1])!r}\n")
+    name, args, config = cold_pairs.commands()[-1]
+    assert args == ["solve"] and "g = harmonic:coeffs=1;0.2\n" in config
+    assert config.endswith("n = 2\nh = 0.0625\n")
 
 
 def test_summary_counts_the_pairs_in_which_the_change_is_lower():

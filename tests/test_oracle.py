@@ -29,7 +29,7 @@ def test_brute_minimizer_needs_no_laplace_factor(monkeypatch):
     def refuse(grid):
         raise AssertionError("the oracle factored the Newton preconditioner")
 
-    monkeypatch.setattr(solver, "_laplace_factor", refuse)
+    monkeypatch.setattr(solver, "_lattice_solve", refuse)
     result = brute_minimize(_spec(0.125))  # the sym-p2 corpus config
     assert np.isfinite(result.energy)
 

@@ -159,3 +159,20 @@ def test_runs_diagnose_two_configs_at_n2_on_the_h16_lattice():
           if command == "diagnose" and "-n2-h16-" in name]
     assert [name for name, _ in n2] == ["sym-p2-n2-h16-diagnose", "asym-p2-n2-h16-diagnose"]
     assert all(spec.n == 2 and spec.h == 1.0 / 16 for _, spec in n2)
+
+
+def test_runs_solve_two_configs_below_p_2():
+    """Every other CLI run has p >= 2; these two take the p < 2 branches of the
+    Newton method: `sweep-n1`'s descent case at h = 1/16 and an odd datum at
+    h = 1/64."""
+    from bilaplab.config import parse_config
+
+    below = [(name, command, text) for name, command, text in same_bytes.runs()
+             if parse_config(text).spec.p < 2.0]
+    assert [(name, command) for name, command, _ in below] == [
+        ("descent-p1.5-h16-solve", "solve"), ("odd-p1.5-h64-solve", "solve")]
+    for (_, _, text), g, h in zip(below, ("harmonic:coeffs=1;0.2", "harmonic:deg=1"),
+                                  (1.0 / 16, 1.0 / 64)):
+        spec = parse_config(text).spec
+        assert (spec.p, spec.lambda_plus, spec.lambda_minus, spec.h) == (1.5, 1.0, 1.0, h)
+        assert f"g = {g}\n" in text

@@ -20,9 +20,8 @@ from bilaplab.grid import SOLID_BLOCK, build_grid, sphere_quadrature
 from bilaplab.problem import (energy_array, face_hessian_diagonal, gradient_array, hessian,
                               operators, thin_reaction)
 from bilaplab.solver import (ConvergenceError, LinearSolveError, SolveResult,
-                             _basis_laplacians, _coarse_space, _poly_trials,
-                             _split_preconditioner, _two_level_preconditioner,
-                             el_crosscheck, weak_residual)
+                             _basis_laplacians, _lattice_solve, _poly_trials,
+                             _two_level_preconditioner, el_crosscheck, weak_residual)
 from bilaplab.verify import corpus_solve
 
 ASYM = dict(p=2.0, lambda_plus=2.0, lambda_minus=0.5, g="harmonic:coeffs=1;0.2")
@@ -387,7 +386,8 @@ def test_coarse_lattices_solve_with_at_most_one_coarse_mode_per_thin_node(n, h_i
     result = minimize(spec)
     assert result.iterations >= 1
     assert result.grad_sup <= 1e-8 * (1.0 + abs(result.energy))
-    Z, Phi, rows = _coarse_space(spec.grid())
+    lattice = _lattice_solve(spec.grid())
+    Z, Phi = lattice.Z, lattice.Phi
     m, k = Phi.shape
     assert m == spec.grid().thin_ids.size and Z.shape == (spec.grid().free_ids.size, k)
     assert 1 <= k <= m
@@ -397,18 +397,18 @@ def test_coarse_lattices_solve_with_at_most_one_coarse_mode_per_thin_node(n, h_i
 
 
 def _two_level_at_the_start(n, h_inv):
-    """H and M2 of a p = 1.5 problem at its harmonic extension, and the coarse space."""
+    """H and M2 of a p = 1.5 problem at its harmonic extension, and the coarse space Z."""
     spec = ProblemSpec(n=n, h=1.0 / h_inv, p=1.5, **{k: v for k, v in ASYM.items() if k != "p"})
     grid = spec.grid()
     w = harmonic_extension(spec).values
     gsup = float(np.abs(gradient_array(w, spec)[grid.free_ids]).max())
     M2 = _two_level_preconditioner(grid, face_hessian_diagonal(w, spec, gsup))
-    return hessian(w, spec, gsup), M2, _coarse_space(grid)
+    return hessian(w, spec, gsup), M2, _lattice_solve(grid).Z
 
 
 @pytest.mark.parametrize("n,h_inv", [(1, 5), (1, 32), (1, 64), (2, 8), (2, 12)])
 def test_two_level_preconditioner_is_symmetric(n, h_inv):
-    _, M2, (Z, _, _) = _two_level_at_the_start(n, h_inv)
+    _, M2, Z = _two_level_at_the_start(n, h_inv)
     rng = np.random.default_rng(7)
     for _ in range(3):
         x, y = rng.standard_normal((2, Z.shape[0]))
@@ -420,7 +420,7 @@ def test_two_level_preconditioner_is_symmetric(n, h_inv):
 
 @pytest.mark.parametrize("n,h_inv", [(1, 5), (1, 32), (1, 64), (2, 8), (2, 12)])
 def test_two_level_preconditioner_is_exact_on_the_coarse_space(n, h_inv):
-    H, M2, (Z, _, _) = _two_level_at_the_start(n, h_inv)
+    H, M2, Z = _two_level_at_the_start(n, h_inv)
     for j in range(Z.shape[1]):
         z = Z[:, j]
         assert np.linalg.norm(M2.matvec(H @ z) - z) <= 1e-10 * np.linalg.norm(z)
@@ -434,13 +434,16 @@ def test_coarse_space_halves_the_cg_steps_of_asym_p2():
 
 
 def test_split_preconditioner_inverts_twice_kff():
+    # kff_solve, for one right-hand side and for a block of three
     grid = ProblemSpec(n=1, h=1.0 / 16, **ASYM).grid()
     free = grid.free_ids
     Kff = operators(grid).K[free][:, free].tocsc()
-    x = np.random.default_rng(4).standard_normal(free.size)
-    got = _split_preconditioner(grid).matvec(x)
-    want = spla.spsolve(2.0 * Kff, x)
-    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    lattice = _lattice_solve(grid)
+    X = np.random.default_rng(4).standard_normal((free.size, 3))
+    want = spla.spsolve(2.0 * Kff, X)
+    for got, ref in ((lattice.kff_solve(X[:, 0]), want[:, 0]), (lattice.kff_solve(X), want)):
+        assert got.shape == ref.shape
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def _laplace_matrix(grid):
@@ -459,15 +462,33 @@ def test_the_symmetrizer_makes_the_reflected_laplacian_symmetric(n, h_inv):
 
 @pytest.mark.parametrize("n,h_inv", [(1, 41), (1, 64), (2, 12)])
 def test_split_preconditioner_is_the_plain_and_transposed_split(n, h_inv):
-    # the two transposed solves against 1/2 L_ff^-1 Omega^-1 L_ff^-T x,
-    # with SuperLU's plain solve for L_ff^-1
+    # kff_solve's two transposed solves against 1/2 L_ff^-1 Omega^-1 L_ff^-T x,
+    # with SuperLU's plain solve for L_ff^-1, for one right-hand side and a block
     grid = ProblemSpec(n=n, h=1.0 / h_inv).grid()
-    lu, omega = solver._laplace_factor(grid), operators(grid).omega
-    M = _split_preconditioner(grid)
-    for seed in range(3):
-        x = np.random.default_rng(seed).standard_normal(omega.size)
-        want = 0.5 * lu.solve(lu.solve(x, trans="T") / omega)
-        assert np.linalg.norm(M.matvec(x) - want) <= 1e-13 * np.linalg.norm(want)
+    lattice, omega = _lattice_solve(grid), operators(grid).omega
+    lu = lattice.lu
+    X = np.random.default_rng(h_inv).standard_normal((omega.size, 3))
+    want = 0.5 * lu.solve(lu.solve(X, trans="T") / omega[:, None])
+    for j in range(3):
+        assert (np.linalg.norm(lattice.kff_solve(X[:, j]) - want[:, j])
+                <= 1e-13 * np.linalg.norm(want[:, j]))
+    assert np.linalg.norm(lattice.kff_solve(X) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n,h_inv", [(1, 16), (1, 64), (2, 16)])
+def test_a_blocked_kff_solve_is_its_columns_bit_for_bit(n, h_inv):
+    # Z is one blocked solve; the two-level preconditioner solves one column at a time
+    grid = ProblemSpec(n=n, h=1.0 / h_inv).grid()
+    lattice = _lattice_solve(grid)
+    X = np.random.default_rng(n * h_inv).standard_normal((grid.free_ids.size, 5))
+    block = lattice.kff_solve(X)
+    assert block.flags.f_contiguous
+    for j in range(X.shape[1]):
+        assert np.array_equal(block[:, j], lattice.kff_solve(X[:, j].copy()))
+    prolonged = np.zeros(grid.free_ids.size)
+    for j in range(lattice.Z.shape[1]):
+        prolonged[lattice.rows] = lattice.Phi[:, j]
+        assert np.array_equal(lattice.Z[:, j], lattice.kff_solve(prolonged))
 
 
 # corpus energies of the solver before its CG floor and transposed solves
@@ -495,7 +516,7 @@ def test_cg_floor_saves_inner_steps_and_no_newton_step():
 
 def test_laplace_factor_fills_less_than_the_column_ordering():
     grid = ProblemSpec(n=1, h=1.0 / 64, **ASYM).grid()
-    lu = solver._laplace_factor(grid)
+    lu = _lattice_solve(grid).lu
     colamd = spla.splu(_laplace_matrix(grid))
     assert lu.L.nnz + lu.U.nnz < 0.7 * (colamd.L.nnz + colamd.U.nnz)
 
@@ -504,7 +525,7 @@ def test_laplace_factor_solves_the_reflected_laplacian():
     grid = ProblemSpec(n=1, h=1.0 / 64, **ASYM).grid()
     A = _laplace_matrix(grid)
     b = np.random.default_rng(5).standard_normal(A.shape[0])
-    lu = solver._laplace_factor(grid)
+    lu = _lattice_solve(grid).lu
     for trans, op in (("N", A), ("T", A.T)):
         x = lu.solve(b, trans=trans)
         assert np.linalg.norm(op @ x - b) <= 1e-12 * np.linalg.norm(b)
@@ -533,22 +554,28 @@ def test_a_replaced_spec_solves_on_its_own_lattice(change):
 
 
 def _counting_splu(monkeypatch):
-    """Patch the solver's `splu`; returns the list of the number of Laplace
-    factors alive at each call."""
-    alive = []
-    real = spla.splu
+    """Patch the solver's `splu` and lattice record; returns the list of the
+    number of lattice records alive at each `splu` call, and weak references
+    to every record built, both as of the patch."""
+    alive, records = [], []
+    real_splu, real_init = spla.splu, solver._LatticeSolve.__init__
 
     def counted(*args, **kwargs):
-        alive.append(len(solver._factors))
-        return real(*args, **kwargs)
+        alive.append(sum(record() is not None for record in records))
+        return real_splu(*args, **kwargs)
+
+    def recorded(self, grid):
+        real_init(self, grid)
+        records.append(weakref.ref(self))
 
     monkeypatch.setattr(solver.spla, "splu", counted)
-    return alive
+    monkeypatch.setattr(solver._LatticeSolve, "__init__", recorded)
+    return alive, records
 
 
 def test_second_solve_on_a_grid_reuses_its_laplace_factor(monkeypatch):
     # A, B, A: one detour keeps A's grid, and with it A's operators and factor
-    alive = _counting_splu(monkeypatch)
+    alive, _ = _counting_splu(monkeypatch)
     first = minimize(_spec(1.0 / 10))
     minimize(_spec(1.0 / 12))
     again = minimize(_spec(1.0 / 10, p=3.0))
@@ -559,41 +586,43 @@ def test_second_solve_on_a_grid_reuses_its_laplace_factor(monkeypatch):
 
 def test_one_laplace_factor_is_kept_across_grids(monkeypatch):
     # A, B, C with no caller holding A: building C's grid drops A's, which
-    # refcounting frees with its factor and coarse space before C is factored
-    solver._factors.clear()  # the factors of grids that other tests still hold
-    solver._coarse.clear()
-    alive = _counting_splu(monkeypatch)
+    # refcounting frees with its lattice record before C is factored
+    build_grid.cache_clear()  # fresh grids, so each lattice here is factored once
+    alive, records = _counting_splu(monkeypatch)
     collecting = gc.isenabled()
     gc.disable()
     try:
         grid_a = weakref.ref(minimize(_spec(1.0 / 14)).u.grid)
         minimize(_spec(1.0 / 18))
-        assert grid_a() is not None
+        assert grid_a() is not None and records[0]() is not None
         minimize(_spec(1.0 / 20))
         assert grid_a() is None
-        assert len(solver._factors) == len(solver._coarse) == 2
+        assert [record() is not None for record in records] == [False, True, True]
     finally:
         if collecting:
             gc.enable()
     assert alive == [0, 1, 1]
     failing = _spec(1.0 / 20, p=3.0, max_iter=1)  # needs two Newton steps
-    lu = solver._laplace_factor(failing.grid())
+    record = _lattice_solve(failing.grid())
     with pytest.raises(ConvergenceError):
         minimize(failing)
-    assert solver._factors[failing.grid()] is lu
+    assert _lattice_solve(failing.grid()) is record is records[2]()
     assert len(alive) == 3
 
 
 def test_a_reused_factor_solves_to_the_same_bits():
     spec = ProblemSpec(n=1, h=1.0 / 32, **ASYM)
-    minimize(_spec(1.0 / 32, p=3.0))  # leaves the factor of this grid
+    minimize(_spec(1.0 / 32, p=3.0))  # leaves the lattice record of this grid
+    record = weakref.ref(_lattice_solve(spec.grid()))
     reused = minimize(spec)
     minimize(_spec(1.0 / 16, p=3.0))  # one detour to another lattice
     returned = minimize(ProblemSpec(n=1, h=1.0 / 32, **ASYM))
     assert returned.u.grid is reused.u.grid
-    solver._factors.clear()
-    solver._coarse.clear()
+    assert _lattice_solve(returned.u.grid) is record()
+    build_grid.cache_clear()  # a fresh grid, with a record of its own
     fresh = minimize(ProblemSpec(n=1, h=1.0 / 32, **ASYM))
+    assert fresh.u.grid is not reused.u.grid
+    assert _lattice_solve(fresh.u.grid) is not record()
     for result in (reused, returned):
         assert np.array_equal(result.u.values, fresh.u.values)
         assert result.energy == fresh.energy

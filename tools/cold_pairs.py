@@ -11,6 +11,8 @@ thread, the base first when k is odd and the change first when k is even:
     bilaplab verify --level quick
     bilaplab diagnose <asym-p2 at h>     h = 1/32, 1/64, 1/128
     bilaplab blowup <asym-p2 at h>       h = 1/32, 1/64, 1/128
+    bilaplab solve <asym-p2 at n = 2>    h = 1/16, the lattice with the
+                                         heaviest set-up of a Newton solve
 
 Each run records its wall time (`wall_s`, from the start of the process to
 its end) and the peak resident size of the child (`peak_rss_mb`, its
@@ -48,7 +50,7 @@ def commands() -> list[tuple[str, list[str], str | None]]:
     for command in ("diagnose", "blowup"):
         for h_inv in H_INV:
             out.append((f"{command}-asym-p2-h{h_inv}", [command], asym + f"h = {1 / h_inv!r}\n"))
-    return out
+    return out + [("solve-asym-p2-n2-h16", ["solve"], asym + "n = 2\nh = 0.0625\n")]
 
 
 def run_once(tree: Path, args: list[str], config: str | None) -> dict:

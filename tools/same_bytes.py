@@ -21,6 +21,8 @@ BLAS thread,
                                      analyzed points' profiles; no command
                                      runs all three), and on the cases of
                                      `EXTRA_RUNS`
+    bilaplab solve                   at p = 1.5 on the two configs of
+                                     `DESCENT_RUNS`
 
 and writes each run's artifacts, plus the exit code of every run in
 `exit_codes.json`. Then each command of `TRANSCRIPTS` runs in a process of
@@ -54,7 +56,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "perfbench"), str(ROOT / "src")]
 from bench_pairs import ENV, checkout, resolve  # noqa: E402
-from workloads import PIPELINE_CONFIGS  # noqa: E402
+from workloads import DESCENT_CASE, PIPELINE_CONFIGS  # noqa: E402
 
 CENTERS = "0.1;-0.25"
 N2_H16 = ("sym-p2", "asym-p2")  # the configs also diagnosed at n = 2, h = 1/16
@@ -71,6 +73,15 @@ EXTRA_RUNS = [
     ("near-edge-h32-run-radii-2", _NEAR_EDGE + "radii = 0.125;0.25\n"),
     ("near-edge-h32-run-radii-1", _NEAR_EDGE + "radii = 0.125\n"),
     ("asym-p2-h32-run-explicit-radii", _ASYM + f"h = {1 / 32!r}\nradii = {RADII}\n"),
+]
+
+# (name, config text) of the solves that take the p < 2 branches of the Newton
+# method: `sweep-n1`'s p = 1.5 case, which zeroes the phase-0 thin nodes once,
+# and an odd datum at p = 1.5, whose u(0) is zeroed at four iterates and which
+# takes the unit step within the rounding floor of J once
+DESCENT_RUNS = [
+    ("descent-p1.5-h16-solve", "".join(f"{k} = {v}\n" for k, v in DESCENT_CASE.items())),
+    ("odd-p1.5-h64-solve", f"p = 1.5\ng = harmonic:deg=1\nh = {1 / 64!r}\n"),
 ]
 
 # the brute-force oracle on the three corpus configs at h = 1/8 and 1/16 and on
@@ -175,7 +186,8 @@ def runs() -> list[tuple[str, str, str]]:
                 out.append((f"{tag}-n2-h8-{command}", command, text + "n = 2\nh = 0.125\n"))
         if tag in N2_H16:
             out.append((f"{tag}-n2-h16-diagnose", "diagnose", text + "n = 2\nh = 0.0625\n"))
-    return out + [(name, "run", text) for name, text in EXTRA_RUNS]
+    return (out + [(name, "run", text) for name, text in EXTRA_RUNS]
+            + [(name, "solve", text) for name, text in DESCENT_RUNS])
 
 
 def produce(tree: Path, into: Path) -> Path:
